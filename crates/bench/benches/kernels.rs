@@ -5,7 +5,9 @@
 //! multistart moment-matching fit, one multi-chain KronFit ascent step and the isotonic degree
 //! post-processing — at pool sizes {1, 2, 4} on a seeded 2^14-node stochastic Kronecker graph
 //! (2^10 under `--quick`), plus the three counting kernels at ~10^5 nodes (2^17), so the
-//! speedup of the parallel layer is measured rather than assumed.
+//! speedup of the parallel layer is measured rather than assumed. Two sequential 1-thread rows
+//! at 2^17 cover graph construction: `graph_build` (SNAP edge-list text → `Graph`) and
+//! `sample_fast` (one SKG realization).
 //!
 //! Each matrix cell builds its [`Executor`] **once, outside the timed loop**: the numbers
 //! measure steady-state reuse of the persistent worker pool, not worker spawn cost.
@@ -25,6 +27,7 @@ use kronpriv_bench::harness::Harness;
 use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles_par, LaplaceNoise};
 use kronpriv_estimate::{KronFitEstimator, KronFitOptions, MomentObjective};
 use kronpriv_graph::counts::{per_node_triangles_par, triangle_count_par};
+use kronpriv_graph::io::{parse_edge_list, to_edge_list_string};
 use kronpriv_graph::MatchingStatistics;
 use kronpriv_json::Json;
 use kronpriv_optim::{multistart_minimize_par, Bounds, MultistartOptions};
@@ -137,6 +140,17 @@ fn main() {
             black_box(per_node_triangles_par(black_box(&large), exec));
         });
     }
+
+    // Graph construction at the same 2^17 scale, sequential by design (1 thread only): the
+    // sort-dedup edge-list parse behind every upload, and the SKG sampler behind every release.
+    let large_text = to_edge_list_string(&large);
+    run(&mut h, &mut records, "graph_build", large_nodes, 1, &|_exec| {
+        black_box(parse_edge_list(black_box(&large_text)).expect("a serialized graph parses"));
+    });
+    run(&mut h, &mut records, "sample_fast", large_nodes, 1, &|_exec| {
+        let mut rng = StdRng::seed_from_u64(18);
+        black_box(sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng));
+    });
 
     // The exact all-sources BFS is quadratic; measure it on a 4× smaller graph so the full
     // suite stays within its time budget.

@@ -40,15 +40,10 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph 
 pub fn erdos_renyi_gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
     let max_edges = n * n.saturating_sub(1) / 2;
     let m = m.min(max_edges);
-    let mut builder = GraphBuilder::new(n);
-    while builder.edge_count() < m {
-        let u = rng.gen_range(0..n as u32);
-        let v = rng.gen_range(0..n as u32);
-        if u != v {
-            builder.add_edge(u, v);
-        }
-    }
-    builder.build()
+    // Rejection sampling without an attempt cap: draw node pairs until `m` are distinct.
+    Graph::from_distinct_draws(n, m, usize::MAX, || {
+        (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32))
+    })
 }
 
 /// Samples a Barabási–Albert style preferential-attachment graph: nodes arrive one at a time and
@@ -133,7 +128,8 @@ pub fn ring_lattice(n: usize, k: usize) -> Graph {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+    use std::collections::BTreeSet;
 
     #[test]
     fn gnp_with_zero_probability_is_empty() {
@@ -175,6 +171,31 @@ mod tests {
         let g = erdos_renyi_gnm(50, 100, &mut rng);
         assert_eq!(g.edge_count(), 100);
         assert_eq!(g.node_count(), 50);
+    }
+
+    #[test]
+    fn gnm_matches_the_sequential_reference_byte_for_byte() {
+        // The pre-bulk loop: one BTreeSet insertion per non-loop draw until `m` are distinct.
+        let reference = |n: usize, m: usize, rng: &mut StdRng| {
+            let m = m.min(n * n.saturating_sub(1) / 2);
+            let mut edges = BTreeSet::new();
+            while edges.len() < m {
+                let u = rng.gen_range(0..n as u32);
+                let v = rng.gen_range(0..n as u32);
+                if u != v {
+                    edges.insert((u.min(v), u.max(v)));
+                }
+            }
+            Graph::from_edges(n, edges)
+        };
+        for seed in 0..40 {
+            for (n, m) in [(0, 5), (1, 5), (2, 1), (10, 45), (12, 60), (50, 100), (300, 2_000)] {
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let g = erdos_renyi_gnm(n, m, &mut a);
+                assert_eq!(g, reference(n, m, &mut b), "n={n} m={m} seed={seed}");
+                assert_eq!(a.next_u64(), b.next_u64(), "rng differs: n={n} m={m} seed={seed}");
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Section 3.2 of the paper defines how a (possibly directed, possibly loopy) realization of a
 //! stochastic Kronecker matrix is turned into the undirected simple graph that is actually
-//! modelled: self-loops are dropped and the adjacency is symmetrised. [`GraphBuilder`] performs
-//! exactly those cleaning steps for arbitrary edge input, so every graph in the workspace is a
-//! simple undirected graph by construction.
+//! modelled: self-loops are dropped and the adjacency is symmetrised. [`Graph::from_edges`]
+//! performs exactly those cleaning steps for arbitrary edge input, and every other constructor
+//! ([`GraphBuilder`], [`Graph::from_distinct_draws`], the edge-list parser) funnels into it, so
+//! every graph in the workspace is a simple undirected graph by construction.
 
 use std::collections::BTreeSet;
 
@@ -29,17 +30,105 @@ impl Graph {
         Graph { offsets: vec![0; n + 1], adjacency: Vec::new(), edges: Vec::new() }
     }
 
-    /// Builds a graph directly from an iterator of undirected edges. Self-loops and duplicates
-    /// are discarded; node count is `n`.
+    /// Builds a graph from an iterator of undirected edges on `n` nodes — the one construction
+    /// path. Cleaning is sort-dedup: each pair is canonicalised to `(min, max)` and self-loops
+    /// are dropped, then a flat `Vec` is `sort_unstable`d and `dedup`ed, so duplicates and
+    /// reversed pairs collapse to one edge. The CSR is then filled straight from the sorted list.
     ///
     /// # Panics
     /// Panics if any endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut builder = GraphBuilder::new(n);
-        for (u, v) in edges {
-            builder.add_edge(u, v);
+        let mut edges: Vec<(u32, u32)> =
+            edges.into_iter().filter_map(|(u, v)| canonical_edge(n, u, v)).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        Graph::from_sorted_edges(n, edges)
+    }
+
+    /// Builds the graph of the first `target` distinct non-loop pairs drawn by `draw`, making
+    /// at most `max_attempts` draws — byte-identical (graph and number of `draw` calls) to the
+    /// sequential rejection loop
+    ///
+    /// ```text
+    /// while distinct < target && attempts < max_attempts { attempts += 1; insert(draw()) }
+    /// ```
+    ///
+    /// but without a per-attempt set insertion. A bulk round first makes exactly
+    /// `min(target, max_attempts)` draws into a `Vec` and sort-dedups it: each draw adds at
+    /// most one distinct edge, so the loop above could not have stopped earlier and this round
+    /// can never overshoot `target`. A sequential top-up then continues one draw at a time,
+    /// checking each pair against the bulk edges (`binary_search`) and the few top-up edges
+    /// (a `BTreeSet`), and stops on exactly the draw where the loop stops. The two sorted runs
+    /// merge once at the end, so near-complete targets stay `O(log E)` per draw.
+    ///
+    /// # Panics
+    /// Panics if a drawn endpoint is `>= n`.
+    pub fn from_distinct_draws(
+        n: usize,
+        target: usize,
+        max_attempts: usize,
+        mut draw: impl FnMut() -> (u32, u32),
+    ) -> Self {
+        let bulk_attempts = target.min(max_attempts);
+        let mut edges = Vec::with_capacity(bulk_attempts);
+        for _ in 0..bulk_attempts {
+            let (u, v) = draw();
+            edges.extend(canonical_edge(n, u, v));
         }
-        builder.build()
+        edges.sort_unstable();
+        edges.dedup();
+
+        let mut top_up = BTreeSet::new();
+        let mut attempts = bulk_attempts;
+        while edges.len() + top_up.len() < target && attempts < max_attempts {
+            attempts += 1;
+            let (u, v) = draw();
+            if let Some(edge) = canonical_edge(n, u, v) {
+                if edges.binary_search(&edge).is_err() {
+                    top_up.insert(edge);
+                }
+            }
+        }
+        if !top_up.is_empty() {
+            // One linear merge of the two sorted, disjoint runs.
+            let mut top_up = top_up.into_iter().peekable();
+            let mut merged = Vec::with_capacity(edges.len() + top_up.len());
+            for edge in edges {
+                while let Some(extra) = top_up.next_if(|&extra| extra < edge) {
+                    merged.push(extra);
+                }
+                merged.push(edge);
+            }
+            merged.extend(top_up);
+            edges = merged;
+        }
+        Graph::from_sorted_edges(n, edges)
+    }
+
+    /// Fills the CSR from a strictly increasing list of canonical `(u, v)`, `u < v`, edges.
+    ///
+    /// Scanning in `(u, v)` order appends each node's smaller neighbours (as the `v` of edges
+    /// `(w, x)`, in ascending `w`) before its larger ones (as the `u` of edges `(x, w)`, in
+    /// ascending `w`), so every neighbour list comes out sorted without a per-node sort.
+    fn from_sorted_edges(n: usize, edges: Vec<(u32, u32)>) -> Self {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be sorted and distinct");
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut adjacency = vec![0u32; offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        for &(u, v) in &edges {
+            adjacency[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+            adjacency[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+        }
+        Graph { offsets, adjacency, edges }
     }
 
     /// Number of nodes.
@@ -137,70 +226,45 @@ impl Graph {
     }
 }
 
-/// Accumulates edges and produces a cleaned [`Graph`].
+/// The canonical `(min, max)` form of the undirected pair `{u, v}`, or `None` for a self-loop.
+///
+/// # Panics
+/// Panics if an endpoint is `>= n`.
+fn canonical_edge(n: usize, u: u32, v: u32) -> Option<(u32, u32)> {
+    assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of bounds for {n} nodes");
+    (u != v).then(|| (u.min(v), u.max(v)))
+}
+
+/// Accumulates edges for [`Graph::from_edges`]: a thin `Vec` wrapper for generators that add
+/// edges one at a time.
 ///
 /// Cleaning mirrors Section 3.2 of the paper: direction is ignored, self-loops are dropped, and
-/// parallel edges collapse to one.
+/// parallel edges collapse to one — all by the sort-dedup in [`Graph::from_edges`] at
+/// [`GraphBuilder::build`] time.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
-    edges: BTreeSet<(u32, u32)>,
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph on `n` nodes.
     pub fn new(n: usize) -> Self {
-        GraphBuilder { n, edges: BTreeSet::new() }
+        GraphBuilder { n, edges: Vec::new() }
     }
 
-    /// Adds the undirected edge `{u, v}`. Self-loops are silently ignored. Returns `true` iff
-    /// the edge was new (not a self-loop and not already present), so samplers that count
-    /// distinct edges can use the builder as their only store instead of keeping a parallel
-    /// dedup set.
+    /// Adds the undirected edge `{u, v}`. Self-loops are dropped; duplicates collapse at build
+    /// time.
     ///
     /// # Panics
     /// Panics if an endpoint is `>= n`.
-    pub fn add_edge(&mut self, u: u32, v: u32) -> bool {
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "edge ({u},{v}) out of bounds for {} nodes",
-            self.n
-        );
-        if u == v {
-            return false;
-        }
-        self.edges.insert((u.min(v), u.max(v)))
-    }
-
-    /// Number of distinct undirected edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
+    pub fn add_edge(&mut self, u: u32, v: u32) {
+        self.edges.extend(canonical_edge(self.n, u, v));
     }
 
     /// Finalises the builder into an immutable [`Graph`].
     pub fn build(self) -> Graph {
-        let edges: Vec<(u32, u32)> = self.edges.into_iter().collect();
-        let mut degree = vec![0usize; self.n];
-        for &(u, v) in &edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = vec![0usize; self.n + 1];
-        for i in 0..self.n {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut adjacency = vec![0u32; offsets[self.n]];
-        let mut cursor = offsets.clone();
-        for &(u, v) in &edges {
-            adjacency[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            adjacency[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        for i in 0..self.n {
-            adjacency[offsets[i]..offsets[i + 1]].sort_unstable();
-        }
-        Graph { offsets, adjacency, edges }
+        Graph::from_edges(self.n, self.edges)
     }
 }
 
@@ -278,14 +342,16 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_reports_whether_the_edge_was_new() {
+    fn builder_drops_duplicates_reversals_and_loops() {
         let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge(0, 1), "first insertion is new");
-        assert!(!b.add_edge(1, 0), "reversed duplicate is not");
-        assert!(!b.add_edge(0, 1), "exact duplicate is not");
-        assert!(!b.add_edge(2, 2), "self-loop is dropped");
-        assert!(b.add_edge(1, 2));
-        assert_eq!(b.edge_count(), 2);
+        b.add_edge(0, 1);
+        b.add_edge(1, 0);
+        b.add_edge(0, 1);
+        b.add_edge(2, 2);
+        b.add_edge(1, 2);
+        let g = b.build();
+        assert_eq!(g.edges(), &[(0, 1), (1, 2)]);
+        assert_eq!(g, Graph::from_edges(3, vec![(0, 1), (1, 2)]));
     }
 
     #[test]
@@ -339,7 +405,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x62_7001);
         for _ in 0..128 {
             let edges = rand_edges(&mut rng, 30, 200);
-            let g = Graph::from_edges(30, edges);
+            let g = Graph::from_edges(30, edges.clone());
             // No self loops, all neighbour lists sorted and duplicate-free, symmetry holds.
             for u in g.nodes() {
                 let nbrs = g.neighbors(u);
@@ -348,9 +414,88 @@ mod tests {
                 for &v in nbrs {
                     assert!(g.neighbors(v).contains(&u));
                 }
+                // The CSR fill does no per-node sort: each list must be exactly the smaller
+                // neighbours ascending, then the larger ones ascending.
+                let (smaller, larger) = nbrs.split_at(nbrs.partition_point(|&v| v < u));
+                let mut expect_smaller: Vec<u32> =
+                    edges.iter().filter(|&&(a, b)| b == u && a < u).map(|&(a, _)| a).collect();
+                expect_smaller
+                    .extend(edges.iter().filter(|&&(a, b)| a == u && b < u).map(|&(_, b)| b));
+                expect_smaller.sort_unstable();
+                expect_smaller.dedup();
+                assert_eq!(smaller, expect_smaller.as_slice());
+                assert!(larger.iter().all(|&v| v > u));
             }
             let degree_sum: usize = g.degrees().iter().sum();
             assert_eq!(degree_sum, 2 * g.edge_count());
+        }
+    }
+
+    /// The pre-sort-dedup construction: a `BTreeSet` of canonical pairs and per-node sorted
+    /// neighbour lists.
+    fn btreeset_reference(n: usize, edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, Vec<Vec<u32>>) {
+        let set: BTreeSet<(u32, u32)> =
+            edges.iter().filter(|&&(u, v)| u != v).map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        let mut adjacency = vec![Vec::new(); n];
+        for &(u, v) in &set {
+            adjacency[u as usize].push(v);
+            adjacency[v as usize].push(u);
+        }
+        for list in &mut adjacency {
+            list.sort_unstable();
+        }
+        (set.into_iter().collect(), adjacency)
+    }
+
+    #[test]
+    fn from_edges_matches_btreeset_reference() {
+        let mut rng = StdRng::seed_from_u64(0x62_7003);
+        for round in 0..256 {
+            let n = 1 + round % 40;
+            // Random lists with loops, duplicates and both orientations of the same pair.
+            let mut edges = rand_edges(&mut rng, n as u32, 300);
+            let reversed: Vec<(u32, u32)> = edges.iter().take(20).map(|&(u, v)| (v, u)).collect();
+            edges.extend(reversed);
+            let g = Graph::from_edges(n, edges.iter().copied());
+            let (canonical, adjacency) = btreeset_reference(n, &edges);
+            assert_eq!(g.edges(), canonical.as_slice());
+            for u in g.nodes() {
+                assert_eq!(g.neighbors(u), adjacency[u as usize].as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn from_distinct_draws_matches_the_sequential_loop() {
+        // The reference: one BTreeSet insertion per draw until `target` distinct edges or
+        // `max_attempts` draws. Both must make the same draws and yield the same graph.
+        let mut rng = StdRng::seed_from_u64(0x62_7004);
+        for round in 0..200 {
+            let n: usize = 2 + round % 12;
+            let max_edges = n * (n - 1) / 2;
+            let target = rng.gen_range(0..max_edges + 3).min(max_edges);
+            let max_attempts: usize = rng.gen_range(0..4 * target + 2);
+            let stream: Vec<(u32, u32)> = (0..max_attempts + 1)
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+                .collect();
+
+            let mut set = BTreeSet::new();
+            let mut attempts = 0;
+            while set.len() < target && attempts < max_attempts {
+                let (u, v) = stream[attempts];
+                attempts += 1;
+                if u != v {
+                    set.insert((u.min(v), u.max(v)));
+                }
+            }
+
+            let mut used = 0;
+            let g = Graph::from_distinct_draws(n, target, max_attempts, || {
+                used += 1;
+                stream[used - 1]
+            });
+            assert_eq!(used, attempts, "round {round}: draw count differs");
+            assert_eq!(g, Graph::from_edges(n, set), "round {round}: graph differs");
         }
     }
 

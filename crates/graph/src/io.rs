@@ -5,7 +5,7 @@
 //! dense `0..n` range the rest of the workspace expects) and writes graphs back out in the same
 //! format, so users can run the estimators on the real SNAP files if they have them locally.
 
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::Graph;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -59,25 +59,35 @@ impl From<io::Error> for EdgeListError {
 /// * Each remaining line must contain at least two whitespace-separated integer tokens; extra
 ///   tokens (e.g. weights or timestamps) are ignored.
 /// * Node identifiers are remapped to `0..n` in order of first appearance.
-/// * Self-loops and duplicate/reversed edges are cleaned by [`GraphBuilder`].
+/// * Self-loops and duplicate/reversed edges are cleaned by [`Graph::from_edges`].
 pub fn parse_edge_list(text: &str) -> Result<Graph, EdgeListError> {
     parse_edge_list_reader(text.as_bytes())
 }
 
 /// Streaming variant of [`parse_edge_list`]: consumes any [`BufRead`] line by line, so a
 /// multi-gigabyte SNAP file (or an HTTP request body) is parsed without ever holding the whole
-/// text in memory — only the remapping table and the edge list are retained.
-pub fn parse_edge_list_reader<R: BufRead>(reader: R) -> Result<Graph, EdgeListError> {
+/// text in memory — only the remapping table and the edge list are retained. Every line is read
+/// into one reused buffer, so parsing allocates nothing per line.
+pub fn parse_edge_list_reader<R: BufRead>(mut reader: R) -> Result<Graph, EdgeListError> {
     let mut ids: HashMap<u64, u32> = HashMap::new();
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (idx, raw) in reader.lines().enumerate() {
-        let raw = raw?;
+    let mut buf = String::new();
+    let mut line_number = 0usize;
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            break;
+        }
+        line_number += 1;
+        // The line without its terminator, exactly as `BufRead::lines` would yield it.
+        let raw =
+            buf.strip_suffix('\n').map_or(buf.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut tokens = line.split_whitespace();
-        let parse_err = || EdgeListError::Parse { line: idx + 1, content: raw.to_string() };
+        let parse_err = || EdgeListError::Parse { line: line_number, content: raw.to_string() };
         let a: u64 = tokens.next().ok_or_else(parse_err)?.parse().map_err(|_| parse_err())?;
         let b: u64 = tokens.next().ok_or_else(parse_err)?.parse().map_err(|_| parse_err())?;
         let next_id = ids.len() as u32;
@@ -86,12 +96,7 @@ pub fn parse_edge_list_reader<R: BufRead>(reader: R) -> Result<Graph, EdgeListEr
         let ub = *ids.entry(b).or_insert(next_id);
         edges.push((ua, ub));
     }
-    let n = ids.len();
-    let mut builder = GraphBuilder::new(n);
-    for (u, v) in edges {
-        builder.add_edge(u, v);
-    }
-    Ok(builder.build())
+    Ok(Graph::from_edges(ids.len(), edges))
 }
 
 /// Reads and parses an edge-list file, streaming it through a [`io::BufReader`] instead of

@@ -29,6 +29,7 @@ use kronpriv_graph::Graph;
 use kronpriv_json::{from_str, to_string, FromJson, Json, ToJson};
 use kronpriv_obs::{ProgressEvent, ProgressSink, Registry};
 use kronpriv_par::Executor;
+use kronpriv_skg::moments::expected_edges;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
@@ -425,6 +426,25 @@ fn validate_kronmom_options(options: &KronMomOptions) -> Result<(), String> {
     Ok(())
 }
 
+/// Largest expected edge count, `expected_edges(theta, k)`, of an SKG the server samples — on
+/// `POST /api/v1/sample` and for inline `graph.skg` specs. 2^24 (about 16.8M) edges is far above
+/// the 2^20-node nightly scale (about 2M edges), yet refuses requests such as θ = (1, 1, 1) at
+/// k = 16 (about 2^31 edges), whose sampling would reserve gigabytes and pin a worker for hours.
+const MAX_SAMPLE_EDGES: f64 = 16_777_216.0;
+
+/// Refuses an SKG whose expected edge count exceeds [`MAX_SAMPLE_EDGES`].
+fn check_sample_size(theta: &Initiator2, k: u32) -> Result<(), String> {
+    let expected = expected_edges(theta, k);
+    if expected > MAX_SAMPLE_EDGES {
+        return Err(format!(
+            "sampling theta=({}, {}, {}) at k={k} would realize about {expected:.0} edges, over \
+             the limit of {MAX_SAMPLE_EDGES:.0}",
+            theta.a, theta.b, theta.c
+        ));
+    }
+    Ok(())
+}
+
 /// Realizes the job's input graph: parses the uploaded edge list, or samples the SKG spec from
 /// the job RNG. Exactly one of the two is present (validated before submission).
 fn materialize_graph<R: Rng + ?Sized>(
@@ -445,6 +465,8 @@ fn materialize_graph<R: Rng + ?Sized>(
 enum SpecError {
     /// A malformed or out-of-bounds field: `400 bad_request`.
     Bad(String),
+    /// An inline SKG over [`MAX_SAMPLE_EDGES`]: `400 too_large`.
+    TooLarge(String),
     /// The named dataset does not exist: `404 no_such_dataset`.
     NoSuchDataset(String),
     /// A non-private estimator was requested on a dataset: `403 estimator_not_allowed` —
@@ -456,7 +478,7 @@ enum SpecError {
 impl SpecError {
     fn message(&self) -> String {
         match self {
-            SpecError::Bad(message) => message.clone(),
+            SpecError::Bad(message) | SpecError::TooLarge(message) => message.clone(),
             SpecError::NoSuchDataset(name) => format!("no such dataset: {name:?}"),
             SpecError::NonPrivate(kind) => format!(
                 "estimator {kind:?} is not allowed on datasets: baselines fit the sensitive \
@@ -469,6 +491,7 @@ impl SpecError {
     fn response(&self) -> Response {
         match self {
             SpecError::Bad(message) => error(400, "bad_request", message.clone()),
+            SpecError::TooLarge(message) => error(400, "too_large", message.clone()),
             SpecError::NoSuchDataset(name) => no_such_dataset(name),
             SpecError::NonPrivate(_) => error(403, "estimator_not_allowed", self.message()),
         }
@@ -517,6 +540,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                 )));
             }
             let theta = skg.theta.validate().map_err(SpecError::Bad)?;
+            check_sample_size(&theta, skg.k).map_err(SpecError::TooLarge)?;
             (None, Some((theta, skg.k)))
         }
         (None, _, _) => {
@@ -834,6 +858,9 @@ fn sample(state: &AppState, request: &Request) -> Response {
             "bad_request",
             format!("k must be in 1..={}, got {}", state.max_order, req.k),
         );
+    }
+    if let Err(message) = check_sample_size(&theta, req.k) {
+        return error(400, "too_large", message);
     }
     let mut rng = StdRng::seed_from_u64(req.seed);
     let graph = sample_fast(&theta, req.k, &SamplerOptions::default(), &mut rng);

@@ -17,6 +17,14 @@
 //!   Runtime is `O(E · k)`, which is what makes the `2^14`-node experiments practical. The
 //!   per-pair marginals are approximately — not exactly — Bernoulli(`P_{uv}`); tests check that
 //!   its aggregate statistics agree with the exact sampler and the closed-form moments.
+//!
+//! `sample_fast` is specified as a sequential rejection loop — place one edge, keep it if it is
+//! new, stop at the target count or the attempt cap — but runs as a bulk placement round plus a
+//! sequential top-up ([`Graph::from_distinct_draws`]). The bulk round places exactly
+//! `min(target, max_attempts)` edges (the loop can never stop sooner, since each placement adds
+//! at most one distinct edge) and sort-dedups them; the top-up then continues one placement at a
+//! time until the loop's own stopping point. Both therefore consume the same RNG draws and yield
+//! the same graph, byte for byte; a test pins this against the sequential `BTreeSet` reference.
 
 use crate::initiator::Initiator2;
 use crate::moments::expected_edges;
@@ -79,57 +87,52 @@ pub fn sample_fast<R: Rng + ?Sized>(
     };
     let target = target.min(n * n.saturating_sub(1) / 2);
 
-    let weights = quadrant_weights(theta);
-    // The builder deduplicates internally (and reports whether an insertion was new), so it is
-    // the only edge store — no shadow `HashSet`, halving peak memory per sampled graph.
-    let mut builder = GraphBuilder::new(n);
+    let thresholds = quadrant_thresholds(theta);
     // Cap the total number of attempts so adversarial parameters (e.g. all mass on the
     // diagonal, which only produces rejected self-loops) cannot loop forever.
     let max_attempts = ((target as f64 * options.oversample.max(1.0)) as usize).max(16) * 20;
-    let mut attempts = 0usize;
-    while builder.edge_count() < target && attempts < max_attempts {
-        attempts += 1;
-        let (u, v) = place_edge(&weights, k, rng);
-        if u == v {
-            continue;
-        }
-        builder.add_edge(u as u32, v as u32);
-    }
-    builder.build()
+    Graph::from_distinct_draws(n, target, max_attempts, || {
+        let (u, v) = place_edge(&thresholds, k, rng);
+        (u as u32, v as u32)
+    })
 }
 
-/// Cumulative quadrant weights `[a, a+b, a+2b, a+2b+c]` used for the recursive descent.
-fn quadrant_weights(theta: &Initiator2) -> [f64; 4] {
+/// Cumulative quadrant thresholds `[a, a+b, a+2b] / (a+2b+c)` used for the recursive descent.
+fn quadrant_thresholds(theta: &Initiator2) -> [f64; 3] {
     let total = theta.entry_sum();
     if total <= 0.0 {
-        // Degenerate all-zero initiator: weights never get used because the expected edge count
-        // is zero, but keep them well-formed.
-        return [0.25, 0.5, 0.75, 1.0];
+        // Degenerate all-zero initiator: thresholds never get used because the expected edge
+        // count is zero, but keep them well-formed.
+        return [0.25, 0.5, 0.75];
     }
-    [theta.a / total, (theta.a + theta.b) / total, (theta.a + 2.0 * theta.b) / total, 1.0]
+    [theta.a / total, (theta.a + theta.b) / total, (theta.a + 2.0 * theta.b) / total]
 }
 
 /// Descends `k` levels of the Kronecker recursion, picking one of the four initiator quadrants
 /// at each level, and returns the resulting ordered pair `(u, v)`.
-fn place_edge<R: Rng + ?Sized>(cumulative: &[f64; 4], k: u32, rng: &mut R) -> (usize, usize) {
+///
+/// Quadrants in row-major order are `(0,0) = a`, `(0,1) = b`, `(1,0) = b`, `(1,1) = c`, chosen
+/// by the first threshold `r` falls below. With the threshold bits `g_i = (r >= t_i)` — monotone,
+/// so `g0 >= g1 >= g2` — that choice is branch-free: `du = g1` and `dv = g0 ^ g1 ^ g2`
+/// (`000 → (0,0)`, `100 → (0,1)`, `110 → (1,0)`, `111 → (1,1)`), including `r` equal to a
+/// threshold and coinciding thresholds when `b = 0`.
+fn place_edge<R: Rng + ?Sized>(thresholds: &[f64; 3], k: u32, rng: &mut R) -> (usize, usize) {
     let mut u = 0usize;
     let mut v = 0usize;
     for _ in 0..k {
-        let r: f64 = rng.gen();
-        // Quadrants in row-major order: (0,0)=a, (0,1)=b, (1,0)=b, (1,1)=c.
-        let (du, dv) = if r < cumulative[0] {
-            (0, 0)
-        } else if r < cumulative[1] {
-            (0, 1)
-        } else if r < cumulative[2] {
-            (1, 0)
-        } else {
-            (1, 1)
-        };
+        let (du, dv) = quadrant(thresholds, rng.gen());
         u = (u << 1) | du;
         v = (v << 1) | dv;
     }
     (u, v)
+}
+
+/// The quadrant `(du, dv)` one level of [`place_edge`] picks for the uniform draw `r`.
+fn quadrant(thresholds: &[f64; 3], r: f64) -> (usize, usize) {
+    let g0 = usize::from(r >= thresholds[0]);
+    let g1 = usize::from(r >= thresholds[1]);
+    let g2 = usize::from(r >= thresholds[2]);
+    (g1, g0 ^ g1 ^ g2)
 }
 
 /// Samples a standard normal via Box–Muller. Kept private: only the edge-count jitter needs it.
@@ -149,7 +152,8 @@ mod tests {
     use crate::moments::ExpectedMoments;
     use kronpriv_graph::MatchingStatistics;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+    use std::collections::BTreeSet;
 
     #[test]
     fn exact_sampler_respects_node_count() {
@@ -305,6 +309,141 @@ mod tests {
         }
         let degree_sum: usize = g.degrees().iter().sum();
         assert_eq!(degree_sum, 2 * g.edge_count());
+    }
+
+    /// The pre-bulk `sample_fast`: a sequential rejection loop with one `BTreeSet` insertion per
+    /// placement and the four-way branch descent. `sample_fast` must match it byte for byte.
+    fn reference_sample_fast<R: Rng + ?Sized>(
+        theta: &Initiator2,
+        k: u32,
+        options: &SamplerOptions,
+        rng: &mut R,
+    ) -> Graph {
+        let n = theta.node_count(k);
+        let expected = expected_edges(theta, k).max(0.0);
+        let target = if options.randomize_edge_count {
+            let std = expected.sqrt();
+            (expected + std * standard_normal(rng)).round().max(0.0) as usize
+        } else {
+            expected.round() as usize
+        };
+        let target = target.min(n * n.saturating_sub(1) / 2);
+        let weights = reference_weights(theta);
+        let mut edges = BTreeSet::new();
+        let max_attempts = ((target as f64 * options.oversample.max(1.0)) as usize).max(16) * 20;
+        let mut attempts = 0usize;
+        while edges.len() < target && attempts < max_attempts {
+            attempts += 1;
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..k {
+                let (du, dv) = reference_quadrant(&weights, rng.gen());
+                u = (u << 1) | du;
+                v = (v << 1) | dv;
+            }
+            if u != v {
+                edges.insert((u.min(v) as u32, u.max(v) as u32));
+            }
+        }
+        Graph::from_edges(n, edges)
+    }
+
+    fn reference_weights(theta: &Initiator2) -> [f64; 4] {
+        let total = theta.entry_sum();
+        if total <= 0.0 {
+            return [0.25, 0.5, 0.75, 1.0];
+        }
+        [theta.a / total, (theta.a + theta.b) / total, (theta.a + 2.0 * theta.b) / total, 1.0]
+    }
+
+    fn reference_quadrant(cumulative: &[f64; 4], r: f64) -> (usize, usize) {
+        if r < cumulative[0] {
+            (0, 0)
+        } else if r < cumulative[1] {
+            (0, 1)
+        } else if r < cumulative[2] {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn fast_sampler_matches_the_sequential_reference_byte_for_byte() {
+        let initiators = [
+            Initiator2::new(0.99, 0.45, 0.25),
+            Initiator2::new(0.9, 0.6, 0.2),
+            Initiator2::new(0.8, 0.0, 0.3), // b = 0: every placement is a loop
+            Initiator2::new(0.8, 1e-3, 0.3),
+            Initiator2::new(1.0, 0.5, 0.2), // a = 1
+            Initiator2::new(1.0, 0.0, 1.0), // diagonal only
+            Initiator2::new(0.0, 0.0, 0.0),
+            Initiator2::new(1.0, 1.0, 1.0), // complete graph: a top-up-heavy target
+        ];
+        let options = [
+            SamplerOptions { oversample: 1.0, randomize_edge_count: true },
+            SamplerOptions { oversample: 1.0, randomize_edge_count: false },
+            SamplerOptions { oversample: 2.5, randomize_edge_count: true },
+            SamplerOptions { oversample: 3.0, randomize_edge_count: false },
+        ];
+        for k in [1, 6, 10, 14] {
+            let seeds = if k >= 14 { 0..2 } else { 0..12 };
+            for theta in &initiators {
+                if theta.b == 1.0 && k > 6 {
+                    continue; // C(2^k, 2) edges: keep the complete graph small
+                }
+                for opts in &options {
+                    for seed in seeds.clone() {
+                        let mut fast_rng = StdRng::seed_from_u64(seed);
+                        let mut ref_rng = StdRng::seed_from_u64(seed);
+                        let fast = sample_fast(theta, k, opts, &mut fast_rng);
+                        let reference = reference_sample_fast(theta, k, opts, &mut ref_rng);
+                        let case = format!("{theta:?} k={k} {opts:?} seed={seed}");
+                        assert_eq!(fast, reference, "graph differs: {case}");
+                        assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "rng differs: {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_descent_matches_the_four_way_branch() {
+        let initiators = [
+            Initiator2::new(0.99, 0.45, 0.25),
+            Initiator2::new(0.8, 0.0, 0.3),
+            Initiator2::new(1.0, 0.5, 0.2),
+            Initiator2::new(1.0, 1.0, 1.0),
+            Initiator2::new(0.0, 0.3, 0.0),
+            Initiator2::new(0.0, 0.0, 0.0),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5a_3f1e);
+        for theta in &initiators {
+            let thresholds = quadrant_thresholds(theta);
+            let weights = reference_weights(theta);
+            // 10^5 uniform draws per initiator.
+            for _ in 0..100_000 {
+                let r: f64 = rng.gen();
+                assert_eq!(quadrant(&thresholds, r), reference_quadrant(&weights, r), "r={r}");
+            }
+            // The exact threshold values and their neighbours, plus the ends of [0, 1).
+            let mut probes = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            for t in thresholds {
+                probes.extend([t, t.next_down(), t.next_up()]);
+            }
+            for r in probes {
+                assert_eq!(quadrant(&thresholds, r), reference_quadrant(&weights, r), "r={r}");
+            }
+            // Whole descents consume the same draws.
+            let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+            for _ in 0..1_000 {
+                let mut reference = (0usize, 0usize);
+                for _ in 0..17 {
+                    let (du, dv) = reference_quadrant(&weights, b.gen());
+                    reference = ((reference.0 << 1) | du, (reference.1 << 1) | dv);
+                }
+                assert_eq!(place_edge(&thresholds, 17, &mut a), reference);
+            }
+        }
     }
 
     #[test]

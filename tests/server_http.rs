@@ -257,3 +257,51 @@ fn sampling_is_synchronous_and_seed_deterministic() {
     assert_eq!(first, second, "sampling must be a pure function of the request");
     handle.shutdown();
 }
+
+/// Sampling requests whose expected edge count exceeds the server's cap — here θ = (1, 1, 1)
+/// at k = 16, about 2^31 edges — are refused up front with `400 too_large`, on `/api/v1/sample`
+/// and as inline `graph.skg` specs alike: no job is enqueued and no dataset ledger moves.
+#[test]
+fn oversized_sampling_requests_are_refused_as_too_large() {
+    let handle = start_server();
+    let addr = handle.addr();
+    let (status, body) = client::post_json(
+        addr,
+        "/api/v1/datasets",
+        r#"{"name": "held", "edge_list": "0 1\n1 2\n2 0\n", "budget": {"epsilon": 1.0, "delta": 0.1}}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 201, "{body}");
+    let (_, budget_before) = client::get(addr, "/api/v1/datasets/held/budget").unwrap();
+
+    let complete = r#"{"a": 1.0, "b": 1.0, "c": 1.0}"#;
+    let sample = format!(r#"{{"theta": {complete}, "k": 16, "seed": 5}}"#);
+    let inline = format!(
+        r#"{{"graph": {{"skg": {{"theta": {complete}, "k": 16}}}},
+            "params": {{"epsilon": 0.5, "delta": 0.01}}, "seed": 5}}"#
+    );
+    let kronfit = format!(
+        r#"{{"graph": {{"skg": {{"theta": {complete}, "k": 16}}}},
+            "estimator": "kronfit", "seed": 5}}"#
+    );
+    for (path, body) in
+        [("/api/v1/sample", &sample), ("/api/v1/estimate", &inline), ("/api/v1/estimate", &kronfit)]
+    {
+        let (status, response) = client::post_json(addr, path, body).unwrap();
+        assert_eq!(status, 400, "{path}: {response}");
+        let doc = Json::parse(&response).unwrap();
+        assert_eq!(doc.get("code").unwrap().as_str(), Some("too_large"), "{path}: {response}");
+    }
+
+    let (_, health) = client::get(addr, "/healthz").unwrap();
+    let health = Json::parse(&health).unwrap();
+    assert_eq!(health.get("jobs_submitted").unwrap().as_f64(), Some(0.0), "no job was enqueued");
+    let (_, budget_after) = client::get(addr, "/api/v1/datasets/held/budget").unwrap();
+    assert_eq!(budget_before, budget_after, "a refused request spends no budget");
+
+    // A sparse initiator at the same order is well under the cap and still samples.
+    let sparse = r#"{"theta": {"a": 0.9, "b": 0.5, "c": 0.2}, "k": 12, "seed": 5}"#;
+    let (status, body) = client::post_json(addr, "/api/v1/sample", sparse).unwrap();
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
