@@ -102,6 +102,10 @@ mod tests {
     impl_json_struct!(Dummy { value, label });
 
     fn with_temp_experiment_dir<T>(test: impl FnOnce() -> T) -> T {
+        // The override is process-global and the dir is removed afterwards, so two tests that
+        // overlapped on parallel test threads could delete each other's outputs.
+        static EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = EXCLUSIVE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // Route outputs into a unique temp dir so tests never collide with real experiments.
         let dir = std::env::temp_dir().join(format!("kronpriv-exp-{}", std::process::id()));
         std::env::set_var("KRONPRIV_EXPERIMENT_DIR", &dir);

@@ -45,12 +45,15 @@ use std::sync::Mutex;
 /// byte-identical for any number of workers.
 const EDGE_CHUNK: usize = 2_048;
 
-/// Cost hint for one edge term: a `k`-bit digit count plus three `powi` calls.
-const EDGE_WORK: Work = Work::MODERATE;
+/// Cost hint for one edge term: two popcounts and one [`ClassTable`] load, measured at ~8 ns
+/// per edge on a 2-core Intel Xeon host. A whole edge sum of the bench's 2^14-node,
+/// ~21k-edge input is then under the pool's amortization budget and runs inline.
+const EDGE_WORK: Work = Work::per_item_ns(8);
 
-/// Cost hint for one Metropolis chain step: thousands of swap proposals plus several
-/// edge-partitioned gradient sums — always worth a worker of its own.
-const CHAIN_WORK: Work = Work::per_item_ns(1_000_000);
+/// Cost hint for one Metropolis chain step: thousands of swap proposals plus a few edge sums,
+/// measured at ~0.85 ms at 1T on the same host for the bench's 2^14-node configuration (2000
+/// warm-up swaps, two samples 500 swaps apart) — worth a worker of its own.
+const CHAIN_WORK: Work = Work::per_item_ns(850_000);
 
 /// Options for the KronFit estimator.
 #[derive(Debug, Clone, Copy)]
@@ -129,25 +132,22 @@ pub struct KronFitEstimator {
     options: KronFitOptions,
 }
 
-/// Internal fitting state: the node-to-Kronecker-index assignment and its inverse.
+/// Internal fitting state: the node-to-Kronecker-index assignment.
 struct Assignment {
-    /// `sigma[node] = kronecker index`.
-    sigma: Vec<usize>,
-    /// `node_at[index] = node` (padding nodes included).
-    node_at: Vec<usize>,
+    /// `sigma[node] = kronecker index` (padding nodes included).
+    sigma: Vec<u32>,
 }
 
 impl Assignment {
     fn identity(n_padded: usize) -> Self {
-        Assignment { sigma: (0..n_padded).collect(), node_at: (0..n_padded).collect() }
+        let sigma = (0..n_padded)
+            .map(|i| u32::try_from(i).expect("Kronecker indices must fit in u32"))
+            .collect();
+        Assignment { sigma }
     }
 
     fn swap_nodes(&mut self, u: usize, v: usize) {
-        let (iu, iv) = (self.sigma[u], self.sigma[v]);
-        self.sigma[u] = iv;
-        self.sigma[v] = iu;
-        self.node_at[iu] = v;
-        self.node_at[iv] = u;
+        self.sigma.swap(u, v);
     }
 }
 
@@ -155,22 +155,6 @@ impl Assignment {
 struct Chain {
     assignment: Assignment,
     rng: StdRng,
-}
-
-/// Digit-pair counts of an index pair: how many bit positions fall in the `a`, `b`, `c` cells of
-/// the initiator.
-fn digit_counts(x: usize, y: usize, k: u32) -> (u32, u32, u32) {
-    let mut na = 0;
-    let mut nb = 0;
-    let mut nc = 0;
-    for bit in 0..k {
-        match ((x >> bit) & 1, (y >> bit) & 1) {
-            (0, 0) => na += 1,
-            (1, 1) => nc += 1,
-            _ => nb += 1,
-        }
-    }
-    (na, nb, nc)
 }
 
 fn edge_probability(theta: &Initiator2, counts: (u32, u32, u32)) -> f64 {
@@ -213,6 +197,59 @@ fn closed_form_gradient(theta: &Initiator2, k: u32) -> [f64; 3] {
         -0.5 * kf * 2.0 * s_all - 0.25 * kf * 4.0 * b * s2_all,
         -0.5 * kf * (s_all - s_diag) - 0.25 * kf * (2.0 * c * s2_all - 2.0 * c * s2_diag),
     ]
+}
+
+/// Everything the likelihood, its gradient and the swap deltas need from one `θ`, built once
+/// per ascent step. An edge term depends on its index pair `(x, y)` only through the
+/// digit-count class: `na = k − popcount(x | y)` positions fall in the `a` cell and
+/// `nc = popcount(x & y)` in the `c` cell (the rest in `b`). So the table holds one entry per
+/// class, computed with exactly the per-edge expressions it replaces; sums look the same
+/// values up in the same order, which keeps every fit bit-identical.
+struct ClassTable {
+    /// Row width of the class index `popcount(x | y) · (k + 1) + popcount(x & y)`.
+    width: usize,
+    /// Per-class edge term `ln p + p + p²/2`.
+    term: Vec<f64>,
+    /// Per-class gradient contribution `(na/a · w, nb/b · w, nc/c · w)`, `w = 1 + p + p²`.
+    grad: Vec<[f64; 3]>,
+    /// [`closed_form_part`] at `θ`.
+    closed_form: f64,
+    /// [`closed_form_gradient`] at `θ`.
+    closed_form_gradient: [f64; 3],
+}
+
+impl ClassTable {
+    fn new(theta: &Initiator2, k: u32) -> Self {
+        let width = k as usize + 1;
+        let mut term = vec![0.0; width * width];
+        let mut grad = vec![[0.0; 3]; width * width];
+        for either in 0..=k {
+            for both in 0..=either {
+                let counts = (k - either, either - both, both);
+                let p = edge_probability(theta, counts);
+                let weight = 1.0 + p + p * p;
+                let class = either as usize * width + both as usize;
+                term[class] = edge_term(theta, counts);
+                grad[class] = [
+                    counts.0 as f64 / theta.a * weight,
+                    counts.1 as f64 / theta.b * weight,
+                    counts.2 as f64 / theta.c * weight,
+                ];
+            }
+        }
+        ClassTable {
+            width,
+            term,
+            grad,
+            closed_form: closed_form_part(theta, k),
+            closed_form_gradient: closed_form_gradient(theta, k),
+        }
+    }
+
+    /// The class of the index pair `(x, y)`.
+    fn class(&self, x: u32, y: u32) -> usize {
+        (x | y).count_ones() as usize * self.width + (x & y).count_ones() as usize
+    }
 }
 
 impl KronFitEstimator {
@@ -308,6 +345,7 @@ impl KronFitEstimator {
 
         let mut evaluations = 0usize;
         for step in 0..self.options.gradient_steps {
+            let table = ClassTable::new(&theta, k);
             // Fan the chains out over the workers: chunk size 1 makes chunk index == chain
             // index, and the chunk-order fold below averages the per-chain gradients in fixed
             // chain order whatever thread ran which chain.
@@ -320,11 +358,11 @@ impl KronFitEstimator {
                     let mut chain =
                         states[chain_index].lock().expect("a chain worker panicked earlier");
                     let chain = &mut *chain;
-                    let result = self.chain_gradient(g, &theta, k, n_padded, chain, exec);
+                    let result = self.chain_gradient(g, &table, chain, exec);
                     // Reporting only: the optional likelihood probe reads the chain state but
                     // consumes no randomness, so the fit is identical whatever the sink asks for.
                     let log_likelihood = if sink.wants_chain_likelihood() {
-                        self.log_likelihood(g, &theta, k, &chain.assignment, exec)
+                        log_likelihood(g, &table, &chain.assignment, exec)
                     } else {
                         f64::NAN
                     };
@@ -363,13 +401,14 @@ impl KronFitEstimator {
         }
 
         // Final likelihood: averaged over the chains' terminal assignments, in chain order.
+        let table = ClassTable::new(&theta, k);
         let final_ll = exec.map_reduce(
             chains,
             1,
             CHAIN_WORK,
             |range| {
                 let chain = states[range.start].lock().expect("a chain worker panicked earlier");
-                self.log_likelihood(g, &theta, k, &chain.assignment, exec)
+                log_likelihood(g, &table, &chain.assignment, exec)
             },
             |acc: f64, ll| acc + ll / chains as f64,
             0.0,
@@ -383,180 +422,132 @@ impl KronFitEstimator {
     fn chain_gradient(
         &self,
         g: &Graph,
-        theta: &Initiator2,
-        k: u32,
-        n_padded: usize,
+        table: &ClassTable,
         chain: &mut Chain,
         exec: &Executor,
     ) -> ([f64; 3], usize) {
-        self.run_swaps(
-            g,
-            theta,
-            k,
-            n_padded,
-            &mut chain.assignment,
-            self.options.warmup_swaps,
-            &mut chain.rng,
-        );
-        let mut gradient = [0.0f64; 3];
+        let asg = &mut chain.assignment;
+        run_swaps(g, table, asg, self.options.warmup_swaps, &mut chain.rng);
+        let mut averaged = [0.0f64; 3];
         let samples = self.options.samples_per_step.max(1);
         for sample in 0..samples {
             if sample > 0 {
-                self.run_swaps(
-                    g,
-                    theta,
-                    k,
-                    n_padded,
-                    &mut chain.assignment,
-                    self.options.swaps_between_samples,
-                    &mut chain.rng,
-                );
+                run_swaps(g, table, asg, self.options.swaps_between_samples, &mut chain.rng);
             }
-            let grad = self.gradient(g, theta, k, &chain.assignment, exec);
+            let grad = gradient(g, table, asg, exec);
             for i in 0..3 {
-                gradient[i] += grad[i] / samples as f64;
+                averaged[i] += grad[i] / samples as f64;
             }
         }
-        (gradient, samples)
+        (averaged, samples)
     }
+}
 
-    /// Approximate log-likelihood of `g` under `theta` for the given assignment, with the
-    /// per-edge sum partitioned over fixed [`EDGE_CHUNK`]-sized chunks.
-    fn log_likelihood(
-        &self,
-        g: &Graph,
-        theta: &Initiator2,
-        k: u32,
-        asg: &Assignment,
-        exec: &Executor,
-    ) -> f64 {
-        let edges = g.edges();
-        let edge_sum = exec.map_reduce(
-            edges.len(),
-            EDGE_CHUNK,
-            EDGE_WORK,
-            |range| {
-                edges[range]
-                    .iter()
-                    .map(|&(u, v)| {
-                        edge_term(
-                            theta,
-                            digit_counts(asg.sigma[u as usize], asg.sigma[v as usize], k),
-                        )
-                    })
-                    .sum::<f64>()
-            },
-            |acc: f64, m| acc + m,
-            0.0,
-        );
-        closed_form_part(theta, k) + edge_sum
-    }
+/// Approximate log-likelihood of `g` at the table's `θ` for the given assignment, with the
+/// per-edge sum partitioned over fixed [`EDGE_CHUNK`]-sized chunks.
+fn log_likelihood(g: &Graph, table: &ClassTable, asg: &Assignment, exec: &Executor) -> f64 {
+    let edges = g.edges();
+    let edge_sum = exec.map_reduce(
+        edges.len(),
+        EDGE_CHUNK,
+        EDGE_WORK,
+        |range| {
+            edges[range]
+                .iter()
+                .map(|&(u, v)| {
+                    table.term[table.class(asg.sigma[u as usize], asg.sigma[v as usize])]
+                })
+                .sum::<f64>()
+        },
+        |acc: f64, m| acc + m,
+        0.0,
+    );
+    table.closed_form + edge_sum
+}
 
-    /// Gradient of the approximate log-likelihood with respect to `(a, b, c)`, edge-partitioned
-    /// exactly like [`KronFitEstimator::log_likelihood`].
-    fn gradient(
-        &self,
-        g: &Graph,
-        theta: &Initiator2,
-        k: u32,
-        asg: &Assignment,
-        exec: &Executor,
-    ) -> [f64; 3] {
-        let edges = g.edges();
-        exec.map_reduce(
-            edges.len(),
-            EDGE_CHUNK,
-            EDGE_WORK,
-            |range| {
-                let mut grad = [0.0f64; 3];
-                for &(u, v) in &edges[range] {
-                    let counts = digit_counts(asg.sigma[u as usize], asg.sigma[v as usize], k);
-                    let p = edge_probability(theta, counts);
-                    let weight = 1.0 + p + p * p;
-                    grad[0] += counts.0 as f64 / theta.a * weight;
-                    grad[1] += counts.1 as f64 / theta.b * weight;
-                    grad[2] += counts.2 as f64 / theta.c * weight;
-                }
-                grad
-            },
-            |mut acc: [f64; 3], m| {
+/// Gradient of the approximate log-likelihood with respect to `(a, b, c)`, edge-partitioned
+/// exactly like [`log_likelihood`].
+fn gradient(g: &Graph, table: &ClassTable, asg: &Assignment, exec: &Executor) -> [f64; 3] {
+    let edges = g.edges();
+    exec.map_reduce(
+        edges.len(),
+        EDGE_CHUNK,
+        EDGE_WORK,
+        |range| {
+            let mut grad = [0.0f64; 3];
+            for &(u, v) in &edges[range] {
+                let terms = table.grad[table.class(asg.sigma[u as usize], asg.sigma[v as usize])];
                 for i in 0..3 {
-                    acc[i] += m[i];
+                    grad[i] += terms[i];
                 }
-                acc
-            },
-            closed_form_gradient(theta, k),
-        )
-    }
+            }
+            grad
+        },
+        |mut acc: [f64; 3], m| {
+            for i in 0..3 {
+                acc[i] += m[i];
+            }
+            acc
+        },
+        table.closed_form_gradient,
+    )
+}
 
-    /// Runs `swaps` Metropolis proposals, each swapping the Kronecker indices of two uniformly
-    /// chosen nodes (padding nodes included) and accepting with the likelihood ratio.
-    #[allow(clippy::too_many_arguments)]
-    fn run_swaps<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        theta: &Initiator2,
-        k: u32,
-        n_padded: usize,
-        asg: &mut Assignment,
-        swaps: usize,
-        rng: &mut R,
-    ) {
-        for _ in 0..swaps {
-            let u = rng.gen_range(0..n_padded);
-            let v = rng.gen_range(0..n_padded);
-            if u == v {
+/// Runs `swaps` Metropolis proposals, each swapping the Kronecker indices of two uniformly
+/// chosen nodes (padding nodes included) and accepting with the likelihood ratio.
+fn run_swaps<R: Rng + ?Sized>(
+    g: &Graph,
+    table: &ClassTable,
+    asg: &mut Assignment,
+    swaps: usize,
+    rng: &mut R,
+) {
+    let n_padded = asg.sigma.len();
+    for _ in 0..swaps {
+        let u = rng.gen_range(0..n_padded);
+        let v = rng.gen_range(0..n_padded);
+        if u == v {
+            continue;
+        }
+        let delta = swap_delta(g, table, asg, u, v);
+        if delta >= 0.0 || rng.gen::<f64>() < delta.exp() {
+            asg.swap_nodes(u, v);
+        }
+    }
+}
+
+/// Change in the edge part of the log-likelihood if nodes `u` and `v` exchanged Kronecker
+/// indices. Only edges incident to `u` or `v` are affected; the closed-form part is
+/// permutation-invariant.
+fn swap_delta(g: &Graph, table: &ClassTable, asg: &Assignment, u: usize, v: usize) -> f64 {
+    let n = g.node_count();
+    let (iu, iv) = (asg.sigma[u], asg.sigma[v]);
+    let term = |x: u32, y: u32| table.term[table.class(x, y)];
+    let mut delta = 0.0;
+    // Contributions of edges incident to u.
+    if u < n {
+        for &w in g.neighbors(u as u32) {
+            let w = w as usize;
+            if w == v {
+                continue; // handled below to avoid double counting
+            }
+            let iw = asg.sigma[w];
+            delta += term(iv, iw) - term(iu, iw);
+        }
+    }
+    if v < n {
+        for &w in g.neighbors(v as u32) {
+            let w = w as usize;
+            if w == u {
                 continue;
             }
-            let delta = self.swap_delta(g, theta, k, asg, u, v);
-            if delta >= 0.0 || rng.gen::<f64>() < delta.exp() {
-                asg.swap_nodes(u, v);
-            }
+            let iw = asg.sigma[w];
+            delta += term(iu, iw) - term(iv, iw);
         }
     }
-
-    /// Change in the edge part of the log-likelihood if nodes `u` and `v` exchanged Kronecker
-    /// indices. Only edges incident to `u` or `v` are affected; the closed-form part is
-    /// permutation-invariant.
-    fn swap_delta(
-        &self,
-        g: &Graph,
-        theta: &Initiator2,
-        k: u32,
-        asg: &Assignment,
-        u: usize,
-        v: usize,
-    ) -> f64 {
-        let n = g.node_count();
-        let (iu, iv) = (asg.sigma[u], asg.sigma[v]);
-        let mut delta = 0.0;
-        // Contributions of edges incident to u.
-        if u < n {
-            for &w in g.neighbors(u as u32) {
-                let w = w as usize;
-                if w == v {
-                    continue; // handled below to avoid double counting
-                }
-                let iw = asg.sigma[w];
-                delta += edge_term(theta, digit_counts(iv, iw, k))
-                    - edge_term(theta, digit_counts(iu, iw, k));
-            }
-        }
-        if v < n {
-            for &w in g.neighbors(v as u32) {
-                let w = w as usize;
-                if w == u {
-                    continue;
-                }
-                let iw = asg.sigma[w];
-                delta += edge_term(theta, digit_counts(iu, iw, k))
-                    - edge_term(theta, digit_counts(iv, iw, k));
-            }
-        }
-        // The edge {u, v} itself keeps the same (unordered) index pair, so it contributes no
-        // change — p is symmetric in its arguments for a symmetric initiator.
-        delta
-    }
+    // The edge {u, v} itself keeps the same (unordered) index pair, so it contributes no
+    // change — p is symmetric in its arguments for a symmetric initiator.
+    delta
 }
 
 fn clamp_theta(theta: &Initiator2, min_parameter: f64) -> Initiator2 {
@@ -587,6 +578,26 @@ mod tests {
         Executor::sequential()
     }
 
+    /// Digit-pair counts of an index pair, bit by bit: how many positions fall in the `a`,
+    /// `b`, `c` cells of the initiator. The reference the class table is checked against.
+    fn digit_counts(x: u32, y: u32, k: u32) -> (u32, u32, u32) {
+        let mut na = 0;
+        let mut nb = 0;
+        let mut nc = 0;
+        for bit in 0..k {
+            match ((x >> bit) & 1, (y >> bit) & 1) {
+                (0, 0) => na += 1,
+                (1, 1) => nc += 1,
+                _ => nb += 1,
+            }
+        }
+        (na, nb, nc)
+    }
+
+    fn ll(g: &Graph, theta: &Initiator2, k: u32, asg: &Assignment, exec: &Executor) -> f64 {
+        log_likelihood(g, &ClassTable::new(theta, k), asg, exec)
+    }
+
     #[test]
     fn digit_counts_partition_the_bits() {
         assert_eq!(digit_counts(0b0000, 0b0000, 4), (4, 0, 0));
@@ -598,11 +609,40 @@ mod tests {
     #[test]
     fn edge_probability_matches_initiator_api() {
         let theta = Initiator2::new(0.9, 0.5, 0.2);
-        for (x, y) in [(0usize, 0usize), (3, 5), (7, 2), (6, 6)] {
+        for (x, y) in [(0u32, 0u32), (3, 5), (7, 2), (6, 6)] {
             let counts = digit_counts(x, y, 3);
-            assert!(
-                (edge_probability(&theta, counts) - theta.edge_probability(3, x, y)).abs() < 1e-12
-            );
+            let api = theta.edge_probability(3, x as usize, y as usize);
+            assert!((edge_probability(&theta, counts) - api).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn class_table_matches_the_per_edge_expressions_bit_for_bit() {
+        // Exhaustive over every index pair up to k = 6: each table entry must be exactly the
+        // per-edge term and gradient contribution the bit-by-bit evaluation produced.
+        for theta in [Initiator2::new(0.9, 0.6, 0.2), Initiator2::new(0.999, 0.45, 0.001)] {
+            for k in 0..=6u32 {
+                let table = ClassTable::new(&theta, k);
+                for x in 0..1u32 << k {
+                    for y in 0..1u32 << k {
+                        let counts = digit_counts(x, y, k);
+                        let class = table.class(x, y);
+                        let term = edge_term(&theta, counts);
+                        assert_eq!(table.term[class].to_bits(), term.to_bits(), "k {k} ({x},{y})");
+                        let p = edge_probability(&theta, counts);
+                        let weight = 1.0 + p + p * p;
+                        let grad = [
+                            counts.0 as f64 / theta.a * weight,
+                            counts.1 as f64 / theta.b * weight,
+                            counts.2 as f64 / theta.c * weight,
+                        ];
+                        let bits = |g: [f64; 3]| g.map(f64::to_bits);
+                        assert_eq!(bits(table.grad[class]), bits(grad), "k {k} ({x},{y})");
+                    }
+                }
+                assert_eq!(table.closed_form.to_bits(), closed_form_part(&theta, k).to_bits());
+                assert_eq!(table.closed_form_gradient, closed_form_gradient(&theta, k));
+            }
         }
     }
 
@@ -661,20 +701,17 @@ mod tests {
         let truth = Initiator2::new(0.9, 0.55, 0.25);
         let mut rng = StdRng::seed_from_u64(1);
         let g = sample_fast(&truth, 7, &SamplerOptions::default(), &mut rng);
-        let estimator = KronFitEstimator::default();
         let asg = Assignment::identity(1 << 7);
         let theta = Initiator2::new(0.8, 0.5, 0.3);
-        let grad = estimator.gradient(&g, &theta, 7, &asg, &seq());
+        let grad = gradient(&g, &ClassTable::new(&theta, 7), &asg, &seq());
         let h = 1e-6;
         for i in 0..3 {
             let mut plus = theta.as_array();
             let mut minus = theta.as_array();
             plus[i] += h;
             minus[i] -= h;
-            let ll_plus =
-                estimator.log_likelihood(&g, &Initiator2::from_array(plus), 7, &asg, &seq());
-            let ll_minus =
-                estimator.log_likelihood(&g, &Initiator2::from_array(minus), 7, &asg, &seq());
+            let ll_plus = ll(&g, &Initiator2::from_array(plus), 7, &asg, &seq());
+            let ll_minus = ll(&g, &Initiator2::from_array(minus), 7, &asg, &seq());
             let numerical = (ll_plus - ll_minus) / (2.0 * h);
             let rel = (grad[i] - numerical).abs() / numerical.abs().max(1.0);
             assert!(rel < 1e-3, "component {i}: analytic {} numeric {numerical}", grad[i]);
@@ -687,16 +724,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let g = sample_fast(&truth, 13, &SamplerOptions::default(), &mut rng);
         assert!(g.edge_count() > 4 * EDGE_CHUNK, "want a multi-chunk edge sum");
-        let estimator = KronFitEstimator::default();
         let asg = Assignment::identity(1 << 13);
-        let theta = Initiator2::new(0.85, 0.45, 0.3);
-        let ll_ref = estimator.log_likelihood(&g, &theta, 13, &asg, &seq());
-        let grad_ref = estimator.gradient(&g, &theta, 13, &asg, &seq());
+        let table = ClassTable::new(&Initiator2::new(0.85, 0.45, 0.3), 13);
+        let ll_ref = log_likelihood(&g, &table, &asg, &seq());
+        let grad_ref = gradient(&g, &table, &asg, &seq());
         for threads in [2usize, 8] {
             let exec = Executor::new(threads);
-            let ll = estimator.log_likelihood(&g, &theta, 13, &asg, &exec);
+            let ll = log_likelihood(&g, &table, &asg, &exec);
             assert_eq!(ll.to_bits(), ll_ref.to_bits(), "threads {threads}: log-likelihood");
-            let grad = estimator.gradient(&g, &theta, 13, &asg, &exec);
+            let grad = gradient(&g, &table, &asg, &exec);
             for i in 0..3 {
                 assert_eq!(grad[i].to_bits(), grad_ref[i].to_bits(), "threads {threads}: grad");
             }
@@ -708,14 +744,13 @@ mod tests {
         let truth = Initiator2::new(0.95, 0.5, 0.2);
         let mut rng = StdRng::seed_from_u64(2);
         let g = sample_fast(&truth, 6, &SamplerOptions::default(), &mut rng);
-        let estimator = KronFitEstimator::default();
-        let theta = Initiator2::new(0.85, 0.45, 0.3);
+        let table = ClassTable::new(&Initiator2::new(0.85, 0.45, 0.3), 6);
         let mut asg = Assignment::identity(1 << 6);
-        let before = estimator.log_likelihood(&g, &theta, 6, &asg, &seq());
+        let before = log_likelihood(&g, &table, &asg, &seq());
         for &(u, v) in [(0usize, 5usize), (3, 60), (10, 11), (7, 63)].iter() {
-            let predicted = estimator.swap_delta(&g, &theta, 6, &asg, u, v);
+            let predicted = swap_delta(&g, &table, &asg, u, v);
             asg.swap_nodes(u, v);
-            let after = estimator.log_likelihood(&g, &theta, 6, &asg, &seq());
+            let after = log_likelihood(&g, &table, &asg, &seq());
             assert!(
                 (after - before - predicted).abs() < 1e-9,
                 "swap ({u},{v}): predicted {predicted}, actual {}",
@@ -733,21 +768,19 @@ mod tests {
         let truth = Initiator2::new(0.95, 0.5, 0.15);
         let mut rng = StdRng::seed_from_u64(3);
         let g = sample_fast(&truth, 8, &SamplerOptions::default(), &mut rng);
-        let estimator = KronFitEstimator::default();
-        let theta = Initiator2::new(0.9, 0.5, 0.2);
+        let table = ClassTable::new(&Initiator2::new(0.9, 0.5, 0.2), 8);
         let n_padded = 1 << 8;
-        let identity_ll =
-            estimator.log_likelihood(&g, &theta, 8, &Assignment::identity(n_padded), &seq());
+        let identity_ll = log_likelihood(&g, &table, &Assignment::identity(n_padded), &seq());
         let mut asg = Assignment::identity(n_padded);
         // Scramble with a fixed pseudo-random pass of transpositions.
         for i in 0..n_padded {
             let j = (i * 97 + 31) % n_padded;
             asg.swap_nodes(i, j);
         }
-        let scrambled_ll = estimator.log_likelihood(&g, &theta, 8, &asg, &seq());
+        let scrambled_ll = log_likelihood(&g, &table, &asg, &seq());
         assert!(scrambled_ll < identity_ll - 50.0, "scrambling should hurt the likelihood");
-        estimator.run_swaps(&g, &theta, 8, n_padded, &mut asg, 60_000, &mut rng);
-        let recovered_ll = estimator.log_likelihood(&g, &theta, 8, &asg, &seq());
+        run_swaps(&g, &table, &mut asg, 60_000, &mut rng);
+        let recovered_ll = log_likelihood(&g, &table, &asg, &seq());
         let recovered_fraction = (recovered_ll - scrambled_ll) / (identity_ll - scrambled_ll);
         assert!(
             recovered_fraction > 0.5,
@@ -761,16 +794,9 @@ mod tests {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(4);
         let g = sample_fast(&truth, 9, &SamplerOptions::default(), &mut rng);
-        let estimator = KronFitEstimator::new(quick_options());
         let k = kronecker_order_for(g.node_count());
-        let initial_ll = estimator.log_likelihood(
-            &g,
-            &quick_options().initial,
-            k,
-            &Assignment::identity(1 << k),
-            &seq(),
-        );
-        let fit = estimator.fit_graph(&g, &mut rng);
+        let initial_ll = ll(&g, &quick_options().initial, k, &Assignment::identity(1 << k), &seq());
+        let fit = KronFitEstimator::new(quick_options()).fit_graph(&g, &mut rng);
         assert!(
             -fit.objective_value > initial_ll,
             "final LL {} should exceed initial {initial_ll}",

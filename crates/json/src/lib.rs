@@ -124,6 +124,22 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().to_pretty_string()
 }
 
+/// Appends the compact rendering of `value` to `out`: [`Json::to_compact_string`] without a
+/// fresh allocation, for callers that render many documents into one buffer.
+pub fn push_json(out: &mut String, value: &Json) {
+    write::write_compact(value, out);
+}
+
+/// Appends `s` as a JSON string literal, escaped exactly as [`Json::String`] renders.
+pub fn push_json_str(out: &mut String, s: &str) {
+    write::write_string(s, out);
+}
+
+/// Appends `x` as a JSON number, rendered exactly as [`Json::Number`] renders.
+pub fn push_json_number(out: &mut String, x: f64) {
+    write::write_number(x, out);
+}
+
 /// Deserializes a value from JSON text (the `serde_json::from_str` shape).
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonParseError> {
     T::from_json(&Json::parse(text)?)
@@ -512,6 +528,25 @@ mod tests {
         let stats = [1.0f64, 2.0, 3.0, 4.0];
         let back: [f64; 4] = from_str(&to_string(&stats)).unwrap();
         assert_eq!(back, stats);
+    }
+
+    #[test]
+    fn push_writers_append_exactly_what_the_tree_renders() {
+        let doc = Json::Object(vec![
+            ("s".to_string(), Json::String("tab\tnl\n\"q\" \u{1}".to_string())),
+            ("n".to_string(), Json::Array(vec![Json::Number(3.0), Json::Number(-0.25)])),
+        ]);
+        let mut out = "prefix ".to_string();
+        push_json(&mut out, &doc);
+        assert_eq!(out, format!("prefix {}", doc.to_compact_string()));
+        let mut out = String::new();
+        push_json_str(&mut out, "tab\tnl\n\"q\" \u{1}");
+        assert_eq!(out, Json::String("tab\tnl\n\"q\" \u{1}".to_string()).to_compact_string());
+        for x in [0.0, -0.0, 42.0, -1.5e-3, 1e300, f64::NAN, f64::INFINITY] {
+            let mut out = String::new();
+            push_json_number(&mut out, x);
+            assert_eq!(out, Json::Number(x).to_compact_string(), "{x}");
+        }
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! Compact and pretty JSON writers.
 
 use crate::Json;
+use std::fmt::Write;
 
 /// Emits a JSON number. Finite floats that are mathematically integers (within `i64`) print
 /// without a trailing `.0`, matching `serde_json`; everything else uses Rust's shortest
 /// round-trip formatting. Non-finite values become `null`, also matching `serde_json`.
-fn write_number(x: f64, out: &mut String) {
+pub(crate) fn write_number(x: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
     if !x.is_finite() {
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 9.22e18 {
-        out.push_str(&format!("{}", x as i64));
+        let _ = write!(out, "{}", x as i64);
     } else {
-        out.push_str(&format!("{x:?}"));
+        let _ = write!(out, "{x:?}");
     }
 }
 
 /// Emits a JSON string literal with the escapes RFC 8259 requires.
-fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -25,7 +27,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

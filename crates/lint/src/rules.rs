@@ -66,6 +66,21 @@ pub(crate) const SERIALIZE_MACROS: &[&str] = &[
     "impl_to_json_struct",
 ];
 
+/// The append-to-`String` writers of `kronpriv-json`: a call renders its arguments into JSON
+/// text as surely as `Json::` construction does, so they are taint sinks too.
+pub(crate) const JSON_WRITERS: &[&str] = &["push_json", "push_json_str", "push_json_number"];
+
+/// The kinds of `privacy-taint` sink span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sink {
+    /// A serialization-macro invocation.
+    Macro,
+    /// Manual `Json::` construction.
+    Json,
+    /// A call of one of the [`JSON_WRITERS`].
+    Writer,
+}
+
 /// Hash-collection methods whose call implies iteration in storage order.
 const HASH_ITER_METHODS: &[&str] = &[
     "iter",
@@ -809,7 +824,8 @@ impl Scan<'_> {
     /// (deny-list names, `// lint:source(sensitive)` functions, and helpers with inferred
     /// tainted returns) propagate through `let` bindings and assignments; a finding fires when
     /// a tainted value reaches a *sink* — a serialization-macro invocation, manual `Json`
-    /// construction, or a `pub` return in `crates/server` — without passing a declared
+    /// construction, a call of a [`JSON_WRITERS`] function, or a `pub` return in
+    /// `crates/server` — without passing a declared
     /// `// lint:sanitizer` release function. This is what catches the rename the deny list
     /// cannot: `let t = exact_triangle_count; Json::Number(t as f64)`.
     fn privacy_taint(&mut self) {
@@ -834,8 +850,18 @@ impl Scan<'_> {
                     && self.tokens.get(i + 1).is_some_and(|n| n.is_punct('!'));
                 if is_macro {
                     if let Some(mclose) = matching(self.tokens, i + 2, '(', ')') {
-                        self.taint_sink_span(i + 2, mclose, &analysis, &excised, true);
+                        self.taint_sink_span(i + 2, mclose, &analysis, &excised, Sink::Macro);
                         i = mclose + 1;
+                        continue;
+                    }
+                }
+                let is_writer = t.kind == TokenKind::Ident
+                    && JSON_WRITERS.contains(&t.text.as_str())
+                    && self.tokens.get(i + 1).is_some_and(|n| n.is_punct('('));
+                if is_writer {
+                    if let Some(wclose) = matching(self.tokens, i + 1, '(', ')') {
+                        self.taint_sink_span(i + 2, wclose, &analysis, &excised, Sink::Writer);
+                        i = wclose + 1;
                         continue;
                     }
                 }
@@ -846,7 +872,7 @@ impl Scan<'_> {
                     && self.tokens.get(i + 4).is_some_and(|n| n.is_punct('('));
                 if is_json {
                     if let Some(jclose) = matching(self.tokens, i + 4, '(', ')') {
-                        self.taint_sink_span(i + 5, jclose, &analysis, &excised, false);
+                        self.taint_sink_span(i + 5, jclose, &analysis, &excised, Sink::Json);
                         i += 5;
                         continue;
                     }
@@ -887,7 +913,7 @@ impl Scan<'_> {
         hi: usize,
         analysis: &taint::FnTaint,
         excised: &taint::Excised,
-        in_macro: bool,
+        sink: Sink,
     ) {
         for j in lo..hi.min(self.tokens.len()) {
             let t = &self.tokens[j];
@@ -898,16 +924,20 @@ impl Scan<'_> {
                 continue;
             }
             let deny_listed = SENSITIVE_IDENTS.contains(&t.text.as_str());
-            if deny_listed && (in_macro || self.crate_is("server")) {
+            if deny_listed && (sink == Sink::Macro || self.crate_is("server")) {
                 continue;
             }
             let (line, text) = (t.line, t.text.clone());
-            let what = if in_macro { "a serialization macro" } else { "manual Json construction" };
+            let sink = match sink {
+                Sink::Macro => "a serialization macro",
+                Sink::Json => "manual Json construction",
+                Sink::Writer => "a JSON writer",
+            };
             self.push(
                 "privacy-taint",
                 line,
                 format!(
-                    "`{text}` carries a sensitive value into {what} without passing a declared \
+                    "`{text}` carries a sensitive value into {sink} without passing a declared \
                      sanitizer — route it through the DP release functions in crates/dp"
                 ),
             );

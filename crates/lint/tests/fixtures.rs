@@ -43,6 +43,7 @@ const EXPECTED: &[(&str, usize, &str)] = &[
     ("crates/dp/src/privacy_redacted_bad.rs", 6, "privacy-serialize"),
     ("crates/dp/src/taint_helper_bad.rs", 15, "privacy-taint"),
     ("crates/dp/src/taint_rename_bad.rs", 5, "privacy-taint"),
+    ("crates/dp/src/taint_writer_bad.rs", 5, "privacy-taint"),
     ("crates/dp/src/time_bad.rs", 4, "determinism-time"),
     ("crates/dp/src/time_bad.rs", 8, "determinism-time"),
     ("crates/dp/src/time_bad.rs", 11, "determinism-time"),

@@ -8,6 +8,7 @@
 //! it without holding a reference to the whole `AppState`.
 
 use crate::ledger::{BudgetLedger, BudgetRefusal};
+use kronpriv_json::{push_json_number, push_json_str};
 use kronpriv_obs::Registry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -201,8 +202,47 @@ impl DatasetStore {
         }
     }
 
-    /// Full images of every dataset, in name order — the persistence snapshot input.
-    pub fn images(&self) -> Vec<DatasetImage> {
+    /// An upper estimate of the bytes [`DatasetStore::write_image`] renders, to pre-size the
+    /// snapshot buffer (escapes can grow an edge list by its newline count).
+    pub(crate) fn image_len_hint(&self) -> usize {
+        let escaped = |text: &str| text.len() + text.len() / 4;
+        self.lock().iter().map(|(name, d)| 256 + escaped(name) + escaped(&d.edge_text)).sum()
+    }
+
+    /// Renders every dataset's full image, edge list included, as the snapshot's `datasets`
+    /// array in name order, straight from the map.
+    pub(crate) fn write_image(&self, out: &mut String) {
+        out.push('[');
+        for (i, (name, d)) in self.lock().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            push_json_str(out, name);
+            out.push_str(",\"edge_list\":");
+            push_json_str(out, &d.edge_text);
+            for (key, value) in [
+                ("nodes", d.nodes as f64),
+                ("edges", d.edges as f64),
+                ("epsilon_limit", d.ledger.epsilon_limit),
+                ("delta_limit", d.ledger.delta_limit),
+                ("epsilon_spent", d.ledger.epsilon_spent),
+                ("delta_spent", d.ledger.delta_spent),
+            ] {
+                out.push_str(",\"");
+                out.push_str(key);
+                out.push_str("\":");
+                push_json_number(out, value);
+            }
+            out.push('}');
+        }
+        out.push(']');
+    }
+
+    /// Full images of every dataset, in name order — the input of the tree-built reference
+    /// image the snapshot renderer is pinned against.
+    #[cfg(test)]
+    pub(crate) fn images(&self) -> Vec<DatasetImage> {
         self.lock()
             .iter()
             .map(|(name, d)| DatasetImage {

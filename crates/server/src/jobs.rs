@@ -12,9 +12,15 @@
 //! terminal `done`/`failed` document carrying the same result/error the poll endpoint serves.
 //! Streamers follow the log with [`JobStore::wait_events`], which blocks on a condvar instead
 //! of polling.
+//!
+//! A job record holds rendered text, not `Json` trees: the event log is one NDJSON string to
+//! which each event is rendered once, when pushed, and the result is kept as compact JSON
+//! text that polls parse. A finished job also drops its request spec. Up to
+//! [`DEFAULT_RETAINED_JOBS`] finished records stay in memory, so each one costs a couple of
+//! allocations rather than a few hundred.
 
 use crate::pool::ThreadPool;
-use kronpriv_json::{impl_json_enum, Json};
+use kronpriv_json::{impl_json_enum, push_json, push_json_number, push_json_str, Json};
 use kronpriv_obs::{ProgressEvent, ProgressSink, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -76,14 +82,49 @@ pub struct JobCounts {
 #[derive(Debug)]
 struct JobRecord {
     status: JobStatus,
-    result: Option<Json>,
+    /// The result document as compact JSON text (present exactly when `status == Done`).
+    result: Option<String>,
     error: Option<String>,
     warnings: Vec<String>,
-    /// The persisted request spec (durable mode only): what the snapshot stores so a pending
-    /// job can be re-run after a restart. Never served to clients.
+    /// The persisted request spec of a pending job (durable mode only): what the snapshot
+    /// stores so the job can be re-run after a restart. Dropped when the job finishes, since
+    /// snapshots persist finished jobs by their outcome. Never served to clients.
     spec: Option<Json>,
-    /// Append-only typed progress log; see the module docs for the document shapes.
-    events: Vec<Json>,
+    /// Append-only typed progress log as NDJSON, one rendered document per line; see the
+    /// module docs for the document shapes.
+    events: String,
+}
+
+impl JobRecord {
+    /// A fresh `Queued` record whose log holds the `queued` event.
+    fn queued(id: u64, warnings: Vec<String>, spec: Option<Json>) -> Self {
+        let mut events = String::new();
+        push_event(&mut events, &event_doc("queued", &[("job_id", Json::Number(id as f64))]));
+        JobRecord { status: JobStatus::Queued, result: None, error: None, warnings, spec, events }
+    }
+
+    /// Moves the record to `Done` (the rendered result) or `Failed` (the message), appending
+    /// the terminal event. The log never grows again, so its spare capacity is released.
+    fn finish(&mut self, outcome: Result<String, String>) {
+        match outcome {
+            Ok(result) => {
+                // `{"event":"done","result":…}`, embedding the rendered result verbatim.
+                self.events.push_str("{\"event\":\"done\",\"result\":");
+                self.events.push_str(&result);
+                self.events.push_str("}\n");
+                self.status = JobStatus::Done;
+                self.result = Some(result);
+            }
+            Err(message) => {
+                let error = Json::String(message.clone());
+                push_event(&mut self.events, &event_doc("failed", &[("error", error)]));
+                self.status = JobStatus::Failed;
+                self.error = Some(message);
+            }
+        }
+        self.events.shrink_to_fit();
+        self.spec = None;
+    }
 }
 
 /// The job map is id-ordered (`BTreeMap`) so snapshot images and any future listings are
@@ -108,34 +149,30 @@ struct Shared {
 }
 
 impl JobTable {
-    fn complete(&mut self, id: u64, outcome: Result<Json, String>) {
+    /// Finishes a live job with its rendered outcome.
+    fn complete(&mut self, id: u64, outcome: Result<String, String>) {
         if let Some(record) = self.jobs.get_mut(&id) {
-            let registry = Registry::global();
-            match outcome {
-                Ok(result) => {
-                    record.status = JobStatus::Done;
-                    record.events.push(event_doc("done", &[("result", result.clone())]));
-                    record.result = Some(result);
-                    self.completed_done += 1;
-                    registry.counter("kronpriv_jobs_completed_total", &[("outcome", "done")]).inc();
-                }
-                Err(message) => {
-                    record.status = JobStatus::Failed;
-                    record
-                        .events
-                        .push(event_doc("failed", &[("error", Json::String(message.clone()))]));
-                    record.error = Some(message);
-                    self.completed_failed += 1;
-                    registry
-                        .counter("kronpriv_jobs_completed_total", &[("outcome", "failed")])
-                        .inc();
-                }
-            }
-            self.finished.push_back(id);
-            while self.finished.len() > self.max_finished {
-                if let Some(oldest) = self.finished.pop_front() {
-                    self.jobs.remove(&oldest);
-                }
+            let label = if outcome.is_ok() { "done" } else { "failed" };
+            record.finish(outcome);
+            Registry::global()
+                .counter("kronpriv_jobs_completed_total", &[("outcome", label)])
+                .inc();
+            self.retire(id);
+        }
+    }
+
+    /// Counts a just-finished record towards the completion tallies and queues it for
+    /// oldest-first eviction beyond the retention cap.
+    fn retire(&mut self, id: u64) {
+        match self.jobs.get(&id).map(|record| record.status) {
+            Some(JobStatus::Done) => self.completed_done += 1,
+            Some(JobStatus::Failed) => self.completed_failed += 1,
+            _ => {}
+        }
+        self.finished.push_back(id);
+        while self.finished.len() > self.max_finished {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
             }
         }
     }
@@ -146,6 +183,12 @@ fn event_doc(kind: &str, fields: &[(&str, Json)]) -> Json {
     let mut pairs = vec![("event".to_string(), Json::String(kind.to_string()))];
     pairs.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
     Json::Object(pairs)
+}
+
+/// Appends one event document to an NDJSON log as a compact line.
+fn push_event(log: &mut String, event: &Json) {
+    push_json(log, event);
+    log.push('\n');
 }
 
 /// The progress sink one running job emits into: appends typed JSON documents to the job's
@@ -162,12 +205,12 @@ pub struct JobEventSink {
 }
 
 impl JobEventSink {
-    /// Appends one event document to the job's log and wakes streamers. Events for an evicted
-    /// job are silently dropped.
+    /// Renders one event document onto the job's log and wakes streamers. Events for an
+    /// evicted job are silently dropped.
     pub fn push(&self, event: Json) {
         let mut table = self.shared.table.lock().expect("job table poisoned");
         if let Some(record) = table.jobs.get_mut(&self.id) {
-            record.events.push(event);
+            push_event(&mut record.events, &event);
             self.shared.events.notify_all();
         }
     }
@@ -275,17 +318,7 @@ impl JobStore {
                     table.next_id
                 }
             };
-            table.jobs.insert(
-                id,
-                JobRecord {
-                    status: JobStatus::Queued,
-                    result: None,
-                    error: None,
-                    warnings,
-                    spec,
-                    events: vec![event_doc("queued", &[("job_id", Json::Number(id as f64))])],
-                },
-            );
+            table.jobs.insert(id, JobRecord::queued(id, warnings, spec));
             id
         };
         Registry::global().counter("kronpriv_jobs_submitted_total", &[]).inc();
@@ -308,8 +341,10 @@ impl JobStore {
             sink.push(event_doc("running", &[]));
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(&sink)))
                 .unwrap_or_else(|_| Err("job panicked".to_string()));
+            // Rendered outside the table lock: a result can carry a whole degree sequence.
+            let rendered = outcome.as_ref().map(Json::to_compact_string).map_err(String::clone);
             let hook = shared.hook.lock().expect("job hook poisoned").clone();
-            shared.table.lock().expect("job table poisoned").complete(id, outcome.clone());
+            shared.table.lock().expect("job table poisoned").complete(id, rendered);
             shared.events.notify_all();
             if let Some(hook) = hook {
                 hook(id, &outcome);
@@ -334,84 +369,49 @@ impl JobStore {
     /// `Failed` with a synthesized two-event log, counts towards the `/healthz` completion
     /// tallies, but does not re-run and does not touch the traffic metrics or the hook.
     pub fn restore_finished(&self, id: u64, outcome: Result<Json, String>, warnings: Vec<String>) {
+        let mut record = JobRecord::queued(id, warnings, None);
+        record.finish(outcome.map(|result| result.to_compact_string()));
         let mut table = self.shared.table.lock().expect("job table poisoned");
         table.next_id = table.next_id.max(id);
-        let record = match &outcome {
-            Ok(result) => {
-                table.completed_done += 1;
-                JobRecord {
-                    status: JobStatus::Done,
-                    result: Some(result.clone()),
-                    error: None,
-                    warnings,
-                    spec: None,
-                    events: vec![
-                        event_doc("queued", &[("job_id", Json::Number(id as f64))]),
-                        event_doc("done", &[("result", result.clone())]),
-                    ],
-                }
-            }
-            Err(message) => {
-                table.completed_failed += 1;
-                JobRecord {
-                    status: JobStatus::Failed,
-                    result: None,
-                    error: Some(message.clone()),
-                    warnings,
-                    spec: None,
-                    events: vec![
-                        event_doc("queued", &[("job_id", Json::Number(id as f64))]),
-                        event_doc("failed", &[("error", Json::String(message.clone()))]),
-                    ],
-                }
-            }
-        };
         table.jobs.insert(id, record);
-        table.finished.push_back(id);
-        while table.finished.len() > table.max_finished {
-            if let Some(oldest) = table.finished.pop_front() {
-                table.jobs.remove(&oldest);
-            }
-        }
+        table.retire(id);
     }
 
-    /// A snapshot of the job, or `None` for an unknown id.
+    /// A snapshot of the job, or `None` for an unknown id. The result text is parsed back
+    /// into a document; it renders to the same bytes it was stored as.
     pub fn get(&self, id: u64) -> Option<JobSnapshot> {
         let table = self.shared.table.lock().expect("job table poisoned");
         table.jobs.get(&id).map(|record| JobSnapshot {
             id,
             status: record.status,
-            result: record.result.clone(),
+            result: record.result.as_deref().map(|text| {
+                Json::parse(text).expect("a stored result is JSON this store rendered")
+            }),
             error: record.error.clone(),
             warnings: record.warnings.clone(),
         })
     }
 
-    /// The job's event documents from index `from` onward, blocking up to `timeout` for new
-    /// ones. Returns `(events, terminal)` where `terminal` says the returned slice reaches the
-    /// end of a finished job's log — the stream is complete. `None` for an unknown (or
-    /// evicted) id.
+    /// The job's NDJSON event log from byte offset `from` onward, blocking up to `timeout`
+    /// for new events. Returns `(tail, terminal)` where `terminal` says the tail reaches the
+    /// end of a finished job's log — the stream is complete. Events are appended whole, so a
+    /// cursor advanced by each returned tail's length always lands between lines. `None` for
+    /// an unknown (or evicted) id.
     ///
-    /// A timeout with no fresh events returns `(vec![], false)` so streamers can keep the
-    /// connection alive and re-wait.
-    pub fn wait_events(
-        &self,
-        id: u64,
-        from: usize,
-        timeout: Duration,
-    ) -> Option<(Vec<Json>, bool)> {
+    /// A timeout with no fresh events returns an empty, non-terminal tail so streamers can keep
+    /// the connection alive and re-wait.
+    pub fn wait_events(&self, id: u64, from: usize, timeout: Duration) -> Option<(String, bool)> {
         let deadline = Instant::now() + timeout;
         let mut table = self.shared.table.lock().expect("job table poisoned");
         loop {
             let record = table.jobs.get(&id)?;
             let finished = matches!(record.status, JobStatus::Done | JobStatus::Failed);
             if record.events.len() > from || finished {
-                let events = record.events.get(from..).unwrap_or_default().to_vec();
-                return Some((events, finished));
+                return Some((tail(&record.events, from), finished));
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return Some((Vec::new(), false));
+                return Some((String::new(), false));
             }
             let (guard, wait) =
                 self.shared.events.wait_timeout(table, remaining).expect("job table poisoned");
@@ -419,8 +419,7 @@ impl JobStore {
             if wait.timed_out() {
                 let record = table.jobs.get(&id)?;
                 let finished = matches!(record.status, JobStatus::Done | JobStatus::Failed);
-                let events = record.events.get(from..).unwrap_or_default().to_vec();
-                return Some((events, finished));
+                return Some((tail(&record.events, from), finished));
             }
         }
     }
@@ -453,6 +452,11 @@ impl JobStore {
     }
 }
 
+/// The part of an NDJSON log from byte offset `from` on (empty past the end).
+fn tail(log: &str, from: usize) -> String {
+    log.get(from..).unwrap_or_default().to_string()
+}
+
 /// A handle that images the job table for persistence snapshots without owning the pool (so
 /// the snapshot hook can live inside the store's own completion callback without a cycle).
 #[derive(Clone)]
@@ -461,10 +465,80 @@ pub struct JobImager {
 }
 
 impl JobImager {
-    /// `(next_job_id, job documents)` in id order. Finished jobs persist their outcome;
-    /// queued/running jobs persist their spec (to be re-run on boot); pending jobs without a
-    /// spec (in-memory submissions) are skipped — they cannot be replayed.
-    pub fn image_docs(&self) -> (u64, Vec<Json>) {
+    /// An upper estimate of the bytes [`JobImager::write_image`] renders for the jobs, to
+    /// pre-size the snapshot buffer.
+    pub(crate) fn image_len_hint(&self) -> usize {
+        let table = self.shared.table.lock().expect("job table poisoned");
+        let text = |text: Option<&String>| text.map_or(0, String::len);
+        let records = table.jobs.values().map(|record| {
+            let warnings: usize = record.warnings.iter().map(|w| w.len() + 8).sum();
+            128 + text(record.result.as_ref()) + text(record.error.as_ref()) + warnings
+        });
+        64 + records.sum::<usize>()
+    }
+
+    /// Renders the state image `{"next_job_id":…,"datasets":…,"jobs":[…]}` onto `out`, with
+    /// `datasets` writing the datasets array in between. The table stays locked throughout,
+    /// so the id counter and the job list are one consistent image.
+    ///
+    /// Jobs appear in id order. Finished jobs persist their outcome; queued/running jobs
+    /// persist their spec (to be re-run on boot); pending jobs without a spec (in-memory
+    /// submissions) are skipped — they cannot be replayed.
+    pub(crate) fn write_image(&self, out: &mut String, datasets: impl FnOnce(&mut String)) {
+        let table = self.shared.table.lock().expect("job table poisoned");
+        out.push_str("{\"next_job_id\":");
+        push_json_number(out, table.next_id as f64);
+        out.push_str(",\"datasets\":");
+        datasets(out);
+        out.push_str(",\"jobs\":[");
+        let mut first = true;
+        for (id, record) in &table.jobs {
+            let pending = matches!(record.status, JobStatus::Queued | JobStatus::Running);
+            if pending && record.spec.is_none() {
+                continue;
+            }
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push_str("{\"job_id\":");
+            push_json_number(out, *id as f64);
+            match record.status {
+                JobStatus::Done => {
+                    out.push_str(",\"status\":\"done\"");
+                    if let Some(result) = &record.result {
+                        out.push_str(",\"result\":");
+                        out.push_str(result);
+                    }
+                }
+                JobStatus::Failed => {
+                    out.push_str(",\"status\":\"failed\",\"error\":");
+                    push_json_str(out, record.error.as_deref().unwrap_or_default());
+                }
+                JobStatus::Queued | JobStatus::Running => {
+                    out.push_str(",\"status\":\"pending\"");
+                    if let Some(spec) = &record.spec {
+                        out.push_str(",\"spec\":");
+                        push_json(out, spec);
+                    }
+                }
+            }
+            out.push_str(",\"warnings\":[");
+            for (i, warning) in record.warnings.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_str(out, warning);
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+    }
+
+    /// `(next_job_id, job documents)` in id order, built as `Json` trees: the reference the
+    /// text renderer of [`JobImager::write_image`] is pinned against.
+    #[cfg(test)]
+    pub(crate) fn image_docs(&self) -> (u64, Vec<Json>) {
         let table = self.shared.table.lock().expect("job table poisoned");
         let mut docs = Vec::new();
         for (id, record) in table.jobs.iter() {
@@ -473,7 +547,7 @@ impl JobImager {
                 JobStatus::Done => {
                     pairs.push(("status".to_string(), Json::String("done".to_string())));
                     if let Some(result) = &record.result {
-                        pairs.push(("result".to_string(), result.clone()));
+                        pairs.push(("result".to_string(), Json::parse(result).unwrap()));
                     }
                 }
                 JobStatus::Failed => {
@@ -525,6 +599,25 @@ mod tests {
 
     fn event_kind(event: &Json) -> String {
         event.get("event").and_then(|e| e.as_str().map(str::to_string)).expect("untyped event")
+    }
+
+    /// The documents of an NDJSON log, one per line.
+    fn parse_log(log: &str) -> Vec<Json> {
+        assert!(log.is_empty() || log.ends_with('\n'), "torn NDJSON log {log:?}");
+        log.lines().map(|line| Json::parse(line).expect("each line is one document")).collect()
+    }
+
+    /// The byte offset just past the first `lines` events of a job's log, once they exist.
+    fn offset_after(store: &JobStore, id: u64, lines: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (log, _) = store.wait_events(id, 0, Duration::from_secs(1)).unwrap();
+            if log.lines().count() >= lines {
+                return log.lines().take(lines).map(|line| line.len() + 1).sum();
+            }
+            assert!(Instant::now() < deadline, "job {id} never logged {lines} events");
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 
     #[test]
@@ -603,21 +696,49 @@ mod tests {
             Ok(Json::Number(7.0))
         });
         wait_done(&store, id);
-        let (events, terminal) = store.wait_events(id, 0, Duration::from_secs(5)).unwrap();
+        let (log, terminal) = store.wait_events(id, 0, Duration::from_secs(5)).unwrap();
         assert!(terminal);
+        let events = parse_log(&log);
         let kinds: Vec<String> = events.iter().map(event_kind).collect();
         assert_eq!(
             kinds,
             ["queued", "running", "stage_started", "chain_step", "stage_finished", "done"]
         );
+        // Each line is the compact rendering of its document.
+        for (line, event) in log.lines().zip(&events) {
+            assert_eq!(line, event.to_compact_string());
+        }
         // The terminal event embeds the same result the poll endpoint serves.
         assert_eq!(events.last().unwrap().get("result"), Some(&Json::Number(7.0)));
         // NaN log-likelihoods cross the wire as null.
         assert_eq!(events[3].get("log_likelihood"), Some(&Json::Null));
-        // A cursor past the queued/running prefix sees only the tail.
-        let (tail, terminal) = store.wait_events(id, 4, Duration::from_secs(5)).unwrap();
+        // A cursor past the first four events sees only the tail, whole lines only.
+        let cursor = offset_after(&store, id, 4);
+        let (tail, terminal) = store.wait_events(id, cursor, Duration::from_secs(5)).unwrap();
         assert!(terminal);
-        assert_eq!(tail.iter().map(event_kind).collect::<Vec<_>>(), ["stage_finished", "done"]);
+        let kinds: Vec<String> = parse_log(&tail).iter().map(event_kind).collect();
+        assert_eq!(kinds, ["stage_finished", "done"]);
+        // A cursor at the end of a finished log reads an empty, terminal tail.
+        let (rest, terminal) = store.wait_events(id, log.len(), Duration::from_secs(5)).unwrap();
+        assert!(rest.is_empty() && terminal);
+    }
+
+    #[test]
+    fn restored_jobs_log_queued_then_their_outcome() {
+        let store = JobStore::new(1);
+        let doc = Json::Object(vec![("theta".to_string(), Json::Number(0.5))]);
+        store.restore_finished(3, Ok(doc.clone()), vec!["w".to_string()]);
+        store.restore_finished(4, Err("bad \"spec\"".to_string()), Vec::new());
+        let (log, terminal) = store.wait_events(3, 0, Duration::from_secs(1)).unwrap();
+        assert!(terminal);
+        assert_eq!(log, "{\"event\":\"queued\",\"job_id\":3}\n{\"event\":\"done\",\"result\":{\"theta\":0.5}}\n");
+        assert_eq!(store.get(3).unwrap().result, Some(doc));
+        let (log, _) = store.wait_events(4, 0, Duration::from_secs(1)).unwrap();
+        let events = parse_log(&log);
+        assert_eq!(events.iter().map(event_kind).collect::<Vec<_>>(), ["queued", "failed"]);
+        assert_eq!(events[1].get("error").unwrap().as_str(), Some("bad \"spec\""));
+        let counts = store.counts();
+        assert_eq!((counts.done, counts.failed), (1, 1));
     }
 
     #[test]
@@ -630,13 +751,14 @@ mod tests {
             Ok(Json::Null)
         });
         // Nothing beyond queued/running yet: a short wait times out empty and non-terminal.
-        let (events, _) = store.wait_events(id, 2, Duration::from_millis(30)).unwrap();
-        assert!(events.is_empty());
+        let cursor = offset_after(&store, id, 2);
+        let (tail, terminal) = store.wait_events(id, cursor, Duration::from_millis(30)).unwrap();
+        assert!(tail.is_empty() && !terminal);
         release_tx.send(()).unwrap();
         // Now the blocked wait must be woken by the push/completion, well before its timeout.
         let started = Instant::now();
-        let (events, _) = store.wait_events(id, 2, Duration::from_secs(10)).unwrap();
-        assert!(!events.is_empty());
+        let (tail, _) = store.wait_events(id, cursor, Duration::from_secs(10)).unwrap();
+        assert!(tail.starts_with("\"late\"\n"), "{tail:?}");
         assert!(started.elapsed() < Duration::from_secs(5), "condvar wake, not timeout");
     }
 

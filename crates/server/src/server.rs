@@ -245,9 +245,9 @@ fn handle_connection(
 }
 
 /// Follows one job's event log onto the socket as a chunked `application/x-ndjson` stream:
-/// one JSON document per line, flushed per event batch, terminated by the zero-length chunk
-/// once the job's terminal event has been written (or the job was evicted, or the client went
-/// away, or [`MAX_EVENT_STREAM`] elapsed).
+/// one JSON document per line, the log's new tail written as-is per batch, terminated by the
+/// zero-length chunk once the job's terminal event has been written (or the job was evicted,
+/// or the client went away, or [`MAX_EVENT_STREAM`] elapsed).
 fn stream_events(stream: TcpStream, state: &AppState, id: u64, deprecated: bool) -> io::Result<()> {
     let mut writer = stream;
     let extra: &[(&str, &str)] = if deprecated { &[("Deprecation", "true")] } else { &[] };
@@ -259,14 +259,9 @@ fn stream_events(stream: TcpStream, state: &AppState, id: u64, deprecated: bool)
         // wait immediately when an event lands, so streaming latency is not 500 ms.
         match state.jobs.wait_events(id, cursor, Duration::from_millis(500)) {
             None => break, // evicted mid-stream: terminate cleanly with what was sent
-            Some((events, terminal)) => {
-                let mut batch = String::new();
-                for event in &events {
-                    batch.push_str(&kronpriv_json::to_string(event));
-                    batch.push('\n');
-                }
-                cursor += events.len();
-                write_chunk(&mut writer, batch.as_bytes())?;
+            Some((tail, terminal)) => {
+                cursor += tail.len();
+                write_chunk(&mut writer, tail.as_bytes())?;
                 if terminal {
                     break;
                 }

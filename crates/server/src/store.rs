@@ -24,7 +24,7 @@
 use crate::datasets::{DatasetImage, DatasetStore};
 use crate::jobs::JobImager;
 use crate::ledger::BudgetLedger;
-use kronpriv_json::Json;
+use kronpriv_json::{push_json_number, Json};
 use kronpriv_obs::Registry;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -167,13 +167,13 @@ impl Persistence {
 
     /// Appends one record (the `seq` field is assigned here), compacting into a snapshot every
     /// `snapshot_every` appends. `image` is only invoked when compaction triggers; it must
-    /// return the `{next_job_id, datasets, jobs}` state image (see [`state_image`]) and may
-    /// take the dataset/job locks — callers therefore must not hold those locks while
+    /// return the rendered `{next_job_id, datasets, jobs}` state image (see [`state_image`])
+    /// and may take the dataset/job locks — callers therefore must not hold those locks while
     /// appending.
     ///
     /// I/O failures are reported to stderr and swallowed: an estimate service with a full disk
     /// degrades to in-memory behaviour rather than refusing traffic.
-    pub fn record(&self, kind: &str, fields: Vec<(&str, Json)>, image: impl FnOnce() -> Json) {
+    pub fn record(&self, kind: &str, fields: Vec<(&str, Json)>, image: impl FnOnce() -> String) {
         if let Err(e) = self.try_record(kind, fields, image) {
             eprintln!("kronpriv-store: append failed ({e}); continuing in-memory");
         }
@@ -183,7 +183,7 @@ impl Persistence {
         &self,
         kind: &str,
         fields: Vec<(&str, Json)>,
-        image: impl FnOnce() -> Json,
+        image: impl FnOnce() -> String,
     ) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("store log poisoned");
         inner.next_seq += 1;
@@ -201,29 +201,36 @@ impl Persistence {
         registry.counter("kronpriv_store_records_total", &[]).inc();
         inner.appends_since_snapshot += 1;
         if inner.appends_since_snapshot >= self.snapshot_every {
-            self.write_snapshot(&mut inner, seq, image())?;
+            self.write_snapshot(&mut inner, seq, &image())?;
             registry.counter("kronpriv_store_snapshots_total", &[]).inc();
         }
         Ok(())
     }
 
-    /// Forces a snapshot now (used on graceful shutdown paths and by tests).
-    pub fn snapshot_now(&self, image: Json) -> io::Result<()> {
+    /// Forces a snapshot of the rendered state image now (used on graceful shutdown paths and
+    /// by tests).
+    pub fn snapshot_now(&self, image: &str) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("store log poisoned");
         let seq = inner.next_seq;
         self.write_snapshot(&mut inner, seq, image)
     }
 
-    fn write_snapshot(&self, inner: &mut LogState, last_seq: u64, image: Json) -> io::Result<()> {
-        let mut pairs = vec![
-            ("version".to_string(), Json::Number(1.0)),
-            ("last_seq".to_string(), Json::Number(last_seq as f64)),
-        ];
-        if let Json::Object(fields) = image {
-            pairs.extend(fields);
+    /// Writes the snapshot document: the state image object with `version` and `last_seq`
+    /// prepended, streamed to the file without copying the image.
+    fn write_snapshot(&self, inner: &mut LogState, last_seq: u64, image: &str) -> io::Result<()> {
+        let members = image.strip_prefix('{').ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "the state image must be a JSON object")
+        })?;
+        let mut head = String::from("{\"version\":1,\"last_seq\":");
+        push_json_number(&mut head, last_seq as f64);
+        if members != "}" {
+            head.push(',');
         }
         let tmp = self.dir.join(SNAPSHOT_TMP);
-        fs::write(&tmp, kronpriv_json::to_string(&Json::Object(pairs)))?;
+        let mut file = File::create(&tmp)?;
+        file.write_all(head.as_bytes())?;
+        file.write_all(members.as_bytes())?;
+        drop(file);
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // The snapshot covers everything in the log: start the log over.
         inner.file.set_len(0)?;
@@ -233,9 +240,19 @@ impl Persistence {
     }
 }
 
-/// Builds the `{next_job_id, datasets, jobs}` state image the snapshot embeds — shared by the
-/// request handlers and the job-completion hook (which has no `AppState` to call into).
-pub fn state_image(datasets: &DatasetStore, jobs: &JobImager) -> Json {
+/// Renders the `{next_job_id, datasets, jobs}` state image the snapshot embeds — shared by
+/// the request handlers and the job-completion hook (which has no `AppState` to call into).
+/// The image is written straight from the borrowed job and dataset tables into one pre-sized
+/// buffer: no result, spec or edge list is cloned on the way.
+pub fn state_image(datasets: &DatasetStore, jobs: &JobImager) -> String {
+    let mut image = String::with_capacity(datasets.image_len_hint() + jobs.image_len_hint());
+    jobs.write_image(&mut image, |out| datasets.write_image(out));
+    image
+}
+
+/// The state image built as a `Json` tree: the reference [`state_image`] is pinned against.
+#[cfg(test)]
+fn state_image_tree(datasets: &DatasetStore, jobs: &JobImager) -> Json {
     let dataset_docs: Vec<Json> = datasets.images().into_iter().map(|i| dataset_doc(&i)).collect();
     let (next_job_id, job_docs) = jobs.image_docs();
     Json::Object(vec![
@@ -245,6 +262,7 @@ pub fn state_image(datasets: &DatasetStore, jobs: &JobImager) -> Json {
     ])
 }
 
+#[cfg(test)]
 fn dataset_doc(image: &DatasetImage) -> Json {
     Json::Object(vec![
         ("name".to_string(), Json::String(image.name.clone())),
@@ -430,6 +448,7 @@ fn string_array(doc: &Json, key: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::JobStatus;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -451,12 +470,8 @@ mod tests {
         ]
     }
 
-    fn empty_image() -> Json {
-        Json::Object(vec![
-            ("next_job_id".to_string(), Json::Number(0.0)),
-            ("datasets".to_string(), Json::Array(Vec::new())),
-            ("jobs".to_string(), Json::Array(Vec::new())),
-        ])
+    fn empty_image() -> String {
+        "{\"next_job_id\":0,\"datasets\":[],\"jobs\":[]}".to_string()
     }
 
     #[test]
@@ -537,6 +552,7 @@ mod tests {
                     ),
                     ("jobs".to_string(), Json::Array(Vec::new())),
                 ])
+                .to_compact_string()
             };
             store.record("dataset_put", put_dataset_fields("snap", 3.0), image);
             store.record("dataset_put", put_dataset_fields("snap", 3.0), image); // triggers
@@ -585,6 +601,55 @@ mod tests {
         assert_eq!(replay.finished[0].outcome, Ok(Json::Number(42.0)));
         assert_eq!(replay.finished[0].warnings, vec!["w".to_string()]);
         assert_eq!(replay.next_job_id, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rendered_state_image_is_byte_equal_to_the_tree_built_one() {
+        use crate::jobs::JobStore;
+        let datasets = DatasetStore::new();
+        let ledger = BudgetLedger::new(2.5, 0.125);
+        let text = "# a \"quoted\" header\n0\t1\n1 2\r\n\\ 3\u{1}\n".to_string();
+        datasets.create("tricky", text, 4, 3, ledger).unwrap();
+        datasets.create("plain", "0 1\n".to_string(), 2, 1, ledger).unwrap();
+        datasets.try_debit("plain", 0.1, 1e-9).unwrap();
+        let jobs = JobStore::new(1);
+        let result = Json::Object(vec![
+            ("theta".to_string(), Json::Number(0.1 + 0.2)),
+            ("note".to_string(), Json::String("tab\there".to_string())),
+        ]);
+        jobs.restore_finished(2, Ok(result), vec!["warned \"twice\"".to_string()]);
+        jobs.restore_finished(3, Err("failed:\n\"why\"".to_string()), Vec::new());
+        let spec = Json::Object(vec![("seed".to_string(), Json::Number(7.0))]);
+        let pending = jobs.create(None, vec!["w1".to_string(), "w2".to_string()], Some(spec));
+        let in_memory = jobs.create(None, Vec::new(), None);
+        let live = jobs.submit(Vec::new(), |_| Ok(Json::Array(vec![Json::Bool(true)])));
+        while !matches!(jobs.get(live).map(|j| j.status), Some(JobStatus::Done)) {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let imager = jobs.imager();
+        let rendered = state_image(&datasets, &imager);
+        let tree = state_image_tree(&datasets, &imager);
+        assert_eq!(rendered, tree.to_compact_string());
+        // Every job kind is present — except the in-memory pending job, which cannot replay.
+        for id in [2, 3, pending, live] {
+            assert!(rendered.contains(&format!("{{\"job_id\":{id},")), "job {id}: {rendered}");
+        }
+        assert!(!rendered.contains(&format!("\"job_id\":{in_memory},")), "{rendered}");
+
+        // The snapshot file is the tree-built image with `version` and `last_seq` prepended.
+        let dir = temp_dir("image");
+        let (store, _) = Persistence::open(&dir, 1000).unwrap();
+        store.snapshot_now(&rendered).unwrap();
+        let mut doc = vec![
+            ("version".to_string(), Json::Number(1.0)),
+            ("last_seq".to_string(), Json::Number(0.0)),
+        ];
+        if let Json::Object(fields) = tree {
+            doc.extend(fields);
+        }
+        let written = fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert_eq!(written, Json::Object(doc).to_compact_string());
         let _ = fs::remove_dir_all(&dir);
     }
 

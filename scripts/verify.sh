@@ -4,7 +4,8 @@
 #
 #   scripts/verify.sh          # fmt --check + build (release) + tests + clippy -D warnings
 #   scripts/verify.sh --quick  # additionally smoke-runs the bench harness (with the
-#                              # bench_check regression guard), quickstart and the server probe
+#                              # bench_check regression guard), the e2e bench's own tests,
+#                              # quickstart and the server probe
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,6 +79,14 @@ if [[ "${1:-}" == "--quick" ]]; then
         echo "bench gate failed on 3 independent measurements — treating as a real regression" >&2
         exit 1
     fi
+
+    echo "==> end-to-end benchmark smoke tests"
+    # The e2e bench is a workspace of its own (e2e_bench/Cargo.toml) that builds the program
+    # from source; its tests run every workload shrunk to a few small ops, check the
+    # BENCHMARK.json manifest against the metrics the runs emit, and corrupt a result that the
+    # checks must catch (about 6 s once built).
+    CARGO_TARGET_DIR="$PWD/target/e2e-bench" \
+        cargo test -q --release --offline --manifest-path e2e_bench/Cargo.toml
 
     echo "==> example smoke run"
     cargo run -q --release --offline --example quickstart

@@ -64,6 +64,29 @@ fn multi_chain_fit_is_bit_identical_for_all_thread_counts() {
     }
 }
 
+/// Golden fits `(k, chains, θ bits, objective bits, evaluations)`, captured before the edge
+/// terms were looked up per digit-count class instead of evaluated per edge. The lookup sums
+/// the same values in the same order, so every bit must survive it.
+const GOLDEN: [(u32, usize, [u64; 3], u64, usize); 4] = [
+    (6, 1, [0x3fedd1c1f3aadbf6, 0x3fde6b267a895913, 0x3fd2f096cbf79041], 0x40696e6d2f9ca079, 16),
+    (6, 4, [0x3fec56183c2938b4, 0x3fe22c5509a14513, 0x3fcee11f01b26194], 0x40699969bc86c8be, 64),
+    (10, 1, [0x3fedb07a363df844, 0x3fe1385a2d8f6b60, 0x3fcd21306aa3a019], 0x40b8c778edd421d3, 16),
+    (10, 4, [0x3fedb32029417568, 0x3fe15173a31b0330, 0x3fcbffca9ae7cba1], 0x40b89f0ba396c84d, 64),
+];
+
+#[test]
+fn fits_reproduce_the_golden_values_bit_for_bit() {
+    for (k, chains, theta_bits, objective_bits, evaluations) in GOLDEN {
+        let g = skg_graph(k, 0xF17_2000 + k as u64);
+        let mut rng = StdRng::seed_from_u64(0xF17_2001);
+        let fit = KronFitEstimator::new(quick_options(chains, 2)).fit_graph(&g, &mut rng);
+        let got = [fit.theta.a.to_bits(), fit.theta.b.to_bits(), fit.theta.c.to_bits()];
+        assert_eq!(got, theta_bits, "k {k}, {chains} chain(s): theta");
+        assert_eq!(fit.objective_value.to_bits(), objective_bits, "k {k}, {chains}: objective");
+        assert_eq!(fit.evaluations, evaluations, "k {k}, {chains} chain(s): evaluations");
+    }
+}
+
 #[test]
 fn chain_count_changes_the_fit_thread_count_does_not() {
     // The contract stated in ISSUE/API terms: `chains` is part of the result's definition,

@@ -145,7 +145,7 @@ fn pending_jobs_left_in_the_log_rerun_to_completion_on_boot() {
                 ("warnings", Json::Array(Vec::new())),
                 ("spec", Json::parse(spec).unwrap()),
             ],
-            || Json::Object(Vec::new()),
+            || "{}".to_string(),
         );
     }
     let handle = start_durable(&dir);

@@ -19,12 +19,14 @@ fn start_server() -> kronpriv_server::ServerHandle {
 
 /// A KronFit request sized to run for a noticeable moment on the single estimation worker —
 /// long enough that the event stream demonstrably attaches while the job is still running.
+/// Its 4M Metropolis proposals take a few hundred ms: a swap costs tens of ns once edge
+/// terms are looked up per digit-count class.
 fn slow_kronfit_body(seed: u64, compute_threads: usize) -> String {
     format!(
         r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 8}}}},
             "estimator": "kronfit", "seed": {seed},
-            "kronfit": {{"gradient_steps": 8, "warmup_swaps": 1500, "samples_per_step": 2,
-                         "swaps_between_samples": 400, "learning_rate": 0.06,
+            "kronfit": {{"gradient_steps": 8, "warmup_swaps": 200000, "samples_per_step": 2,
+                         "swaps_between_samples": 50000, "learning_rate": 0.06,
                          "min_parameter": 0.001, "initial": {{"a": 0.9, "b": 0.6, "c": 0.2}},
                          "chains": 2, "compute_threads": {compute_threads}}}}}"#
     )
