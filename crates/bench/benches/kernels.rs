@@ -1,13 +1,14 @@
 //! The kernel × thread-count micro-benchmark matrix behind `BENCH_kernels.json`.
 //!
 //! Measures the parallelized Algorithm 1 hot paths — triangle counting, the smooth-sensitivity
-//! bound (dominated by the node-partitioned local-sensitivity kernel), the exact hop plot, the
+//! bound (dominated by the pruned local-sensitivity scan), the exact hop plot, the
 //! multistart moment-matching fit, one multi-chain KronFit ascent step and the isotonic degree
 //! post-processing — at pool sizes {1, 2, 4} on a seeded 2^14-node stochastic Kronecker graph
 //! (2^10 under `--quick`), plus the three counting kernels at ~10^5 nodes (2^17), so the
-//! speedup of the parallel layer is measured rather than assumed. Two sequential 1-thread rows
-//! at 2^17 cover graph construction: `graph_build` (SNAP edge-list text → `Graph`) and
-//! `sample_fast` (one SKG realization).
+//! speedup of the parallel layer is measured rather than assumed. Three sequential 1-thread
+//! rows at 2^17 cover graph construction: `graph_build` (SNAP edge-list text → `Graph`),
+//! `sample_fast` (one SKG realization) and `degree_order` (the degree relabelling that both
+//! triangle kernels run on, which does not scale with threads).
 //!
 //! Each matrix cell builds its [`Executor`] **once, outside the timed loop**: the numbers
 //! measure steady-state reuse of the persistent worker pool, not worker spawn cost.
@@ -26,7 +27,7 @@
 use kronpriv_bench::harness::Harness;
 use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles_par, LaplaceNoise};
 use kronpriv_estimate::{KronFitEstimator, KronFitOptions, MomentObjective};
-use kronpriv_graph::counts::{per_node_triangles_par, triangle_count_par};
+use kronpriv_graph::counts::{per_node_triangles_par, triangle_count_par, DegreeOrdered};
 use kronpriv_graph::io::{parse_edge_list, to_edge_list_string};
 use kronpriv_graph::MatchingStatistics;
 use kronpriv_json::Json;
@@ -142,7 +143,8 @@ fn main() {
     }
 
     // Graph construction at the same 2^17 scale, sequential by design (1 thread only): the
-    // sort-dedup edge-list parse behind every upload, and the SKG sampler behind every release.
+    // sort-dedup edge-list parse behind every upload, the SKG sampler behind every release, and
+    // the degree relabelling inside the `triangle_count` and `smooth_sensitivity` rows above.
     let large_text = to_edge_list_string(&large);
     run(&mut h, &mut records, "graph_build", large_nodes, 1, &|_exec| {
         black_box(parse_edge_list(black_box(&large_text)).expect("a serialized graph parses"));
@@ -150,6 +152,9 @@ fn main() {
     run(&mut h, &mut records, "sample_fast", large_nodes, 1, &|_exec| {
         let mut rng = StdRng::seed_from_u64(18);
         black_box(sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng));
+    });
+    run(&mut h, &mut records, "degree_order", large_nodes, 1, &|_exec| {
+        black_box(DegreeOrdered::new(black_box(&large)));
     });
 
     // The exact all-sources BFS is quadratic; measure it on a 4× smaller graph so the full

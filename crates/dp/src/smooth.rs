@@ -15,95 +15,50 @@
 //!   upper bound on `LS_Δ` and `β ≤ ε / (2 ln(2/δ))`.
 //!
 //! Two computations are provided. [`smooth_sensitivity_triangles_exact`] evaluates the NRS
-//! formula over all node pairs — exact but quadratic, used on small graphs and in tests.
+//! formula over all node pairs — exact but cubic (each of the `n²/2` pairs scans up to
+//! `2(n − 2 − a_ij)` distances), used on small graphs and in tests.
 //! [`smooth_sensitivity_triangles`] uses the relaxation `c_ij(s) ≤ min(a_ij + s, n − 2)`, whose
 //! pair-maximum depends only on `max_{ij} a_ij`; the result is still a valid `β`-smooth upper
-//! bound on the local sensitivity (so the privacy guarantee is intact) but is computable in
-//! wedge-enumeration time, which is what makes the 2^14-node experiments feasible. The
+//! bound on the local sensitivity (so the privacy guarantee is intact) but is computable by a
+//! pruned wedge scan, which is what makes the 2^14-node experiments feasible. The
 //! relaxation can only make the released value *noisier*, never less private, and the tests
 //! quantify how close the two are on realistic graphs.
 
 use crate::budget::PrivacyParams;
 use crate::laplace::LaplaceNoise;
-use kronpriv_graph::counts::{common_neighbor_count, exclusive_neighbor_count, triangle_count_par};
+use kronpriv_graph::counts::{common_neighbor_count, exclusive_neighbor_count, DegreeOrdered};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_redacted;
 use kronpriv_par::{Executor, Work};
 use rand::Rng;
 
-/// Left endpoints (`i` below) per work chunk for the node-partitioned local-sensitivity kernel.
-/// Fixed — never derived from the thread count — so the `max`-merge is over the same chunk set
-/// for any [`Executor`]; sized so one chunk carries enough wedge work to amortize a pool
-/// handoff.
-const NODE_CHUNK: usize = 256;
-
-/// Left endpoints per chunk for the quadratic exact kernel, whose per-endpoint cost (`n` pair
+/// Left endpoints per chunk for the cubic exact kernel, whose per-endpoint cost (up to `n` pair
 /// evaluations, each scanning the distance-`s` curve) is orders of magnitude higher than the
-/// wedge kernel's — so much smaller chunks keep the dynamic claiming balanced.
+/// local-sensitivity scan's — so much smaller chunks keep the dynamic claiming balanced.
 const EXACT_PAIR_CHUNK: usize = 64;
 
-/// Cost hint for one left endpoint of the wedge kernel: a two-hop scan, roughly the squared
-/// average degree in neighbour-list steps. A pure function of the graph shape, as the
+/// Cost hint for one left endpoint of the cubic exact kernel: up to `n` pair evaluations, each
+/// a neighbour intersection plus a scan of up to `2(n − 2 − a_ij)` distances with one `exp`
+/// each. Measured at ~18 ms per left endpoint (~17·n² ns) on a 1024-node SKG, single-threaded
+/// in a release build on a 2-core x86-64 host. A pure function of the graph shape, as the
 /// executor's sequential cutoff requires.
-fn wedge_work(g: &Graph) -> Work {
-    let n = g.node_count().max(1) as u64;
-    let avg_degree = (2 * g.edge_count() as u64).div_ceil(n);
-    Work::per_item_ns(2 * avg_degree * avg_degree)
-}
-
-/// Cost hint for one left endpoint of the quadratic exact kernel: `n` pair evaluations, each a
-/// neighbour intersection plus a distance-curve scan.
 fn exact_pair_work(g: &Graph) -> Work {
-    Work::per_item_ns(200 * g.node_count() as u64)
+    let n = g.node_count() as u64;
+    Work::per_item_ns(n.saturating_mul(n).saturating_mul(16))
 }
 
 /// Local sensitivity of the triangle count: the largest number of common neighbours over all
-/// node pairs, computed by wedge enumeration in `O(Σ_v d_v²)` time and `O(n)` memory.
+/// node pairs, computed by the pruned wedge scan of [`DegreeOrdered::max_common_neighbors`] in
+/// `O(n + m)` memory.
 pub fn triangle_local_sensitivity(g: &Graph) -> usize {
     triangle_local_sensitivity_par(g, &Executor::sequential())
 }
 
-/// [`triangle_local_sensitivity`] on `exec`'s compute threads.
-///
-/// Node-partitioned: each participant owns one `O(n)` counter/marker scratch pair and, for
-/// every left endpoint `i` in its chunks, accumulates `a_ij` for all `j > i` by walking the
-/// two-hop neighbourhood of `i` (`i — v — j` wedges). This replaces the old wedge-pair
-/// `HashMap` — which held one entry per wedge pair, `O(Σ_v d_v²)` memory, ~50M entries for a
-/// single degree-10⁴ hub — with `threads × O(n)` memory total. The merge is an integer `max`,
-/// so the result is identical for any thread count.
+/// [`triangle_local_sensitivity`] on `exec`'s compute threads: relabels `g` by degree and runs
+/// the pruned scan. The merge is an integer `max`, so the result is identical for any thread
+/// count.
 pub fn triangle_local_sensitivity_par(g: &Graph, exec: &Executor) -> usize {
-    let n = g.node_count();
-    let (best, _, _) = exec.fold_reduce(
-        n,
-        NODE_CHUNK,
-        wedge_work(g),
-        // (running max, common-neighbour counters indexed by j, touched-j list for cheap reset).
-        || (0usize, vec![0u32; n], Vec::<u32>::new()),
-        |(best, counts, touched), left_endpoints| {
-            for i in left_endpoints {
-                let i = i as u32;
-                for &v in g.neighbors(i) {
-                    let two_hop = g.neighbors(v);
-                    // Neighbour lists are sorted: skip straight to the j > i suffix so each
-                    // unordered pair {i, j} is counted from its smaller endpoint only.
-                    let start = two_hop.partition_point(|&j| j <= i);
-                    for &j in &two_hop[start..] {
-                        if counts[j as usize] == 0 {
-                            touched.push(j);
-                        }
-                        counts[j as usize] += 1;
-                    }
-                }
-                for &j in touched.iter() {
-                    *best = (*best).max(counts[j as usize] as usize);
-                    counts[j as usize] = 0;
-                }
-                touched.clear();
-            }
-        },
-        |a, b| if a.0 >= b.0 { a } else { b },
-    );
-    best
+    DegreeOrdered::new(g).max_common_neighbors(exec)
 }
 
 /// The exact local sensitivity of `Δ` at distance `s` (the quantity `A(s)(G)` above), evaluated
@@ -128,7 +83,9 @@ pub fn local_sensitivity_at_distance(g: &Graph, s: usize) -> usize {
 }
 
 /// Exact `β`-smooth sensitivity of the triangle count (maximum of `e^{−βs} A(s)` over `s`).
-/// Quadratic in the node count; see [`smooth_sensitivity_triangles`] for the scalable variant.
+/// Cubic in the node count: each of the `n²/2` pairs scans up to `2(n − 2 − a_ij)` distances.
+/// A 1024-node graph takes ~20 s single-threaded in a release build, and the cost grows with
+/// `n³`. See [`smooth_sensitivity_triangles`] for the scalable variant.
 ///
 /// # Panics
 /// Panics if `beta <= 0`.
@@ -207,13 +164,21 @@ pub fn smooth_sensitivity_triangles(g: &Graph, beta: f64) -> f64 {
 /// # Panics
 /// Panics if `beta <= 0`.
 pub fn smooth_sensitivity_triangles_par(g: &Graph, beta: f64, exec: &Executor) -> f64 {
+    smooth_upper_bound(triangle_local_sensitivity_par(g, exec), g.node_count(), beta)
+}
+
+/// The scalable bound `max_{s ≥ 0} e^{−βs} min(ls + s, n − 2)` for local sensitivity `ls` on
+/// `n` nodes, in closed form; 0 for graphs with fewer than 3 nodes.
+///
+/// # Panics
+/// Panics if `beta <= 0`.
+fn smooth_upper_bound(ls: usize, n: usize, beta: f64) -> f64 {
     assert!(beta > 0.0, "beta must be positive");
-    let n = g.node_count();
     if n < 3 {
         return 0.0;
     }
     let cap = (n - 2) as f64;
-    let ls = triangle_local_sensitivity_par(g, exec) as f64;
+    let ls = ls as f64;
     // Maximise e^{-beta s} * min(ls + s, cap) over integer s >= 0. The unconstrained maximiser
     // of e^{-beta s}(ls + s) is s* = 1/beta - ls; check the integers around it and the
     // saturation point.
@@ -254,12 +219,14 @@ impl_json_struct_redacted!(PrivateTriangleCount {
 /// Releases an `(ε, δ)`-differentially private triangle count of `g` using the smooth-sensitivity
 /// mechanism (Theorem 4.8): `Δ̃ = Δ + (2·SS_β/ε)·Lap(1)` with `β = ε / (2 ln(2/δ))`.
 ///
-/// When `exact` is true the exact quadratic smooth sensitivity is used; otherwise the scalable
+/// When `exact` is true the exact (cubic) smooth sensitivity is used; otherwise the scalable
 /// upper bound is used (the default in Algorithm 1 runs on graphs with thousands of nodes).
+/// A graph with fewer than 3 nodes has no triangles and releases smooth sensitivity 0 and
+/// count 0.
 ///
 /// # Panics
 /// Panics if `params.delta == 0` (pure DP is impossible for smooth-sensitivity noise with
-/// Laplace tails) or the graph has fewer than 3 nodes with a non-zero budget.
+/// Laplace tails).
 // lint:sanitizer
 pub fn private_triangle_count<R: Rng + ?Sized>(
     g: &Graph,
@@ -271,9 +238,11 @@ pub fn private_triangle_count<R: Rng + ?Sized>(
 }
 
 /// [`private_triangle_count`] with the triangle-count and sensitivity kernels run on
-/// `exec`'s compute threads. All parallel reductions are exact, and the single Laplace
-/// draw happens on the calling thread, so the release is byte-identical for any thread count
-/// given the same RNG state.
+/// `exec`'s compute threads. The graph is relabelled by degree once ([`DegreeOrdered`]), and
+/// that one relabelling feeds both the local-sensitivity scan and the exact count. All parallel
+/// reductions are exact, and the single Laplace draw happens on the calling thread, so the
+/// release is byte-identical for any thread count given the same RNG state. A graph with fewer
+/// than 3 nodes releases smooth sensitivity 0 and count 0.
 ///
 /// # Panics
 /// Panics if `params.delta == 0` (pure DP is impossible for smooth-sensitivity noise with
@@ -288,17 +257,19 @@ pub fn private_triangle_count_par<R: Rng + ?Sized>(
 ) -> PrivateTriangleCount {
     assert!(params.delta > 0.0, "the smooth-sensitivity triangle release requires delta > 0");
     let beta = params.epsilon / (2.0 * (2.0 / params.delta).ln());
-    let ss = {
+    let (ss, ordered) = {
         let _span = kronpriv_obs::stage_span("smooth_sensitivity");
-        if exact {
+        let ordered = DegreeOrdered::new(g);
+        let ss = if exact {
             smooth_sensitivity_triangles_exact_par(g, beta, exec)
         } else {
-            smooth_sensitivity_triangles_par(g, beta, exec)
-        }
+            smooth_upper_bound(ordered.max_common_neighbors(exec), g.node_count(), beta)
+        };
+        (ss, ordered)
     };
     let exact_count = {
         let _span = kronpriv_obs::stage_span("triangle_count");
-        triangle_count_par(g, exec) as f64
+        ordered.triangle_count(exec) as f64
     };
     let noise = LaplaceNoise::new(1.0);
     let value = exact_count + 2.0 * ss / params.epsilon * noise.sample(rng);
@@ -373,7 +344,7 @@ mod tests {
     #[test]
     fn parallel_sensitivity_kernels_are_bit_identical_across_thread_counts() {
         // 400 nodes ⇒ 7 exact-kernel chunks: enough that the exact kernel genuinely spawns
-        // threads (the wedge kernel's parallel path is exercised at scale in
+        // threads (the local-sensitivity scan's parallel path is exercised at scale in
         // tests/parallel_consistency.rs) while the O(n²·n) exact scan stays debug-build fast.
         let mut rng = StdRng::seed_from_u64(0x9A_7001);
         let g = preferential_attachment(400, 4, &mut rng);
@@ -496,6 +467,24 @@ mod tests {
     fn empty_and_tiny_graphs_have_zero_smooth_sensitivity() {
         assert_eq!(smooth_sensitivity_triangles(&Graph::empty(2), 0.1), 0.0);
         assert_eq!(smooth_sensitivity_triangles_exact(&Graph::empty(1), 0.1), 0.0);
+    }
+
+    #[test]
+    fn private_triangle_count_on_fewer_than_three_nodes_releases_zero() {
+        // No triangles are possible, so both paths release sensitivity 0 and count 0 (the
+        // zero-scaled Laplace draw adds nothing) instead of panicking.
+        let tiny =
+            [Graph::empty(0), Graph::empty(1), Graph::empty(2), Graph::from_edges(2, [(0, 1)])];
+        for g in &tiny {
+            for exact in [false, true] {
+                let mut rng = StdRng::seed_from_u64(14);
+                let rel = private_triangle_count(g, PrivacyParams::new(0.5, 0.01), exact, &mut rng);
+                let n = g.node_count();
+                assert_eq!(rel.smooth_sensitivity, 0.0, "n {n}, exact {exact}");
+                assert_eq!(rel.exact, 0.0, "n {n}, exact {exact}");
+                assert_eq!(rel.value, 0.0, "n {n}, exact {exact}");
+            }
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct PrivateEstimatorOptions {
     /// Fraction of the ε budget spent on the degree sequence (the remainder goes to the
     /// triangle count). Algorithm 1 uses an even split.
     pub degree_budget_fraction: f64,
-    /// Use the exact (quadratic) smooth sensitivity instead of the scalable upper bound.
-    /// Only sensible for graphs with at most a few thousand nodes.
+    /// Use the exact (cubic) smooth sensitivity instead of the scalable upper bound.
+    /// Only sensible for graphs with at most about a thousand nodes.
     pub exact_smooth_sensitivity: bool,
     /// If true, skip the smooth-sensitivity triangle release and instead drop the triangle count
     /// from the matching objective, spending the whole budget on the degree sequence. This is

@@ -42,6 +42,8 @@ const EXPECTED: &[(&str, usize, &str)] = &[
     ("crates/dp/src/privacy_bad.rs", 16, "privacy-serialize"),
     ("crates/dp/src/privacy_redacted_bad.rs", 6, "privacy-serialize"),
     ("crates/dp/src/taint_helper_bad.rs", 15, "privacy-taint"),
+    ("crates/dp/src/taint_method_bad.rs", 5, "privacy-taint"),
+    ("crates/dp/src/taint_method_bad.rs", 9, "privacy-taint"),
     ("crates/dp/src/taint_rename_bad.rs", 5, "privacy-taint"),
     ("crates/dp/src/taint_writer_bad.rs", 5, "privacy-taint"),
     ("crates/dp/src/time_bad.rs", 4, "determinism-time"),
