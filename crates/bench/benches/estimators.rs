@@ -19,11 +19,13 @@ fn synthetic_graph(k: u32) -> Graph {
 
 fn main() {
     let mut h = Harness::from_args("estimators");
+    // One auto-sized executor serves every benchmark.
+    let exec = Executor::new(0);
 
     {
         let g = synthetic_graph(13);
         h.bench_function("kronmom_fit_k13", |b| {
-            b.iter(|| black_box(KronMomEstimator::default().fit_graph(black_box(&g))))
+            b.iter(|| black_box(KronMomEstimator::default().fit_graph(black_box(&g), &exec)))
         });
 
         let mut rng = StdRng::seed_from_u64(11);
@@ -33,6 +35,8 @@ fn main() {
                     &g,
                     PrivacyParams::paper_default(),
                     &mut rng,
+                    &exec,
+                    &NullSink,
                 ))
             })
         });
@@ -49,7 +53,9 @@ fn main() {
         };
         let mut rng = StdRng::seed_from_u64(12);
         h.bench_function("kronfit_10steps_k11", |b| {
-            b.iter(|| black_box(KronFitEstimator::new(options).fit_graph(&g, &mut rng)))
+            b.iter(|| {
+                black_box(KronFitEstimator::new(options).fit_graph(&g, &mut rng, &exec, &NullSink))
+            })
         });
     }
 

@@ -9,7 +9,8 @@ use kronpriv::prelude::*;
 use kronpriv_bench::harness::Harness;
 use kronpriv_dp::{private_degree_sequence, smooth_sensitivity_triangles};
 use kronpriv_graph::counts::triangle_count;
-use kronpriv_stats::{exact_hop_plot, scree_plot, SpectralOptions};
+use kronpriv_graph::traversal::reachable_pairs_by_hops;
+use kronpriv_stats::{scree_plot, SpectralOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -17,23 +18,27 @@ use std::hint::black_box;
 fn main() {
     let mut h = Harness::from_args("graph_kernels");
     let g = Dataset::CaGrQc.generate(1);
+    // The single-threaded kernels.
+    let seq = Executor::sequential();
 
     h.bench_function("matching_statistics_ca_grqc", |b| {
         b.iter(|| black_box(MatchingStatistics::of_graph(black_box(&g))))
     });
 
     h.bench_function("triangle_count_ca_grqc", |b| {
-        b.iter(|| black_box(triangle_count(black_box(&g))))
+        b.iter(|| black_box(triangle_count(black_box(&g), &seq)))
     });
 
     h.bench_function("smooth_sensitivity_ca_grqc", |b| {
-        b.iter(|| black_box(smooth_sensitivity_triangles(black_box(&g), 0.01)))
+        b.iter(|| black_box(smooth_sensitivity_triangles(black_box(&g), 0.01, &seq)))
     });
 
     {
         let mut rng = StdRng::seed_from_u64(7);
         h.bench_function("private_degree_sequence_ca_grqc", |b| {
-            b.iter(|| black_box(private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng)))
+            b.iter(|| {
+                black_box(private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng, &seq))
+            })
         });
     }
 
@@ -53,7 +58,9 @@ fn main() {
     // The exact all-sources BFS is the slowest figure kernel; benchmark it on the smaller AS20
     // stand-in to keep the suite quick.
     let as20 = Dataset::As20.generate(2);
-    h.bench_function("exact_hop_plot_as20", |b| b.iter(|| black_box(exact_hop_plot(&as20))));
+    h.bench_function("exact_hop_plot_as20", |b| {
+        b.iter(|| black_box(reachable_pairs_by_hops(&as20, &seq)))
+    });
 
     h.report();
 }

@@ -25,17 +25,18 @@
 //! busy time), alongside the harness's external ns/op timings.
 
 use kronpriv_bench::harness::Harness;
-use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles_par, LaplaceNoise};
+use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles, LaplaceNoise};
 use kronpriv_estimate::{KronFitEstimator, KronFitOptions, MomentObjective};
-use kronpriv_graph::counts::{per_node_triangles_par, triangle_count_par, DegreeOrdered};
+use kronpriv_graph::counts::{per_node_triangles, triangle_count, DegreeOrdered};
 use kronpriv_graph::io::{parse_edge_list, to_edge_list_string};
+use kronpriv_graph::traversal::reachable_pairs_by_hops;
 use kronpriv_graph::MatchingStatistics;
 use kronpriv_json::Json;
-use kronpriv_optim::{multistart_minimize_par, Bounds, MultistartOptions};
+use kronpriv_obs::NullSink;
+use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions};
 use kronpriv_par::Executor;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use kronpriv_skg::Initiator2;
-use kronpriv_stats::exact_hop_plot_par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -101,17 +102,17 @@ fn main() {
 
     for threads in THREADS {
         run(&mut h, &mut records, "triangle_count", nodes, threads, &|exec| {
-            black_box(triangle_count_par(black_box(&g), exec));
+            black_box(triangle_count(black_box(&g), exec));
         });
     }
     for threads in THREADS {
         run(&mut h, &mut records, "smooth_sensitivity", nodes, threads, &|exec| {
-            black_box(smooth_sensitivity_triangles_par(black_box(&g), 0.01, exec));
+            black_box(smooth_sensitivity_triangles(black_box(&g), 0.01, exec));
         });
     }
     for threads in THREADS {
         run(&mut h, &mut records, "per_node_triangles", nodes, threads, &|exec| {
-            black_box(per_node_triangles_par(black_box(&g), exec));
+            black_box(per_node_triangles(black_box(&g), exec));
         });
     }
 
@@ -128,17 +129,17 @@ fn main() {
     );
     for threads in THREADS {
         run(&mut h, &mut records, "triangle_count", large_nodes, threads, &|exec| {
-            black_box(triangle_count_par(black_box(&large), exec));
+            black_box(triangle_count(black_box(&large), exec));
         });
     }
     for threads in THREADS {
         run(&mut h, &mut records, "smooth_sensitivity", large_nodes, threads, &|exec| {
-            black_box(smooth_sensitivity_triangles_par(black_box(&large), 0.01, exec));
+            black_box(smooth_sensitivity_triangles(black_box(&large), 0.01, exec));
         });
     }
     for threads in THREADS {
         run(&mut h, &mut records, "per_node_triangles", large_nodes, threads, &|exec| {
-            black_box(per_node_triangles_par(black_box(&large), exec));
+            black_box(per_node_triangles(black_box(&large), exec));
         });
     }
 
@@ -163,7 +164,7 @@ fn main() {
     let small = sample_fast(&theta, k.saturating_sub(2), &SamplerOptions::default(), &mut rng);
     for threads in THREADS {
         run(&mut h, &mut records, "exact_hop_plot", small.node_count(), threads, &|exec| {
-            black_box(exact_hop_plot_par(black_box(&small), exec));
+            black_box(reachable_pairs_by_hops(black_box(&small), exec));
         });
     }
 
@@ -177,7 +178,7 @@ fn main() {
     let extra_starts = vec![vec![0.99, 0.5, 0.2]];
     for threads in THREADS {
         run(&mut h, &mut records, "fit_multistart", nodes, threads, &|exec| {
-            black_box(multistart_minimize_par(
+            black_box(multistart_minimize(
                 |p| objective.evaluate_params(p),
                 &fit_bounds,
                 &extra_starts,
@@ -201,10 +202,11 @@ fn main() {
     for threads in THREADS {
         run(&mut h, &mut records, "kronfit_step", nodes, threads, &|exec| {
             let mut rng = StdRng::seed_from_u64(17);
-            black_box(KronFitEstimator::new(kronfit_opts).fit_graph_on(
+            black_box(KronFitEstimator::new(kronfit_opts).fit_graph(
                 black_box(&g),
                 &mut rng,
                 exec,
+                &NullSink,
             ));
         });
     }

@@ -52,6 +52,7 @@ pub fn smooth_sensitivity_growth(
     let epsilon_share = 0.1;
     let delta = 0.01;
     let beta = epsilon_share / (2.0 * (2.0f64 / delta).ln());
+    let seq = Executor::sequential();
     let mut out = Vec::new();
     for k in k_range {
         let mut rng = StdRng::seed_from_u64(seed + k as u64);
@@ -62,8 +63,8 @@ pub fn smooth_sensitivity_growth(
             nodes: g.node_count(),
             edges: g.edge_count(),
             triangles: stats.triangles,
-            local_sensitivity: kronpriv_dp::triangle_local_sensitivity(&g),
-            smooth_sensitivity: smooth_sensitivity_triangles(&g, beta),
+            local_sensitivity: kronpriv_dp::triangle_local_sensitivity(&g, &seq),
+            smooth_sensitivity: smooth_sensitivity_triangles(&g, beta, &seq),
         });
     }
     let _ = write_json("ablation", "smooth_sensitivity_growth", &out);
@@ -98,7 +99,8 @@ pub fn epsilon_sweep(
     seed: u64,
 ) -> Vec<EpsilonSweepPoint> {
     let graph = dataset.generate(seed);
-    let kronmom = KronMomEstimator::default().fit_graph(&graph);
+    let exec = Executor::new(0);
+    let kronmom = KronMomEstimator::default().fit_graph(&graph, &exec);
     let mut out = Vec::new();
     for &epsilon in epsilons {
         let mut distances = Vec::new();
@@ -108,6 +110,8 @@ pub fn epsilon_sweep(
                 &graph,
                 PrivacyParams::new(epsilon, 0.01),
                 &mut rng,
+                &exec,
+                &NullSink,
             );
             distances.push(est.fit.theta.distance(&kronmom.theta));
         }
@@ -145,6 +149,7 @@ pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
     let graph = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng);
     let stats = MatchingStatistics::of_graph(&graph);
     let kk = kronpriv_estimate::kronecker_order_for(graph.node_count());
+    let exec = Executor::new(0);
 
     let mut out = Vec::new();
     for (dist, dist_name) in
@@ -158,7 +163,7 @@ pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
         ] {
             let objective =
                 MomentObjective::standard(&stats, kk).with_distance(dist).with_normalization(norm);
-            let fit = KronMomEstimator::default().fit_objective(&objective);
+            let fit = KronMomEstimator::default().fit_objective(&objective, &exec);
             out.push(ObjectiveGridCell {
                 distance: dist_name.to_string(),
                 normalization: norm_name.to_string(),

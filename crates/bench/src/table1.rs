@@ -68,22 +68,29 @@ impl_to_json_struct!(MeasuredRow {
 
 /// Runs the Table 1 experiment and returns one measured row per dataset.
 pub fn run_table1(options: &Table1Options) -> Vec<MeasuredRow> {
+    let exec = Executor::new(0);
     let mut rows = Vec::new();
     for dataset in Dataset::all() {
         let (graph, real_data) =
             dataset.load_or_generate(options.data_dir.as_deref(), options.seed);
         let mut rng = StdRng::seed_from_u64(options.seed ^ dataset.metadata().k as u64);
 
-        let kronfit =
-            KronFitEstimator::new(kronfit_options(options.quick)).fit_graph(&graph, &mut rng);
-        let kronmom = KronMomEstimator::default().fit_graph(&graph);
+        let kronfit = KronFitEstimator::new(kronfit_options(options.quick))
+            .fit_graph(&graph, &mut rng, &exec, &NullSink);
+        let kronmom = KronMomEstimator::default().fit_graph(&graph, &exec);
 
         // Average the private estimate over a few independent noise draws.
         let reps = options.private_repetitions.max(1);
         let mut sum = [0.0f64; 3];
         for rep in 0..reps {
             let mut noise_rng = StdRng::seed_from_u64(options.seed + 7 * rep as u64 + 1);
-            let est = PrivateEstimator::default().fit(&graph, paper_budget(), &mut noise_rng);
+            let est = PrivateEstimator::default().fit(
+                &graph,
+                paper_budget(),
+                &mut noise_rng,
+                &exec,
+                &NullSink,
+            );
             let arr = est.fit.theta.as_array();
             for i in 0..3 {
                 sum[i] += arr[i] / reps as f64;

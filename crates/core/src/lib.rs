@@ -19,10 +19,16 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let secret = sample_fast(&Initiator2::new(0.95, 0.55, 0.2), 9, &SamplerOptions::default(), &mut rng);
 //!
-//! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it.
-//! let release = release_synthetic_graph(&secret, PrivacyParams::new(1.0, 0.01), &mut rng);
+//! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it. One executor
+//! // serves every parallel stage; `NullSink` ignores the progress events.
+//! let exec = Executor::new(0);
+//! let options = PrivateEstimatorOptions::default();
+//! let params = PrivacyParams::new(1.0, 0.01);
+//! let release =
+//!     try_release_synthetic_graph(&secret, params, &options, &mut rng, &exec, &NullSink)?;
 //! assert_eq!(release.synthetic.node_count(), 512);
 //! assert!(release.estimate.fit.theta.a <= 1.0);
+//! # Ok::<(), PipelineError>(())
 //! ```
 //!
 //! The heavy lifting lives in the subsystem crates, all re-exported here:
@@ -54,23 +60,43 @@ pub use kronpriv_skg;
 pub use kronpriv_stats;
 
 pub use pipeline::{
-    estimate_with_all_estimators, estimate_with_all_estimators_on, release_synthetic_graph,
-    try_kronfit_estimate, try_kronfit_estimate_observed, try_kronfit_estimate_on,
-    try_kronmom_estimate, try_kronmom_estimate_on, try_private_estimate,
-    try_private_estimate_observed, try_private_estimate_on, try_release_synthetic_graph,
-    try_release_synthetic_graph_observed, try_release_synthetic_graph_on,
-    validate_estimator_inputs, EstimatorSuite, PipelineError, SyntheticRelease,
+    estimate_with_all_estimators, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
+    try_release_synthetic_graph, validate_estimator_inputs, EstimatorSuite, PipelineError,
+    SyntheticRelease,
 };
+
+// Two older names that the end-to-end benchmark in `e2e_bench/` still imports; they are not part
+// of the API. This block goes when the benchmark next changes.
+#[doc(hidden)]
+pub use compat::{try_private_estimate_on, try_release_synthetic_graph_observed};
+
+mod compat {
+    use kronpriv_dp::PrivacyParams;
+    use kronpriv_estimate::{PrivateEstimate, PrivateEstimatorOptions};
+    use kronpriv_graph::Graph;
+    use kronpriv_par::Executor;
+    use rand::Rng;
+
+    pub use crate::pipeline::try_release_synthetic_graph as try_release_synthetic_graph_observed;
+
+    /// [`crate::try_private_estimate`] without progress reporting.
+    pub fn try_private_estimate_on<R: Rng + ?Sized>(
+        g: &Graph,
+        params: PrivacyParams,
+        options: &PrivateEstimatorOptions,
+        rng: &mut R,
+        exec: &Executor,
+    ) -> Result<PrivateEstimate, crate::PipelineError> {
+        crate::try_private_estimate(g, params, options, rng, exec, &kronpriv_obs::NullSink)
+    }
+}
 
 /// The most commonly used items, importable with `use kronpriv::prelude::*`.
 pub mod prelude {
     pub use crate::pipeline::{
-        estimate_with_all_estimators, estimate_with_all_estimators_on, release_synthetic_graph,
-        try_kronfit_estimate, try_kronfit_estimate_observed, try_kronfit_estimate_on,
-        try_kronmom_estimate, try_kronmom_estimate_on, try_private_estimate,
-        try_private_estimate_observed, try_private_estimate_on, try_release_synthetic_graph,
-        try_release_synthetic_graph_observed, try_release_synthetic_graph_on,
-        validate_estimator_inputs, EstimatorSuite, PipelineError, SyntheticRelease,
+        estimate_with_all_estimators, try_kronfit_estimate, try_kronmom_estimate,
+        try_private_estimate, try_release_synthetic_graph, validate_estimator_inputs,
+        EstimatorSuite, PipelineError, SyntheticRelease,
     };
     pub use kronpriv_datasets::{Dataset, DatasetMetadata};
     pub use kronpriv_dp::{PrivacyParams, PrivateDegreeSequence, PrivateTriangleCount};

@@ -8,17 +8,16 @@ use kronpriv_estimate::{
 };
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
-use kronpriv_obs::ProgressSink;
+use kronpriv_obs::{NullSink, ProgressSink};
 use kronpriv_par::Executor;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use rand::Rng;
 
 /// A pipeline precondition violation, reported instead of a worker-thread panic.
 ///
-/// The panicking entry points ([`release_synthetic_graph`], [`PrivateEstimator::fit`]) assert
-/// these conditions; the `try_` forms ([`try_private_estimate`],
-/// [`try_release_synthetic_graph`]) check them up front and return this error so callers such as
-/// the HTTP server can map bad requests to 4xx responses.
+/// The panicking estimator ([`PrivateEstimator::fit`]) asserts these conditions; the `try_`
+/// forms ([`try_private_estimate`], [`try_release_synthetic_graph`]) check them up front and
+/// return this error so callers such as the HTTP server can map bad requests to 4xx responses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PipelineError {
     /// The input graph has no nodes or no edges, so no model can be estimated from it.
@@ -69,34 +68,11 @@ pub fn validate_estimator_inputs(
 }
 
 /// Fallible form of [`PrivateEstimator::fit`]: validates the pipeline preconditions and returns
-/// an error instead of panicking. This is the entry point the server calls for `/api/estimate`.
+/// an error instead of panicking. Every parallel stage borrows `exec`, so hosts that serve many
+/// jobs — the HTTP server in particular — build one executor at startup and pass it here. Stage
+/// boundary events flow into `sink` (pass [`NullSink`] to ignore them); the sink never changes
+/// the estimate.
 pub fn try_private_estimate<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    options: &PrivateEstimatorOptions,
-    rng: &mut R,
-) -> Result<PrivateEstimate, PipelineError> {
-    try_private_estimate_on(g, params, options, rng, &options.executor())
-}
-
-/// [`try_private_estimate`] on a caller-owned executor: every parallel stage borrows `exec`
-/// instead of building a worker pool per request (`options.compute_threads` is ignored). Hosts
-/// that serve many jobs — the HTTP server in particular — build one executor at startup and
-/// pass it here.
-pub fn try_private_estimate_on<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    options: &PrivateEstimatorOptions,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<PrivateEstimate, PipelineError> {
-    try_private_estimate_observed(g, params, options, rng, exec, &kronpriv_obs::NullSink)
-}
-
-/// [`try_private_estimate_on`] with typed progress reporting: stage boundary events flow into
-/// `sink` (see [`PrivateEstimator::fit_on_observed`]). The sink never changes the estimate —
-/// this is the entry point the HTTP job runner uses to stream per-stage progress.
-pub fn try_private_estimate_observed<R: Rng + ?Sized>(
     g: &Graph,
     params: PrivacyParams,
     options: &PrivateEstimatorOptions,
@@ -108,36 +84,16 @@ pub fn try_private_estimate_observed<R: Rng + ?Sized>(
         return Err(PipelineError::EmptyGraph);
     }
     validate_estimator_inputs(params, options)?;
-    Ok(PrivateEstimator::new(*options).fit_on_observed(g, params, rng, exec, sink))
+    Ok(PrivateEstimator::new(*options).fit(g, params, rng, exec, sink))
 }
 
 /// Fallible KronFit baseline: checks the graph is non-empty and runs the multi-chain
-/// approximate-MLE fit. This is the entry point the server uses for
-/// `/api/estimate` with `"estimator": "kronfit"`. **Not differentially private** — it touches
-/// the exact graph; it exists so the service can serve the paper's baseline columns for
-/// comparison.
+/// approximate-MLE fit on `exec`. The `kronfit` stage pair plus one `ChainStep` per chain per
+/// ascent step flow into `sink` (see [`KronFitEstimator::fit_graph`]); the sink never changes
+/// the fit. This is the entry point the server uses for `/api/estimate` with
+/// `"estimator": "kronfit"`. **Not differentially private** — it touches the exact graph; it
+/// exists so the service can serve the paper's baseline columns for comparison.
 pub fn try_kronfit_estimate<R: Rng + ?Sized>(
-    g: &Graph,
-    options: &KronFitOptions,
-    rng: &mut R,
-) -> Result<FittedInitiator, PipelineError> {
-    try_kronfit_estimate_on(g, options, rng, &options.executor())
-}
-
-/// [`try_kronfit_estimate`] on a caller-owned executor (`options.compute_threads` is ignored).
-pub fn try_kronfit_estimate_on<R: Rng + ?Sized>(
-    g: &Graph,
-    options: &KronFitOptions,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<FittedInitiator, PipelineError> {
-    try_kronfit_estimate_observed(g, options, rng, exec, &kronpriv_obs::NullSink)
-}
-
-/// [`try_kronfit_estimate_on`] with typed progress reporting: the `kronfit` stage pair plus one
-/// `ChainStep` per chain per ascent step flow into `sink` (see
-/// [`KronFitEstimator::fit_graph_on_observed`]). The sink never changes the fit.
-pub fn try_kronfit_estimate_observed<R: Rng + ?Sized>(
     g: &Graph,
     options: &KronFitOptions,
     rng: &mut R,
@@ -147,21 +103,13 @@ pub fn try_kronfit_estimate_observed<R: Rng + ?Sized>(
     if g.node_count() == 0 || g.edge_count() == 0 {
         return Err(PipelineError::EmptyGraph);
     }
-    Ok(KronFitEstimator::new(*options).fit_graph_on_observed(g, rng, exec, sink))
+    Ok(KronFitEstimator::new(*options).fit_graph(g, rng, exec, sink))
 }
 
 /// Fallible KronMom baseline: checks the graph is non-empty and runs the exact moment-matching
-/// fit. This is the entry point the server uses for `/api/estimate` with
+/// fit on `exec`. This is the entry point the server uses for `/api/estimate` with
 /// `"estimator": "kronmom"`. **Not differentially private** — it matches the exact counts.
 pub fn try_kronmom_estimate(
-    g: &Graph,
-    options: &KronMomOptions,
-) -> Result<FittedInitiator, PipelineError> {
-    try_kronmom_estimate_on(g, options, &options.executor())
-}
-
-/// [`try_kronmom_estimate`] on a caller-owned executor (`options.compute_threads` is ignored).
-pub fn try_kronmom_estimate_on(
     g: &Graph,
     options: &KronMomOptions,
     exec: &Executor,
@@ -169,43 +117,21 @@ pub fn try_kronmom_estimate_on(
     if g.node_count() == 0 || g.edge_count() == 0 {
         return Err(PipelineError::EmptyGraph);
     }
-    Ok(KronMomEstimator::new(*options).fit_graph_on(g, exec))
+    Ok(KronMomEstimator::new(*options).fit_graph(g, exec))
 }
 
-/// Fallible form of [`release_synthetic_graph`]: runs [`try_private_estimate`] with the given
-/// options and samples one synthetic graph from the released initiator.
+/// The full pipeline of the paper's introduction: runs [`try_private_estimate`] and samples one
+/// synthetic graph from the released initiator. The estimate's stage events plus a final
+/// `sample` stage pair flow into `sink`.
 pub fn try_release_synthetic_graph<R: Rng + ?Sized>(
     g: &Graph,
     params: PrivacyParams,
     options: &PrivateEstimatorOptions,
     rng: &mut R,
-) -> Result<SyntheticRelease, PipelineError> {
-    try_release_synthetic_graph_on(g, params, options, rng, &options.executor())
-}
-
-/// [`try_release_synthetic_graph`] on a caller-owned executor (`options.compute_threads` is
-/// ignored).
-pub fn try_release_synthetic_graph_on<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    options: &PrivateEstimatorOptions,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<SyntheticRelease, PipelineError> {
-    try_release_synthetic_graph_observed(g, params, options, rng, exec, &kronpriv_obs::NullSink)
-}
-
-/// [`try_release_synthetic_graph_on`] with typed progress reporting: the estimate's stage
-/// events plus a final `sample` stage pair flow into `sink`.
-pub fn try_release_synthetic_graph_observed<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    options: &PrivateEstimatorOptions,
-    rng: &mut R,
     exec: &Executor,
     sink: &dyn ProgressSink,
 ) -> Result<SyntheticRelease, PipelineError> {
-    let estimate = try_private_estimate_observed(g, params, options, rng, exec, sink)?;
+    let estimate = try_private_estimate(g, params, options, rng, exec, sink)?;
     sink.emit(&kronpriv_obs::ProgressEvent::StageStarted { stage: "sample" });
     let synthetic = {
         let _span = kronpriv_obs::stage_span("sample");
@@ -230,24 +156,8 @@ impl_json_struct!(EstimatorSuite { kronfit, kronmom, private });
 
 /// Runs KronFit, KronMom and the private estimator (with budget `params`) on `g`, mirroring one
 /// row of Table 1. The same RNG drives the KronFit permutation sampling and the privacy noise so
-/// the whole row is reproducible from one seed.
+/// the whole row is reproducible from one seed, and one executor is shared by all three fits.
 pub fn estimate_with_all_estimators<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    kronfit_options: &KronFitOptions,
-    kronmom_options: &KronMomOptions,
-    private_options: &PrivateEstimatorOptions,
-    rng: &mut R,
-) -> EstimatorSuite {
-    let kronfit = KronFitEstimator::new(*kronfit_options).fit_graph(g, rng);
-    let kronmom = KronMomEstimator::new(*kronmom_options).fit_graph(g);
-    let private = PrivateEstimator::new(*private_options).fit(g, params, rng);
-    EstimatorSuite { kronfit, kronmom, private }
-}
-
-/// [`estimate_with_all_estimators`] on a caller-owned executor shared by all three fits (the
-/// per-estimator `compute_threads` fields are ignored).
-pub fn estimate_with_all_estimators_on<R: Rng + ?Sized>(
     g: &Graph,
     params: PrivacyParams,
     kronfit_options: &KronFitOptions,
@@ -256,9 +166,9 @@ pub fn estimate_with_all_estimators_on<R: Rng + ?Sized>(
     rng: &mut R,
     exec: &Executor,
 ) -> EstimatorSuite {
-    let kronfit = KronFitEstimator::new(*kronfit_options).fit_graph_on(g, rng, exec);
-    let kronmom = KronMomEstimator::new(*kronmom_options).fit_graph_on(g, exec);
-    let private = PrivateEstimator::new(*private_options).fit_on(g, params, rng, exec);
+    let kronfit = KronFitEstimator::new(*kronfit_options).fit_graph(g, rng, exec, &NullSink);
+    let kronmom = KronMomEstimator::new(*kronmom_options).fit_graph(g, exec);
+    let private = PrivateEstimator::new(*private_options).fit(g, params, rng, exec, &NullSink);
     EstimatorSuite { kronfit, kronmom, private }
 }
 
@@ -273,25 +183,18 @@ pub struct SyntheticRelease {
     pub synthetic: Graph,
 }
 
-/// The full pipeline of the paper's introduction: privately estimate the initiator of `g` and
-/// sample one synthetic graph from the estimate.
-pub fn release_synthetic_graph<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    rng: &mut R,
-) -> SyntheticRelease {
-    let estimate = PrivateEstimator::default().fit(g, params, rng);
-    let synthetic =
-        sample_fast(&estimate.fit.theta, estimate.fit.k, &SamplerOptions::default(), rng);
-    SyntheticRelease { estimate, synthetic }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kronpriv_skg::Initiator2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The default-options release on an auto-sized pool.
+    fn release(g: &Graph, params: PrivacyParams, rng: &mut StdRng) -> SyntheticRelease {
+        let options = PrivateEstimatorOptions::default();
+        try_release_synthetic_graph(g, params, &options, rng, &Executor::new(0), &NullSink).unwrap()
+    }
 
     fn small_graph(seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -319,6 +222,7 @@ mod tests {
             &KronMomOptions::default(),
             &PrivateEstimatorOptions::default(),
             &mut rng,
+            &Executor::new(0),
         );
         assert_eq!(suite.kronfit.k, suite.kronmom.k);
         assert_eq!(suite.kronmom.k, suite.private.fit.k);
@@ -342,6 +246,7 @@ mod tests {
                 &KronMomOptions::default(),
                 &PrivateEstimatorOptions::default(),
                 &mut rng,
+                &Executor::new(0),
             )
         };
         let a = run(42);
@@ -354,29 +259,53 @@ mod tests {
     fn synthetic_release_produces_a_graph_of_matching_order() {
         let g = small_graph(4);
         let mut rng = StdRng::seed_from_u64(5);
-        let release = release_synthetic_graph(&g, PrivacyParams::new(1.0, 0.01), &mut rng);
+        let release = release(&g, PrivacyParams::new(1.0, 0.01), &mut rng);
         assert_eq!(release.synthetic.node_count(), 1 << release.estimate.fit.k);
         assert!(release.synthetic.edge_count() > 0);
     }
 
     #[test]
     fn try_pipeline_rejects_bad_preconditions_without_panicking() {
+        let exec = Executor::new(0);
         let mut rng = StdRng::seed_from_u64(20);
         let options = PrivateEstimatorOptions::default();
         let empty = Graph::from_edges(4, Vec::new());
         assert_eq!(
-            try_private_estimate(&empty, PrivacyParams::new(1.0, 0.01), &options, &mut rng)
-                .unwrap_err(),
+            try_private_estimate(
+                &empty,
+                PrivacyParams::new(1.0, 0.01),
+                &options,
+                &mut rng,
+                &exec,
+                &NullSink
+            )
+            .unwrap_err(),
             PipelineError::EmptyGraph
         );
         let g = small_graph(21);
         assert_eq!(
-            try_private_estimate(&g, PrivacyParams::pure(1.0), &options, &mut rng).unwrap_err(),
+            try_private_estimate(
+                &g,
+                PrivacyParams::pure(1.0),
+                &options,
+                &mut rng,
+                &exec,
+                &NullSink
+            )
+            .unwrap_err(),
             PipelineError::DeltaRequired
         );
         let bad = PrivateEstimatorOptions { degree_budget_fraction: 1.5, ..Default::default() };
         assert_eq!(
-            try_private_estimate(&g, PrivacyParams::new(1.0, 0.01), &bad, &mut rng).unwrap_err(),
+            try_private_estimate(
+                &g,
+                PrivacyParams::new(1.0, 0.01),
+                &bad,
+                &mut rng,
+                &exec,
+                &NullSink
+            )
+            .unwrap_err(),
             PipelineError::InvalidBudgetFraction(1.5)
         );
     }
@@ -388,27 +317,31 @@ mod tests {
         // must reject it as EmptyGraph instead of reaching the k = 0 gradient path.
         let g = kronpriv_graph::io::parse_edge_list_reader("0 0\n".as_bytes()).unwrap();
         assert_eq!((g.node_count(), g.edge_count()), (1, 0));
+        let exec = Executor::new(0);
         let mut rng = StdRng::seed_from_u64(30);
         assert_eq!(
             try_private_estimate(
                 &g,
                 PrivacyParams::new(1.0, 0.01),
                 &PrivateEstimatorOptions::default(),
-                &mut rng
+                &mut rng,
+                &exec,
+                &NullSink,
             )
             .unwrap_err(),
             PipelineError::EmptyGraph
         );
         assert_eq!(
-            try_kronfit_estimate(&g, &KronFitOptions::default(), &mut rng).unwrap_err(),
+            try_kronfit_estimate(&g, &KronFitOptions::default(), &mut rng, &exec, &NullSink)
+                .unwrap_err(),
             PipelineError::EmptyGraph
         );
         assert_eq!(
-            try_kronmom_estimate(&g, &KronMomOptions::default()).unwrap_err(),
+            try_kronmom_estimate(&g, &KronMomOptions::default(), &exec).unwrap_err(),
             PipelineError::EmptyGraph
         );
         // The library-level fit itself degenerates cleanly for direct callers.
-        let fit = KronFitEstimator::default().fit_graph(&g, &mut rng);
+        let fit = KronFitEstimator::default().fit_graph(&g, &mut rng, &exec, &NullSink);
         assert_eq!(fit.k, 0);
         assert!(fit.theta.as_array().iter().all(|p| p.is_finite()));
     }
@@ -418,9 +351,10 @@ mod tests {
         let g = small_graph(31);
         let mut rng = StdRng::seed_from_u64(32);
         let quick = quick_kronfit();
-        let fit = try_kronfit_estimate(&g, &quick, &mut rng).unwrap();
+        let exec = Executor::new(0);
+        let fit = try_kronfit_estimate(&g, &quick, &mut rng, &exec, &NullSink).unwrap();
         assert!(fit.theta.a >= fit.theta.c);
-        let fit = try_kronmom_estimate(&g, &KronMomOptions::default()).unwrap();
+        let fit = try_kronmom_estimate(&g, &KronMomOptions::default(), &exec).unwrap();
         assert!(fit.theta.a >= fit.theta.c);
     }
 
@@ -430,15 +364,31 @@ mod tests {
         let options = PrivateEstimatorOptions::default();
         let params = PrivacyParams::new(1.0, 0.01);
         let mut rng = StdRng::seed_from_u64(23);
-        let fallible = try_release_synthetic_graph(&g, params, &options, &mut rng).unwrap();
+        let fallible = release(&g, params, &mut rng);
         let mut rng = StdRng::seed_from_u64(23);
-        let panicking = release_synthetic_graph(&g, params, &mut rng);
-        assert_eq!(fallible.estimate.fit.theta, panicking.estimate.fit.theta);
-        assert_eq!(fallible.synthetic.edge_count(), panicking.synthetic.edge_count());
+        let panicking =
+            PrivateEstimator::new(options).fit(&g, params, &mut rng, &Executor::new(0), &NullSink);
+        let synthetic = sample_fast(
+            &panicking.fit.theta,
+            panicking.fit.k,
+            &SamplerOptions::default(),
+            &mut rng,
+        );
+        assert_eq!(fallible.estimate.fit.theta, panicking.fit.theta);
+        assert_eq!(fallible.synthetic.edge_count(), synthetic.edge_count());
         // Degrees-only runs are allowed with δ = 0 through the fallible path too.
+        let exec = Executor::new(0);
         let mut rng = StdRng::seed_from_u64(24);
         let ablation = PrivateEstimatorOptions { degrees_only: true, ..Default::default() };
-        let est = try_private_estimate(&g, PrivacyParams::pure(0.5), &ablation, &mut rng).unwrap();
+        let est = try_private_estimate(
+            &g,
+            PrivacyParams::pure(0.5),
+            &ablation,
+            &mut rng,
+            &exec,
+            &NullSink,
+        )
+        .unwrap();
         assert!(est.triangle_release.is_none());
     }
 
@@ -446,7 +396,7 @@ mod tests {
     fn generous_budget_release_matches_the_original_edge_count_roughly() {
         let g = small_graph(6);
         let mut rng = StdRng::seed_from_u64(7);
-        let release = release_synthetic_graph(&g, PrivacyParams::new(1e6, 0.01), &mut rng);
+        let release = release(&g, PrivacyParams::new(1e6, 0.01), &mut rng);
         let ratio = release.synthetic.edge_count() as f64 / g.edge_count() as f64;
         assert!((0.6..=1.6).contains(&ratio), "edge ratio {ratio}");
     }

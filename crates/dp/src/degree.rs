@@ -17,7 +17,7 @@ use crate::budget::PrivacyParams;
 use crate::laplace::LaplaceNoise;
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_redacted;
-use kronpriv_linalg::{isotonic_increasing, IsotonicBlocks};
+use kronpriv_linalg::IsotonicBlocks;
 use kronpriv_par::{Executor, Work};
 use rand::Rng;
 
@@ -74,7 +74,10 @@ impl PrivateDegreeSequence {
 }
 
 /// Releases an `(ε, 0)`-differentially private approximation of the sorted degree sequence of
-/// `g` (Hay et al.), spending the full `params.epsilon` on it.
+/// `g` (Hay et al.), spending the full `params.epsilon` on it. The isotonic post-processing
+/// runs on `exec` via [`isotonic_increasing_par`], so the release is a pure function of
+/// `(graph, params, rng)`: the thread count never changes the output. This is the form
+/// Algorithm 1's estimator calls.
 ///
 /// # Panics
 /// Panics if `params.epsilon` is not positive (enforced by [`PrivacyParams`]).
@@ -83,70 +86,17 @@ pub fn private_degree_sequence<R: Rng + ?Sized>(
     g: &Graph,
     params: PrivacyParams,
     rng: &mut R,
+    exec: &Executor,
 ) -> PrivateDegreeSequence {
     let mut sorted: Vec<f64> = g.degrees().iter().map(|&d| d as f64).collect();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    private_degree_sequence_from_sorted(&sorted, params, rng)
+    private_degree_sequence_from_sorted(&sorted, params, rng, exec)
 }
 
 /// Same as [`private_degree_sequence`] but starting from an already-sorted degree vector. Useful
 /// for testing the mechanism in isolation and for ablation studies on synthetic sequences.
 // lint:sanitizer
 pub fn private_degree_sequence_from_sorted<R: Rng + ?Sized>(
-    sorted_degrees: &[f64],
-    params: PrivacyParams,
-    rng: &mut R,
-) -> PrivateDegreeSequence {
-    let noise = LaplaceNoise::new(DEGREE_SEQUENCE_SENSITIVITY / params.epsilon);
-    let noisy: Vec<f64> = sorted_degrees.iter().map(|&d| d + noise.sample(rng)).collect();
-    let fitted = isotonic_increasing(&noisy);
-    PrivateDegreeSequence { degrees: fitted, noisy_degrees: noisy, params }
-}
-
-/// The block-parallel constrained-inference pass: the same L2 projection onto the monotone cone
-/// as [`isotonic_increasing`], decomposed over fixed [`ISOTONIC_CHUNK`]-length blocks. Each
-/// block's PAVA solution is computed independently (the independent descending runs inside a
-/// block never interact with other blocks until the merge) and the per-block
-/// [`IsotonicBlocks`] stacks are merged **in index order** on the calling thread, pooling only
-/// at the seams.
-///
-/// Byte-identical for every thread count (fixed chunk boundaries, chunk-order merge). Against
-/// the element-at-a-time [`isotonic_increasing`] pass the result can differ by float
-/// associativity in the pooled means (last ulp) — the regression tests pin the two to an
-/// `1e-9` band — because pooling across a seam adds pre-pooled block sums instead of summing
-/// the elements one at a time.
-pub fn isotonic_increasing_par(values: &[f64], exec: &Executor) -> Vec<f64> {
-    exec.map_reduce(
-        values.len(),
-        ISOTONIC_CHUNK,
-        Work::LIGHT,
-        |range| IsotonicBlocks::of(&values[range]),
-        |acc: IsotonicBlocks, blocks| acc.merge(blocks),
-        IsotonicBlocks::new(),
-    )
-    .expand()
-}
-
-/// Parallel form of [`private_degree_sequence`]: identical mechanism and privacy accounting,
-/// with the isotonic post-processing running on `exec` via [`isotonic_increasing_par`].
-/// The release is a pure function of `(graph, params, rng)` — the thread count never changes
-/// the output. This is the form Algorithm 1's estimator calls.
-// lint:sanitizer
-pub fn private_degree_sequence_par<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    rng: &mut R,
-    exec: &Executor,
-) -> PrivateDegreeSequence {
-    let mut sorted: Vec<f64> = g.degrees().iter().map(|&d| d as f64).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    private_degree_sequence_from_sorted_par(&sorted, params, rng, exec)
-}
-
-/// Parallel form of [`private_degree_sequence_from_sorted`]; see
-/// [`private_degree_sequence_par`].
-// lint:sanitizer
-pub fn private_degree_sequence_from_sorted_par<R: Rng + ?Sized>(
     sorted_degrees: &[f64],
     params: PrivacyParams,
     rng: &mut R,
@@ -164,11 +114,36 @@ pub fn private_degree_sequence_from_sorted_par<R: Rng + ?Sized>(
     PrivateDegreeSequence { degrees: fitted, noisy_degrees: noisy, params }
 }
 
+/// The block-parallel constrained-inference pass: the same L2 projection onto the monotone cone
+/// as [`kronpriv_linalg::isotonic_increasing`], decomposed over fixed [`ISOTONIC_CHUNK`]-length
+/// blocks. Each block's PAVA solution is computed independently (the independent descending
+/// runs inside a block never interact with other blocks until the merge) and the per-block
+/// [`IsotonicBlocks`] stacks are merged **in index order** on the calling thread, pooling only
+/// at the seams.
+///
+/// Byte-identical for every thread count (fixed chunk boundaries, chunk-order merge). Against
+/// the element-at-a-time reference pass the result can differ by float associativity in the
+/// pooled means (last ulp) — the regression tests pin the two to an `1e-9` band — because
+/// pooling across a seam adds pre-pooled block sums instead of summing the elements one at a
+/// time.
+pub fn isotonic_increasing_par(values: &[f64], exec: &Executor) -> Vec<f64> {
+    exec.map_reduce(
+        values.len(),
+        ISOTONIC_CHUNK,
+        Work::LIGHT,
+        |range| IsotonicBlocks::of(&values[range]),
+        |acc: IsotonicBlocks, blocks| acc.merge(blocks),
+        IsotonicBlocks::new(),
+    )
+    .expand()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kronpriv_graph::counts::{hairpin_count, tripin_count};
     use kronpriv_graph::generators::preferential_attachment;
+    use kronpriv_linalg::isotonic_increasing;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -180,7 +155,12 @@ mod tests {
     fn release_has_the_same_length_as_the_degree_sequence() {
         let g = star(9);
         let mut rng = StdRng::seed_from_u64(1);
-        let rel = private_degree_sequence(&g, PrivacyParams::pure(1.0), &mut rng);
+        let rel = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(1.0),
+            &mut rng,
+            &Executor::sequential(),
+        );
         assert_eq!(rel.degrees.len(), 10);
         assert_eq!(rel.noisy_degrees.len(), 10);
     }
@@ -189,7 +169,12 @@ mod tests {
     fn released_sequence_is_non_decreasing() {
         let g = preferential_attachment(300, 3, &mut StdRng::seed_from_u64(2));
         let mut rng = StdRng::seed_from_u64(3);
-        let rel = private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng);
+        let rel = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(0.1),
+            &mut rng,
+            &Executor::sequential(),
+        );
         assert!(rel.degrees.windows(2).all(|w| w[0] <= w[1] + 1e-12));
     }
 
@@ -203,7 +188,12 @@ mod tests {
         truth.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(100 + seed);
-            let rel = private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng);
+            let rel = private_degree_sequence(
+                &g,
+                PrivacyParams::pure(0.1),
+                &mut rng,
+                &Executor::sequential(),
+            );
             let noisy_err: f64 = rel
                 .noisy_degrees
                 .iter()
@@ -225,7 +215,12 @@ mod tests {
         // exact degree-based counts.
         let g = preferential_attachment(200, 2, &mut StdRng::seed_from_u64(5));
         let mut rng = StdRng::seed_from_u64(6);
-        let rel = private_degree_sequence(&g, PrivacyParams::pure(1e9), &mut rng);
+        let rel = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(1e9),
+            &mut rng,
+            &Executor::sequential(),
+        );
         let degrees = g.degrees();
         assert!((rel.edge_count() - g.edge_count() as f64).abs() < 1e-3);
         assert!((rel.hairpin_count() - hairpin_count(&degrees)).abs() < 1e-2);
@@ -242,7 +237,12 @@ mod tests {
         let epsilon = 0.1;
         let sigma = (2.0 * g.node_count() as f64).sqrt() * (2.0 / epsilon) / 2.0;
         let mut rng = StdRng::seed_from_u64(8);
-        let rel = private_degree_sequence(&g, PrivacyParams::pure(epsilon), &mut rng);
+        let rel = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(epsilon),
+            &mut rng,
+            &Executor::sequential(),
+        );
         let err = (rel.edge_count() - truth).abs();
         assert!(err < 4.0 * sigma, "error {err} exceeds 4 sigma ({})", 4.0 * sigma);
         // And the isotonic projection indeed preserves the degree sum.
@@ -257,7 +257,12 @@ mod tests {
         // deterministic formulas of Fact 4.6.
         let sorted = vec![1.0, 1.0, 2.0, 3.0, 5.0];
         let mut rng = StdRng::seed_from_u64(9);
-        let rel = private_degree_sequence_from_sorted(&sorted, PrivacyParams::pure(1e12), &mut rng);
+        let rel = private_degree_sequence_from_sorted(
+            &sorted,
+            PrivacyParams::pure(1e12),
+            &mut rng,
+            &Executor::sequential(),
+        );
         assert!((rel.edge_count() - 6.0).abs() < 1e-6);
         // H = 0.5 * (0 + 0 + 2 + 6 + 20) = 14, T = (0 + 0 + 0 + 6 + 60)/6 = 11.
         assert!((rel.hairpin_count() - 14.0).abs() < 1e-6);
@@ -275,10 +280,20 @@ mod tests {
         for seed in 0..reps {
             let mut rng1 = StdRng::seed_from_u64(1000 + seed);
             let mut rng2 = StdRng::seed_from_u64(2000 + seed);
-            err_tight +=
-                private_degree_sequence(&g, PrivacyParams::pure(10.0), &mut rng1).l2_error(&truth);
-            err_loose +=
-                private_degree_sequence(&g, PrivacyParams::pure(0.05), &mut rng2).l2_error(&truth);
+            err_tight += private_degree_sequence(
+                &g,
+                PrivacyParams::pure(10.0),
+                &mut rng1,
+                &Executor::sequential(),
+            )
+            .l2_error(&truth);
+            err_loose += private_degree_sequence(
+                &g,
+                PrivacyParams::pure(0.05),
+                &mut rng2,
+                &Executor::sequential(),
+            )
+            .l2_error(&truth);
         }
         assert!(
             err_loose > err_tight,
@@ -289,10 +304,18 @@ mod tests {
     #[test]
     fn release_is_reproducible_given_a_seed() {
         let g = star(20);
-        let a =
-            private_degree_sequence(&g, PrivacyParams::pure(0.5), &mut StdRng::seed_from_u64(42));
-        let b =
-            private_degree_sequence(&g, PrivacyParams::pure(0.5), &mut StdRng::seed_from_u64(42));
+        let a = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(0.5),
+            &mut StdRng::seed_from_u64(42),
+            &Executor::sequential(),
+        );
+        let b = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(0.5),
+            &mut StdRng::seed_from_u64(42),
+            &Executor::sequential(),
+        );
         assert_eq!(a, b);
     }
 
@@ -338,12 +361,7 @@ mod tests {
         let g = preferential_attachment(3000, 3, &mut StdRng::seed_from_u64(13));
         let release = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(14);
-            private_degree_sequence_par(
-                &g,
-                PrivacyParams::pure(0.1),
-                &mut rng,
-                &Executor::new(threads),
-            )
+            private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng, &Executor::new(threads))
         };
         let reference = release(1);
         assert!(reference.degrees.windows(2).all(|w| w[0] <= w[1] + 1e-12));
@@ -356,7 +374,12 @@ mod tests {
     fn empty_graph_release_is_near_zero() {
         let g = Graph::empty(5);
         let mut rng = StdRng::seed_from_u64(10);
-        let rel = private_degree_sequence(&g, PrivacyParams::pure(1e6), &mut rng);
+        let rel = private_degree_sequence(
+            &g,
+            PrivacyParams::pure(1e6),
+            &mut rng,
+            &Executor::sequential(),
+        );
         assert!(rel.edge_count().abs() < 1e-3);
     }
 }

@@ -26,13 +26,9 @@ pub mod laplace;
 pub mod smooth;
 
 pub use budget::{ParamError, PrivacyParams};
-pub use degree::{
-    isotonic_increasing_par, private_degree_sequence, private_degree_sequence_par,
-    PrivateDegreeSequence,
-};
+pub use degree::{isotonic_increasing_par, private_degree_sequence, PrivateDegreeSequence};
 pub use laplace::{laplace_mechanism, sample_laplace, LaplaceNoise};
 pub use smooth::{
-    private_triangle_count, private_triangle_count_par, smooth_sensitivity_triangles,
-    smooth_sensitivity_triangles_par, triangle_local_sensitivity, triangle_local_sensitivity_par,
+    private_triangle_count, smooth_sensitivity_triangles, triangle_local_sensitivity,
     PrivateTriangleCount,
 };

@@ -33,7 +33,7 @@
 use crate::{kronecker_order_for, FittedInitiator};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_with_defaults;
-use kronpriv_obs::{NullSink, ProgressEvent, ProgressSink};
+use kronpriv_obs::{ProgressEvent, ProgressSink};
 use kronpriv_par::{Executor, Work};
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
@@ -74,21 +74,14 @@ pub struct KronFitOptions {
     pub initial: Initiator2,
     /// Number of independent Metropolis permutation chains whose gradients are averaged each
     /// ascent step. This is an **algorithm parameter**: changing it changes the fit (each chain
-    /// consumes its own [`StdRng::split`] stream), unlike `compute_threads`, which never does.
-    /// Values are clamped to at least 1.
+    /// consumes its own [`StdRng::split`] stream), unlike the executor's pool size, which never
+    /// does. Values are clamped to at least 1.
     pub chains: usize,
-    /// Worker-pool size for the parallel stages — the chain fan-out and the edge-partitioned
-    /// likelihood/gradient sums; `0` means one worker per available hardware thread.
-    /// [`KronFitEstimator::fit_graph`] builds one [`Executor`] of this size per fit; callers
-    /// that already own a pool use [`KronFitEstimator::fit_graph_on`] and this field is
-    /// ignored. The result is byte-identical for every pool size, so this is purely a
-    /// performance knob.
-    pub compute_threads: usize,
 }
 
-// `chains` and `compute_threads` may be *omitted* by older clients — absent means the
-// pre-multi-chain defaults (4 chains, auto threads) — while the pre-existing fields stay
-// required. Same wire-compatibility treatment as `KronMomOptions::compute_threads`.
+// `chains` may be *omitted* by older clients — absent means the pre-multi-chain default of 4
+// chains — while the pre-existing fields stay required. Unknown keys are ignored, so documents
+// that still carry the removed `compute_threads` field parse unchanged.
 impl_json_struct_with_defaults!(KronFitOptions {
     required: {
         gradient_steps,
@@ -99,7 +92,7 @@ impl_json_struct_with_defaults!(KronFitOptions {
         min_parameter,
         initial,
     },
-    defaults: { chains: 4, compute_threads: 0 },
+    defaults: { chains: 4 },
 });
 
 impl Default for KronFitOptions {
@@ -113,16 +106,7 @@ impl Default for KronFitOptions {
             min_parameter: 1e-3,
             initial: Initiator2::new(0.9, 0.6, 0.2),
             chains: 4,
-            compute_threads: 0,
         }
-    }
-}
-
-impl KronFitOptions {
-    /// Builds the [`Executor`] that [`KronFitEstimator::fit_graph`] runs on (`0` ⇒ auto-sized
-    /// pool).
-    pub fn executor(&self) -> Executor {
-        Executor::new(self.compute_threads)
     }
 }
 
@@ -262,25 +246,11 @@ impl KronFitEstimator {
     /// log-likelihood.
     ///
     /// Exactly one `u64` is drawn from `rng` to seed the chain family; every chain then runs on
-    /// its own [`StdRng::split`] stream. The fit is a pure function of `(g, options, that
-    /// draw)` — in particular it is byte-identical for every `compute_threads` value.
-    pub fn fit_graph<R: Rng + ?Sized>(&self, g: &Graph, rng: &mut R) -> FittedInitiator {
-        self.fit_graph_on(g, rng, &self.options.executor())
-    }
-
-    /// [`Self::fit_graph`] on a caller-owned executor: both the chain fan-out and the nested
-    /// edge-partitioned sums borrow `exec` (`options.compute_threads` is ignored). The fit is
-    /// byte-identical to [`Self::fit_graph`] for any pool size.
-    pub fn fit_graph_on<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        rng: &mut R,
-        exec: &Executor,
-    ) -> FittedInitiator {
-        self.fit_graph_on_observed(g, rng, exec, &NullSink)
-    }
-
-    /// [`Self::fit_graph_on`] with typed progress reporting: a
+    /// its own [`StdRng::split`] stream. Both the chain fan-out and the nested edge-partitioned
+    /// sums borrow `exec`. The fit is a pure function of `(g, options, that draw)` — in
+    /// particular it is byte-identical for every pool size.
+    ///
+    /// Progress flows into `sink` (pass [`kronpriv_obs::NullSink`] to ignore it): a
     /// [`ProgressEvent::StageStarted`]/[`ProgressEvent::StageFinished`] pair for the whole
     /// `kronfit` stage, plus one [`ProgressEvent::ChainStep`] per chain per ascent step
     /// (emitted from whichever worker ran the chain, so events from different chains may
@@ -288,10 +258,9 @@ impl KronFitEstimator {
     ///
     /// `ChainStep::log_likelihood` is `NaN` unless the sink opts in via
     /// [`ProgressSink::wants_chain_likelihood`] — the extra per-step likelihood evaluation
-    /// consumes no randomness, so opting in (or not) never changes the fit. Either way the
-    /// result is byte-identical to [`Self::fit_graph_on`] with the same seed: the sink is
+    /// consumes no randomness, so opting in (or not) never changes the fit: the sink is
     /// strictly an observer (the `kronpriv-obs` no-feedback invariant).
-    pub fn fit_graph_on_observed<R: Rng + ?Sized>(
+    pub fn fit_graph<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         rng: &mut R,
@@ -305,7 +274,7 @@ impl KronFitEstimator {
         fit
     }
 
-    /// The multi-chain ascent loop behind [`Self::fit_graph_on_observed`].
+    /// The multi-chain ascent loop behind [`Self::fit_graph`].
     fn fit_chains<R: Rng + ?Sized>(
         &self,
         g: &Graph,
@@ -561,6 +530,7 @@ fn clamp_theta(theta: &Initiator2, min_parameter: f64) -> Initiator2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kronpriv_obs::NullSink;
     use kronpriv_skg::moments::expected_edges;
     use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 
@@ -684,7 +654,7 @@ mod tests {
         // of ascending along reciprocal garbage.
         let g = Graph::empty(1);
         let mut rng = StdRng::seed_from_u64(1);
-        let fit = KronFitEstimator::default().fit_graph(&g, &mut rng);
+        let fit = KronFitEstimator::default().fit_graph(&g, &mut rng, &Executor::new(0), &NullSink);
         assert_eq!(fit.k, 0);
         assert_eq!(fit.evaluations, 0);
         let expected = clamp_theta(
@@ -796,7 +766,12 @@ mod tests {
         let g = sample_fast(&truth, 9, &SamplerOptions::default(), &mut rng);
         let k = kronecker_order_for(g.node_count());
         let initial_ll = ll(&g, &quick_options().initial, k, &Assignment::identity(1 << k), &seq());
-        let fit = KronFitEstimator::new(quick_options()).fit_graph(&g, &mut rng);
+        let fit = KronFitEstimator::new(quick_options()).fit_graph(
+            &g,
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         assert!(
             -fit.objective_value > initial_ll,
             "final LL {} should exceed initial {initial_ll}",
@@ -812,7 +787,12 @@ mod tests {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(5);
         let g = sample_fast(&truth, 10, &SamplerOptions::default(), &mut rng);
-        let fit = KronFitEstimator::new(quick_options()).fit_graph(&g, &mut rng);
+        let fit = KronFitEstimator::new(quick_options()).fit_graph(
+            &g,
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         assert!((fit.theta.a - truth.a).abs() < 0.15, "{:?}", fit.theta);
         assert!((fit.theta.b - truth.b).abs() < 0.15, "{:?}", fit.theta);
         assert!((fit.theta.c - truth.c).abs() < 0.20, "{:?}", fit.theta);
@@ -833,7 +813,12 @@ mod tests {
         let truth = Initiator2::new(0.7, 0.3, 0.1);
         let mut rng = StdRng::seed_from_u64(6);
         let g = sample_fast(&truth, 8, &SamplerOptions::default(), &mut rng);
-        let fit = KronFitEstimator::new(quick_options()).fit_graph(&g, &mut rng);
+        let fit = KronFitEstimator::new(quick_options()).fit_graph(
+            &g,
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         for p in fit.theta.as_array() {
             assert!((0.0..=1.0).contains(&p));
         }
@@ -845,7 +830,7 @@ mod tests {
         let g = sample_fast(&truth, 8, &SamplerOptions::default(), &mut StdRng::seed_from_u64(7));
         let run = |seed| {
             KronFitEstimator::new(quick_options())
-                .fit_graph(&g, &mut StdRng::seed_from_u64(seed))
+                .fit_graph(&g, &mut StdRng::seed_from_u64(seed), &Executor::new(0), &NullSink)
                 .theta
         };
         assert_eq!(run(42), run(42));
@@ -865,12 +850,11 @@ mod tests {
             ..Default::default()
         };
         let estimator = KronFitEstimator::new(options);
-        let plain = estimator.fit_graph_on(&g, &mut StdRng::seed_from_u64(21), &seq());
+        let plain = estimator.fit_graph(&g, &mut StdRng::seed_from_u64(21), &seq(), &NullSink);
         // The likelihood probe is the expensive sink option, so exercise the opted-in path:
         // the fit must still be byte-identical (the probe consumes no randomness).
         let sink = CollectingSink::with_chain_likelihood();
-        let observed =
-            estimator.fit_graph_on_observed(&g, &mut StdRng::seed_from_u64(21), &seq(), &sink);
+        let observed = estimator.fit_graph(&g, &mut StdRng::seed_from_u64(21), &seq(), &sink);
         assert_eq!(plain.theta, observed.theta);
         assert_eq!(plain.objective_value.to_bits(), observed.objective_value.to_bits());
         assert_eq!(plain.evaluations, observed.evaluations);
@@ -909,12 +893,7 @@ mod tests {
             ..Default::default()
         };
         let sink = CollectingSink::new();
-        KronFitEstimator::new(options).fit_graph_on_observed(
-            &g,
-            &mut StdRng::seed_from_u64(23),
-            &seq(),
-            &sink,
-        );
+        KronFitEstimator::new(options).fit_graph(&g, &mut StdRng::seed_from_u64(23), &seq(), &sink);
         let lls: Vec<f64> = sink
             .events()
             .iter()
@@ -935,25 +914,27 @@ mod tests {
         let g = sample_fast(&truth, 8, &SamplerOptions::default(), &mut StdRng::seed_from_u64(9));
         let run = |chains: usize| {
             let options = KronFitOptions { chains, ..quick_options() };
-            KronFitEstimator::new(options).fit_graph(&g, &mut StdRng::seed_from_u64(10)).theta
+            KronFitEstimator::new(options)
+                .fit_graph(&g, &mut StdRng::seed_from_u64(10), &Executor::new(0), &NullSink)
+                .theta
         };
         assert_ne!(run(1), run(4));
     }
 
     #[test]
     fn options_json_defaults_chains_and_compute_threads_when_omitted() {
-        let options = KronFitOptions { chains: 3, compute_threads: 5, ..Default::default() };
+        let options = KronFitOptions { chains: 3, ..Default::default() };
         let text = kronpriv_json::to_string(&options);
-        assert!(text.contains("\"chains\":3"), "{text}");
-        assert!(text.contains("\"compute_threads\":5"), "{text}");
+        assert!(text.ends_with(",\"chains\":3}"), "{text}");
+        assert!(!text.contains("compute_threads"), "{text}");
         let back: KronFitOptions = kronpriv_json::from_str(&text).unwrap();
         assert_eq!(back.chains, 3);
-        assert_eq!(back.compute_threads, 5);
-        // Back-compat: a pre-multi-chain options document still parses with the defaults.
-        let legacy = text.replace(",\"chains\":3,\"compute_threads\":5", "");
+        // Back-compat: a document from an older client that still carries `compute_threads`
+        // parses and ignores it; one without `chains` gets the default of 4.
+        let legacy = text.replace(",\"chains\":3", ",\"compute_threads\":5");
         let back: KronFitOptions = kronpriv_json::from_str(&legacy).unwrap();
         assert_eq!(back.chains, 4);
-        assert_eq!(back.compute_threads, 0);
+        assert_eq!(kronpriv_json::to_string(&back), text.replace("\"chains\":3", "\"chains\":4"));
         // The pre-existing fields remain required.
         let missing = legacy.replace("\"warmup_swaps\":20000,", "");
         assert!(kronpriv_json::from_str::<KronFitOptions>(&missing).is_err());

@@ -9,8 +9,8 @@
 use crate::objective::MomentObjective;
 use crate::{kronecker_order_for, FittedInitiator};
 use kronpriv_graph::{Graph, MatchingStatistics};
-use kronpriv_json::impl_json_struct_with_defaults;
-use kronpriv_optim::{multistart_minimize_par, Bounds, MultistartOptions, NelderMeadOptions};
+use kronpriv_json::impl_json_struct;
+use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions, NelderMeadOptions};
 use kronpriv_par::Executor;
 use kronpriv_skg::Initiator2;
 
@@ -23,39 +23,15 @@ pub struct KronMomOptions {
     pub refine_top: usize,
     /// Maximum objective evaluations per Nelder–Mead run.
     pub max_evaluations: usize,
-    /// Worker-pool size for the parallel fitting stage (grid scan + Nelder–Mead restarts);
-    /// `0` means one worker per available hardware thread. The entry points without an `_on`
-    /// suffix build one [`Executor`] of this size per fit; callers that already own a pool use
-    /// the `_on` variants and this field is ignored. The parallel optimiser is bit-identical
-    /// for every pool size, so this is purely a performance knob. When the fit runs inside
-    /// `PrivateEstimator`, that estimator's own `compute_threads` governs the whole pipeline
-    /// and overrides this field.
-    pub compute_threads: usize,
 }
 
-// `compute_threads` may be *omitted* by older clients — absent means 0 ("auto") — while the
-// pre-existing fields stay required. Same wire-compatibility treatment as
-// `PrivateEstimatorOptions`.
-impl_json_struct_with_defaults!(KronMomOptions {
-    required: { grid_points_per_axis, refine_top, max_evaluations },
-    defaults: { compute_threads: 0 },
-});
+// Unknown keys are ignored, so documents from older clients that still carry the removed
+// `compute_threads` field parse unchanged.
+impl_json_struct!(KronMomOptions { grid_points_per_axis, refine_top, max_evaluations });
 
 impl Default for KronMomOptions {
     fn default() -> Self {
-        KronMomOptions {
-            grid_points_per_axis: 7,
-            refine_top: 5,
-            max_evaluations: 4000,
-            compute_threads: 0,
-        }
-    }
-}
-
-impl KronMomOptions {
-    /// Builds the [`Executor`] the suffix-free entry points run on (`0` ⇒ auto-sized pool).
-    pub fn executor(&self) -> Executor {
-        Executor::new(self.compute_threads)
+        KronMomOptions { grid_points_per_axis: 7, refine_top: 5, max_evaluations: 4000 }
     }
 }
 
@@ -72,46 +48,27 @@ impl KronMomEstimator {
     }
 
     /// Fits an initiator to the observed graph: computes the exact matching statistics and
-    /// minimises the standard objective. Builds a fresh pool per
-    /// [`KronMomOptions::compute_threads`]; see [`Self::fit_graph_on`] to reuse one.
-    pub fn fit_graph(&self, g: &Graph) -> FittedInitiator {
-        self.fit_graph_on(g, &self.options.executor())
-    }
-
-    /// [`Self::fit_graph`] on a caller-owned executor (`options.compute_threads` is ignored).
-    pub fn fit_graph_on(&self, g: &Graph, exec: &Executor) -> FittedInitiator {
+    /// minimises the standard objective on `exec`.
+    pub fn fit_graph(&self, g: &Graph, exec: &Executor) -> FittedInitiator {
         let stats = MatchingStatistics::of_graph(g);
         let k = kronecker_order_for(g.node_count());
-        self.fit_statistics_on(&stats, k, exec)
+        self.fit_statistics(&stats, k, exec)
     }
 
     /// Fits an initiator to pre-computed matching statistics for a graph of Kronecker order `k`.
-    pub fn fit_statistics(&self, stats: &MatchingStatistics, k: u32) -> FittedInitiator {
-        self.fit_statistics_on(stats, k, &self.options.executor())
-    }
-
-    /// [`Self::fit_statistics`] on a caller-owned executor.
-    pub fn fit_statistics_on(
+    pub fn fit_statistics(
         &self,
         stats: &MatchingStatistics,
         k: u32,
         exec: &Executor,
     ) -> FittedInitiator {
-        self.fit_objective_on(&MomentObjective::standard(stats, k), exec)
+        self.fit_objective(&MomentObjective::standard(stats, k), exec)
     }
 
-    /// Fits an initiator by minimising an arbitrary (possibly non-default) moment objective.
-    /// This is the entry point the private estimator and the objective-grid ablation use.
-    pub fn fit_objective(&self, objective: &MomentObjective) -> FittedInitiator {
-        self.fit_objective_on(objective, &self.options.executor())
-    }
-
-    /// [`Self::fit_objective`] on a caller-owned executor.
-    pub fn fit_objective_on(
-        &self,
-        objective: &MomentObjective,
-        exec: &Executor,
-    ) -> FittedInitiator {
+    /// Fits an initiator by minimising an arbitrary (possibly non-default) moment objective on
+    /// `exec`. This is the entry point the private estimator and the objective-grid ablation
+    /// use. The optimiser is bit-identical for every pool size.
+    pub fn fit_objective(&self, objective: &MomentObjective, exec: &Executor) -> FittedInitiator {
         let bounds = Bounds::unit(3);
         let nm = NelderMeadOptions {
             max_evaluations: self.options.max_evaluations,
@@ -127,15 +84,10 @@ impl KronMomEstimator {
         let extra = vec![vec![0.99, 0.5, 0.2]];
         // The objective moves behind an `Arc` so the per-restart workers of the parallel
         // multistart share the observed statistics without copying or locking; the optimiser
-        // is bit-identical for every thread count, so `compute_threads` never changes the fit.
+        // is bit-identical for every thread count, so the pool size never changes the fit.
         let shared = objective.clone().into_shared();
-        let result = multistart_minimize_par(
-            move |p| shared.evaluate_params(p),
-            &bounds,
-            &extra,
-            &opts,
-            exec,
-        );
+        let result =
+            multistart_minimize(move |p| shared.evaluate_params(p), &bounds, &extra, &opts, exec);
         let theta =
             Initiator2::clamped(result.point[0], result.point[1], result.point[2]).canonicalized();
         FittedInitiator {
@@ -172,7 +124,11 @@ mod tests {
         // parameters: the objective has a zero at the truth.
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let k = 14;
-        let fit = KronMomEstimator::default().fit_statistics(&stats_from_moments(&truth, k), k);
+        let fit = KronMomEstimator::default().fit_statistics(
+            &stats_from_moments(&truth, k),
+            k,
+            &Executor::new(0),
+        );
         assert!(fit.objective_value < 1e-8, "objective {}", fit.objective_value);
         assert!((fit.theta.a - truth.a).abs() < 0.02, "{:?}", fit.theta);
         assert!((fit.theta.b - truth.b).abs() < 0.02, "{:?}", fit.theta);
@@ -187,7 +143,7 @@ mod tests {
         let k = 11;
         let mut rng = StdRng::seed_from_u64(1);
         let g = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng);
-        let fit = KronMomEstimator::default().fit_graph(&g);
+        let fit = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
         assert_eq!(fit.k, k);
         // Sampling noise at this size keeps the estimates within a few hundredths, matching the
         // spread the paper reports between the three estimators.
@@ -200,7 +156,11 @@ mod tests {
     fn canonicalisation_keeps_a_above_c() {
         let truth = Initiator2::new(0.3, 0.5, 0.9); // deliberately reversed
         let k = 10;
-        let fit = KronMomEstimator::default().fit_statistics(&stats_from_moments(&truth, k), k);
+        let fit = KronMomEstimator::default().fit_statistics(
+            &stats_from_moments(&truth, k),
+            k,
+            &Executor::new(0),
+        );
         assert!(fit.theta.a >= fit.theta.c);
     }
 
@@ -219,7 +179,7 @@ mod tests {
         ] {
             let objective =
                 MomentObjective::standard(&stats, k).with_distance(dist).with_normalization(norm);
-            let fit = KronMomEstimator::default().fit_objective(&objective);
+            let fit = KronMomEstimator::default().fit_objective(&objective, &Executor::new(0));
             assert!(fit.theta.distance(&truth) < 0.05, "{dist:?}/{norm:?} -> {:?}", fit.theta);
         }
     }
@@ -227,7 +187,7 @@ mod tests {
     #[test]
     fn degenerate_empty_graph_fits_a_near_zero_model() {
         let g = Graph::empty(64);
-        let fit = KronMomEstimator::default().fit_graph(&g);
+        let fit = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
         let m = ExpectedMoments::of(&fit.theta, fit.k);
         assert!(m.edges < 5.0, "expected nearly edge-free model, got {m:?}");
     }
@@ -235,7 +195,11 @@ mod tests {
     #[test]
     fn evaluations_are_reported() {
         let truth = Initiator2::new(0.9, 0.4, 0.2);
-        let fit = KronMomEstimator::default().fit_statistics(&stats_from_moments(&truth, 10), 10);
+        let fit = KronMomEstimator::default().fit_statistics(
+            &stats_from_moments(&truth, 10),
+            10,
+            &Executor::new(0),
+        );
         assert!(fit.evaluations > 7 * 7 * 7, "at least the seeding grid must be counted");
     }
 
@@ -246,8 +210,7 @@ mod tests {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let stats = stats_from_moments(&truth, 12);
         let fit_with = |threads: usize| {
-            let options = KronMomOptions { compute_threads: threads, ..Default::default() };
-            KronMomEstimator::new(options).fit_statistics(&stats, 12)
+            KronMomEstimator::default().fit_statistics(&stats, 12, &Executor::new(threads))
         };
         let reference = fit_with(1);
         for threads in [2usize, 8] {
@@ -266,17 +229,16 @@ mod tests {
 
     #[test]
     fn options_json_defaults_compute_threads_when_omitted() {
-        let options = KronMomOptions { compute_threads: 5, ..Default::default() };
+        let options = KronMomOptions { refine_top: 3, ..Default::default() };
         let text = kronpriv_json::to_string(&options);
-        assert!(text.contains("\"compute_threads\":5"), "{text}");
-        let back: KronMomOptions = kronpriv_json::from_str(&text).unwrap();
-        assert_eq!(back.compute_threads, 5);
-        // Back-compat: a pre-parallel-fitting options document still parses, defaulting to 0.
-        let legacy = text.replace(",\"compute_threads\":5", "");
+        assert_eq!(text, "{\"grid_points_per_axis\":7,\"refine_top\":3,\"max_evaluations\":4000}");
+        // Back-compat: a document from an older client that still carries `compute_threads`
+        // parses, and the field is ignored.
+        let legacy = text.replace("}", ",\"compute_threads\":5}");
         let back: KronMomOptions = kronpriv_json::from_str(&legacy).unwrap();
-        assert_eq!(back.compute_threads, 0);
-        // The pre-existing fields remain required.
-        let missing = legacy.replace("\"refine_top\":5,", "");
+        assert_eq!(kronpriv_json::to_string(&back), text);
+        // The fields remain required.
+        let missing = legacy.replace("\"refine_top\":3,", "");
         assert!(kronpriv_json::from_str::<KronMomOptions>(&missing).is_err());
     }
 }

@@ -194,7 +194,7 @@ impl MomentObjective {
 
 /// A [`MomentObjective`] behind an [`Arc`], the form the parallel multistart optimiser
 /// evaluates: cloning costs one pointer copy and evaluation takes `&self` on immutable data,
-/// so the per-restart workers of `multistart_minimize_par` need no locking of any kind.
+/// so the per-restart workers of `multistart_minimize` need no locking of any kind.
 ///
 /// Today's objective is four floats and three enums, so plain borrowing would do just as well
 /// (scoped workers can share `&MomentObjective` directly — the benches do). The `Arc` form is

@@ -16,12 +16,12 @@ use crate::kronmom::{KronMomEstimator, KronMomOptions};
 use crate::objective::{FeatureSelection, MomentObjective};
 use crate::{kronecker_order_for, FittedInitiator};
 use kronpriv_dp::{
-    private_degree_sequence_par, private_triangle_count_par, PrivacyParams, PrivateDegreeSequence,
+    private_degree_sequence, private_triangle_count, PrivacyParams, PrivateDegreeSequence,
     PrivateTriangleCount,
 };
 use kronpriv_graph::Graph;
-use kronpriv_json::{impl_json_struct, impl_json_struct_with_defaults};
-use kronpriv_obs::{NullSink, ProgressEvent, ProgressSink};
+use kronpriv_json::impl_json_struct;
+use kronpriv_obs::{ProgressEvent, ProgressSink};
 use kronpriv_par::Executor;
 use rand::Rng;
 
@@ -48,31 +48,18 @@ pub struct PrivateEstimatorOptions {
     /// deployments that need the feature-selection *decision* itself to be data-independent can
     /// set the threshold to `0.0` (always keep a positive `Δ̃`) or use `degrees_only`.
     pub triangle_signal_threshold: f64,
-    /// Worker-pool size for the parallelized stages — the counting kernels (triangle count,
-    /// smooth sensitivity), the isotonic degree post-processing, and the moment-matching fit
-    /// (grid scan + Nelder–Mead restarts); `0` means one worker per available hardware thread.
-    /// [`PrivateEstimator::fit`] builds one [`Executor`] of this size for the whole run;
-    /// callers that already own a pool use [`PrivateEstimator::fit_on`] and this field is
-    /// ignored. Every stage is deterministic for any pool size (see `kronpriv-par`), so this
-    /// is purely a performance knob: the fitted estimate is byte-identical whatever the value.
-    /// This pipeline-level knob overrides `kronmom.compute_threads`, so one setting governs
-    /// Algorithm 1 end to end.
-    pub compute_threads: usize,
     /// Options forwarded to the KronMom minimisation.
     pub kronmom: KronMomOptions,
 }
 
-// `compute_threads` may be *omitted* by older clients — absent means 0 ("auto") — while the
-// pre-existing fields stay required (defaulted fields serialize after the required ones).
-impl_json_struct_with_defaults!(PrivateEstimatorOptions {
-    required: {
-        degree_budget_fraction,
-        exact_smooth_sensitivity,
-        degrees_only,
-        triangle_signal_threshold,
-        kronmom,
-    },
-    defaults: { compute_threads: 0 },
+// Unknown keys are ignored, so documents from older clients that still carry the removed
+// `compute_threads` field parse unchanged.
+impl_json_struct!(PrivateEstimatorOptions {
+    degree_budget_fraction,
+    exact_smooth_sensitivity,
+    degrees_only,
+    triangle_signal_threshold,
+    kronmom,
 });
 
 impl Default for PrivateEstimatorOptions {
@@ -82,16 +69,8 @@ impl Default for PrivateEstimatorOptions {
             exact_smooth_sensitivity: false,
             degrees_only: false,
             triangle_signal_threshold: 2.0,
-            compute_threads: 0,
             kronmom: KronMomOptions::default(),
         }
-    }
-}
-
-impl PrivateEstimatorOptions {
-    /// Builds the [`Executor`] that [`PrivateEstimator::fit`] runs on (`0` ⇒ auto-sized pool).
-    pub fn executor(&self) -> Executor {
-        Executor::new(self.compute_threads)
     }
 }
 
@@ -133,39 +112,17 @@ impl PrivateEstimator {
 
     /// Runs Algorithm 1 on `g` with total budget `params`, using `rng` for all noise.
     ///
+    /// Every parallel stage borrows `exec`; the estimate is byte-identical for any pool size.
+    /// [`ProgressEvent::StageStarted`]/[`ProgressEvent::StageFinished`] pairs for the
+    /// `degree_release`, `triangle_release` (skipped in the degrees-only ablation) and `fit`
+    /// stages flow into `sink` (pass [`kronpriv_obs::NullSink`] to ignore them). The sink is
+    /// strictly an observer — the estimate is byte-identical whatever the sink does (the
+    /// no-feedback invariant of `kronpriv-obs`, pinned by `tests/observability_determinism.rs`).
+    ///
     /// # Panics
     /// Panics if `params.delta == 0` unless the degrees-only ablation is selected (the triangle
     /// release requires `δ > 0`), or if the budget fraction is not in `(0, 1)`.
     pub fn fit<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> PrivateEstimate {
-        self.fit_on(g, params, rng, &self.options.executor())
-    }
-
-    /// [`Self::fit`] on a caller-owned executor: every parallel stage of Algorithm 1 borrows
-    /// `exec` instead of building a pool per call (`options.compute_threads` is ignored). This
-    /// is the entry point long-lived hosts such as the HTTP server use, sharing one pool across
-    /// all jobs. The estimate is byte-identical to [`Self::fit`] for any pool size.
-    pub fn fit_on<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        params: PrivacyParams,
-        rng: &mut R,
-        exec: &Executor,
-    ) -> PrivateEstimate {
-        self.fit_on_observed(g, params, rng, exec, &NullSink)
-    }
-
-    /// [`Self::fit_on`] with typed progress reporting: emits
-    /// [`ProgressEvent::StageStarted`]/[`ProgressEvent::StageFinished`] pairs for the
-    /// `degree_release`, `triangle_release` (skipped in the degrees-only ablation) and `fit`
-    /// stages into `sink`. The sink is strictly an observer — the estimate is byte-identical
-    /// to [`Self::fit_on`] with the same seed, whatever the sink does (the no-feedback
-    /// invariant of `kronpriv-obs`, pinned by `tests/observability_determinism.rs`).
-    pub fn fit_on_observed<R: Rng + ?Sized>(
         &self,
         g: &Graph,
         params: PrivacyParams,
@@ -185,7 +142,7 @@ impl PrivateEstimator {
             // Spend everything on the degree sequence and drop Δ from the objective.
             sink.emit(&ProgressEvent::StageStarted { stage: "degree_release" });
             let degree_release =
-                private_degree_sequence_par(g, PrivacyParams::pure(params.epsilon), rng, exec);
+                private_degree_sequence(g, PrivacyParams::pure(params.epsilon), rng, exec);
             sink.emit(&ProgressEvent::StageFinished { stage: "degree_release" });
             let observed = [
                 degree_release.edge_count(),
@@ -196,7 +153,7 @@ impl PrivateEstimator {
             let objective = MomentObjective::from_counts(observed, k)
                 .with_features(FeatureSelection::without_triangles());
             sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-            let fit = kronmom.fit_objective_on(&objective, exec);
+            let fit = kronmom.fit_objective(&objective, exec);
             sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
             return PrivateEstimate {
                 fit,
@@ -211,14 +168,14 @@ impl PrivateEstimator {
         // the parallel executor (thread-count-deterministic like every other stage).
         let degree_budget = PrivacyParams::pure(params.epsilon * frac);
         sink.emit(&ProgressEvent::StageStarted { stage: "degree_release" });
-        let degree_release = private_degree_sequence_par(g, degree_budget, rng, exec);
+        let degree_release = private_degree_sequence(g, degree_budget, rng, exec);
         sink.emit(&ProgressEvent::StageFinished { stage: "degree_release" });
 
         // Step 5: (ε·(1-frac), δ)-DP triangle count. The parallel kernels are deterministic
         // for any thread count, so the release is a pure function of (graph, budget, rng).
         let triangle_budget = PrivacyParams::new(params.epsilon * (1.0 - frac), params.delta);
         sink.emit(&ProgressEvent::StageStarted { stage: "triangle_release" });
-        let triangle_release = private_triangle_count_par(
+        let triangle_release = private_triangle_count(
             g,
             triangle_budget,
             self.options.exact_smooth_sensitivity,
@@ -247,7 +204,7 @@ impl PrivateEstimator {
         };
         let objective = MomentObjective::from_counts(observed, k).with_features(features);
         sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-        let fit = kronmom.fit_objective_on(&objective, exec);
+        let fit = kronmom.fit_objective(&objective, exec);
         sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
 
         PrivateEstimate {
@@ -264,6 +221,7 @@ impl PrivateEstimator {
 mod tests {
     use super::*;
     use kronpriv_graph::MatchingStatistics;
+    use kronpriv_obs::NullSink;
     use kronpriv_skg::sample::{sample_fast, SamplerOptions};
     use kronpriv_skg::Initiator2;
     use rand::rngs::StdRng;
@@ -280,7 +238,8 @@ mod tests {
         let (_, g) = synthetic_graph(10, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let params = PrivacyParams::paper_default();
-        let est = PrivateEstimator::default().fit(&g, params, &mut rng);
+        let est =
+            PrivateEstimator::default().fit(&g, params, &mut rng, &Executor::new(0), &NullSink);
         assert_eq!(est.params, params);
         assert_eq!(est.private_statistics.len(), 4);
         assert!(est.triangle_release.is_some());
@@ -293,8 +252,14 @@ mod tests {
         // coincide with KronMom on the same graph.
         let (_, g) = synthetic_graph(11, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let private = PrivateEstimator::default().fit(&g, PrivacyParams::new(1e6, 0.01), &mut rng);
-        let non_private = KronMomEstimator::default().fit_graph(&g);
+        let private = PrivateEstimator::default().fit(
+            &g,
+            PrivacyParams::new(1e6, 0.01),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
+        let non_private = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
         assert!(
             private.fit.theta.distance(&non_private.theta) < 0.02,
             "private {:?} vs non-private {:?}",
@@ -314,8 +279,14 @@ mod tests {
         // on 5k-16k-node networks.
         let (truth, g) = synthetic_graph(13, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let est = PrivateEstimator::default().fit(&g, PrivacyParams::paper_default(), &mut rng);
-        let non_private = KronMomEstimator::default().fit_graph(&g);
+        let est = PrivateEstimator::default().fit(
+            &g,
+            PrivacyParams::paper_default(),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
+        let non_private = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
         assert!(
             est.fit.theta.distance(&non_private.theta) < 0.1,
             "private {:?} vs kronmom {:?}",
@@ -335,7 +306,13 @@ mod tests {
         let (_, g) = synthetic_graph(13, 7);
         let exact = MatchingStatistics::of_graph(&g).as_array();
         let mut rng = StdRng::seed_from_u64(8);
-        let est = PrivateEstimator::default().fit(&g, PrivacyParams::new(0.5, 0.01), &mut rng);
+        let est = PrivateEstimator::default().fit(
+            &g,
+            PrivacyParams::new(0.5, 0.01),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         // Edges and hairpins are dominated by the degree sums and should be close in relative
         // terms; the triangle count carries smooth-sensitivity noise so allow a wider band.
         let rel = |i: usize| (est.private_statistics[i] - exact[i]).abs() / exact[i].max(1.0);
@@ -350,7 +327,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let options = PrivateEstimatorOptions { degrees_only: true, ..Default::default() };
         // δ = 0 is allowed here because no smooth-sensitivity release happens.
-        let est = PrivateEstimator::new(options).fit(&g, PrivacyParams::pure(0.2), &mut rng);
+        let est = PrivateEstimator::new(options).fit(
+            &g,
+            PrivacyParams::pure(0.2),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         assert!(est.triangle_release.is_none());
         assert_eq!(est.private_statistics[2], 0.0);
         assert!(est.fit.theta.a >= est.fit.theta.c);
@@ -361,7 +344,13 @@ mod tests {
         let (_, g) = synthetic_graph(10, 11);
         let mut rng = StdRng::seed_from_u64(12);
         let options = PrivateEstimatorOptions { degree_budget_fraction: 0.8, ..Default::default() };
-        let est = PrivateEstimator::new(options).fit(&g, PrivacyParams::new(1.0, 0.01), &mut rng);
+        let est = PrivateEstimator::new(options).fit(
+            &g,
+            PrivacyParams::new(1.0, 0.01),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         assert!((est.degree_release.params.epsilon - 0.8).abs() < 1e-12);
         let tri = est.triangle_release.unwrap();
         assert!((tri.params.epsilon - 0.2).abs() < 1e-12);
@@ -374,24 +363,33 @@ mod tests {
         let (_, g) = synthetic_graph(8, 13);
         let mut rng = StdRng::seed_from_u64(14);
         let options = PrivateEstimatorOptions { degree_budget_fraction: 1.5, ..Default::default() };
-        let _ = PrivateEstimator::new(options).fit(&g, PrivacyParams::paper_default(), &mut rng);
+        let _ = PrivateEstimator::new(options).fit(
+            &g,
+            PrivacyParams::paper_default(),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
     }
 
     #[test]
     fn options_json_defaults_compute_threads_when_omitted() {
-        // Round trip: the field serializes and comes back.
-        let options = PrivateEstimatorOptions { compute_threads: 3, ..Default::default() };
+        // Round trip: the options serialize without any thread knob and come back.
+        let options = PrivateEstimatorOptions { degree_budget_fraction: 0.3, ..Default::default() };
         let text = kronpriv_json::to_string(&options);
-        assert!(text.contains("\"compute_threads\":3"), "{text}");
+        assert!(!text.contains("compute_threads"), "{text}");
         let back: PrivateEstimatorOptions = kronpriv_json::from_str(&text).unwrap();
-        assert_eq!(back.compute_threads, 3);
-        // Back-compat: a pre-parallel-layer options document (no compute_threads) still parses,
-        // defaulting to 0 ("auto"). Defaulted fields serialize last, hence the leading comma.
-        let legacy = text.replace(",\"compute_threads\":3", "");
+        assert_eq!(back.degree_budget_fraction, 0.3);
+        // Back-compat: a document from an older client that still carries `compute_threads`
+        // (top level and inside `kronmom`) parses, and the field is ignored.
+        let legacy = text
+            .replace("\"kronmom\":{", "\"kronmom\":{\"compute_threads\":5,")
+            .replace("\"degrees_only\":false,", "\"degrees_only\":false,\"compute_threads\":3,");
+        assert!(legacy.matches("compute_threads").count() == 2, "{legacy}");
         let back: PrivateEstimatorOptions = kronpriv_json::from_str(&legacy).unwrap();
-        assert_eq!(back.compute_threads, 0);
+        assert_eq!(kronpriv_json::to_string(&back), text);
         // Required fields are still required.
-        let missing = legacy.replace("\"degrees_only\":false,", "");
+        let missing = text.replace("\"degrees_only\":false,", "");
         assert!(kronpriv_json::from_str::<PrivateEstimatorOptions>(&missing).is_err());
     }
 
@@ -400,9 +398,14 @@ mod tests {
         let (_, g) = synthetic_graph(9, 30);
         let fit_with = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(31);
-            let options =
-                PrivateEstimatorOptions { compute_threads: threads, ..Default::default() };
-            PrivateEstimator::new(options).fit(&g, PrivacyParams::paper_default(), &mut rng)
+            let exec = Executor::new(threads);
+            PrivateEstimator::default().fit(
+                &g,
+                PrivacyParams::paper_default(),
+                &mut rng,
+                &exec,
+                &NullSink,
+            )
         };
         let reference = fit_with(1);
         for threads in [2usize, 8] {
@@ -422,10 +425,15 @@ mod tests {
         let (_, g) = synthetic_graph(9, 40);
         let exec = Executor::sequential();
         let params = PrivacyParams::paper_default();
-        let plain =
-            PrivateEstimator::default().fit_on(&g, params, &mut StdRng::seed_from_u64(41), &exec);
+        let plain = PrivateEstimator::default().fit(
+            &g,
+            params,
+            &mut StdRng::seed_from_u64(41),
+            &exec,
+            &NullSink,
+        );
         let sink = CollectingSink::new();
-        let observed = PrivateEstimator::default().fit_on_observed(
+        let observed = PrivateEstimator::default().fit(
             &g,
             params,
             &mut StdRng::seed_from_u64(41),
@@ -464,7 +472,7 @@ mod tests {
         let exec = Executor::sequential();
         let options = PrivateEstimatorOptions { degrees_only: true, ..Default::default() };
         let sink = CollectingSink::new();
-        PrivateEstimator::new(options).fit_on_observed(
+        PrivateEstimator::new(options).fit(
             &g,
             PrivacyParams::pure(0.5),
             &mut StdRng::seed_from_u64(43),
@@ -487,7 +495,10 @@ mod tests {
         let (_, g) = synthetic_graph(9, 15);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            PrivateEstimator::default().fit(&g, PrivacyParams::paper_default(), &mut rng).fit.theta
+            PrivateEstimator::default()
+                .fit(&g, PrivacyParams::paper_default(), &mut rng, &Executor::new(0), &NullSink)
+                .fit
+                .theta
         };
         assert_eq!(run(77), run(77));
     }

@@ -65,7 +65,7 @@ impl MatchingStatistics {
             edges: g.edge_count() as f64,
             hairpins: hairpin_count(&degrees),
             tripins: tripin_count(&degrees),
-            triangles: triangle_count(g) as f64,
+            triangles: triangle_count(g, &Executor::sequential()) as f64,
         }
     }
 
@@ -118,16 +118,11 @@ pub fn tripin_count(degrees: &[usize]) -> f64 {
         .sum()
 }
 
-/// Exact number of triangles in `g`: the forward count of [`DegreeOrdered::triangle_count`].
+/// Exact number of triangles in `g` on `exec`'s compute threads: relabels `g` by degree and
+/// runs the forward count of [`DegreeOrdered::triangle_count`]. The partial counts are
+/// integers, so the result is identical for any thread count.
 // lint:source(sensitive)
-pub fn triangle_count(g: &Graph) -> u64 {
-    triangle_count_par(g, &Executor::sequential())
-}
-
-/// [`triangle_count`] on `exec`'s compute threads: relabels `g` by degree and runs the forward
-/// count. The partial counts are integers, so the result is identical for any thread count.
-// lint:source(sensitive)
-pub fn triangle_count_par(g: &Graph, exec: &Executor) -> u64 {
+pub fn triangle_count(g: &Graph, exec: &Executor) -> u64 {
     DegreeOrdered::new(g).triangle_count(exec)
 }
 
@@ -310,15 +305,11 @@ impl DegreeOrdered {
     }
 }
 
-/// Number of triangles incident to each node.
-pub fn per_node_triangles(g: &Graph) -> Vec<u64> {
-    per_node_triangles_par(g, &Executor::sequential())
-}
-
-/// [`per_node_triangles`] on `exec`'s compute threads. Edge-partitioned with one `O(n)`
-/// counter array per participant; the per-participant arrays are merged element-wise, which is
-/// exact (integer sums), so the result is identical for any thread count.
-pub fn per_node_triangles_par(g: &Graph, exec: &Executor) -> Vec<u64> {
+/// Number of triangles incident to each node, on `exec`'s compute threads. Edge-partitioned
+/// with one `O(n)` counter array per participant; the per-participant arrays are merged
+/// element-wise, which is exact (integer sums), so the result is identical for any thread
+/// count.
+pub fn per_node_triangles(g: &Graph, exec: &Executor) -> Vec<u64> {
     let edges = g.edges();
     let n = g.node_count();
     exec.fold_reduce(
@@ -417,6 +408,10 @@ mod tests {
     use crate::test_support::rand_edges;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn seq() -> Executor {
+        Executor::sequential()
+    }
 
     fn complete_graph(n: usize) -> Graph {
         let mut edges = Vec::new();
@@ -525,7 +520,7 @@ mod tests {
                     "graph {index}, threads {threads}"
                 );
             }
-            assert_eq!(triangle_count(g), count, "graph {index}");
+            assert_eq!(triangle_count(g, &execs[0]), count, "graph {index}");
         }
         assert_eq!(max_common_neighbors(&star_of_stars(12, 8)), 8);
     }
@@ -533,17 +528,17 @@ mod tests {
     #[test]
     fn triangle_count_of_complete_graphs() {
         // K_n has C(n,3) triangles.
-        assert_eq!(triangle_count(&complete_graph(3)), 1);
-        assert_eq!(triangle_count(&complete_graph(4)), 4);
-        assert_eq!(triangle_count(&complete_graph(5)), 10);
-        assert_eq!(triangle_count(&complete_graph(6)), 20);
+        assert_eq!(triangle_count(&complete_graph(3), &seq()), 1);
+        assert_eq!(triangle_count(&complete_graph(4), &seq()), 4);
+        assert_eq!(triangle_count(&complete_graph(5), &seq()), 10);
+        assert_eq!(triangle_count(&complete_graph(6), &seq()), 20);
     }
 
     #[test]
     fn triangle_count_of_triangle_free_graphs() {
-        assert_eq!(triangle_count(&star_graph(10)), 0);
+        assert_eq!(triangle_count(&star_graph(10), &seq()), 0);
         let path = Graph::from_edges(5, (0..4u32).map(|i| (i, i + 1)));
-        assert_eq!(triangle_count(&path), 0);
+        assert_eq!(triangle_count(&path, &seq()), 0);
     }
 
     #[test]
@@ -584,9 +579,9 @@ mod tests {
     #[test]
     fn per_node_triangles_sum_to_three_times_total() {
         let g = complete_graph(5);
-        let per_node = per_node_triangles(&g);
+        let per_node = per_node_triangles(&g, &seq());
         let total: u64 = per_node.iter().sum();
-        assert_eq!(total, 3 * triangle_count(&g));
+        assert_eq!(total, 3 * triangle_count(&g, &seq()));
         // In K_5 every node participates in C(4,2) = 6 triangles.
         assert!(per_node.iter().all(|&c| c == 6));
     }
@@ -628,8 +623,8 @@ mod tests {
         // This is the identity the local sensitivity argument relies on.
         let g = complete_graph(5).with_edge_removed(0, 1);
         let common = common_neighbor_count(&g, 0, 1);
-        let before = triangle_count(&g);
-        let after = triangle_count(&g.with_edge_added(0, 1));
+        let before = triangle_count(&g, &seq());
+        let after = triangle_count(&g.with_edge_added(0, 1), &seq());
         assert_eq!(after - before, common as u64);
     }
 
@@ -654,12 +649,12 @@ mod tests {
         for _ in 0..8 {
             let edges = rand_edges(&mut rng, 60, 600);
             let g = Graph::from_edges(60, edges);
-            let count = triangle_count(&g);
-            let per_node = per_node_triangles(&g);
+            let count = triangle_count(&g, &seq());
+            let per_node = per_node_triangles(&g, &seq());
             for threads in [1usize, 2, 8] {
                 let exec = Executor::new(threads);
-                assert_eq!(triangle_count_par(&g, &exec), count, "threads {threads}");
-                assert_eq!(per_node_triangles_par(&g, &exec), per_node, "threads {threads}");
+                assert_eq!(triangle_count(&g, &exec), count, "threads {threads}");
+                assert_eq!(per_node_triangles(&g, &exec), per_node, "threads {threads}");
             }
         }
     }
@@ -692,8 +687,8 @@ mod tests {
             let g = Graph::from_edges(12, edges);
             if let Some(&(u, v)) = g.edges().first() {
                 let expected_drop = common_neighbor_count(&g, u, v) as i64;
-                let before = triangle_count(&g) as i64;
-                let after = triangle_count(&g.with_edge_removed(u, v)) as i64;
+                let before = triangle_count(&g, &seq()) as i64;
+                let after = triangle_count(&g.with_edge_removed(u, v), &seq()) as i64;
                 assert_eq!(before - after, expected_drop);
             }
         }
@@ -705,8 +700,8 @@ mod tests {
         for _ in 0..128 {
             let edges = rand_edges(&mut rng, 15, 80);
             let g = Graph::from_edges(15, edges);
-            let total: u64 = per_node_triangles(&g).iter().sum();
-            assert_eq!(total, 3 * triangle_count(&g));
+            let total: u64 = per_node_triangles(&g, &seq()).iter().sum();
+            assert_eq!(total, 3 * triangle_count(&g, &seq()));
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::graph::Graph;
 use kronpriv_par::{Executor, Work};
 use std::collections::VecDeque;
 
-/// BFS sources per work chunk for [`reachable_pairs_by_hops_par`]. Fixed (independent of the
+/// BFS sources per work chunk for [`reachable_pairs_by_hops`]. Fixed (independent of the
 /// thread count) so the per-chunk histograms — and their exact integer merge — are identical
 /// for any [`Executor`].
 const SOURCE_CHUNK: usize = 32;
@@ -105,14 +105,11 @@ pub fn effective_diameter_exact(g: &Graph) -> u32 {
 /// with `dist(u, v) ≤ h` (the quantity plotted on the y-axis of the paper's hop plots). Index 0
 /// therefore equals the number of nodes. The vector stops growing once all reachable pairs are
 /// covered.
-pub fn reachable_pairs_by_hops(g: &Graph) -> Vec<u64> {
-    reachable_pairs_by_hops_par(g, &Executor::sequential())
-}
-
-/// [`reachable_pairs_by_hops`] on `exec`'s compute threads, source-partitioned: each
-/// fixed chunk of BFS sources builds its own per-distance histogram and the histograms are
-/// summed element-wise (exact integer addition), so the curve is identical for any thread count.
-pub fn reachable_pairs_by_hops_par(g: &Graph, exec: &Executor) -> Vec<u64> {
+///
+/// Runs on `exec`'s compute threads, source-partitioned: each fixed chunk of BFS sources builds
+/// its own per-distance histogram and the histograms are summed element-wise (exact integer
+/// addition), so the curve is identical for any thread count.
+pub fn reachable_pairs_by_hops(g: &Graph, exec: &Executor) -> Vec<u64> {
     let n = g.node_count();
     let per_hop = exec.fold_reduce(
         n,
@@ -221,13 +218,13 @@ mod tests {
     fn hop_plot_of_triangle() {
         // Triangle: 3 pairs at distance 0 (self), 6 ordered pairs at distance 1.
         let g = Graph::from_edges(3, vec![(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(reachable_pairs_by_hops(&g), vec![3, 9]);
+        assert_eq!(reachable_pairs_by_hops(&g, &Executor::sequential()), vec![3, 9]);
     }
 
     #[test]
     fn hop_plot_of_path_is_cumulative_and_saturates() {
         let g = path(4);
-        let hops = reachable_pairs_by_hops(&g);
+        let hops = reachable_pairs_by_hops(&g, &Executor::sequential());
         // h=0: 4, h=1: +6 ordered adjacent pairs = 10, h=2: +4 = 14, h=3: +2 = 16 = n^2.
         assert_eq!(hops, vec![4, 10, 14, 16]);
         assert_eq!(*hops.last().unwrap(), 16);
@@ -236,7 +233,7 @@ mod tests {
     #[test]
     fn hop_plot_is_monotone_non_decreasing() {
         let g = Graph::from_edges(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let hops = reachable_pairs_by_hops(&g);
+        let hops = reachable_pairs_by_hops(&g, &Executor::sequential());
         assert!(hops.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -247,7 +244,7 @@ mod tests {
         for _ in 0..128 {
             let edges = rand_edges(&mut rng, 12, 40);
             let g = Graph::from_edges(12, edges);
-            let hops = reachable_pairs_by_hops(&g);
+            let hops = reachable_pairs_by_hops(&g, &Executor::sequential());
             let labels = connected_components(&g);
             let k = component_count(&g);
             let mut sizes = vec![0u64; k];

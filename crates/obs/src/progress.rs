@@ -1,7 +1,7 @@
 //! Typed progress events and the sink trait the estimator loops emit into.
 //!
-//! The compute crates (`kronpriv-dp`, `kronpriv-estimate`, `kronpriv`) take a
-//! `&dyn ProgressSink` in their `*_observed` entry points and call [`ProgressSink::emit`] at
+//! The compute crates (`kronpriv-estimate`, `kronpriv`) take a `&dyn ProgressSink` in every
+//! entry point that reports progress and call [`ProgressSink::emit`] at
 //! stage boundaries and per-chain KronFit steps. What a sink *does* with an event — append it
 //! to a job log, stream it over HTTP, drop it — is entirely the caller's business; nothing a
 //! sink returns can alter the computation (emit returns `()`), preserving the crate-level
@@ -51,7 +51,7 @@ pub trait ProgressSink: Sync {
     }
 }
 
-/// Discards every event — the default sink behind the plain (non-`_observed`) entry points.
+/// Discards every event — what a caller passes when it does not want progress reports.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 

@@ -24,9 +24,7 @@ pub struct GridPoint {
     pub value: f64,
 }
 
-/// The coordinates of lattice point `index` (row-major with the first axis fastest — the same
-/// enumeration order for the sequential and the parallel scan, so the two produce bit-identical
-/// coordinates).
+/// The coordinates of lattice point `index` (row-major with the first axis fastest).
 fn lattice_point(index: usize, bounds: &Bounds, points_per_axis: usize) -> Vec<f64> {
     let mut rest = index;
     (0..bounds.dim())
@@ -39,60 +37,28 @@ fn lattice_point(index: usize, bounds: &Bounds, points_per_axis: usize) -> Vec<f
         .collect()
 }
 
-fn check_grid_arguments(bounds: &Bounds, points_per_axis: usize) -> usize {
-    assert!(bounds.dim() > 0, "cannot grid-search a zero-dimensional problem");
-    assert!(points_per_axis >= 2, "need at least two points per axis");
-    points_per_axis.pow(bounds.dim() as u32)
-}
-
-/// Sorts evaluated lattice points by increasing value; the sort is stable, so equal-valued
-/// points stay in lattice-enumeration order (the tie-break the multistart seeding relies on).
-fn sort_grid(mut results: Vec<GridPoint>) -> Vec<GridPoint> {
-    results.sort_by(|a, b| a.value.total_cmp(&b.value));
-    results
-}
-
 /// Evaluates `f` on a regular lattice with `points_per_axis` points per axis (endpoints
 /// included) and returns all evaluated points sorted by increasing objective value. NaN
 /// objective values are treated as `+∞`.
 ///
 /// The lattice has `points_per_axis ^ dim` points, so this is intended for low-dimensional
-/// problems (the estimators use `dim = 3`).
+/// problems (the estimators use `dim = 3`). It is split into fixed [`GRID_CHUNK`]-sized index
+/// chunks evaluated concurrently on `exec` and concatenated in chunk order, so the output —
+/// including the stable-sort order of equal-valued points — is **bit-identical** for every
+/// thread count. `f` is shared by the workers, so it must be a pure function of the point.
 ///
 /// # Panics
 /// Panics if `points_per_axis < 2` or the dimension is zero.
-pub fn grid_search<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    bounds: &Bounds,
-    points_per_axis: usize,
-) -> Vec<GridPoint> {
-    let total = check_grid_arguments(bounds, points_per_axis);
-    let mut results = Vec::with_capacity(total);
-    for index in 0..total {
-        let point = lattice_point(index, bounds, points_per_axis);
-        let raw = f(&point);
-        let value = if raw.is_nan() { f64::INFINITY } else { raw };
-        results.push(GridPoint { point, value });
-    }
-    sort_grid(results)
-}
-
-/// Parallel form of [`grid_search`]: the lattice is split into fixed [`GRID_CHUNK`]-sized index
-/// chunks evaluated concurrently and concatenated in chunk order, so the output — including the
-/// stable-sort order of equal-valued points — is **bit-identical** to the sequential scan for
-/// every thread count. Requires `Fn` (not `FnMut`): the objective is shared by the workers, so
-/// it must be a pure function of the point.
-///
-/// # Panics
-/// Panics if `points_per_axis < 2` or the dimension is zero.
-pub fn grid_search_par(
+pub fn grid_search(
     f: impl Fn(&[f64]) -> f64 + Sync,
     bounds: &Bounds,
     points_per_axis: usize,
     exec: &Executor,
 ) -> Vec<GridPoint> {
-    let total = check_grid_arguments(bounds, points_per_axis);
-    let results = exec.map_reduce(
+    assert!(bounds.dim() > 0, "cannot grid-search a zero-dimensional problem");
+    assert!(points_per_axis >= 2, "need at least two points per axis");
+    let total = points_per_axis.pow(bounds.dim() as u32);
+    let mut results = exec.map_reduce(
         total,
         GRID_CHUNK,
         GRID_WORK,
@@ -112,7 +78,10 @@ pub fn grid_search_par(
         },
         Vec::with_capacity(total),
     );
-    sort_grid(results)
+    // The sort is stable, so equal-valued points stay in lattice-enumeration order (the
+    // tie-break the multistart seeding relies on).
+    results.sort_by(|a, b| a.value.total_cmp(&b.value));
+    results
 }
 
 #[cfg(test)]
@@ -121,20 +90,22 @@ mod tests {
 
     #[test]
     fn covers_the_expected_number_of_points() {
-        let pts = grid_search(|x| x.iter().sum(), &Bounds::unit(2), 5);
+        let pts = grid_search(|x| x.iter().sum(), &Bounds::unit(2), 5, &Executor::sequential());
         assert_eq!(pts.len(), 25);
     }
 
     #[test]
     fn results_are_sorted_by_value() {
-        let pts = grid_search(|x| (x[0] - 0.5).abs(), &Bounds::unit(1), 11);
+        let pts =
+            grid_search(|x| (x[0] - 0.5).abs(), &Bounds::unit(1), 11, &Executor::sequential());
         assert!(pts.windows(2).all(|w| w[0].value <= w[1].value));
         assert!((pts[0].point[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn endpoints_are_included() {
-        let pts = grid_search(|x| x[0], &Bounds::new(vec![-1.0], vec![3.0]), 3);
+        let pts =
+            grid_search(|x| x[0], &Bounds::new(vec![-1.0], vec![3.0]), 3, &Executor::sequential());
         let coords: Vec<f64> = pts.iter().map(|p| p.point[0]).collect();
         assert!(coords.contains(&-1.0));
         assert!(coords.contains(&1.0));
@@ -149,20 +120,25 @@ mod tests {
             let w2 = (x[0] - 0.9).powi(2) - 0.5;
             w1.min(w2)
         };
-        let pts = grid_search(f, &Bounds::unit(1), 21);
+        let pts = grid_search(f, &Bounds::unit(1), 21, &Executor::sequential());
         assert!((pts[0].point[0] - 0.9).abs() < 0.06);
     }
 
     #[test]
     fn nan_values_sort_last() {
-        let pts = grid_search(|x| if x[0] < 0.5 { f64::NAN } else { x[0] }, &Bounds::unit(1), 5);
+        let pts = grid_search(
+            |x| if x[0] < 0.5 { f64::NAN } else { x[0] },
+            &Bounds::unit(1),
+            5,
+            &Executor::sequential(),
+        );
         assert!(pts.first().unwrap().value.is_finite());
         assert!(pts.last().unwrap().value.is_infinite());
     }
 
     #[test]
     fn three_dimensional_grid_has_cubic_size() {
-        let pts = grid_search(|x| x.iter().sum(), &Bounds::unit(3), 4);
+        let pts = grid_search(|x| x.iter().sum(), &Bounds::unit(3), 4, &Executor::sequential());
         assert_eq!(pts.len(), 64);
         // Best point of a sum objective on the unit box is the origin.
         assert!(pts[0].point.iter().all(|&v| v == 0.0));
@@ -171,7 +147,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two points")]
     fn rejects_degenerate_grids() {
-        let _ = grid_search(|x| x[0], &Bounds::unit(1), 1);
+        let _ = grid_search(|x| x[0], &Bounds::unit(1), 1, &Executor::sequential());
     }
 
     #[test]
@@ -182,9 +158,9 @@ mod tests {
         let f =
             |x: &[f64]| ((x[0] - 0.3).abs() * 10.0).round() + ((x[1] - 0.7).abs() * 10.0).round();
         let bounds = Bounds::unit(3);
-        let reference = grid_search(f, &bounds, 9);
+        let reference = grid_search(f, &bounds, 9, &Executor::sequential());
         for threads in [1usize, 2, 8] {
-            let got = grid_search_par(f, &bounds, 9, &Executor::new(threads));
+            let got = grid_search(f, &bounds, 9, &Executor::new(threads));
             assert_eq!(got.len(), reference.len(), "threads {threads}");
             for (a, b) in got.iter().zip(&reference) {
                 assert_eq!(a.value.to_bits(), b.value.to_bits(), "threads {threads}");
@@ -199,8 +175,8 @@ mod tests {
     #[test]
     fn parallel_scan_handles_nan_like_sequential() {
         let f = |x: &[f64]| if x[0] < 0.5 { f64::NAN } else { x[0] };
-        let seq = grid_search(f, &Bounds::unit(1), 129);
-        let par = grid_search_par(f, &Bounds::unit(1), 129, &Executor::new(4));
+        let seq = grid_search(f, &Bounds::unit(1), 129, &Executor::sequential());
+        let par = grid_search(f, &Bounds::unit(1), 129, &Executor::new(4));
         for (a, b) in par.iter().zip(&seq) {
             assert_eq!(a.value.to_bits(), b.value.to_bits());
         }

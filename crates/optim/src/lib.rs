@@ -10,10 +10,9 @@
 //! * [`multistart`] — the driver that combines the two and returns the best local minimum.
 //!
 //! The code is written against a plain `Fn(&[f64]) -> f64` objective so the estimators stay
-//! decoupled from the optimiser. The grid scan and the multistart restarts also come in
-//! parallel forms ([`grid_search_par`], [`multistart_minimize_par`]) built on the
+//! decoupled from the optimiser. The grid scan and the multistart restarts run on the
 //! deterministic `kronpriv-par` executor: for a pure (`Fn + Sync`) objective they return
-//! bit-identical results for every thread count, so the thread knob is purely a performance
+//! bit-identical results for every thread count, so the pool size is purely a performance
 //! control — the same contract the counting kernels already honour.
 
 #![forbid(unsafe_code)]
@@ -23,6 +22,6 @@ pub mod grid;
 pub mod multistart;
 pub mod nelder_mead;
 
-pub use grid::{grid_search, grid_search_par};
-pub use multistart::{multistart_minimize, multistart_minimize_par, MultistartOptions};
+pub use grid::grid_search;
+pub use multistart::{multistart_minimize, MultistartOptions};
 pub use nelder_mead::{nelder_mead, Bounds, NelderMeadOptions, OptimizationResult};

@@ -1,15 +1,13 @@
 //! Multi-start minimisation: coarse grid scan followed by Nelder–Mead refinement of the most
 //! promising starting points. This is the driver the KronMom and private estimators call.
 //!
-//! Two forms are provided. [`multistart_minimize`] is the original sequential driver over an
-//! arbitrary `FnMut` objective. [`multistart_minimize_par`] runs the grid scan and every
-//! Nelder–Mead restart as independent chunked tasks on an [`Executor`]; because each restart
-//! is a deterministic function of its start point and the per-restart outcomes are reduced in
-//! start-index order with a lowest-objective / lowest-index tie-break, the parallel driver
-//! returns **bit-identical** results for every thread count — and bit-identical to the
-//! sequential driver on the same (pure) objective.
+//! [`multistart_minimize`] runs the grid scan and every Nelder–Mead restart as independent
+//! chunked tasks on an [`Executor`]; because each restart is a deterministic function of its
+//! start point and the per-restart outcomes are reduced in start-index order with a
+//! lowest-objective / lowest-index tie-break, it returns **bit-identical** results for every
+//! thread count.
 
-use crate::grid::{grid_search, grid_search_par, GridPoint};
+use crate::grid::grid_search;
 use crate::nelder_mead::{nelder_mead, Bounds, NelderMeadOptions, OptimizationResult};
 use kronpriv_par::{Executor, Work};
 
@@ -38,15 +36,24 @@ impl Default for MultistartOptions {
     }
 }
 
-/// The refinement start list: the `refine_top` best grid points followed by the caller's extra
-/// starts (projected into the box). Shared by the sequential and parallel drivers so their
-/// restart sets — and therefore their results — are identical.
-fn collect_starts(
-    grid: &[GridPoint],
+/// Minimises `f` over `bounds`: evaluates a coarse grid, refines the `refine_top` best grid
+/// points with Nelder–Mead (plus any caller-provided extra starting points, projected into the
+/// box) and returns the best result found.
+///
+/// The seeding grid is scanned with [`grid_search`] and every Nelder–Mead restart runs as an
+/// independent chunked task on `exec`. Each restart is a pure function of its start point, the
+/// per-restart outcomes are reduced in start-index order, and ties in the final objective value
+/// are broken towards the lowest start index — so the result (point, value and evaluation
+/// count) is **bit-identical** for every thread count. Requires a `Fn + Sync` objective:
+/// workers share `f` by reference and need no locking.
+pub fn multistart_minimize(
+    f: impl Fn(&[f64]) -> f64 + Sync,
     bounds: &Bounds,
     extra_starts: &[Vec<f64>],
     options: &MultistartOptions,
-) -> Vec<Vec<f64>> {
+    exec: &Executor,
+) -> OptimizationResult {
+    let grid = grid_search(&f, bounds, options.grid_points_per_axis, exec);
     let mut starts: Vec<Vec<f64>> =
         grid.iter().take(options.refine_top.max(1)).map(|p| p.point.clone()).collect();
     for s in extra_starts {
@@ -54,68 +61,6 @@ fn collect_starts(
         bounds.project(&mut s);
         starts.push(s);
     }
-    starts
-}
-
-/// Folds per-restart outcomes **in start-index order**, keeping the strictly-better result —
-/// i.e. the lowest objective value, with ties broken towards the lowest start index. This is
-/// the same selection rule as the sequential loop, stated once so both drivers share it.
-fn select_best(
-    outcomes: impl IntoIterator<Item = OptimizationResult>,
-    grid_evaluations: usize,
-) -> OptimizationResult {
-    let mut best: Option<OptimizationResult> = None;
-    let mut total_evaluations = grid_evaluations;
-    for result in outcomes {
-        total_evaluations += result.evaluations;
-        let replace = match &best {
-            None => true,
-            Some(b) => result.value < b.value,
-        };
-        if replace {
-            best = Some(result);
-        }
-    }
-    let mut best = best.expect("at least one start point is always refined");
-    best.evaluations = total_evaluations;
-    best
-}
-
-/// Minimises `f` over `bounds`: evaluates a coarse grid, refines the `refine_top` best grid
-/// points with Nelder–Mead (plus any caller-provided extra starting points) and returns the best
-/// result found.
-pub fn multistart_minimize<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    bounds: &Bounds,
-    extra_starts: &[Vec<f64>],
-    options: &MultistartOptions,
-) -> OptimizationResult {
-    let grid = grid_search(&mut f, bounds, options.grid_points_per_axis);
-    let starts = collect_starts(&grid, bounds, extra_starts, options);
-    let outcomes =
-        starts.iter().map(|start| nelder_mead(&mut f, start, bounds, &options.nelder_mead));
-    // `select_best` needs the outcomes one at a time while `f` is mutably borrowed by the
-    // iterator, so collect first.
-    let outcomes: Vec<OptimizationResult> = outcomes.collect();
-    select_best(outcomes, grid.len())
-}
-
-/// Parallel form of [`multistart_minimize`]: the seeding grid is scanned with
-/// [`grid_search_par`] and every Nelder–Mead restart runs as an independent chunked task on
-/// `exec`. Each restart is a pure function of its start point, the per-restart outcomes are
-/// reduced in start-index order, and ties in the final objective value are broken towards the
-/// lowest start index — so the result (point, value and evaluation count) is **bit-identical**
-/// for every thread count, and bit-identical to the sequential driver. Requires a `Fn + Sync`
-/// objective: workers share `f` by reference and need no locking.
-pub fn multistart_minimize_par(
-    f: impl Fn(&[f64]) -> f64 + Sync,
-    bounds: &Bounds,
-    extra_starts: &[Vec<f64>],
-    options: &MultistartOptions,
-    exec: &Executor,
-) -> OptimizationResult {
-    let grid = grid_search_par(&f, bounds, options.grid_points_per_axis, exec);
-    let starts = collect_starts(&grid, bounds, extra_starts, options);
     // One restart per chunk: restarts are few (single digits) and each is orders of magnitude
     // heavier than the chunk bookkeeping, so the finest decomposition gives the best balance.
     let outcomes = exec.map_reduce(
@@ -133,7 +78,19 @@ pub fn multistart_minimize_par(
         },
         Vec::with_capacity(starts.len()),
     );
-    select_best(outcomes, grid.len())
+    // Keep the strictly-better result in start-index order: the lowest objective value, with
+    // ties broken towards the lowest start index.
+    let mut total_evaluations = grid.len();
+    let mut best: Option<OptimizationResult> = None;
+    for result in outcomes {
+        total_evaluations += result.evaluations;
+        if best.as_ref().is_none_or(|b| result.value < b.value) {
+            best = Some(result);
+        }
+    }
+    let mut best = best.expect("at least one start point is always refined");
+    best.evaluations = total_evaluations;
+    best
 }
 
 #[cfg(test)]
@@ -150,7 +107,13 @@ mod tests {
             let global = (x[0] - 0.8).powi(2) + (x[1] - 0.8).powi(2);
             local.min(global)
         };
-        let result = multistart_minimize(f, &Bounds::unit(2), &[], &MultistartOptions::default());
+        let result = multistart_minimize(
+            f,
+            &Bounds::unit(2),
+            &[],
+            &MultistartOptions::default(),
+            &Executor::sequential(),
+        );
         assert!((result.point[0] - 0.8).abs() < 1e-3, "{:?}", result.point);
         assert!((result.point[1] - 0.8).abs() < 1e-3, "{:?}", result.point);
         assert!(result.value < 1e-6);
@@ -173,7 +136,13 @@ mod tests {
             refine_top: 1,
             nelder_mead: NelderMeadOptions { initial_step: 0.01, ..Default::default() },
         };
-        let result = multistart_minimize(f, &Bounds::unit(1), &[vec![0.335]], &opts);
+        let result = multistart_minimize(
+            f,
+            &Bounds::unit(1),
+            &[vec![0.335]],
+            &opts,
+            &Executor::sequential(),
+        );
         assert!(result.value < -0.9, "value {}", result.value);
     }
 
@@ -184,7 +153,13 @@ mod tests {
             refine_top: 2,
             nelder_mead: NelderMeadOptions { max_evaluations: 30, ..Default::default() },
         };
-        let result = multistart_minimize(|x| x[0] * x[0], &Bounds::unit(1), &[], &opts);
+        let result = multistart_minimize(
+            |x| x[0] * x[0],
+            &Bounds::unit(1),
+            &[],
+            &opts,
+            &Executor::sequential(),
+        );
         assert!(result.evaluations >= 4, "grid evaluations should be counted");
         assert!(result.evaluations <= 4 + 2 * 40, "refinements are budget-limited");
     }
@@ -197,6 +172,7 @@ mod tests {
             &bounds,
             &[],
             &MultistartOptions::default(),
+            &Executor::sequential(),
         );
         assert!(bounds.contains(&result.point));
         assert!((result.point[0] - 0.2).abs() < 1e-6);
@@ -212,15 +188,11 @@ mod tests {
         };
         let bounds = Bounds::unit(2);
         let opts = MultistartOptions::default();
-        let reference = multistart_minimize(f, &bounds, &[vec![0.5, 0.1]], &opts);
+        let reference =
+            multistart_minimize(f, &bounds, &[vec![0.5, 0.1]], &opts, &Executor::sequential());
         for threads in [1usize, 2, 8] {
-            let got = multistart_minimize_par(
-                f,
-                &bounds,
-                &[vec![0.5, 0.1]],
-                &opts,
-                &Executor::new(threads),
-            );
+            let got =
+                multistart_minimize(f, &bounds, &[vec![0.5, 0.1]], &opts, &Executor::new(threads));
             assert_eq!(got.value.to_bits(), reference.value.to_bits(), "threads {threads}");
             assert_eq!(got.evaluations, reference.evaluations, "threads {threads}");
             for (a, b) in got.point.iter().zip(&reference.point) {
@@ -234,7 +206,7 @@ mod tests {
         // Two flat-bottomed wells that both reach exactly 0.0, so several restarts tie on the
         // final objective value. The deterministic rule — lowest objective, then lowest start
         // index — must pick the same well for every thread count (and for the sequential
-        // driver): the left well, because the stable grid sort puts its seed first.
+        // driver on one thread): the left well, because the stable grid sort puts its seed first.
         let f = |x: &[f64]| {
             let d = (x[0] - 0.25).abs().min((x[0] - 0.75).abs());
             (d - 0.1).max(0.0)
@@ -245,11 +217,11 @@ mod tests {
             refine_top: 2,
             nelder_mead: NelderMeadOptions::default(),
         };
-        let reference = multistart_minimize(f, &bounds, &[], &opts);
+        let reference = multistart_minimize(f, &bounds, &[], &opts, &Executor::sequential());
         assert_eq!(reference.value, 0.0);
         assert!(reference.point[0] < 0.5, "tie must resolve to the left well: {reference:?}");
         for threads in [1usize, 2, 8] {
-            let got = multistart_minimize_par(f, &bounds, &[], &opts, &Executor::new(threads));
+            let got = multistart_minimize(f, &bounds, &[], &opts, &Executor::new(threads));
             assert_eq!(got.value, 0.0, "threads {threads}");
             assert_eq!(
                 got.point[0].to_bits(),
@@ -266,7 +238,13 @@ mod tests {
         let target = [0.99, 0.45, 0.25];
         let f =
             |x: &[f64]| x.iter().zip(&target).map(|(xi, ti)| (xi - ti) * (xi - ti)).sum::<f64>();
-        let result = multistart_minimize(f, &Bounds::unit(3), &[], &MultistartOptions::default());
+        let result = multistart_minimize(
+            f,
+            &Bounds::unit(3),
+            &[],
+            &MultistartOptions::default(),
+            &Executor::sequential(),
+        );
         for (p, t) in result.point.iter().zip(&target) {
             assert!((p - t).abs() < 1e-3, "{:?}", result.point);
         }

@@ -353,12 +353,9 @@ pub struct SubmitResponse {
     pub job_id: u64,
     /// The status at submission time (always `Queued`).
     pub status: JobStatus,
-    /// Request fields the server accepted but overrode (e.g. a `compute_threads` that differs
-    /// from the server's shared pool). `null` when the request was taken verbatim.
-    pub warnings: Option<Vec<String>>,
 }
 
-impl_json_struct_lenient!(SubmitResponse { job_id, status, warnings });
+impl_json_struct!(SubmitResponse { job_id, status });
 
 /// `GET /api/jobs/{id}` body: the job record snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -371,11 +368,9 @@ pub struct JobResponse {
     pub result: Option<Json>,
     /// The failure message, present exactly when `status` is `Failed`.
     pub error: Option<String>,
-    /// The warnings recorded at submission, echoed on every poll. `null` when there were none.
-    pub warnings: Option<Vec<String>>,
 }
 
-impl_json_struct_lenient!(JobResponse { job_id, status, result, error, warnings });
+impl_json_struct_lenient!(JobResponse { job_id, status, result, error });
 
 /// `POST /api/sample`: synchronously sample a synthetic graph from a (public) fitted initiator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -692,6 +687,8 @@ mod tests {
             PrivacyParams::new(1.0, 0.01),
             &PrivateEstimatorOptions::default(),
             &mut rng,
+            &Executor::new(0),
+            &NullSink,
         )
         .unwrap();
         let doc = EstimateResult::from_estimate(&est, 1, false);

@@ -62,8 +62,6 @@ pub struct JobSnapshot {
     pub result: Option<Json>,
     /// The failure message (present exactly when `status == Failed`).
     pub error: Option<String>,
-    /// Request-level warnings recorded at submission (e.g. an ignored `compute_threads`).
-    pub warnings: Vec<String>,
 }
 
 /// Monotonic job counters since startup, reported by `/healthz`.
@@ -85,7 +83,6 @@ struct JobRecord {
     /// The result document as compact JSON text (present exactly when `status == Done`).
     result: Option<String>,
     error: Option<String>,
-    warnings: Vec<String>,
     /// The persisted request spec of a pending job (durable mode only): what the snapshot
     /// stores so the job can be re-run after a restart. Dropped when the job finishes, since
     /// snapshots persist finished jobs by their outcome. Never served to clients.
@@ -97,10 +94,10 @@ struct JobRecord {
 
 impl JobRecord {
     /// A fresh `Queued` record whose log holds the `queued` event.
-    fn queued(id: u64, warnings: Vec<String>, spec: Option<Json>) -> Self {
+    fn queued(id: u64, spec: Option<Json>) -> Self {
         let mut events = String::new();
         push_event(&mut events, &event_doc("queued", &[("job_id", Json::Number(id as f64))]));
-        JobRecord { status: JobStatus::Queued, result: None, error: None, warnings, spec, events }
+        JobRecord { status: JobStatus::Queued, result: None, error: None, spec, events }
     }
 
     /// Moves the record to `Done` (the rendered result) or `Failed` (the message), appending
@@ -194,11 +191,10 @@ fn push_event(log: &mut String, event: &Json) {
 /// The progress sink one running job emits into: appends typed JSON documents to the job's
 /// event log and wakes any streamer blocked in [`JobStore::wait_events`].
 ///
-/// Implements [`ProgressSink`], so it plugs directly into the `*_observed` pipeline entry
-/// points. It opts into per-step chain log-likelihoods (`wants_chain_likelihood`) because the
-/// streamed `chain_step` documents carry them — an extra likelihood evaluation per step that
-/// consumes no randomness, so results stay byte-identical (the `kronpriv-obs` no-feedback
-/// invariant).
+/// Implements [`ProgressSink`], so it plugs directly into the pipeline entry points. It opts
+/// into per-step chain log-likelihoods (`wants_chain_likelihood`) because the streamed
+/// `chain_step` documents carry them — an extra likelihood evaluation per step that consumes no
+/// randomness, so results stay byte-identical (the `kronpriv-obs` no-feedback invariant).
 pub struct JobEventSink {
     shared: Arc<Shared>,
     id: u64,
@@ -305,7 +301,7 @@ impl JobStore {
     /// `id` is `Some` only on boot replay, to re-create a job under its persisted id (the
     /// counter advances past it so fresh ids never collide). `spec` is the persisted request
     /// spec in durable mode, `None` in-memory.
-    pub fn create(&self, id: Option<u64>, warnings: Vec<String>, spec: Option<Json>) -> u64 {
+    pub fn create(&self, id: Option<u64>, spec: Option<Json>) -> u64 {
         let id = {
             let mut table = self.shared.table.lock().expect("job table poisoned");
             let id = match id {
@@ -318,7 +314,7 @@ impl JobStore {
                     table.next_id
                 }
             };
-            table.jobs.insert(id, JobRecord::queued(id, warnings, spec));
+            table.jobs.insert(id, JobRecord::queued(id, spec));
             id
         };
         Registry::global().counter("kronpriv_jobs_submitted_total", &[]).inc();
@@ -353,14 +349,12 @@ impl JobStore {
     }
 
     /// Submits a job and returns its id immediately: [`JobStore::create`] followed by
-    /// [`JobStore::run`]. `warnings` are recorded on the job verbatim (e.g. request fields the
-    /// server overrode).
+    /// [`JobStore::run`].
     pub fn submit(
         &self,
-        warnings: Vec<String>,
         work: impl FnOnce(&JobEventSink) -> Result<Json, String> + Send + 'static,
     ) -> u64 {
-        let id = self.create(None, warnings, None);
+        let id = self.create(None, None);
         self.run(id, work);
         id
     }
@@ -368,8 +362,8 @@ impl JobStore {
     /// Restores an already-finished job verbatim (boot replay): the record appears `Done` or
     /// `Failed` with a synthesized two-event log, counts towards the `/healthz` completion
     /// tallies, but does not re-run and does not touch the traffic metrics or the hook.
-    pub fn restore_finished(&self, id: u64, outcome: Result<Json, String>, warnings: Vec<String>) {
-        let mut record = JobRecord::queued(id, warnings, None);
+    pub fn restore_finished(&self, id: u64, outcome: Result<Json, String>) {
+        let mut record = JobRecord::queued(id, None);
         record.finish(outcome.map(|result| result.to_compact_string()));
         let mut table = self.shared.table.lock().expect("job table poisoned");
         table.next_id = table.next_id.max(id);
@@ -388,7 +382,6 @@ impl JobStore {
                 Json::parse(text).expect("a stored result is JSON this store rendered")
             }),
             error: record.error.clone(),
-            warnings: record.warnings.clone(),
         })
     }
 
@@ -470,10 +463,10 @@ impl JobImager {
     pub(crate) fn image_len_hint(&self) -> usize {
         let table = self.shared.table.lock().expect("job table poisoned");
         let text = |text: Option<&String>| text.map_or(0, String::len);
-        let records = table.jobs.values().map(|record| {
-            let warnings: usize = record.warnings.iter().map(|w| w.len() + 8).sum();
-            128 + text(record.result.as_ref()) + text(record.error.as_ref()) + warnings
-        });
+        let records = table
+            .jobs
+            .values()
+            .map(|record| 128 + text(record.result.as_ref()) + text(record.error.as_ref()));
         64 + records.sum::<usize>()
     }
 
@@ -523,14 +516,7 @@ impl JobImager {
                     }
                 }
             }
-            out.push_str(",\"warnings\":[");
-            for (i, warning) in record.warnings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(out, warning);
-            }
-            out.push_str("]}");
+            out.push('}');
         }
         out.push_str("]}");
     }
@@ -565,10 +551,6 @@ impl JobImager {
                     None => continue,
                 },
             }
-            pairs.push((
-                "warnings".to_string(),
-                Json::Array(record.warnings.iter().map(|w| Json::String(w.clone())).collect()),
-            ));
             docs.push(Json::Object(pairs));
         }
         (table.next_id, docs)
@@ -623,12 +605,11 @@ mod tests {
     #[test]
     fn submit_poll_fetch_lifecycle() {
         let store = JobStore::new(2);
-        let id = store.submit(Vec::new(), |_| Ok(Json::Number(42.0)));
+        let id = store.submit(|_| Ok(Json::Number(42.0)));
         let snap = wait_done(&store, id);
         assert_eq!(snap.status, JobStatus::Done);
         assert_eq!(snap.result, Some(Json::Number(42.0)));
         assert_eq!(snap.error, None);
-        assert!(snap.warnings.is_empty());
         assert_eq!(store.submitted(), 1);
         let counts = store.counts();
         assert_eq!((counts.queued, counts.running, counts.done, counts.failed), (0, 0, 1, 0));
@@ -637,9 +618,9 @@ mod tests {
     #[test]
     fn failures_and_panics_are_recorded_not_fatal() {
         let store = JobStore::new(1);
-        let failing = store.submit(Vec::new(), |_| Err("bad input".to_string()));
-        let panicking = store.submit(Vec::new(), |_| panic!("boom"));
-        let ok = store.submit(Vec::new(), |_| Ok(Json::Bool(true)));
+        let failing = store.submit(|_| Err("bad input".to_string()));
+        let panicking = store.submit(|_| panic!("boom"));
+        let ok = store.submit(|_| Ok(Json::Bool(true)));
         assert_eq!(wait_done(&store, failing).error.as_deref(), Some("bad input"));
         assert_eq!(wait_done(&store, panicking).error.as_deref(), Some("job panicked"));
         assert_eq!(wait_done(&store, ok).status, JobStatus::Done);
@@ -649,11 +630,11 @@ mod tests {
     #[test]
     fn finished_jobs_are_evicted_oldest_first_beyond_the_retention_cap() {
         let store = JobStore::with_retention(1, 2);
-        let first = store.submit(Vec::new(), |_| Ok(Json::Number(1.0)));
+        let first = store.submit(|_| Ok(Json::Number(1.0)));
         wait_done(&store, first);
-        let second = store.submit(Vec::new(), |_| Ok(Json::Number(2.0)));
+        let second = store.submit(|_| Ok(Json::Number(2.0)));
         wait_done(&store, second);
-        let third = store.submit(Vec::new(), |_| Ok(Json::Number(3.0)));
+        let third = store.submit(|_| Ok(Json::Number(3.0)));
         wait_done(&store, third);
         assert!(store.get(first).is_none(), "oldest finished job must be evicted");
         assert!(store.get(second).is_some());
@@ -667,24 +648,17 @@ mod tests {
     #[test]
     fn ids_are_unique_and_unknown_ids_are_none() {
         let store = JobStore::new(2);
-        let a = store.submit(Vec::new(), |_| Ok(Json::Null));
-        let b = store.submit(Vec::new(), |_| Ok(Json::Null));
+        let a = store.submit(|_| Ok(Json::Null));
+        let b = store.submit(|_| Ok(Json::Null));
         assert_ne!(a, b);
         assert!(store.get(u64::MAX).is_none());
         assert!(store.wait_events(u64::MAX, 0, Duration::from_millis(1)).is_none());
     }
 
     #[test]
-    fn warnings_are_echoed_on_the_snapshot() {
-        let store = JobStore::new(1);
-        let id = store.submit(vec!["heads up".to_string()], |_| Ok(Json::Null));
-        assert_eq!(wait_done(&store, id).warnings, vec!["heads up".to_string()]);
-    }
-
-    #[test]
     fn event_log_runs_queued_to_terminal_in_order() {
         let store = JobStore::new(1);
-        let id = store.submit(Vec::new(), |sink| {
+        let id = store.submit(|sink| {
             sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
             sink.emit(&ProgressEvent::ChainStep {
                 chain: 0,
@@ -727,8 +701,8 @@ mod tests {
     fn restored_jobs_log_queued_then_their_outcome() {
         let store = JobStore::new(1);
         let doc = Json::Object(vec![("theta".to_string(), Json::Number(0.5))]);
-        store.restore_finished(3, Ok(doc.clone()), vec!["w".to_string()]);
-        store.restore_finished(4, Err("bad \"spec\"".to_string()), Vec::new());
+        store.restore_finished(3, Ok(doc.clone()));
+        store.restore_finished(4, Err("bad \"spec\"".to_string()));
         let (log, terminal) = store.wait_events(3, 0, Duration::from_secs(1)).unwrap();
         assert!(terminal);
         assert_eq!(log, "{\"event\":\"queued\",\"job_id\":3}\n{\"event\":\"done\",\"result\":{\"theta\":0.5}}\n");
@@ -745,7 +719,7 @@ mod tests {
     fn wait_events_blocks_until_events_arrive() {
         let store = JobStore::new(1);
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let id = store.submit(Vec::new(), move |sink| {
+        let id = store.submit(move |sink| {
             release_rx.recv().unwrap();
             sink.push(Json::String("late".to_string()));
             Ok(Json::Null)
@@ -769,7 +743,7 @@ mod tests {
             let store = JobStore::new(1);
             shared = Arc::clone(&store.shared);
             for _ in 0..8 {
-                store.submit(Vec::new(), |_| {
+                store.submit(|_| {
                     std::thread::sleep(Duration::from_millis(2));
                     Ok(Json::Null)
                 });

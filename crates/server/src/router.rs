@@ -20,8 +20,7 @@ use crate::jobs::{JobEventSink, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
 use crate::store::{self, PendingJob, Persistence};
 use kronpriv::pipeline::{
-    try_kronfit_estimate_observed, try_kronmom_estimate_on, try_private_estimate_observed,
-    validate_estimator_inputs,
+    try_kronfit_estimate, try_kronmom_estimate, try_private_estimate, validate_estimator_inputs,
 };
 use kronpriv_estimate::{KronFitOptions, KronMomOptions};
 use kronpriv_graph::io::{parse_edge_list_reader, to_edge_list_string};
@@ -49,8 +48,8 @@ pub struct AppState {
     pub max_order: u32,
     /// The compute executor, built **once** at startup and shared by every estimation job:
     /// each job borrows this pool for its parallel stages instead of spawning threads per
-    /// call. Enforced over request options because the kernels are pool-size-deterministic,
-    /// so only resources — never results — are at stake.
+    /// call. Its size is a deployment setting; the kernels are pool-size-deterministic, so it
+    /// never changes a result.
     pub executor: Arc<Executor>,
     /// When the state was built; `/healthz` reports the elapsed whole seconds as uptime.
     pub started: Instant,
@@ -95,7 +94,7 @@ impl AppState {
             state.datasets.restore(image);
         }
         for job in replay.finished {
-            state.jobs.restore_finished(job.id, job.outcome, job.warnings);
+            state.jobs.restore_finished(job.id, job.outcome);
         }
         state.jobs.seed_next_id(replay.next_job_id);
         let persist = Arc::new(persist);
@@ -147,7 +146,6 @@ pub fn route(state: &AppState, request: &Request) -> Response {
     let (canonical, deprecated) = canonical_path(path);
     let response = dispatch(state, request, &canonical);
     if deprecated {
-        // lint:allow(privacy-taint, reason = "responses can only carry baseline fits of graphs the client itself supplied: dataset-backed jobs are forced to the private estimator at admission (SpecError::NonPrivate in prepare_job)")
         response.with_header("Deprecation", "true")
     } else {
         response
@@ -324,20 +322,6 @@ fn metrics() -> Response {
     Response::metrics_text(200, Registry::global().render())
 }
 
-/// The warning recorded when a request carries an explicit `compute_threads` that differs
-/// from the server's startup-built shared pool. The request field is accepted (old clients
-/// keep working) but has no effect on resources; it never affects results either, because
-/// every parallel kernel is pool-size-deterministic.
-fn compute_threads_warning(field: &str, requested: usize, exec: &Executor) -> Option<String> {
-    (requested != 0 && requested != exec.threads()).then(|| {
-        format!(
-            "{field}={requested} is ignored: jobs run on the server's shared compute pool of \
-             {} thread(s); results are byte-identical for any pool size",
-            exec.threads()
-        )
-    })
-}
-
 /// Parses a request body as UTF-8 JSON into `T`, or produces the 400 response.
 fn parse_body<T: FromJson>(request: &Request) -> Result<T, Response> {
     let text = std::str::from_utf8(&request.body)
@@ -445,6 +429,23 @@ fn check_sample_size(theta: &Initiator2, k: u32) -> Result<(), String> {
     Ok(())
 }
 
+/// Largest input graph, in nodes, the exact smooth sensitivity may run on. That kernel is cubic:
+/// 1024 nodes take about 20 s single-threaded (see `smooth_sensitivity_triangles_exact`), and
+/// the cost grows with `n³`, so a larger input would pin an estimation worker for hours.
+const MAX_EXACT_SMOOTH_NODES: u64 = 1024;
+
+/// Refuses `options.exact_smooth_sensitivity` on an input of more than
+/// [`MAX_EXACT_SMOOTH_NODES`] nodes.
+fn check_exact_smooth_nodes(nodes: u64) -> Result<(), String> {
+    if nodes > MAX_EXACT_SMOOTH_NODES {
+        return Err(format!(
+            "options.exact_smooth_sensitivity is limited to inputs of at most \
+             {MAX_EXACT_SMOOTH_NODES} nodes (its cost grows with n^3); this input has {nodes}"
+        ));
+    }
+    Ok(())
+}
+
 /// Realizes the job's input graph: parses the uploaded edge list, or samples the SKG spec from
 /// the job RNG. Exactly one of the two is present (validated before submission).
 fn materialize_graph<R: Rng + ?Sized>(
@@ -504,8 +505,6 @@ type JobWork = Box<dyn FnOnce(&JobEventSink) -> Result<Json, String> + Send + 's
 
 /// A fully validated job, ready to debit (dataset jobs) and launch.
 struct PreparedJob {
-    /// Request fields the server accepted but overrode.
-    warnings: Vec<String>,
     /// The `(ε, δ)` the job draws — present exactly for the private estimator; what dataset
     /// jobs debit from their ledger.
     draw: Option<(f64, f64)>,
@@ -521,17 +520,18 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
     // Validate everything that does not require touching the (possibly large) graph, so bad
     // requests are rejected on the connection thread with a 400 instead of failing as jobs.
     let kind = EstimatorKind::parse(spec.estimator.as_deref()).map_err(SpecError::Bad)?;
-    let (edge_list, skg) = match (&spec.dataset, &spec.edge_list, &spec.skg) {
+    // The input's node count, where it is known before the graph is materialized.
+    let (edge_list, skg, known_nodes) = match (&spec.dataset, &spec.edge_list, &spec.skg) {
         (Some(name), None, None) => {
             if kind != EstimatorKind::Private {
                 return Err(SpecError::NonPrivate(kind.as_str().to_string()));
             }
-            match state.datasets.edge_text(name) {
-                Some(text) => (Some(text), None),
-                None => return Err(SpecError::NoSuchDataset(name.clone())),
+            match (state.datasets.meta(name), state.datasets.edge_text(name)) {
+                (Some(meta), Some(text)) => (Some(text), None, Some(meta.nodes)),
+                _ => return Err(SpecError::NoSuchDataset(name.clone())),
             }
         }
-        (None, Some(text), None) => (Some(text.clone()), None),
+        (None, Some(text), None) => (Some(text.clone()), None, None),
         (None, None, Some(skg)) => {
             if skg.k == 0 || skg.k > state.max_order {
                 return Err(SpecError::Bad(format!(
@@ -541,7 +541,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
             }
             let theta = skg.theta.validate().map_err(SpecError::Bad)?;
             check_sample_size(&theta, skg.k).map_err(SpecError::TooLarge)?;
-            (None, Some((theta, skg.k)))
+            (None, Some((theta, skg.k)), Some(1u64 << skg.k))
         }
         (None, _, _) => {
             return Err(SpecError::Bad(
@@ -558,10 +558,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
     };
 
     let seed = spec.seed;
-    // The server owns its compute resources: every estimator runs on the startup-built shared
-    // executor, ignoring whatever thread count the request carried. Safe because all parallel
-    // stages are deterministic for any pool size, so this cannot change the result document —
-    // but the request is told so via the `warnings` field rather than silently.
+    // Every estimator runs on the startup-built shared executor.
     let exec = Arc::clone(&state.executor);
     match kind {
         EstimatorKind::Private => {
@@ -577,30 +574,25 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
             validate_estimator_inputs(params, &options)
                 .map_err(|e| SpecError::Bad(e.to_string()))?;
             validate_kronmom_options(&options.kronmom).map_err(SpecError::Bad)?;
-            let warnings: Vec<String> = [
-                compute_threads_warning("options.compute_threads", options.compute_threads, &exec),
-                compute_threads_warning(
-                    "options.kronmom.compute_threads",
-                    options.kronmom.compute_threads,
-                    &exec,
-                ),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
+            let cubic = options.exact_smooth_sensitivity;
+            if let (true, Some(nodes)) = (cubic, known_nodes) {
+                check_exact_smooth_nodes(nodes).map_err(SpecError::Bad)?;
+            }
             let include_degrees = spec.include_degree_sequence.unwrap_or(false);
             Ok(PreparedJob {
-                warnings,
                 draw: Some((params.epsilon, params.delta)),
                 work: Box::new(move |sink| {
                     // One seeded RNG drives both the optional SKG realization and the privacy
                     // noise, so the whole job is a pure function of the request document.
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(&edge_list, skg, &mut rng)?;
-                    let estimate = try_private_estimate_observed(
-                        &graph, params, &options, &mut rng, &exec, sink,
-                    )
-                    .map_err(|e| format!("estimation rejected: {e}"))?;
+                    if cubic {
+                        // An inline edge list's node count is only known once parsed.
+                        check_exact_smooth_nodes(graph.node_count() as u64)?;
+                    }
+                    let estimate =
+                        try_private_estimate(&graph, params, &options, &mut rng, &exec, sink)
+                            .map_err(|e| format!("estimation rejected: {e}"))?;
                     Ok(EstimateResult::from_estimate(&estimate, seed, include_degrees).to_json())
                 }),
             })
@@ -608,21 +600,13 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         EstimatorKind::KronMom => {
             let options = spec.options.unwrap_or_default().kronmom;
             validate_kronmom_options(&options).map_err(SpecError::Bad)?;
-            let warnings: Vec<String> = compute_threads_warning(
-                "options.kronmom.compute_threads",
-                options.compute_threads,
-                &exec,
-            )
-            .into_iter()
-            .collect();
             Ok(PreparedJob {
-                warnings,
                 draw: None,
                 work: Box::new(move |sink| {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(&edge_list, skg, &mut rng)?;
                     sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-                    let fit = try_kronmom_estimate_on(&graph, &options, &exec)
+                    let fit = try_kronmom_estimate(&graph, &options, &exec)
                         .map_err(|e| format!("estimation rejected: {e}"))?;
                     sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
                     Ok(BaselineResult::from_fit(EstimatorKind::KronMom, &fit, seed).to_json())
@@ -632,12 +616,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         EstimatorKind::KronFit => {
             let options = spec.kronfit.unwrap_or_default();
             validate_kronfit_options(&options).map_err(SpecError::Bad)?;
-            let warnings: Vec<String> =
-                compute_threads_warning("kronfit.compute_threads", options.compute_threads, &exec)
-                    .into_iter()
-                    .collect();
             Ok(PreparedJob {
-                warnings,
                 draw: None,
                 work: Box::new(move |sink| {
                     // The same seeded RNG realizes the optional SKG input and then seeds the
@@ -645,9 +624,8 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                     // request document (and independent of --compute-threads).
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(&edge_list, skg, &mut rng)?;
-                    let fit =
-                        try_kronfit_estimate_observed(&graph, &options, &mut rng, &exec, sink)
-                            .map_err(|e| format!("estimation rejected: {e}"))?;
+                    let fit = try_kronfit_estimate(&graph, &options, &mut rng, &exec, sink)
+                        .map_err(|e| format!("estimation rejected: {e}"))?;
                     Ok(BaselineResult::from_fit(EstimatorKind::KronFit, &fit, seed).to_json())
                 }),
             })
@@ -680,24 +658,12 @@ fn submit_spec(state: &AppState, spec: JobSpec) -> Response {
         }
     }
     let spec_json = spec.to_json();
-    let warnings = prepared.warnings;
-    let job_id = state.jobs.create(None, warnings.clone(), Some(spec_json.clone()));
+    let job_id = state.jobs.create(None, Some(spec_json.clone()));
     state.persist_record("job_submitted", || {
-        vec![
-            ("job_id", Json::Number(job_id as f64)), // lint:allow(privacy-taint, reason = "job_id and warnings are admission metadata (a counter and config advisories); they pick up taint only because they travel next to PreparedJob, whose work closure computes the release")
-            ("warnings", Json::Array(warnings.iter().map(|w| Json::String(w.clone())).collect())),
-            ("spec", spec_json),
-        ]
+        vec![("job_id", Json::Number(job_id as f64)), ("spec", spec_json)]
     });
     state.jobs.run(job_id, prepared.work);
-    ok_json(
-        202,
-        &SubmitResponse {
-            job_id,
-            status: JobStatus::Queued,
-            warnings: (!warnings.is_empty()).then_some(warnings),
-        },
-    )
+    ok_json(202, &SubmitResponse { job_id, status: JobStatus::Queued })
 }
 
 fn estimate(state: &AppState, request: &Request) -> Response {
@@ -799,24 +765,19 @@ pub fn replay_pending(state: &AppState, pending: Vec<PendingJob>) {
                 state.jobs.restore_finished(
                     job.id,
                     Err(format!("replay rejected: invalid persisted spec: {e}")),
-                    job.warnings,
                 );
                 continue;
             }
         };
         match prepare_job(state, &spec) {
             Ok(prepared) => {
-                // Persisted warnings — not freshly computed ones — keep the poll document
-                // byte-identical across the restart even if the server config changed.
-                state.jobs.create(Some(job.id), job.warnings, Some(job.spec));
+                state.jobs.create(Some(job.id), Some(job.spec));
                 // lint:allow(debit-before-enqueue, reason = "boot replay: the original debit record was already replayed from the durable log before any pending job re-runs, so debiting again here would double-charge the dataset")
                 state.jobs.run(job.id, prepared.work);
             }
-            Err(e) => state.jobs.restore_finished(
-                job.id,
-                Err(format!("replay rejected: {}", e.message())),
-                job.warnings,
-            ),
+            Err(e) => state
+                .jobs
+                .restore_finished(job.id, Err(format!("replay rejected: {}", e.message()))),
         }
     }
 }
@@ -836,7 +797,6 @@ fn job(state: &AppState, raw_id: &str) -> Response {
                 status: snapshot.status,
                 result: snapshot.result,
                 error: snapshot.error,
-                warnings: (!snapshot.warnings.is_empty()).then_some(snapshot.warnings),
             },
         ),
         None => error(404, "not_found", format!("no such job: {id}")),
@@ -954,56 +914,64 @@ mod tests {
         assert_eq!(route(&state, &request("POST", "/metrics", "")).status, 405);
     }
 
-    #[test]
-    fn mismatched_compute_threads_requests_get_an_explicit_warning() {
-        let state = state();
-        let pool = state.executor.threads();
-        // An explicit thread count that cannot match the server pool.
+    /// A ring on `n` nodes as an edge-list text.
+    fn ring(n: usize) -> String {
+        (0..n).map(|i| format!("{i} {}\n", (i + 1) % n)).collect()
+    }
+
+    /// An estimate body on `graph` with the exact smooth sensitivity switched on.
+    fn exact_body(graph: &str) -> String {
         let options = kronpriv_estimate::PrivateEstimatorOptions {
-            compute_threads: pool + 7,
+            exact_smooth_sensitivity: true,
             ..Default::default()
         };
-        let body = SKG_BODY.replace(
-            "\"seed\": 11",
-            &format!("\"seed\": 11, \"options\": {}", kronpriv_json::to_string(&options)),
-        );
-        let response = route(&state, &request("POST", "/api/estimate", &body));
-        assert_eq!(response.status, 202, "{}", response.body);
-        let submitted = body_json(&response);
-        let warnings = submitted.get("warnings").unwrap();
-        let text = kronpriv_json::to_string(warnings);
-        assert!(text.contains("options.compute_threads"), "{text}");
-        assert!(text.contains("ignored"), "{text}");
-        // The poll document echoes the same warnings for the job's whole lifetime.
-        let id = submitted.get("job_id").unwrap().as_f64().unwrap() as u64;
-        let poll = route(&state, &request("GET", &format!("/api/jobs/{id}"), ""));
-        assert!(poll.body.contains("options.compute_threads"), "{}", poll.body);
-        wait_for_job(&state, id);
-        let done = route(&state, &request("GET", &format!("/api/jobs/{id}"), ""));
-        assert!(done.body.contains("options.compute_threads"), "{}", done.body);
+        format!(
+            r#"{{{graph} "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 4,
+                "options": {}}}"#,
+            kronpriv_json::to_string(&options)
+        )
     }
 
     #[test]
-    fn matching_or_auto_compute_threads_requests_carry_no_warnings() {
+    fn exact_smooth_sensitivity_is_refused_past_the_node_bound() {
         let state = state();
-        let pool = state.executor.threads();
-        for threads in [0, pool] {
-            let options = kronpriv_estimate::PrivateEstimatorOptions {
-                compute_threads: threads,
-                ..Default::default()
-            };
-            let options = kronpriv_json::to_string(&options);
-            let body =
-                SKG_BODY.replace("\"seed\": 11", &format!("\"seed\": 11, \"options\": {options}"));
-            let response = route(&state, &request("POST", "/api/estimate", &body));
-            assert_eq!(response.status, 202, "{}", response.body);
-            assert_eq!(
-                body_json(&response).get("warnings"),
-                Some(&Json::Null),
-                "{options}: {}",
-                response.body
-            );
+        let skg = |k: u32| {
+            exact_body(&format!(
+                r#""graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": {k}}}}},"#
+            ))
+        };
+        // An SKG's 2^k nodes are known at admission: k = 11 (2048 nodes) is a 400 ...
+        let response = route(&state, &request("POST", "/api/estimate", &skg(11)));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("at most 1024 nodes"), "{}", response.body);
+        // ... while k <= 10 is still admitted. Validated without running, since the cubic
+        // kernel takes seconds at 1024 nodes.
+        for k in [4, 10] {
+            let spec: JobSpec = from_str(&skg(k)).map(JobSpec::from_estimate_request).unwrap();
+            assert!(prepare_job(&state, &spec).is_ok(), "k = {k}");
         }
+
+        // A dataset's node count is known too: refused before any debit.
+        let upload = format!(
+            r#"{{"name": "big", "edge_list": {}, "budget": {{"epsilon": 5.0, "delta": 0.5}}}}"#,
+            kronpriv_json::to_string(&ring(1100))
+        );
+        assert_eq!(route(&state, &request("POST", "/api/v1/datasets", &upload)).status, 201);
+        let body = exact_body("");
+        let response = route(&state, &request("POST", "/api/v1/datasets/big/estimate", &body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        let ledger = state.datasets.meta("big").unwrap().ledger;
+        assert_eq!((ledger.epsilon_spent, ledger.delta_spent), (0.0, 0.0));
+
+        // An inline edge list is only counted once parsed, so it fails as a job instead.
+        let graph =
+            format!(r#""graph": {{"edge_list": {}}},"#, kronpriv_json::to_string(&ring(1100)));
+        let response = route(&state, &request("POST", "/api/estimate", &exact_body(&graph)));
+        assert_eq!(response.status, 202, "{}", response.body);
+        let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
+        let snap = wait_for_job(&state, id);
+        assert_eq!(snap.status, JobStatus::Failed);
+        assert!(snap.error.unwrap().contains("this input has 1100"));
     }
 
     #[test]

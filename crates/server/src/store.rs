@@ -46,8 +46,6 @@ const SNAPSHOT_TMP: &str = "snapshot.json.tmp";
 pub struct PendingJob {
     /// The job id it ran under (re-used on replay so clients' poll URLs stay valid).
     pub id: u64,
-    /// The warnings recorded at original submission, echoed verbatim.
-    pub warnings: Vec<String>,
     /// The persisted job spec (parsed into `api::JobSpec` by the replay path).
     pub spec: Json,
 }
@@ -59,8 +57,6 @@ pub struct FinishedJob {
     pub id: u64,
     /// `Ok(result)` for `Done`, `Err(message)` for `Failed`.
     pub outcome: Result<Json, String>,
-    /// The warnings recorded at submission.
-    pub warnings: Vec<String>,
 }
 
 /// Everything the boot replay recovered from the data dir.
@@ -285,8 +281,8 @@ struct ReplayState {
 }
 
 enum JobReplay {
-    Pending { warnings: Vec<String>, spec: Json },
-    Finished { outcome: Result<Json, String>, warnings: Vec<String> },
+    Pending(Json),
+    Finished(Result<Json, String>),
 }
 
 impl ReplayState {
@@ -312,18 +308,16 @@ impl ReplayState {
             None => return,
         };
         self.next_job_id = self.next_job_id.max(id);
-        let warnings = string_array(entry, "warnings");
         let state = match entry.get("status").and_then(Json::as_str) {
             Some("done") => match entry.get("result") {
-                Some(result) => JobReplay::Finished { outcome: Ok(result.clone()), warnings },
+                Some(result) => JobReplay::Finished(Ok(result.clone())),
                 None => return,
             },
-            Some("failed") => JobReplay::Finished {
-                outcome: Err(field_str(entry, "error").unwrap_or_default()),
-                warnings,
-            },
+            Some("failed") => {
+                JobReplay::Finished(Err(field_str(entry, "error").unwrap_or_default()))
+            }
             Some("pending") => match entry.get("spec") {
-                Some(spec) => JobReplay::Pending { warnings, spec: spec.clone() },
+                Some(spec) => JobReplay::Pending(spec.clone()),
                 None => return,
             },
             _ => return,
@@ -361,29 +355,18 @@ impl ReplayState {
             Some("job_submitted") => {
                 if let (Some(id), Some(spec)) = (field_u64(record, "job_id"), record.get("spec")) {
                     self.next_job_id = self.next_job_id.max(id);
-                    self.jobs.insert(
-                        id,
-                        JobReplay::Pending {
-                            warnings: string_array(record, "warnings"),
-                            spec: spec.clone(),
-                        },
-                    );
+                    self.jobs.insert(id, JobReplay::Pending(spec.clone()));
                 }
                 true
             }
             Some("job_finished") => {
                 if let Some(id) = field_u64(record, "job_id") {
                     self.next_job_id = self.next_job_id.max(id);
-                    let warnings = match self.jobs.get(&id) {
-                        Some(JobReplay::Pending { warnings, .. }) => warnings.clone(),
-                        Some(JobReplay::Finished { warnings, .. }) => warnings.clone(),
-                        None => Vec::new(),
-                    };
                     let outcome = match record.get("result") {
                         Some(result) => Ok(result.clone()),
                         None => Err(field_str(record, "error").unwrap_or_default()),
                     };
-                    self.jobs.insert(id, JobReplay::Finished { outcome, warnings });
+                    self.jobs.insert(id, JobReplay::Finished(outcome));
                 }
                 true
             }
@@ -403,12 +386,8 @@ impl ReplayState {
         };
         for (id, state) in self.jobs {
             match state {
-                JobReplay::Pending { warnings, spec } => {
-                    replay.pending.push(PendingJob { id, warnings, spec });
-                }
-                JobReplay::Finished { outcome, warnings } => {
-                    replay.finished.push(FinishedJob { id, outcome, warnings });
-                }
+                JobReplay::Pending(spec) => replay.pending.push(PendingJob { id, spec }),
+                JobReplay::Finished(outcome) => replay.finished.push(FinishedJob { id, outcome }),
             }
         }
         replay
@@ -436,13 +415,6 @@ fn field_str(doc: &Json, key: &str) -> Option<String> {
 
 fn field_u64(doc: &Json, key: &str) -> Option<u64> {
     doc.get(key).and_then(Json::as_f64).filter(|v| *v >= 0.0 && v.fract() == 0.0).map(|v| v as u64)
-}
-
-fn string_array(doc: &Json, key: &str) -> Vec<String> {
-    doc.get(key)
-        .and_then(Json::as_array)
-        .map(|items| items.iter().filter_map(|i| i.as_str().map(str::to_string)).collect())
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -494,7 +466,6 @@ mod tests {
                 "job_submitted",
                 vec![
                     ("job_id", Json::Number(1.0)),
-                    ("warnings", Json::Array(Vec::new())),
                     ("spec", Json::Object(vec![("seed".to_string(), Json::Number(7.0))])),
                 ],
                 empty_image,
@@ -580,6 +551,7 @@ mod tests {
         let dir = temp_dir("finish");
         {
             let (store, _) = Persistence::open(&dir, 1000).unwrap();
+            // A record as older binaries wrote it, with a `warnings` array: still read.
             store.record(
                 "job_submitted",
                 vec![
@@ -599,7 +571,6 @@ mod tests {
         assert!(replay.pending.is_empty());
         assert_eq!(replay.finished.len(), 1);
         assert_eq!(replay.finished[0].outcome, Ok(Json::Number(42.0)));
-        assert_eq!(replay.finished[0].warnings, vec!["w".to_string()]);
         assert_eq!(replay.next_job_id, 4);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -618,12 +589,12 @@ mod tests {
             ("theta".to_string(), Json::Number(0.1 + 0.2)),
             ("note".to_string(), Json::String("tab\there".to_string())),
         ]);
-        jobs.restore_finished(2, Ok(result), vec!["warned \"twice\"".to_string()]);
-        jobs.restore_finished(3, Err("failed:\n\"why\"".to_string()), Vec::new());
+        jobs.restore_finished(2, Ok(result));
+        jobs.restore_finished(3, Err("failed:\n\"why\"".to_string()));
         let spec = Json::Object(vec![("seed".to_string(), Json::Number(7.0))]);
-        let pending = jobs.create(None, vec!["w1".to_string(), "w2".to_string()], Some(spec));
-        let in_memory = jobs.create(None, Vec::new(), None);
-        let live = jobs.submit(Vec::new(), |_| Ok(Json::Array(vec![Json::Bool(true)])));
+        let pending = jobs.create(None, Some(spec));
+        let in_memory = jobs.create(None, None);
+        let live = jobs.submit(|_| Ok(Json::Array(vec![Json::Bool(true)])));
         while !matches!(jobs.get(live).map(|j| j.status), Some(JobStatus::Done)) {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }

@@ -88,25 +88,15 @@ fn estimate_result_round_trips_with_and_without_optionals() {
 #[test]
 fn job_and_submit_responses_round_trip() {
     for status in [JobStatus::Queued, JobStatus::Running, JobStatus::Done, JobStatus::Failed] {
-        let submit = SubmitResponse { job_id: 9, status, warnings: None };
+        let submit = SubmitResponse { job_id: 9, status };
         let back: SubmitResponse = from_str(&to_string(&submit)).unwrap();
         assert_eq!(back, submit);
     }
-    let warned = SubmitResponse {
-        job_id: 10,
-        status: JobStatus::Queued,
-        warnings: Some(vec!["options.compute_threads=8 is ignored".to_string()]),
-    };
-    let text = to_string(&warned);
-    assert!(text.contains("\"warnings\":[\"options.compute_threads"), "{text}");
-    let back: SubmitResponse = from_str(&text).unwrap();
-    assert_eq!(back, warned);
     let done = JobResponse {
         job_id: 3,
         status: JobStatus::Done,
         result: Some(Json::Object(vec![("theta".into(), Json::Number(0.5))])),
         error: None,
-        warnings: None,
     };
     let back: JobResponse = from_str(&to_string(&done)).unwrap();
     assert_eq!(back, done);
@@ -115,7 +105,6 @@ fn job_and_submit_responses_round_trip() {
         status: JobStatus::Failed,
         result: None,
         error: Some("edge list rejected: cannot parse edge list line 2".into()),
-        warnings: Some(vec!["kronfit.compute_threads=3 is ignored".to_string()]),
     };
     let back: JobResponse = from_str(&to_string(&failed)).unwrap();
     assert_eq!(back, failed);

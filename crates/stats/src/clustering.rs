@@ -6,7 +6,7 @@
 //! connected; nodes of degree < 2 have coefficient 0 by convention. The paper plots the average
 //! of `c_i` over all nodes of each degree, on log–log axes.
 
-use kronpriv_graph::counts::per_node_triangles_par;
+use kronpriv_graph::counts::per_node_triangles;
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
 use kronpriv_par::Executor;
@@ -25,16 +25,11 @@ pub struct ClusteringPoint {
 
 impl_json_struct!(ClusteringPoint { degree, average_clustering, count });
 
-/// Local clustering coefficient of every node.
-pub fn clustering_coefficients(g: &Graph) -> Vec<f64> {
-    clustering_coefficients_par(g, &Executor::sequential())
-}
-
-/// [`clustering_coefficients`] with the per-node triangle counts computed on `exec`'s worker
-/// pool (see `per_node_triangles_par`); the coefficient of each node is then a pure
+/// Local clustering coefficient of every node, with the per-node triangle counts computed on
+/// `exec`'s worker pool (see `per_node_triangles`); the coefficient of each node is then a pure
 /// per-node function, so the result is identical for any thread count.
-pub fn clustering_coefficients_par(g: &Graph, exec: &Executor) -> Vec<f64> {
-    let triangles = per_node_triangles_par(g, exec);
+pub fn clustering_coefficients(g: &Graph, exec: &Executor) -> Vec<f64> {
+    let triangles = per_node_triangles(g, exec);
     g.degrees()
         .iter()
         .zip(&triangles)
@@ -45,7 +40,7 @@ pub fn clustering_coefficients_par(g: &Graph, exec: &Executor) -> Vec<f64> {
 /// The average clustering coefficient per degree, restricted to degrees ≥ 2 (degree-0/1 nodes
 /// have no defined clustering and cannot appear on the paper's log–log axes).
 pub fn average_clustering_by_degree(g: &Graph) -> Vec<ClusteringPoint> {
-    let coefficients = clustering_coefficients(g);
+    let coefficients = clustering_coefficients(g, &Executor::sequential());
     let mut sums: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
     for (node, &d) in g.degrees().iter().enumerate() {
         if d >= 2 {
@@ -66,7 +61,7 @@ pub fn average_clustering_by_degree(g: &Graph) -> Vec<ClusteringPoint> {
 /// The global (average) clustering coefficient: the mean of the local coefficients over all
 /// nodes, the scalar the paper quotes when comparing how well the SKG model captures clustering.
 pub fn global_clustering(g: &Graph) -> f64 {
-    let c = clustering_coefficients(g);
+    let c = clustering_coefficients(g, &Executor::sequential());
     if c.is_empty() {
         0.0
     } else {
@@ -91,14 +86,16 @@ mod tests {
     #[test]
     fn complete_graph_has_clustering_one() {
         let g = complete_graph(6);
-        assert!(clustering_coefficients(&g).iter().all(|&c| (c - 1.0).abs() < 1e-12));
+        assert!(clustering_coefficients(&g, &Executor::sequential())
+            .iter()
+            .all(|&c| (c - 1.0).abs() < 1e-12));
         assert!((global_clustering(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn star_has_clustering_zero() {
         let g = Graph::from_edges(6, (1..6u32).map(|v| (0, v)));
-        assert!(clustering_coefficients(&g).iter().all(|&c| c == 0.0));
+        assert!(clustering_coefficients(&g, &Executor::sequential()).iter().all(|&c| c == 0.0));
         assert_eq!(global_clustering(&g), 0.0);
     }
 
@@ -107,7 +104,7 @@ mod tests {
         // Triangle 0-1-2 plus edge 2-3: nodes 0,1 have c=1; node 2 has degree 3 and one
         // triangle: c = 2*1/(3*2) = 1/3; node 3 has degree 1: c=0.
         let g = Graph::from_edges(4, vec![(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let c = clustering_coefficients(&g);
+        let c = clustering_coefficients(&g, &Executor::sequential());
         assert!((c[0] - 1.0).abs() < 1e-12);
         assert!((c[1] - 1.0).abs() < 1e-12);
         assert!((c[2] - 1.0 / 3.0).abs() < 1e-12);
@@ -145,7 +142,7 @@ mod tests {
             8,
             vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 6), (6, 4), (6, 7)],
         );
-        for c in clustering_coefficients(&g) {
+        for c in clustering_coefficients(&g, &Executor::sequential()) {
             assert!((0.0..=1.0).contains(&c));
         }
     }

@@ -1,13 +1,14 @@
 //! Hop plots (Figures 1–4(a)): the number of reachable ordered node pairs within `h` hops, as a
 //! function of `h`.
 //!
-//! Two estimators are provided: the exact all-sources BFS (quadratic in nodes × edges, fine for
-//! the paper's graph sizes) and the approximate neighbourhood function (ANF) of Palmer et al.,
-//! which uses Flajolet–Martin-style bit-string sketches and runs in `O((N + E)·h·r)` for `r`
-//! sketch repetitions. The approximate variant exists so the library remains usable on graphs
-//! well beyond the paper's scale; tests check it tracks the exact curve.
+//! Two estimators are available: the exact all-sources BFS
+//! ([`reachable_pairs_by_hops`](kronpriv_graph::traversal::reachable_pairs_by_hops), quadratic
+//! in nodes × edges, fine for the paper's graph sizes) and the approximate neighbourhood
+//! function (ANF) of Palmer et al., which uses Flajolet–Martin-style bit-string sketches and
+//! runs in `O((N + E)·h·r)` for `r` sketch repetitions. The approximate variant exists so the
+//! library remains usable on graphs well beyond the paper's scale; tests check it tracks the
+//! exact curve.
 
-use kronpriv_graph::traversal::reachable_pairs_by_hops_par;
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
 use kronpriv_par::{Executor, Work};
@@ -36,39 +37,18 @@ impl Default for HopPlotOptions {
     }
 }
 
-/// Exact hop plot: entry `h` is the number of ordered pairs `(u, v)` with `dist(u, v) ≤ h`
-/// (including `u = v` at distance 0, following the convention of the paper's plots which start
-/// at the node count).
-pub fn exact_hop_plot(g: &Graph) -> Vec<u64> {
-    exact_hop_plot_par(g, &Executor::sequential())
-}
-
-/// [`exact_hop_plot`] on `exec`'s worker pool: the all-sources BFS is partitioned over fixed
-/// source chunks and the per-chunk distance histograms are summed exactly, so the curve is
-/// identical for any thread count.
-pub fn exact_hop_plot_par(g: &Graph, exec: &Executor) -> Vec<u64> {
-    reachable_pairs_by_hops_par(g, exec)
-}
-
 /// Approximate hop plot using Flajolet–Martin neighbourhood sketches.
 ///
 /// Each node keeps a bitmask per sketch; the position of the lowest zero bit estimates the
 /// neighbourhood size as in the classic ANF algorithm. Estimates are averaged over
 /// `options.sketches` independent sketches.
+///
+/// The per-hop mask propagation runs on `exec`'s worker pool, sketch-parallel: each sketch's
+/// bitmask layer propagates independently (a pure function of the previous hop's layers), and
+/// the layers are collected in sketch order. Mask initialisation consumes the RNG in the same
+/// sequential order regardless of the thread count, so the curve is byte-identical for any
+/// [`Executor`].
 pub fn approximate_hop_plot<R: Rng + ?Sized>(
-    g: &Graph,
-    options: &HopPlotOptions,
-    rng: &mut R,
-) -> Vec<f64> {
-    approximate_hop_plot_par(g, options, rng, &Executor::sequential())
-}
-
-/// [`approximate_hop_plot`] with the per-hop mask propagation run on `exec`'s worker pool,
-/// sketch-parallel: each sketch's bitmask layer propagates independently (a pure
-/// function of the previous hop's layers), and the layers are collected in sketch order. Mask
-/// initialisation consumes the RNG in the same sequential order regardless of the thread
-/// count, so the curve is byte-identical for any [`Executor`].
-pub fn approximate_hop_plot_par<R: Rng + ?Sized>(
     g: &Graph,
     options: &HopPlotOptions,
     rng: &mut R,
@@ -167,19 +147,20 @@ fn lowest_zero_bit(mask: u64) -> u32 {
 mod tests {
     use super::*;
     use kronpriv_graph::generators::erdos_renyi_gnp;
+    use kronpriv_graph::traversal::reachable_pairs_by_hops;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn exact_hop_plot_of_a_path() {
         let g = Graph::from_edges(4, (0..3u32).map(|i| (i, i + 1)));
-        assert_eq!(exact_hop_plot(&g), vec![4, 10, 14, 16]);
+        assert_eq!(reachable_pairs_by_hops(&g, &Executor::sequential()), vec![4, 10, 14, 16]);
     }
 
     #[test]
     fn exact_hop_plot_saturates_at_n_squared_for_connected_graphs() {
         let g = Graph::from_edges(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        assert_eq!(*exact_hop_plot(&g).last().unwrap(), 36);
+        assert_eq!(*reachable_pairs_by_hops(&g, &Executor::sequential()).last().unwrap(), 36);
     }
 
     #[test]
@@ -198,7 +179,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let g = erdos_renyi_gnp(200, 0.03, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(3);
-        let curve = approximate_hop_plot(&g, &HopPlotOptions::default(), &mut rng2);
+        let curve = approximate_hop_plot(
+            &g,
+            &HopPlotOptions::default(),
+            &mut rng2,
+            &Executor::sequential(),
+        );
         assert_eq!(curve[0], 200.0);
         assert!(curve.windows(2).all(|w| w[0] <= w[1] + 1e-9));
     }
@@ -207,10 +193,14 @@ mod tests {
     fn approximate_tracks_exact_on_a_random_graph() {
         let mut rng = StdRng::seed_from_u64(4);
         let g = erdos_renyi_gnp(300, 0.02, &mut rng);
-        let exact = exact_hop_plot(&g);
+        let exact = reachable_pairs_by_hops(&g, &Executor::sequential());
         let mut rng2 = StdRng::seed_from_u64(5);
-        let approx =
-            approximate_hop_plot(&g, &HopPlotOptions { sketches: 64, max_hops: 32 }, &mut rng2);
+        let approx = approximate_hop_plot(
+            &g,
+            &HopPlotOptions { sketches: 64, max_hops: 32 },
+            &mut rng2,
+            &Executor::sequential(),
+        );
         // Compare the saturation levels (total reachable pairs): the FM estimate should land
         // within ~25% of the truth with 64 sketches.
         let exact_total = *exact.last().unwrap() as f64;
@@ -229,23 +219,37 @@ mod tests {
     #[test]
     fn empty_graph_produces_empty_curve() {
         let mut rng = StdRng::seed_from_u64(6);
-        assert!(
-            approximate_hop_plot(&Graph::empty(0), &HopPlotOptions::default(), &mut rng).is_empty()
-        );
+        assert!(approximate_hop_plot(
+            &Graph::empty(0),
+            &HopPlotOptions::default(),
+            &mut rng,
+            &Executor::sequential()
+        )
+        .is_empty());
     }
 
     #[test]
     fn disconnected_graph_saturates_below_n_squared() {
         let g = Graph::from_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let exact = exact_hop_plot(&g);
+        let exact = reachable_pairs_by_hops(&g, &Executor::sequential());
         assert_eq!(*exact.last().unwrap(), 18); // two components of 3 nodes: 2 * 9
     }
 
     #[test]
     fn approximate_is_reproducible_with_a_seed() {
         let g = Graph::from_edges(10, (0..9u32).map(|i| (i, i + 1)));
-        let a = approximate_hop_plot(&g, &HopPlotOptions::default(), &mut StdRng::seed_from_u64(7));
-        let b = approximate_hop_plot(&g, &HopPlotOptions::default(), &mut StdRng::seed_from_u64(7));
+        let a = approximate_hop_plot(
+            &g,
+            &HopPlotOptions::default(),
+            &mut StdRng::seed_from_u64(7),
+            &Executor::sequential(),
+        );
+        let b = approximate_hop_plot(
+            &g,
+            &HopPlotOptions::default(),
+            &mut StdRng::seed_from_u64(7),
+            &Executor::sequential(),
+        );
         assert_eq!(a, b);
     }
 }

@@ -24,14 +24,8 @@ pub mod hops;
 pub mod profile;
 pub mod spectral;
 
-pub use clustering::{
-    average_clustering_by_degree, clustering_coefficients, clustering_coefficients_par,
-    global_clustering,
-};
+pub use clustering::{average_clustering_by_degree, clustering_coefficients, global_clustering};
 pub use degree::{degree_distribution, degree_histogram, DegreePoint};
-pub use hops::{
-    approximate_hop_plot, approximate_hop_plot_par, exact_hop_plot, exact_hop_plot_par,
-    HopPlotOptions,
-};
+pub use hops::{approximate_hop_plot, HopPlotOptions};
 pub use profile::{GraphProfile, ProfileComparison, ProfileOptions};
 pub use spectral::{network_values, scree_plot, SpectralOptions};

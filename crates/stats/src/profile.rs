@@ -8,10 +8,11 @@
 
 use crate::clustering::{average_clustering_by_degree, global_clustering, ClusteringPoint};
 use crate::degree::{degree_distribution, degree_distribution_distance, DegreePoint};
-use crate::hops::exact_hop_plot;
 use crate::spectral::{network_values, scree_plot, SpectralOptions};
+use kronpriv_graph::traversal::reachable_pairs_by_hops;
 use kronpriv_graph::{Graph, MatchingStatistics};
 use kronpriv_json::impl_json_struct;
+use kronpriv_par::Executor;
 use rand::Rng;
 
 /// Options controlling which parts of a profile are computed and at what resolution.
@@ -90,7 +91,11 @@ impl GraphProfile {
             edges: g.edge_count(),
             matching: MatchingStatistics::of_graph(g),
             degree_distribution: degree_distribution(g),
-            hop_plot: if options.skip_hop_plot { Vec::new() } else { exact_hop_plot(g) },
+            hop_plot: if options.skip_hop_plot {
+                Vec::new()
+            } else {
+                reachable_pairs_by_hops(g, &Executor::sequential())
+            },
             scree: scree_plot(g, &spectral, rng),
             network_values: network_values(g, &spectral, rng),
             clustering_by_degree: average_clustering_by_degree(g),

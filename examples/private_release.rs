@@ -32,6 +32,7 @@ fn main() {
         &KronMomOptions::default(),
         &PrivateEstimatorOptions::default(),
         &mut rng,
+        &Executor::new(0),
     );
     println!("\nestimates (a, b, c):");
     println!("  KronFit  {}", suite.kronfit.theta);

@@ -26,8 +26,13 @@ fn main() {
     // Release an (ε, δ)-differentially private estimate of the initiator (Algorithm 1) and a
     // synthetic graph sampled from it. Only `release.estimate.fit.theta` (and things derived
     // from it, like the synthetic graph) should ever leave the data curator's machine.
+    // Every parallel stage runs on one executor; `NullSink` ignores the progress events.
     let budget = PrivacyParams::paper_default(); // ε = 0.2, δ = 0.01, as in the paper
-    let release = release_synthetic_graph(&sensitive, budget, &mut rng);
+    let options = PrivateEstimatorOptions::default();
+    let exec = Executor::new(0);
+    let release =
+        try_release_synthetic_graph(&sensitive, budget, &options, &mut rng, &exec, &NullSink)
+            .expect("a non-empty graph and δ > 0 satisfy the release preconditions");
     println!("\nprivate estimate at {budget}: Θ̃ = {}", release.estimate.fit.theta);
     println!(
         "private matching statistics [E, H, Δ, T] = {:?}",

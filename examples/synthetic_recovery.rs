@@ -30,6 +30,7 @@ fn main() {
         &KronMomOptions::default(),
         &PrivateEstimatorOptions::default(),
         &mut rng,
+        &Executor::new(0),
     );
 
     println!("\n               a        b        c     |Θ̂ − Θ|");

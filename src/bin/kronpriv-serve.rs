@@ -272,7 +272,8 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
         return Err(format!("job result has no theta: {done}"));
     }
 
-    // The baseline selector: a tiny KronFit job must come back marked as such.
+    // The baseline selector: a tiny KronFit job must come back marked as such. It is sent the
+    // way an older client would, with a `compute_threads` the server accepts and ignores.
     let kronfit_request = r#"{
         "graph": {"skg": {"theta": {"a": 0.95, "b": 0.55, "c": 0.2}, "k": 6}},
         "estimator": "kronfit",
@@ -280,7 +281,7 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
         "kronfit": {"gradient_steps": 5, "warmup_swaps": 500, "samples_per_step": 2,
                     "swaps_between_samples": 100, "learning_rate": 0.06,
                     "min_parameter": 0.001, "initial": {"a": 0.9, "b": 0.6, "c": 0.2},
-                    "chains": 2}
+                    "chains": 2, "compute_threads": 3}
     }"#;
     let (status, body) = client::post_json(addr, "/api/estimate", kronfit_request)
         .map_err(|e| format!("kronfit estimate request failed: {e}"))?;

@@ -1,5 +1,5 @@
 //! The cross-crate facade test required by the offline-build milestone: drive the
-//! `release_synthetic_graph` pipeline end-to-end through `kronpriv::prelude` on a small seeded
+//! `try_release_synthetic_graph` pipeline end-to-end through `kronpriv::prelude` on a small seeded
 //! graph, then check the released artifacts — node/edge counts, the `[0, 1]` parameter box, and
 //! that the release serializes through the in-workspace JSON layer (the path the bench harness
 //! uses for every experiment record). Golden pins hold whole releases to fixed bits.
@@ -10,6 +10,13 @@ use kronpriv_json::ToJson;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The default-options release on an auto-sized pool.
+fn release(g: &Graph, params: PrivacyParams, rng: &mut StdRng) -> SyntheticRelease {
+    let options = PrivateEstimatorOptions::default();
+    try_release_synthetic_graph(g, params, &options, rng, &Executor::new(0), &NullSink)
+        .expect("a valid release")
+}
+
 #[test]
 fn release_synthetic_graph_end_to_end_on_a_small_seeded_graph() {
     // A small sensitive graph: a 512-node SKG realization (k = 9) plays the part.
@@ -19,7 +26,7 @@ fn release_synthetic_graph_end_to_end_on_a_small_seeded_graph() {
     assert_eq!(secret.node_count(), 512);
     assert!(secret.edge_count() > 0);
 
-    let release = release_synthetic_graph(&secret, PrivacyParams::new(1.0, 0.01), &mut rng);
+    let release = release(&secret, PrivacyParams::new(1.0, 0.01), &mut rng);
 
     // Node count: the synthetic graph lives on the same padded 2^k node set.
     assert_eq!(release.synthetic.node_count(), 512);
@@ -71,7 +78,7 @@ fn release_is_reproducible_from_the_seed() {
         let mut rng = StdRng::seed_from_u64(seed);
         let secret =
             sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 9, &SamplerOptions::default(), &mut rng);
-        let release = release_synthetic_graph(&secret, PrivacyParams::new(0.5, 0.01), &mut rng);
+        let release = release(&secret, PrivacyParams::new(0.5, 0.01), &mut rng);
         (release.estimate.fit.theta, release.synthetic.edge_count())
     };
     assert_eq!(run(42), run(42));
@@ -201,12 +208,13 @@ fn golden_releases_are_bit_identical_at_one_and_two_threads() {
             let case =
                 format!("{} (exact path: {}) at {threads}T", golden.graph, golden.exact_path);
             let mut rng = StdRng::seed_from_u64(0x60_1DE0);
-            let release = try_release_synthetic_graph_on(
+            let release = try_release_synthetic_graph(
                 &g,
                 PrivacyParams::new(0.5, 0.01),
                 &options,
                 &mut rng,
                 &Executor::new(threads),
+                &NullSink,
             )
             .expect("a valid release");
             let estimate = &release.estimate;

@@ -5,15 +5,14 @@
 //! isotonic pass must agree with the plain sequential PAVA reference up to float associativity.
 //!
 //! Together with `tests/parallel_consistency.rs` (the counting kernels) this pins the whole of
-//! Algorithm 1: `compute_threads` is a pure performance knob at every stage.
+//! Algorithm 1: the executor's pool size is a pure performance knob at every stage.
 
 use kronpriv::prelude::*;
-use kronpriv_dp::{isotonic_increasing_par, private_degree_sequence_par};
+use kronpriv_dp::{isotonic_increasing_par, private_degree_sequence};
 use kronpriv_estimate::MomentObjective;
 use kronpriv_linalg::isotonic_increasing;
 use kronpriv_optim::{
-    grid_search, grid_search_par, multistart_minimize, multistart_minimize_par, Bounds,
-    MultistartOptions, NelderMeadOptions,
+    grid_search, multistart_minimize, Bounds, MultistartOptions, NelderMeadOptions,
 };
 use kronpriv_par::Executor;
 use rand::rngs::StdRng;
@@ -44,8 +43,8 @@ fn assert_same_result(
 #[test]
 fn multistart_on_an_skg_objective_is_bit_identical_for_all_thread_counts() {
     // The real fitting problem: the paper's moment objective on the observed statistics of a
-    // seeded SKG realization. The parallel driver must match the sequential one bit for bit at
-    // every thread count.
+    // seeded SKG realization. The driver must match its sequential run bit for bit at every
+    // thread count.
     let g = skg_graph(10, 0xF17_0001);
     let stats = MatchingStatistics::of_graph(&g);
     let objective = MomentObjective::standard(&stats, 10);
@@ -53,9 +52,15 @@ fn multistart_on_an_skg_objective_is_bit_identical_for_all_thread_counts() {
     let extra = vec![vec![0.99, 0.5, 0.2]];
     let opts = MultistartOptions::default();
 
-    let sequential = multistart_minimize(|p| objective.evaluate_params(p), &bounds, &extra, &opts);
+    let sequential = multistart_minimize(
+        |p| objective.evaluate_params(p),
+        &bounds,
+        &extra,
+        &opts,
+        &Executor::sequential(),
+    );
     for threads in THREAD_COUNTS {
-        let par = multistart_minimize_par(
+        let par = multistart_minimize(
             |p| objective.evaluate_params(p),
             &bounds,
             &extra,
@@ -72,10 +77,11 @@ fn grid_scan_on_an_skg_objective_is_bit_identical_for_all_thread_counts() {
     let stats = MatchingStatistics::of_graph(&g);
     let objective = MomentObjective::standard(&stats, 9);
     let bounds = Bounds::unit(3);
-    let reference = grid_search(|p| objective.evaluate_params(p), &bounds, 7);
+    let reference =
+        grid_search(|p| objective.evaluate_params(p), &bounds, 7, &Executor::sequential());
     for threads in THREAD_COUNTS {
         let got =
-            grid_search_par(|p| objective.evaluate_params(p), &bounds, 7, &Executor::new(threads));
+            grid_search(|p| objective.evaluate_params(p), &bounds, 7, &Executor::new(threads));
         assert_eq!(got.len(), reference.len(), "threads {threads}");
         for (a, b) in got.iter().zip(&reference) {
             assert_eq!(a.value.to_bits(), b.value.to_bits(), "threads {threads}");
@@ -90,7 +96,7 @@ fn grid_scan_on_an_skg_objective_is_bit_identical_for_all_thread_counts() {
 fn equal_objective_restarts_tie_break_deterministically() {
     // Two flat-bottomed wells both reaching exactly 0.0: two restarts finish at the *same*
     // objective value, so only the lowest-objective / lowest-start-index rule decides the
-    // winner. Every thread count (and the sequential driver) must agree on it.
+    // winner. Every thread count (and the sequential run) must agree on it.
     let f = |x: &[f64]| {
         let d = (x[0] - 0.25).abs().min((x[0] - 0.75).abs());
         (d - 0.1).max(0.0)
@@ -101,11 +107,11 @@ fn equal_objective_restarts_tie_break_deterministically() {
         refine_top: 2,
         nelder_mead: NelderMeadOptions::default(),
     };
-    let sequential = multistart_minimize(f, &bounds, &[], &opts);
+    let sequential = multistart_minimize(f, &bounds, &[], &opts, &Executor::sequential());
     assert_eq!(sequential.value, 0.0, "both wells bottom out at exactly zero");
     assert!(sequential.point[0] < 0.5, "stable grid order seeds the left well first");
     for threads in THREAD_COUNTS {
-        let par = multistart_minimize_par(f, &bounds, &[], &opts, &Executor::new(threads));
+        let par = multistart_minimize(f, &bounds, &[], &opts, &Executor::new(threads));
         assert_same_result(&par, &sequential, &format!("threads {threads}"));
     }
 }
@@ -117,7 +123,7 @@ fn parallel_isotonic_pass_is_bit_identical_and_tracks_the_sequential_reference()
     let g = skg_graph(13, 0xF17_0003);
     let release = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_0004);
-        private_degree_sequence_par(&g, PrivacyParams::pure(0.1), &mut rng, &Executor::new(threads))
+        private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng, &Executor::new(threads))
     };
     let reference = release(1);
     assert!(reference.degrees.len() >= 8192, "want a multi-block sequence");
@@ -140,14 +146,22 @@ fn parallel_isotonic_pass_is_bit_identical_and_tracks_the_sequential_reference()
 
 #[test]
 fn full_private_fit_is_invariant_under_the_thread_knob() {
-    // End to end through the new parallel fitting stage: Algorithm 1's released initiator must
-    // not depend on compute_threads, whether the knob is set on the pipeline options or left
-    // for the KronMom stage to resolve.
+    // End to end through the parallel fitting stage: Algorithm 1's released initiator must
+    // not depend on the size of the pool every stage borrows.
     let g = skg_graph(10, 0xF17_0005);
     let fit = |threads: usize| {
-        let options = PrivateEstimatorOptions { compute_threads: threads, ..Default::default() };
+        let options = PrivateEstimatorOptions::default();
         let mut rng = StdRng::seed_from_u64(0xF17_0006);
-        try_private_estimate(&g, PrivacyParams::paper_default(), &options, &mut rng).unwrap()
+        let exec = Executor::new(threads);
+        try_private_estimate(
+            &g,
+            PrivacyParams::paper_default(),
+            &options,
+            &mut rng,
+            &exec,
+            &NullSink,
+        )
+        .unwrap()
     };
     let reference = fit(1);
     for threads in [2usize, 8] {

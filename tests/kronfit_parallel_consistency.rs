@@ -29,16 +29,25 @@ fn skg_graph(k: u32, seed: u64) -> Graph {
 /// A short but real fit configuration: multi-chunk edge sums would need a bigger graph, so the
 /// chain fan-out is the parallel path this options set exercises; the edge-partitioned sums
 /// have their own multi-chunk bit-identity test in the `kronpriv-estimate` unit suite.
-fn quick_options(chains: usize, compute_threads: usize) -> KronFitOptions {
+fn quick_options(chains: usize) -> KronFitOptions {
     KronFitOptions {
         gradient_steps: 8,
         warmup_swaps: 1_000,
         samples_per_step: 2,
         swaps_between_samples: 200,
         chains,
-        compute_threads,
         ..Default::default()
     }
+}
+
+/// The KronFit fit with `chains` chains on a `threads`-participant pool.
+fn pooled_fit(g: &Graph, chains: usize, threads: usize, rng: &mut StdRng) -> FittedInitiator {
+    KronFitEstimator::new(quick_options(chains)).fit_graph(
+        g,
+        rng,
+        &Executor::new(threads),
+        &NullSink,
+    )
 }
 
 #[test]
@@ -46,7 +55,7 @@ fn multi_chain_fit_is_bit_identical_for_all_thread_counts() {
     let g = skg_graph(9, 0xF17_1000);
     let fit_with = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_1001);
-        KronFitEstimator::new(quick_options(4, threads)).fit_graph(&g, &mut rng)
+        pooled_fit(&g, 4, threads, &mut rng)
     };
     let reference = fit_with(1);
     for threads in THREAD_COUNTS {
@@ -79,7 +88,7 @@ fn fits_reproduce_the_golden_values_bit_for_bit() {
     for (k, chains, theta_bits, objective_bits, evaluations) in GOLDEN {
         let g = skg_graph(k, 0xF17_2000 + k as u64);
         let mut rng = StdRng::seed_from_u64(0xF17_2001);
-        let fit = KronFitEstimator::new(quick_options(chains, 2)).fit_graph(&g, &mut rng);
+        let fit = pooled_fit(&g, chains, 2, &mut rng);
         let got = [fit.theta.a.to_bits(), fit.theta.b.to_bits(), fit.theta.c.to_bits()];
         assert_eq!(got, theta_bits, "k {k}, {chains} chain(s): theta");
         assert_eq!(fit.objective_value.to_bits(), objective_bits, "k {k}, {chains}: objective");
@@ -90,11 +99,11 @@ fn fits_reproduce_the_golden_values_bit_for_bit() {
 #[test]
 fn chain_count_changes_the_fit_thread_count_does_not() {
     // The contract stated in ISSUE/API terms: `chains` is part of the result's definition,
-    // `compute_threads` never is.
+    // the pool size never is.
     let g = skg_graph(8, 0xF17_1002);
     let run = |chains: usize, threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_1003);
-        KronFitEstimator::new(quick_options(chains, threads)).fit_graph(&g, &mut rng).theta
+        pooled_fit(&g, chains, threads, &mut rng).theta
     };
     assert_eq!(run(3, 1), run(3, 8), "threads must not matter at fixed chains");
     assert_ne!(run(1, 1), run(4, 1), "chain count is an algorithm parameter");
@@ -144,7 +153,8 @@ fn kronfit_baseline_is_invariant_under_the_thread_knob_end_to_end() {
     let g = skg_graph(8, 0xF17_1006);
     let fit = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_1007);
-        try_kronfit_estimate(&g, &quick_options(2, threads), &mut rng).unwrap()
+        let exec = Executor::new(threads);
+        try_kronfit_estimate(&g, &quick_options(2), &mut rng, &exec, &NullSink).unwrap()
     };
     let reference = fit(1);
     for threads in [2usize, 8] {

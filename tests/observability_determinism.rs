@@ -69,14 +69,13 @@ fn observed_and_scraped_release_is_byte_identical_to_a_cold_run() {
 
     let cold = {
         let mut rng = StdRng::seed_from_u64(7);
-        try_release_synthetic_graph_on(&secret, params, &options, &mut rng, &exec).unwrap()
+        try_release_synthetic_graph(&secret, params, &options, &mut rng, &exec, &NullSink).unwrap()
     };
     let observed = {
         let sink = ScrapingSink::new();
         let mut rng = StdRng::seed_from_u64(7);
         let release =
-            try_release_synthetic_graph_observed(&secret, params, &options, &mut rng, &exec, &sink)
-                .unwrap();
+            try_release_synthetic_graph(&secret, params, &options, &mut rng, &exec, &sink).unwrap();
         assert!(sink.scrapes.load(Ordering::Relaxed) > 0, "the observer must have observed");
         // The stage sequence the pipeline reports: the release stages plus the final sample.
         let stages: Vec<&str> = sink
@@ -113,14 +112,14 @@ fn observed_and_scraped_kronfit_is_byte_identical_to_a_cold_run() {
 
     let cold = {
         let mut rng = StdRng::seed_from_u64(13);
-        try_kronfit_estimate_on(&secret, &options, &mut rng, &exec).unwrap()
+        try_kronfit_estimate(&secret, &options, &mut rng, &exec, &NullSink).unwrap()
     };
     // The scraping sink additionally turns on the per-step likelihood probe — the probe must
     // consume no randomness, so even with it the fit cannot move.
     let sink = ScrapingSink::new();
     let observed = {
         let mut rng = StdRng::seed_from_u64(13);
-        try_kronfit_estimate_observed(&secret, &options, &mut rng, &exec, &sink).unwrap()
+        try_kronfit_estimate(&secret, &options, &mut rng, &exec, &sink).unwrap()
     };
     assert_eq!(cold.theta.a.to_bits(), observed.theta.a.to_bits());
     assert_eq!(cold.theta.b.to_bits(), observed.theta.b.to_bits());
@@ -140,12 +139,13 @@ fn the_exposition_scraped_mid_run_is_well_formed() {
     let secret = secret_graph();
     let exec = Executor::new(2);
     let mut rng = StdRng::seed_from_u64(5);
-    try_private_estimate_on(
+    try_private_estimate(
         &secret,
         PrivacyParams::new(1.0, 0.01),
         &PrivateEstimatorOptions::default(),
         &mut rng,
         &exec,
+        &NullSink,
     )
     .unwrap();
     let exposition = MetricsRegistry::global().render();

@@ -5,20 +5,12 @@
 //! reference on the hub-heavy shapes that used to blow up the wedge-pair HashMap.
 
 use kronpriv::prelude::*;
-use kronpriv_dp::{
-    smooth_sensitivity_triangles, smooth_sensitivity_triangles_par, triangle_local_sensitivity,
-    triangle_local_sensitivity_par,
-};
-use kronpriv_graph::counts::{
-    max_common_neighbors, per_node_triangles, per_node_triangles_par, triangle_count,
-    triangle_count_par,
-};
+use kronpriv_dp::{smooth_sensitivity_triangles, triangle_local_sensitivity};
+use kronpriv_graph::counts::{max_common_neighbors, per_node_triangles, triangle_count};
 use kronpriv_graph::generators::preferential_attachment;
+use kronpriv_graph::traversal::reachable_pairs_by_hops;
 use kronpriv_par::Executor;
-use kronpriv_stats::{
-    approximate_hop_plot, approximate_hop_plot_par, exact_hop_plot, exact_hop_plot_par,
-    HopPlotOptions,
-};
+use kronpriv_stats::{approximate_hop_plot, HopPlotOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,13 +30,13 @@ fn test_graphs() -> Vec<(&'static str, Graph)> {
 #[test]
 fn triangle_counts_are_identical_for_all_thread_counts() {
     for (name, g) in test_graphs() {
-        let count = triangle_count(&g);
-        let per_node = per_node_triangles(&g);
+        let count = triangle_count(&g, &Executor::sequential());
+        let per_node = per_node_triangles(&g, &Executor::sequential());
         assert!(count > 0, "{name}: want a non-trivial graph");
         for threads in THREAD_COUNTS {
             let exec = Executor::new(threads);
-            assert_eq!(triangle_count_par(&g, &exec), count, "{name} threads {threads}");
-            assert_eq!(per_node_triangles_par(&g, &exec), per_node, "{name} threads {threads}");
+            assert_eq!(triangle_count(&g, &exec), count, "{name} threads {threads}");
+            assert_eq!(per_node_triangles(&g, &exec), per_node, "{name} threads {threads}");
         }
     }
 }
@@ -53,12 +45,12 @@ fn triangle_counts_are_identical_for_all_thread_counts() {
 fn smooth_sensitivity_is_bit_identical_for_all_thread_counts() {
     for (name, g) in test_graphs() {
         for beta in [0.01, 0.2] {
-            let reference = smooth_sensitivity_triangles(&g, beta);
+            let reference = smooth_sensitivity_triangles(&g, beta, &Executor::sequential());
             assert!(reference > 0.0, "{name}: smooth sensitivity must be positive");
             for threads in THREAD_COUNTS {
                 let exec = Executor::new(threads);
                 assert_eq!(
-                    smooth_sensitivity_triangles_par(&g, beta, &exec).to_bits(),
+                    smooth_sensitivity_triangles(&g, beta, &exec).to_bits(),
                     reference.to_bits(),
                     "{name} beta {beta} threads {threads}"
                 );
@@ -70,14 +62,15 @@ fn smooth_sensitivity_is_bit_identical_for_all_thread_counts() {
 #[test]
 fn hop_plots_are_identical_for_all_thread_counts() {
     for (name, g) in test_graphs() {
-        let exact = exact_hop_plot(&g);
+        let seq = Executor::sequential();
+        let exact = reachable_pairs_by_hops(&g, &seq);
         let options = HopPlotOptions { sketches: 16, max_hops: 24 };
-        let approx = approximate_hop_plot(&g, &options, &mut StdRng::seed_from_u64(7));
+        let approx = approximate_hop_plot(&g, &options, &mut StdRng::seed_from_u64(7), &seq);
         for threads in THREAD_COUNTS {
             let exec = Executor::new(threads);
-            assert_eq!(exact_hop_plot_par(&g, &exec), exact, "{name} threads {threads}");
+            assert_eq!(reachable_pairs_by_hops(&g, &exec), exact, "{name} threads {threads}");
             let approx_par =
-                approximate_hop_plot_par(&g, &options, &mut StdRng::seed_from_u64(7), &exec);
+                approximate_hop_plot(&g, &options, &mut StdRng::seed_from_u64(7), &exec);
             assert_eq!(approx_par.len(), approx.len(), "{name} threads {threads}");
             for (a, b) in approx_par.iter().zip(&approx) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{name} threads {threads}");
@@ -88,12 +81,21 @@ fn hop_plots_are_identical_for_all_thread_counts() {
 
 #[test]
 fn full_private_estimate_is_invariant_under_the_thread_knob() {
-    // End to end: the estimate the server publishes must not depend on compute_threads.
+    // End to end: the estimate the server publishes must not depend on the pool size.
     let (_, g) = &test_graphs()[0];
     let fit = |threads: usize| {
-        let options = PrivateEstimatorOptions { compute_threads: threads, ..Default::default() };
+        let options = PrivateEstimatorOptions::default();
         let mut rng = StdRng::seed_from_u64(0xDE_7003);
-        try_private_estimate(g, PrivacyParams::paper_default(), &options, &mut rng).unwrap()
+        let exec = Executor::new(threads);
+        try_private_estimate(
+            g,
+            PrivacyParams::paper_default(),
+            &options,
+            &mut rng,
+            &exec,
+            &NullSink,
+        )
+        .unwrap()
     };
     let reference = fit(1);
     for threads in [2usize, 8] {
@@ -126,8 +128,9 @@ fn hub_heavy_local_sensitivity_runs_in_linear_memory_and_matches_the_reference()
 
     // Small instance: the quadratic reference is affordable, pin exact agreement.
     let small = star_of_stars(12, 8);
-    assert_eq!(triangle_local_sensitivity(&small), max_common_neighbors(&small));
-    assert_eq!(triangle_local_sensitivity(&small), 8);
+    let seq = Executor::sequential();
+    assert_eq!(triangle_local_sensitivity(&small, &seq), max_common_neighbors(&small));
+    assert_eq!(triangle_local_sensitivity(&small, &seq), 8);
 
     // Hub-heavy instance: hub degree 3'875 ⇒ ~7.5M wedge pairs through the hub alone. The
     // O(n) kernel must handle it instantly at every thread count with the closed-form answer.
@@ -135,6 +138,6 @@ fn hub_heavy_local_sensitivity_runs_in_linear_memory_and_matches_the_reference()
     assert_eq!(big.degree(0), 3875);
     for threads in THREAD_COUNTS {
         let exec = Executor::new(threads);
-        assert_eq!(triangle_local_sensitivity_par(&big, &exec), 30, "threads {threads}");
+        assert_eq!(triangle_local_sensitivity(&big, &exec), 30, "threads {threads}");
     }
 }

@@ -133,17 +133,34 @@ fn restart_replays_datasets_ledgers_and_finished_jobs_byte_identically() {
 fn pending_jobs_left_in_the_log_rerun_to_completion_on_boot() {
     let dir = temp_dir("pending");
     // Simulate a crash after a job was accepted but before it finished: a `job_submitted`
-    // record with no matching `job_finished`. The booting server must re-run it.
-    let spec = r#"{"skg": {"theta": {"a": 0.95, "b": 0.55, "c": 0.2}, "k": 7},
-                   "params": {"epsilon": 1.0, "delta": 0.01}, "seed": 5}"#;
+    // record with no matching `job_finished`. The booting server must re-run it. The data dir
+    // is one an older binary wrote: its records carry a `warnings` array and its persisted
+    // options a `compute_threads` field, neither of which the server reads any more.
+    let options = r#"{"degree_budget_fraction": 0.5, "exact_smooth_sensitivity": false,
+                      "degrees_only": false, "triangle_signal_threshold": 2.0,
+                      "kronmom": {"grid_points_per_axis": 7, "refine_top": 5,
+                                  "max_evaluations": 4000}}"#;
+    let old_options = options.replacen('{', r#"{"compute_threads": 3, "#, 1);
+    let spec = format!(
+        r#"{{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 7}},
+            "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 5, "options": {old_options}}}"#
+    );
+    let warning = "options.compute_threads=3 is ignored: jobs run on the server's shared pool";
+    // A finished job as the older binary's snapshot stored it, warnings included.
+    let finished = r#"{"seed":1,"theta":{"a":0.9,"b":0.5,"c":0.2}}"#;
+    let snapshot = format!(
+        r#"{{"next_job_id":3,"datasets":[],"jobs":[{{"job_id":3,"status":"done",
+            "result":{finished},"warnings":["{warning}"]}}]}}"#
+    );
     {
         let (store, _) = Persistence::open(&dir, 1000).unwrap();
+        store.snapshot_now(&snapshot).unwrap();
         store.record(
             "job_submitted",
             vec![
                 ("job_id", Json::Number(7.0)),
-                ("warnings", Json::Array(Vec::new())),
-                ("spec", Json::parse(spec).unwrap()),
+                ("warnings", Json::Array(vec![Json::String(warning.to_string())])),
+                ("spec", Json::parse(&spec).unwrap()),
             ],
             || "{}".to_string(),
         );
@@ -152,15 +169,23 @@ fn pending_jobs_left_in_the_log_rerun_to_completion_on_boot() {
     let addr = handle.addr();
     let replayed = poll_to_done(addr, 7);
     assert!(replayed.contains("\"theta\""), "{replayed}");
+    assert!(!replayed.contains("warnings"), "{replayed}");
 
     // The re-run is the same pure function of the spec: a fresh submit of the identical
-    // request produces byte-identical result bytes.
-    let body = r#"{"graph": {"skg": {"theta": {"a": 0.95, "b": 0.55, "c": 0.2}, "k": 7}},
-            "params": {"epsilon": 1.0, "delta": 0.01}, "seed": 5}"#;
-    let (status, submit) = client::post_json(addr, "/api/v1/estimate", body).unwrap();
+    // request, without the fields the older binary wrote, produces byte-identical result bytes.
+    let body = format!(
+        r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 7}}}},
+            "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 5, "options": {options}}}"#
+    );
+    let (status, submit) = client::post_json(addr, "/api/v1/estimate", &body).unwrap();
     assert_eq!(status, 202, "{submit}");
     let fresh = poll_to_done(addr, submitted_job_id(&submit));
     assert_eq!(result_bytes(&fresh), result_bytes(&replayed));
+
+    // The finished job from the old snapshot is served, without its warnings.
+    let restored = poll_to_done(addr, 3);
+    assert_eq!(result_bytes(&restored), Json::parse(finished).unwrap().to_compact_string());
+    assert!(!restored.contains("warnings"), "{restored}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

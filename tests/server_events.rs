@@ -1,6 +1,7 @@
 //! Live-socket coverage of the observability surface: a slow KronFit job followed over the
-//! chunked `/api/jobs/{id}/events` stream, the `warnings` contract for overridden request
-//! fields, and the `/healthz` status document — all over real localhost HTTP, fully offline.
+//! chunked `/api/jobs/{id}/events` stream, the quiet acceptance of an old client's
+//! `compute_threads` fields, and the `/healthz` status document — all over real localhost HTTP,
+//! fully offline.
 
 use kronpriv_json::Json;
 use kronpriv_server::{client, serve, ServerConfig};
@@ -21,14 +22,14 @@ fn start_server() -> kronpriv_server::ServerHandle {
 /// long enough that the event stream demonstrably attaches while the job is still running.
 /// Its 4M Metropolis proposals take a few hundred ms: a swap costs tens of ns once edge
 /// terms are looked up per digit-count class.
-fn slow_kronfit_body(seed: u64, compute_threads: usize) -> String {
+fn slow_kronfit_body(seed: u64) -> String {
     format!(
         r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 8}}}},
             "estimator": "kronfit", "seed": {seed},
             "kronfit": {{"gradient_steps": 8, "warmup_swaps": 200000, "samples_per_step": 2,
                          "swaps_between_samples": 50000, "learning_rate": 0.06,
                          "min_parameter": 0.001, "initial": {{"a": 0.9, "b": 0.6, "c": 0.2}},
-                         "chains": 2, "compute_threads": {compute_threads}}}}}"#
+                         "chains": 2}}}}"#
     )
 }
 
@@ -59,7 +60,7 @@ fn kronfit_event_stream_follows_the_job_from_queued_to_done() {
     let handle = start_server();
     let addr = handle.addr();
     let (status, submitted) =
-        client::post_json(addr, "/api/estimate", &slow_kronfit_body(17, 0)).unwrap();
+        client::post_json(addr, "/api/estimate", &slow_kronfit_body(17)).unwrap();
     assert_eq!(status, 202, "{submitted}");
     let job_id = Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
 
@@ -148,27 +149,63 @@ fn failed_jobs_stream_a_terminal_failed_event() {
     handle.shutdown();
 }
 
-/// The `compute_threads` override contract over live HTTP: a mismatching request value is
-/// accepted but answered with an explicit warning, on the submit response and on every poll.
+/// Submits `body` and polls it to `Done`, asserting that neither the submit nor the poll
+/// document carries a `warnings` key. Returns the result document as compact text.
+fn quiet_result(addr: SocketAddr, body: &str) -> String {
+    let (status, submitted) =
+        client::post_json(addr, "/api/estimate", body).expect("submit must succeed");
+    assert_eq!(status, 202, "{submitted}");
+    let submit = Json::parse(&submitted).expect("submit body is JSON");
+    assert!(submit.get("warnings").is_none(), "{submitted}");
+    let job_id = submit.get("job_id").and_then(Json::as_f64).expect("submit has a job_id");
+    let poll = poll_to_done(addr, job_id as u64);
+    assert!(poll.get("warnings").is_none(), "{poll:?}");
+    poll.get("result").expect("a done job has a result").to_compact_string()
+}
+
+/// An old client's `compute_threads` — in `options`, `options.kronmom` or `kronfit` — is
+/// accepted and ignored quietly: the job is admitted, no `warnings` key appears on submit or
+/// poll, and the result bytes equal those of the same request without the field. The pool
+/// stays sized by the deployment's `--compute-threads`.
 #[test]
-fn overridden_compute_threads_warn_on_submit_and_poll() {
+fn compute_threads_from_old_clients_is_accepted_and_ignored_quietly() {
     let handle = start_server();
     let addr = handle.addr();
-    // 1789 threads will never match a real pool.
-    let (status, submitted) =
-        client::post_json(addr, "/api/estimate", &slow_kronfit_body(3, 1789)).unwrap();
-    assert_eq!(status, 202, "{submitted}");
-    let submit = Json::parse(&submitted).unwrap();
-    let warnings = submit.get("warnings").unwrap().as_array().expect("warnings array");
-    assert_eq!(warnings.len(), 1, "{submitted}");
-    let text = warnings[0].as_str().unwrap();
-    assert!(text.contains("kronfit.compute_threads=1789"), "{text}");
-    assert!(text.contains("ignored"), "{text}");
-
-    let job_id = submit.get("job_id").unwrap().as_f64().unwrap() as u64;
-    let poll = poll_to_done(addr, job_id);
-    let echoed = poll.get("warnings").unwrap().as_array().expect("warnings echoed");
-    assert_eq!(echoed[0].as_str().unwrap(), text, "poll must echo the submission warnings");
+    let graph = r#""graph": {"skg": {"theta": {"a": 0.95, "b": 0.55, "c": 0.2}, "k": 8}}"#;
+    let kronmom = r#"{"grid_points_per_axis": 7, "refine_top": 5, "max_evaluations": 4000}"#;
+    let options = format!(
+        r#"{{"degree_budget_fraction": 0.5, "exact_smooth_sensitivity": false,
+            "degrees_only": false, "triangle_signal_threshold": 2.0, "kronmom": {kronmom}}}"#
+    );
+    let kronfit = r#"{"gradient_steps": 4, "warmup_swaps": 500, "samples_per_step": 2,
+                      "swaps_between_samples": 100, "learning_rate": 0.06,
+                      "min_parameter": 0.001, "initial": {"a": 0.9, "b": 0.6, "c": 0.2},
+                      "chains": 2}"#;
+    let cases = [
+        (
+            format!(
+                r#"{{{graph}, "seed": 21, "params": {{"epsilon": 1.0, "delta": 0.01}},
+                    "options": {options}}}"#
+            ),
+            ("\"degrees_only\": false,", "\"degrees_only\": false, \"compute_threads\": 5,"),
+        ),
+        (
+            format!(r#"{{{graph}, "seed": 22, "estimator": "kronmom", "options": {options}}}"#),
+            ("\"max_evaluations\": 4000", "\"max_evaluations\": 4000, \"compute_threads\": 7"),
+        ),
+        (
+            format!(r#"{{{graph}, "seed": 23, "estimator": "kronfit", "kronfit": {kronfit}}}"#),
+            ("\"chains\": 2", "\"chains\": 2, \"compute_threads\": 3"),
+        ),
+    ];
+    for (plain, (anchor, with_field)) in &cases {
+        let old_client = plain.replacen(anchor, with_field, 1);
+        assert_eq!(old_client.matches("compute_threads").count(), 1, "{old_client}");
+        assert_eq!(quiet_result(addr, &old_client), quiet_result(addr, plain), "{old_client}");
+    }
+    let (_, body) = client::get(addr, "/healthz").unwrap();
+    let health = Json::parse(&body).unwrap();
+    assert!(health.get("compute_threads").unwrap().as_f64().unwrap() >= 1.0, "{body}");
     handle.shutdown();
 }
 
@@ -187,7 +224,7 @@ fn healthz_serves_the_status_document() {
     assert_eq!(health.get("jobs_done").unwrap().as_f64(), Some(0.0));
 
     let (status, submitted) =
-        client::post_json(addr, "/api/estimate", &slow_kronfit_body(5, 0)).unwrap();
+        client::post_json(addr, "/api/estimate", &slow_kronfit_body(5)).unwrap();
     assert_eq!(status, 202, "{submitted}");
     let job_id = Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
     poll_to_done(addr, job_id);
