@@ -8,7 +8,7 @@ use kronpriv_estimate::{
 };
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
-use kronpriv_obs::{NullSink, ProgressSink};
+use kronpriv_obs::{stage, NullSink, ProgressSink};
 use kronpriv_par::Executor;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use rand::Rng;
@@ -107,17 +107,19 @@ pub fn try_kronfit_estimate<R: Rng + ?Sized>(
 }
 
 /// Fallible KronMom baseline: checks the graph is non-empty and runs the exact moment-matching
-/// fit on `exec`. This is the entry point the server uses for `/api/estimate` with
-/// `"estimator": "kronmom"`. **Not differentially private** — it matches the exact counts.
+/// fit on `exec` as the `fit` stage reported to `sink`. This is the entry point the server uses
+/// for `/api/estimate` with `"estimator": "kronmom"`. **Not differentially private** — it
+/// matches the exact counts.
 pub fn try_kronmom_estimate(
     g: &Graph,
     options: &KronMomOptions,
     exec: &Executor,
+    sink: &dyn ProgressSink,
 ) -> Result<FittedInitiator, PipelineError> {
     if g.node_count() == 0 || g.edge_count() == 0 {
         return Err(PipelineError::EmptyGraph);
     }
-    Ok(KronMomEstimator::new(*options).fit_graph(g, exec))
+    Ok(stage("fit", sink, || KronMomEstimator::new(*options).fit_graph(g, exec)))
 }
 
 /// The full pipeline of the paper's introduction: runs [`try_private_estimate`] and samples one
@@ -132,12 +134,9 @@ pub fn try_release_synthetic_graph<R: Rng + ?Sized>(
     sink: &dyn ProgressSink,
 ) -> Result<SyntheticRelease, PipelineError> {
     let estimate = try_private_estimate(g, params, options, rng, exec, sink)?;
-    sink.emit(&kronpriv_obs::ProgressEvent::StageStarted { stage: "sample" });
-    let synthetic = {
-        let _span = kronpriv_obs::stage_span("sample");
+    let synthetic = stage("sample", sink, || {
         sample_fast(&estimate.fit.theta, estimate.fit.k, &SamplerOptions::default(), rng)
-    };
-    sink.emit(&kronpriv_obs::ProgressEvent::StageFinished { stage: "sample" });
+    });
     Ok(SyntheticRelease { estimate, synthetic })
 }
 
@@ -337,7 +336,7 @@ mod tests {
             PipelineError::EmptyGraph
         );
         assert_eq!(
-            try_kronmom_estimate(&g, &KronMomOptions::default(), &exec).unwrap_err(),
+            try_kronmom_estimate(&g, &KronMomOptions::default(), &exec, &NullSink).unwrap_err(),
             PipelineError::EmptyGraph
         );
         // The library-level fit itself degenerates cleanly for direct callers.
@@ -354,7 +353,7 @@ mod tests {
         let exec = Executor::new(0);
         let fit = try_kronfit_estimate(&g, &quick, &mut rng, &exec, &NullSink).unwrap();
         assert!(fit.theta.a >= fit.theta.c);
-        let fit = try_kronmom_estimate(&g, &KronMomOptions::default(), &exec).unwrap();
+        let fit = try_kronmom_estimate(&g, &KronMomOptions::default(), &exec, &NullSink).unwrap();
         assert!(fit.theta.a >= fit.theta.c);
     }
 

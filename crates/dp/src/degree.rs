@@ -18,6 +18,7 @@ use crate::laplace::LaplaceNoise;
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_redacted;
 use kronpriv_linalg::IsotonicBlocks;
+use kronpriv_obs::{stage, NullSink};
 use kronpriv_par::{Executor, Work};
 use rand::Rng;
 
@@ -102,15 +103,12 @@ pub fn private_degree_sequence_from_sorted<R: Rng + ?Sized>(
     rng: &mut R,
     exec: &Executor,
 ) -> PrivateDegreeSequence {
-    let noisy: Vec<f64> = {
-        let _span = kronpriv_obs::stage_span("degree_laplace");
+    let noisy: Vec<f64> = stage("degree_release/laplace", &NullSink, || {
         let noise = LaplaceNoise::new(DEGREE_SEQUENCE_SENSITIVITY / params.epsilon);
         sorted_degrees.iter().map(|&d| d + noise.sample(rng)).collect()
-    };
-    let fitted = {
-        let _span = kronpriv_obs::stage_span("isotonic");
-        isotonic_increasing_par(&noisy, exec)
-    };
+    });
+    let fitted =
+        stage("degree_release/isotonic", &NullSink, || isotonic_increasing_par(&noisy, exec));
     PrivateDegreeSequence { degrees: fitted, noisy_degrees: noisy, params }
 }
 

@@ -29,6 +29,7 @@ use crate::laplace::LaplaceNoise;
 use kronpriv_graph::counts::{common_neighbor_count, exclusive_neighbor_count, DegreeOrdered};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_redacted;
+use kronpriv_obs::{stage, NullSink};
 use kronpriv_par::{Executor, Work};
 use rand::Rng;
 
@@ -223,8 +224,7 @@ pub fn private_triangle_count<R: Rng + ?Sized>(
 ) -> PrivateTriangleCount {
     assert!(params.delta > 0.0, "the smooth-sensitivity triangle release requires delta > 0");
     let beta = params.epsilon / (2.0 * (2.0 / params.delta).ln());
-    let (ss, ordered) = {
-        let _span = kronpriv_obs::stage_span("smooth_sensitivity");
+    let (ss, ordered) = stage("triangle_release/smooth_sensitivity", &NullSink, || {
         let ordered = DegreeOrdered::new(g);
         let ss = if exact {
             smooth_sensitivity_triangles_exact(g, beta, exec)
@@ -232,11 +232,9 @@ pub fn private_triangle_count<R: Rng + ?Sized>(
             smooth_upper_bound(ordered.max_common_neighbors(exec), g.node_count(), beta)
         };
         (ss, ordered)
-    };
-    let exact_count = {
-        let _span = kronpriv_obs::stage_span("triangle_count");
-        ordered.triangle_count(exec) as f64
-    };
+    });
+    let exact_count =
+        stage("triangle_release/count", &NullSink, || ordered.triangle_count(exec) as f64);
     let noise = LaplaceNoise::new(1.0);
     let value = exact_count + 2.0 * ss / params.epsilon * noise.sample(rng);
     PrivateTriangleCount { value, exact: exact_count, smooth_sensitivity: ss, beta, params }

@@ -33,7 +33,7 @@
 use crate::{kronecker_order_for, FittedInitiator};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_with_defaults;
-use kronpriv_obs::{ProgressEvent, ProgressSink};
+use kronpriv_obs::{stage, ProgressEvent, ProgressSink};
 use kronpriv_par::{Executor, Work};
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
@@ -250,11 +250,11 @@ impl KronFitEstimator {
     /// sums borrow `exec`. The fit is a pure function of `(g, options, that draw)` — in
     /// particular it is byte-identical for every pool size.
     ///
-    /// Progress flows into `sink` (pass [`kronpriv_obs::NullSink`] to ignore it): a
-    /// [`ProgressEvent::StageStarted`]/[`ProgressEvent::StageFinished`] pair for the whole
-    /// `kronfit` stage, plus one [`ProgressEvent::ChainStep`] per chain per ascent step
-    /// (emitted from whichever worker ran the chain, so events from different chains may
-    /// interleave; within one chain the step order is monotone).
+    /// Progress flows into `sink` (pass [`kronpriv_obs::NullSink`] to ignore it): the whole fit
+    /// runs as the `kronfit` stage of [`kronpriv_obs::stage`], with one
+    /// [`ProgressEvent::ChainStep`] per chain per ascent step in between (emitted from
+    /// whichever worker ran the chain, so events from different chains may interleave; within
+    /// one chain the step order is monotone).
     ///
     /// `ChainStep::log_likelihood` is `NaN` unless the sink opts in via
     /// [`ProgressSink::wants_chain_likelihood`] — the extra per-step likelihood evaluation
@@ -267,11 +267,7 @@ impl KronFitEstimator {
         exec: &Executor,
         sink: &dyn ProgressSink,
     ) -> FittedInitiator {
-        sink.emit(&ProgressEvent::StageStarted { stage: "kronfit" });
-        let _stage = kronpriv_obs::stage_span("kronfit");
-        let fit = self.fit_chains(g, rng, exec, sink);
-        sink.emit(&ProgressEvent::StageFinished { stage: "kronfit" });
-        fit
+        stage("kronfit", sink, || self.fit_chains(g, rng, exec, sink))
     }
 
     /// The multi-chain ascent loop behind [`Self::fit_graph`].

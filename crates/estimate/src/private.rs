@@ -21,7 +21,7 @@ use kronpriv_dp::{
 };
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
-use kronpriv_obs::{ProgressEvent, ProgressSink};
+use kronpriv_obs::{stage, ProgressSink};
 use kronpriv_par::Executor;
 use rand::Rng;
 
@@ -113,9 +113,9 @@ impl PrivateEstimator {
     /// Runs Algorithm 1 on `g` with total budget `params`, using `rng` for all noise.
     ///
     /// Every parallel stage borrows `exec`; the estimate is byte-identical for any pool size.
-    /// [`ProgressEvent::StageStarted`]/[`ProgressEvent::StageFinished`] pairs for the
-    /// `degree_release`, `triangle_release` (skipped in the degrees-only ablation) and `fit`
-    /// stages flow into `sink` (pass [`kronpriv_obs::NullSink`] to ignore them). The sink is
+    /// The `degree_release`, `triangle_release` (skipped in the degrees-only ablation) and `fit`
+    /// stages each run through [`kronpriv_obs::stage`], so their started/finished events flow
+    /// into `sink` (pass [`kronpriv_obs::NullSink`] to ignore them). The sink is
     /// strictly an observer — the estimate is byte-identical whatever the sink does (the
     /// no-feedback invariant of `kronpriv-obs`, pinned by `tests/observability_determinism.rs`).
     ///
@@ -140,10 +140,9 @@ impl PrivateEstimator {
 
         if self.options.degrees_only {
             // Spend everything on the degree sequence and drop Δ from the objective.
-            sink.emit(&ProgressEvent::StageStarted { stage: "degree_release" });
-            let degree_release =
-                private_degree_sequence(g, PrivacyParams::pure(params.epsilon), rng, exec);
-            sink.emit(&ProgressEvent::StageFinished { stage: "degree_release" });
+            let degree_release = stage("degree_release", sink, || {
+                private_degree_sequence(g, PrivacyParams::pure(params.epsilon), rng, exec)
+            });
             let observed = [
                 degree_release.edge_count(),
                 degree_release.hairpin_count(),
@@ -152,9 +151,7 @@ impl PrivateEstimator {
             ];
             let objective = MomentObjective::from_counts(observed, k)
                 .with_features(FeatureSelection::without_triangles());
-            sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-            let fit = kronmom.fit_objective(&objective, exec);
-            sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
+            let fit = stage("fit", sink, || kronmom.fit_objective(&objective, exec));
             return PrivateEstimate {
                 fit,
                 params,
@@ -167,22 +164,21 @@ impl PrivateEstimator {
         // Step 2: (ε·frac, 0)-DP degree sequence, with the isotonic post-processing running on
         // the parallel executor (thread-count-deterministic like every other stage).
         let degree_budget = PrivacyParams::pure(params.epsilon * frac);
-        sink.emit(&ProgressEvent::StageStarted { stage: "degree_release" });
-        let degree_release = private_degree_sequence(g, degree_budget, rng, exec);
-        sink.emit(&ProgressEvent::StageFinished { stage: "degree_release" });
+        let degree_release =
+            stage("degree_release", sink, || private_degree_sequence(g, degree_budget, rng, exec));
 
         // Step 5: (ε·(1-frac), δ)-DP triangle count. The parallel kernels are deterministic
         // for any thread count, so the release is a pure function of (graph, budget, rng).
         let triangle_budget = PrivacyParams::new(params.epsilon * (1.0 - frac), params.delta);
-        sink.emit(&ProgressEvent::StageStarted { stage: "triangle_release" });
-        let triangle_release = private_triangle_count(
-            g,
-            triangle_budget,
-            self.options.exact_smooth_sensitivity,
-            rng,
-            exec,
-        );
-        sink.emit(&ProgressEvent::StageFinished { stage: "triangle_release" });
+        let triangle_release = stage("triangle_release", sink, || {
+            private_triangle_count(
+                g,
+                triangle_budget,
+                self.options.exact_smooth_sensitivity,
+                rng,
+                exec,
+            )
+        });
 
         // Step 6: moment matching on the private statistics. Negative noisy counts are clamped
         // to zero — a postprocessing step that costs no privacy and keeps the objective sane.
@@ -203,9 +199,7 @@ impl PrivateEstimator {
             FeatureSelection::without_triangles()
         };
         let objective = MomentObjective::from_counts(observed, k).with_features(features);
-        sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-        let fit = kronmom.fit_objective(&objective, exec);
-        sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
+        let fit = stage("fit", sink, || kronmom.fit_objective(&objective, exec));
 
         PrivateEstimate {
             fit,
@@ -221,7 +215,7 @@ impl PrivateEstimator {
 mod tests {
     use super::*;
     use kronpriv_graph::MatchingStatistics;
-    use kronpriv_obs::NullSink;
+    use kronpriv_obs::{NullSink, ProgressEvent};
     use kronpriv_skg::sample::{sample_fast, SamplerOptions};
     use kronpriv_skg::Initiator2;
     use rand::rngs::StdRng;

@@ -9,6 +9,8 @@
 //! * [`ProgressEvent`] / [`ProgressSink`] — typed progress hooks the estimator loops emit into
 //!   (stage boundaries, per-chain KronFit steps) so callers such as the HTTP job store can
 //!   stream live progress without the compute code knowing about HTTP or JSON.
+//! * [`stage`] — the one stage vocabulary: a named stage is reported as a start/finish event
+//!   pair and as the `kronpriv_stage_ns{stage=...}` histogram under the same name.
 //!
 //! # The no-feedback invariant
 //!
@@ -28,4 +30,4 @@ mod registry;
 
 pub use metrics::{Counter, Gauge, Histogram, Span, HISTOGRAM_BUCKETS};
 pub use progress::{CollectingSink, NullSink, ProgressEvent, ProgressSink};
-pub use registry::{stage_span, well_formed_exposition_line, Registry};
+pub use registry::{stage, well_formed_exposition_line, Registry};

@@ -1,19 +1,19 @@
 //! Typed progress events and the sink trait the estimator loops emit into.
 //!
 //! The compute crates (`kronpriv-estimate`, `kronpriv`) take a `&dyn ProgressSink` in every
-//! entry point that reports progress and call [`ProgressSink::emit`] at
-//! stage boundaries and per-chain KronFit steps. What a sink *does* with an event — append it
-//! to a job log, stream it over HTTP, drop it — is entirely the caller's business; nothing a
-//! sink returns can alter the computation (emit returns `()`), preserving the crate-level
-//! no-feedback invariant.
+//! entry point that reports progress. Stage boundaries go through [`crate::stage`]; per-chain
+//! KronFit steps call [`ProgressSink::emit`] directly. What a sink *does* with an event —
+//! append it to a job log, stream it over HTTP, drop it — is entirely the caller's business;
+//! nothing a sink returns can alter the computation (emit returns `()`), preserving the
+//! crate-level no-feedback invariant.
 
 use std::sync::Mutex;
 
 /// One typed progress observation from inside a pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProgressEvent {
-    /// A named pipeline stage began (e.g. `degree_release`, `isotonic`, `triangle_release`,
-    /// `fit`).
+    /// A named pipeline stage began: `degree_release`, `triangle_release`, `fit`, `sample` or
+    /// `kronfit`. Emitted only by [`crate::stage`].
     StageStarted {
         /// Stable stage identifier.
         stage: &'static str,

@@ -1,6 +1,7 @@
 //! The process-global instrument registry and its Prometheus-style text dump.
 
 use crate::metrics::{Counter, Gauge, Histogram};
+use crate::progress::{ProgressEvent, ProgressSink};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -145,13 +146,19 @@ impl Registry {
     }
 }
 
-/// Starts an RAII span over the global `kronpriv_stage_ns{stage=...}` histogram and bumps the
-/// matching `kronpriv_stage_total` counter — the one-liner the pipeline stages use. Stages run
-/// once per estimate, so the registry lookup cost is irrelevant here.
-pub fn stage_span(stage: &str) -> crate::Span {
-    let registry = Registry::global();
-    registry.counter("kronpriv_stage_total", &[("stage", stage)]).inc();
-    registry.histogram("kronpriv_stage_ns", &[("stage", stage)]).span()
+/// Runs `body` as the pipeline stage `name`: emits [`ProgressEvent::StageStarted`] to `sink`,
+/// times `body` into the global `kronpriv_stage_ns{stage=name}` histogram, then emits
+/// [`ProgressEvent::StageFinished`] and returns the body's value. Stages without a sink of their
+/// own pass [`crate::NullSink`] and are named `parent/child`. A panicking body still records its
+/// span while unwinding, but emits no `StageFinished`.
+pub fn stage<T>(name: &'static str, sink: &dyn ProgressSink, body: impl FnOnce() -> T) -> T {
+    sink.emit(&ProgressEvent::StageStarted { stage: name });
+    let value = {
+        let _span = Registry::global().histogram("kronpriv_stage_ns", &[("stage", name)]).span();
+        body()
+    };
+    sink.emit(&ProgressEvent::StageFinished { stage: name });
+    value
 }
 
 /// Renders `{k="v",...}` (empty string for no labels), appending `le` when given.
@@ -268,6 +275,42 @@ mod tests {
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_panic() {
         Registry::new().counter("bad name", &[]);
+    }
+
+    #[test]
+    fn stage_brackets_its_body_with_events_and_records_one_span() {
+        // Stage names of this test's own, so tests running in parallel cannot move the counts.
+        let count =
+            |name| Registry::global().histogram("kronpriv_stage_ns", &[("stage", name)]).count();
+        let sink = crate::CollectingSink::new();
+        let before = count("obs_test/ok");
+        let value = stage("obs_test/ok", &sink, || {
+            let step = ProgressEvent::ChainStep {
+                chain: 0,
+                step: 0,
+                total_steps: 1,
+                log_likelihood: f64::NAN,
+            };
+            sink.emit(&step);
+            42
+        });
+        assert_eq!(value, 42, "the body's value is returned");
+        assert_eq!(count("obs_test/ok"), before + 1);
+        let events = sink.events();
+        assert_eq!(events.len(), 3, "{events:?}");
+        assert_eq!(events[0], ProgressEvent::StageStarted { stage: "obs_test/ok" });
+        assert!(matches!(events[1], ProgressEvent::ChainStep { chain: 0, .. }));
+        assert_eq!(events[2], ProgressEvent::StageFinished { stage: "obs_test/ok" });
+
+        // A panicking body still records its span while unwinding, but never finishes.
+        let sink = crate::CollectingSink::new();
+        let before = count("obs_test/panics");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stage("obs_test/panics", &sink, || -> u32 { panic!("stage body failed") })
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(count("obs_test/panics"), before + 1);
+        assert_eq!(sink.events(), [ProgressEvent::StageStarted { stage: "obs_test/panics" }]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use kronpriv_estimate::{KronFitOptions, KronMomOptions};
 use kronpriv_graph::io::{parse_edge_list_reader, to_edge_list_string};
 use kronpriv_graph::Graph;
 use kronpriv_json::{from_str, to_string, FromJson, Json, ToJson};
-use kronpriv_obs::{ProgressEvent, ProgressSink, Registry};
+use kronpriv_obs::Registry;
 use kronpriv_par::Executor;
 use kronpriv_skg::moments::expected_edges;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
@@ -335,6 +335,13 @@ fn parse_body<T: FromJson>(request: &Request) -> Result<T, Response> {
 /// 10⁹ proposals is minutes of work — ~150× the default configuration — so real fits pass.
 const MAX_KRONFIT_TOTAL_SWAPS: u128 = 1_000_000_000;
 
+/// Upper bound on the `chain_step` progress events one KronFit request may log
+/// (`gradient_steps × chains`). Each event stays in the finished job's event log as a ~100-byte
+/// NDJSON line, and the server retains up to [`crate::jobs::DEFAULT_RETAINED_JOBS`] = 1024
+/// finished jobs. So the bound caps one job's log at 4096 × ~103 B ≈ 420 KB, and a full
+/// retention table at ≈ 430 MB. 4096 is 17× the default 60 steps × 4 chains = 240.
+const MAX_CHAIN_STEP_EVENTS: u128 = 4096;
+
 /// Basic sanity bounds on wire-supplied KronFit options: reject parameter values that would
 /// make the ascent numerically meaningless (non-positive clamps) or let one request hog an
 /// estimation worker with an absurd iteration budget.
@@ -364,6 +371,13 @@ fn validate_kronfit_options(options: &KronFitOptions) -> Result<(), String> {
         return Err(format!(
             "kronfit iteration budget too large: gradient_steps x chains x per-step swaps \
              = {total_swaps} proposals exceeds the limit of {MAX_KRONFIT_TOTAL_SWAPS}"
+        ));
+    }
+    let chain_steps = options.gradient_steps as u128 * options.chains as u128;
+    if chain_steps > MAX_CHAIN_STEP_EVENTS {
+        return Err(format!(
+            "kronfit progress log too large: gradient_steps x chains = {chain_steps} chain-step \
+             events exceeds the limit of {MAX_CHAIN_STEP_EVENTS}"
         ));
     }
     if !(options.min_parameter.is_finite() && options.min_parameter > 0.0) {
@@ -605,10 +619,8 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                 work: Box::new(move |sink| {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(&edge_list, skg, &mut rng)?;
-                    sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-                    let fit = try_kronmom_estimate(&graph, &options, &exec)
+                    let fit = try_kronmom_estimate(&graph, &options, &exec, sink)
                         .map_err(|e| format!("estimation rejected: {e}"))?;
-                    sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
                     Ok(BaselineResult::from_fit(EstimatorKind::KronMom, &fit, seed).to_json())
                 }),
             })
@@ -1092,6 +1104,16 @@ mod tests {
                                "learning_rate": 0.06, "min_parameter": 0.001,
                                "initial": {"a": 0.9, "b": 0.6, "c": 0.2}, "chains": 64}}"#,
                 "kronfit iteration budget too large",
+            ),
+            // Within both product caps, yet 10^6 chain-step events would pin a ~100 MB log.
+            (
+                r#"{"graph": {"edge_list": "0 1\n1 2\n2 3\n3 0\n"},
+                   "estimator": "kronfit", "seed": 1,
+                   "kronfit": {"gradient_steps": 15625, "warmup_swaps": 0,
+                               "samples_per_step": 1, "swaps_between_samples": 0,
+                               "learning_rate": 0.06, "min_parameter": 0.001,
+                               "initial": {"a": 0.9, "b": 0.6, "c": 0.2}, "chains": 64}}"#,
+                "kronfit progress log too large",
             ),
             // KronMom options are bounded too — via the baseline selector and equally via the
             // private pipeline that embeds them (the grid is cubic in grid_points_per_axis).

@@ -185,8 +185,8 @@ fn run_server(config: ServerConfig) -> ExitCode {
 /// use. Exits non-zero on any malformed line, so `scripts/verify.sh --quick` can gate on it.
 fn run_metrics_check(addr: SocketAddr) -> ExitCode {
     match metrics_check(addr) {
-        Ok(lines) => {
-            println!("metrics: OK ({lines} well-formed lines)");
+        Ok(exposition) => {
+            println!("metrics: OK ({} well-formed lines)", exposition.lines().count());
             ExitCode::SUCCESS
         }
         Err(message) => {
@@ -196,28 +196,25 @@ fn run_metrics_check(addr: SocketAddr) -> ExitCode {
     }
 }
 
-fn metrics_check(addr: SocketAddr) -> Result<usize, String> {
+/// Scrapes and validates `/metrics`, returning the exposition.
+fn metrics_check(addr: SocketAddr) -> Result<String, String> {
     let (status, body) =
         client::get(addr, "/metrics").map_err(|e| format!("scrape failed: {e}"))?;
     if status != 200 {
         return Err(format!("/metrics returned {status}: {body}"));
     }
-    let mut lines = 0usize;
-    for line in body.lines() {
-        if !well_formed_exposition_line(line) {
-            return Err(format!("malformed exposition line: {line:?}"));
-        }
-        lines += 1;
+    if let Some(line) = body.lines().find(|line| !well_formed_exposition_line(line)) {
+        return Err(format!("malformed exposition line: {line:?}"));
     }
-    if lines == 0 {
+    if body.is_empty() {
         return Err("empty exposition".to_string());
     }
-    Ok(lines)
+    Ok(body)
 }
 
 /// Drives a live server end to end: `/healthz`, then a tiny sampled-SKG estimate job polled to
-/// completion, then `/api/sample`, a `/metrics` scrape and a job event stream. Exits non-zero
-/// on any failure — the verify-script smoke test.
+/// completion, then `/api/sample`, a `/metrics` scrape and a job event stream, both checked
+/// for the one stage vocabulary. Exits non-zero on any failure — the verify-script smoke test.
 fn run_probe(addr: SocketAddr) -> ExitCode {
     match probe(addr) {
         Ok(()) => {
@@ -330,6 +327,12 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
     if !first.contains("\"queued\"") || !last.contains("\"done\"") {
         return Err(format!("event stream did not replay queued → done: {stream}"));
     }
+    for event in ["stage_started", "stage_finished"] {
+        let line = format!(r#"{{"event":"{event}","stage":"kronfit"}}"#);
+        if !stream.lines().any(|l| l == line) {
+            return Err(format!("event stream has no {line}: {stream}"));
+        }
+    }
 
     // Legacy alias contract: the pre-versioning spelling answers byte-identically but is
     // marked deprecated; the canonical spelling is not.
@@ -351,9 +354,26 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
 
     probe_datasets(addr)?;
 
-    let lines = metrics_check(addr)?;
+    let exposition = metrics_check(addr)?;
+    let lines = exposition.lines().count();
     if lines < 3 {
         return Err(format!("suspiciously small exposition after a full probe: {lines} lines"));
+    }
+    stage_vocabulary_check(&exposition)
+}
+
+/// The one stage vocabulary, checked on a live server after the probe's private and KronFit
+/// jobs: each stage they stream as events has a `kronpriv_stage_ns` series under the same
+/// name, and the retired `kronpriv_stage_total` counter is gone.
+fn stage_vocabulary_check(exposition: &str) -> Result<(), String> {
+    for stage in ["degree_release", "triangle_release", "fit", "kronfit"] {
+        let series = format!("kronpriv_stage_ns_count{{stage=\"{stage}\"}} ");
+        if !exposition.lines().any(|line| line.starts_with(&series)) {
+            return Err(format!("no {series:?} series in /metrics"));
+        }
+    }
+    if exposition.contains("kronpriv_stage_total") {
+        return Err("/metrics still serves the retired kronpriv_stage_total".to_string());
     }
     Ok(())
 }

@@ -8,6 +8,7 @@ use kronpriv::kronpriv_graph::io::to_edge_list_string;
 use kronpriv::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A sink that scrapes the global registry on every event before recording it — the most
@@ -132,24 +133,70 @@ fn observed_and_scraped_kronfit_is_byte_identical_to_a_cold_run() {
     assert_eq!(steps, 2 * 4, "2 chains x 4 steps");
 }
 
+/// The `stage` label of one `kronpriv_stage_ns` exposition line, if the line is one.
+fn stage_label(line: &str) -> Option<&str> {
+    let labels = line.strip_prefix("kronpriv_stage_ns")?.split_once("{stage=\"")?.1;
+    Some(labels.split_once('"')?.0)
+}
+
 #[test]
 fn the_exposition_scraped_mid_run_is_well_formed() {
-    // Drive one observed run, then validate every line of the (now well-populated) registry
-    // against the same validator the CI scrape gate uses.
+    // Drive a release, a KronFit run and a KronMom run into one sink, then pin the one stage
+    // vocabulary: every stage the events name has a histogram series under the same name, every
+    // histogram series is such a stage or one of its `parent/child` sub-stages, and the retired
+    // counter is gone. Every line must also pass the validator the CI scrape gate uses.
     let secret = secret_graph();
     let exec = Executor::new(2);
+    let sink = CollectingSink::new();
     let mut rng = StdRng::seed_from_u64(5);
-    try_private_estimate(
-        &secret,
-        PrivacyParams::new(1.0, 0.01),
-        &PrivateEstimatorOptions::default(),
-        &mut rng,
-        &exec,
-        &NullSink,
-    )
-    .unwrap();
+    let params = PrivacyParams::new(1.0, 0.01);
+    let options = PrivateEstimatorOptions::default();
+    try_release_synthetic_graph(&secret, params, &options, &mut rng, &exec, &sink).unwrap();
+    let kronfit = KronFitOptions {
+        gradient_steps: 2,
+        warmup_swaps: 100,
+        samples_per_step: 1,
+        chains: 1,
+        ..Default::default()
+    };
+    try_kronfit_estimate(&secret, &kronfit, &mut rng, &exec, &sink).unwrap();
+    try_kronmom_estimate(&secret, &KronMomOptions::default(), &exec, &sink).unwrap();
     let exposition = MetricsRegistry::global().render();
-    assert!(exposition.contains("kronpriv_stage_total{stage=\"degree_laplace\"}"), "{exposition}");
+
+    let event_stages: BTreeSet<&str> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            ProgressEvent::StageStarted { stage } | ProgressEvent::StageFinished { stage } => {
+                Some(*stage)
+            }
+            ProgressEvent::ChainStep { .. } => None,
+        })
+        .collect();
+    assert_eq!(
+        event_stages,
+        BTreeSet::from(["degree_release", "fit", "kronfit", "sample", "triangle_release"])
+    );
+    for stage in &event_stages {
+        let count = format!("kronpriv_stage_ns_count{{stage=\"{stage}\"}} ");
+        assert!(exposition.contains(&count), "no {count:?} series:\n{exposition}");
+    }
+    let metric_stages: BTreeSet<&str> = exposition.lines().filter_map(stage_label).collect();
+    for stage in &metric_stages {
+        let parent = stage.split_once('/').map_or(*stage, |(parent, _)| parent);
+        assert!(event_stages.contains(parent), "stage metric {stage:?} names no event stage");
+    }
+    for sub_stage in [
+        "degree_release/laplace",
+        "degree_release/isotonic",
+        "triangle_release/smooth_sensitivity",
+        "triangle_release/count",
+    ] {
+        let count = format!("kronpriv_stage_ns_count{{stage=\"{sub_stage}\"}} ");
+        assert!(exposition.contains(&count), "no {count:?} series:\n{exposition}");
+    }
+    assert_eq!(metric_stages.len(), event_stages.len() + 4, "{metric_stages:?}");
+    assert!(!exposition.contains("kronpriv_stage_total"), "{exposition}");
     assert!(exposition.contains("kronpriv_par_calls_total{"), "{exposition}");
     for line in exposition.lines() {
         assert!(

@@ -129,23 +129,43 @@ fn kronfit_event_stream_follows_the_job_from_queued_to_done() {
     handle.shutdown();
 }
 
-/// Failed jobs stream a terminal `failed` document carrying the poll endpoint's error.
+/// Failed jobs stream a terminal `failed` document carrying the poll endpoint's error, for every
+/// estimator, and never leave a stage open: each stage that started also finished.
 #[test]
 fn failed_jobs_stream_a_terminal_failed_event() {
     let handle = start_server();
     let addr = handle.addr();
-    let body = r#"{"graph": {"edge_list": "0 0\n"},
-                   "params": {"epsilon": 1.0, "delta": 0.01}, "seed": 1}"#;
-    let (status, submitted) = client::post_json(addr, "/api/estimate", body).unwrap();
-    assert_eq!(status, 202, "{submitted}");
-    let job_id = Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
-    let (status, _, stream) =
-        client::get_stream(addr, &format!("/api/jobs/{job_id}/events")).unwrap();
-    assert_eq!(status, 200);
-    let last = Json::parse(stream.lines().last().unwrap()).unwrap();
-    assert_eq!(last.get("event").unwrap().as_str(), Some("failed"));
-    let message = last.get("error").unwrap().as_str().unwrap();
-    assert!(message.contains("empty"), "{message}");
+    for estimator in ["private", "kronfit", "kronmom"] {
+        let body = format!(
+            r#"{{"graph": {{"edge_list": "0 0\n"}}, "estimator": "{estimator}",
+                 "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 1}}"#
+        );
+        let (status, submitted) = client::post_json(addr, "/api/estimate", &body).unwrap();
+        assert_eq!(status, 202, "{estimator}: {submitted}");
+        let job_id =
+            Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
+        let (status, _, stream) =
+            client::get_stream(addr, &format!("/api/jobs/{job_id}/events")).unwrap();
+        assert_eq!(status, 200);
+        let events: Vec<Json> = stream.lines().map(|line| Json::parse(line).unwrap()).collect();
+        let last = events.last().unwrap();
+        assert_eq!(last.get("event").unwrap().as_str(), Some("failed"), "{estimator}: {stream}");
+        let message = last.get("error").unwrap().as_str().unwrap();
+        assert!(message.contains("empty"), "{estimator}: {message}");
+        // Per stage name: (started, finished) counts, which must match.
+        let mut stages: std::collections::BTreeMap<&str, (usize, usize)> = Default::default();
+        for event in &events {
+            let kind = event.get("event").and_then(Json::as_str);
+            match (kind, event.get("stage").and_then(Json::as_str)) {
+                (Some("stage_started"), Some(stage)) => stages.entry(stage).or_default().0 += 1,
+                (Some("stage_finished"), Some(stage)) => stages.entry(stage).or_default().1 += 1,
+                _ => {}
+            }
+        }
+        for (stage, (started, finished)) in &stages {
+            assert_eq!(started, finished, "{estimator}: stage {stage} left open: {stream}");
+        }
+    }
     handle.shutdown();
 }
 
