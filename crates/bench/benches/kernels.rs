@@ -5,10 +5,12 @@
 //! multistart moment-matching fit, one multi-chain KronFit ascent step and the isotonic degree
 //! post-processing — at pool sizes {1, 2, 4} on a seeded 2^14-node stochastic Kronecker graph
 //! (2^10 under `--quick`), plus the three counting kernels at ~10^5 nodes (2^17), so the
-//! speedup of the parallel layer is measured rather than assumed. Three sequential 1-thread
+//! speedup of the parallel layer is measured rather than assumed. Four sequential 1-thread
 //! rows at 2^17 cover graph construction: `graph_build` (SNAP edge-list text → `Graph`),
-//! `sample_fast` (one SKG realization) and `degree_order` (the degree relabelling that both
-//! triangle kernels run on, which does not scale with threads).
+//! `graph_build_keyed` (the same edges with every id + 10^9, so the parser remaps ids through
+//! its keyed map instead of its dense table), `sample_fast` (one SKG realization) and
+//! `degree_order` (the degree relabelling that both triangle kernels run on, which does not
+//! scale with threads).
 //!
 //! Each matrix cell builds its [`Executor`] **once, outside the timed loop**: the numbers
 //! measure steady-state reuse of the persistent worker pool, not worker spawn cost.
@@ -39,6 +41,7 @@ use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// Pool sizes measured for every kernel.
@@ -149,6 +152,16 @@ fn main() {
     let large_text = to_edge_list_string(&large);
     run(&mut h, &mut records, "graph_build", large_nodes, 1, &|_exec| {
         black_box(parse_edge_list(black_box(&large_text)).expect("a serialized graph parses"));
+    });
+    // The same edges with every id + 10^9: too sparse for the parser's dense id table, so they
+    // go through its keyed (SipHash) remap, which no end-to-end workload exercises.
+    let shift = |id: u32| u64::from(id) + 1_000_000_000;
+    let mut keyed_text = String::new();
+    for &(u, v) in large.edges() {
+        let _ = writeln!(keyed_text, "{}\t{}", shift(u), shift(v));
+    }
+    run(&mut h, &mut records, "graph_build_keyed", large_nodes, 1, &|_exec| {
+        black_box(parse_edge_list(black_box(&keyed_text)).expect("a shifted edge list parses"));
     });
     run(&mut h, &mut records, "sample_fast", large_nodes, 1, &|_exec| {
         let mut rng = StdRng::seed_from_u64(18);

@@ -31,7 +31,10 @@ fn main() {
             data_dir: data_dir.clone(),
         };
         println!("=== Figure {figure} ===");
-        let result = run_figure(figure, &options);
+        let result = run_figure(figure, &options).unwrap_or_else(|e| {
+            eprintln!("figures: {e}");
+            std::process::exit(1)
+        });
         println!(
             "network {} ({}): estimates {:?}",
             result.network,

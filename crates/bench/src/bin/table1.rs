@@ -22,6 +22,9 @@ fn main() {
         "Reproducing Table 1 (ε = 0.2, δ = 0.01){}\n",
         if quick { " [quick mode]" } else { "" }
     );
-    let rows = run_table1(&options);
+    let rows = run_table1(&options).unwrap_or_else(|e| {
+        eprintln!("table1: {e}");
+        std::process::exit(1)
+    });
     println!("{}", report_table1(&rows));
 }

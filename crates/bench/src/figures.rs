@@ -3,7 +3,7 @@
 //! Private estimates, plus (optionally) the expectation over many synthetic realizations — the
 //! "Expected" series of Figure 1.
 
-use crate::{kronfit_options, paper_budget, profile_options};
+use crate::{kronfit_options, load_dataset, paper_budget, profile_options};
 use kronpriv::experiment::{write_json, write_series};
 use kronpriv::prelude::*;
 use kronpriv_json::impl_json_struct;
@@ -97,11 +97,12 @@ impl_json_struct!(FigureResult {
     expected,
 });
 
-/// Runs the experiment behind one of Figures 1–4.
-pub fn run_figure(figure: u32, options: &FigureOptions) -> FigureResult {
+/// Runs the experiment behind one of Figures 1–4, or returns the error of a SNAP file that is
+/// present under `data_dir` but cannot be read or parsed.
+pub fn run_figure(figure: u32, options: &FigureOptions) -> Result<FigureResult, String> {
     let dataset = dataset_for_figure(figure)
         .unwrap_or_else(|| panic!("figure number must be 1-4, got {figure}"));
-    let (original, real_data) = dataset.load_or_generate(options.data_dir.as_deref(), options.seed);
+    let (original, real_data) = load_dataset(dataset, options.data_dir.as_deref(), options.seed)?;
     let mut rng = StdRng::seed_from_u64(options.seed ^ (figure as u64) << 8);
 
     // Fit the three estimators on one executor.
@@ -169,7 +170,7 @@ pub fn run_figure(figure: u32, options: &FigureOptions) -> FigureResult {
         expected,
     };
     write_figure_outputs(&result);
-    result
+    Ok(result)
 }
 
 /// Writes the JSON result and the gnuplot-ready TSV series for every panel of the figure.
@@ -232,7 +233,7 @@ mod tests {
         // every series exists and the private synthetic tracks the original's shape.
         let options =
             FigureOptions { quick: true, expected_realizations: 2, seed: 5, data_dir: None };
-        let result = run_figure(2, &options);
+        let result = run_figure(2, &options).unwrap();
         assert_eq!(result.network, "AS20");
         assert_eq!(result.profiles.len(), 4);
         assert_eq!(result.comparisons.len(), 3);

@@ -25,6 +25,7 @@ pub mod table1;
 
 use kronpriv::prelude::*;
 use kronpriv_estimate::KronFitOptions;
+use std::path::Path;
 
 /// Default privacy budget used by all experiments: the paper's ε = 0.2, δ = 0.01.
 pub fn paper_budget() -> PrivacyParams {
@@ -55,6 +56,19 @@ pub fn profile_options(quick: bool) -> ProfileOptions {
         network_values: if quick { 200 } else { 1000 },
         skip_hop_plot: false,
     }
+}
+
+/// [`Dataset::load_or_generate`], with an error message that names the SNAP file that exists
+/// but could not be read or parsed.
+pub fn load_dataset(
+    dataset: Dataset,
+    data_dir: Option<&Path>,
+    seed: u64,
+) -> Result<(Graph, bool), String> {
+    dataset.load_or_generate(data_dir, seed).map_err(|e| {
+        let path = dataset.snap_path(data_dir).unwrap_or_default();
+        format!("{dataset}: {}: {e}", path.display())
+    })
 }
 
 /// Formats an initiator as the three-decimal triple used in the printed tables.

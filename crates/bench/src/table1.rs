@@ -1,7 +1,7 @@
 //! The Table 1 experiment: parameter estimates of KronFit, KronMom and the private estimator on
 //! all four evaluation graphs, side by side with the values printed in the paper.
 
-use crate::{format_theta, kronfit_options, paper_budget};
+use crate::{format_theta, kronfit_options, load_dataset, paper_budget};
 use kronpriv::experiment::{render_table, write_json};
 use kronpriv::prelude::*;
 use kronpriv_datasets::Table1Row;
@@ -66,13 +66,13 @@ impl_to_json_struct!(MeasuredRow {
     paper,
 });
 
-/// Runs the Table 1 experiment and returns one measured row per dataset.
-pub fn run_table1(options: &Table1Options) -> Vec<MeasuredRow> {
+/// Runs the Table 1 experiment and returns one measured row per dataset, or the error of a
+/// SNAP file that is present under `data_dir` but cannot be read or parsed.
+pub fn run_table1(options: &Table1Options) -> Result<Vec<MeasuredRow>, String> {
     let exec = Executor::new(0);
     let mut rows = Vec::new();
     for dataset in Dataset::all() {
-        let (graph, real_data) =
-            dataset.load_or_generate(options.data_dir.as_deref(), options.seed);
+        let (graph, real_data) = load_dataset(dataset, options.data_dir.as_deref(), options.seed)?;
         let mut rng = StdRng::seed_from_u64(options.seed ^ dataset.metadata().k as u64);
 
         let kronfit = KronFitEstimator::new(kronfit_options(options.quick))
@@ -110,7 +110,7 @@ pub fn run_table1(options: &Table1Options) -> Vec<MeasuredRow> {
             paper: dataset.table1_row(),
         });
     }
-    rows
+    Ok(rows)
 }
 
 /// Renders the measured rows as the side-by-side text table the `table1` binary prints, and
@@ -161,7 +161,7 @@ mod tests {
         // single test: it exercises datasets, all three estimators and the DP stack together,
         // and asserts the paper's qualitative findings.
         let options = Table1Options { quick: true, private_repetitions: 4, ..Default::default() };
-        let rows = run_table1(&options);
+        let rows = run_table1(&options).unwrap();
         assert_eq!(rows.len(), 4);
         // Shape check 1: the private estimate tracks the non-private KronMom estimate. The
         // paper's Table 1 shows agreement within ~0.02 per entry on the real SNAP networks; on
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn report_renders_every_network_row() {
         let options = Table1Options { quick: true, private_repetitions: 1, ..Default::default() };
-        let rows = run_table1(&options);
+        let rows = run_table1(&options).unwrap();
         let report = report_table1(&rows);
         for name in ["CA-GrQc", "CA-HepTh", "AS20", "Synthetic"] {
             assert!(report.contains(name), "missing {name} in report:\n{report}");

@@ -7,14 +7,14 @@
 //! users with the original data reproduce the paper against it directly.
 
 use crate::table1::{paper_table1, synthetic_source_parameters, Table1Row};
-use kronpriv_graph::io::read_edge_list;
+use kronpriv_graph::io::{read_edge_list, EdgeListError};
 use kronpriv_graph::Graph;
 use kronpriv_json::{impl_json_enum, impl_to_json_struct};
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The four evaluation graphs of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,16 +141,26 @@ impl Dataset {
 
     /// Loads the real SNAP edge list from `data_dir` if present, otherwise generates the
     /// stand-in. Returns the graph together with a flag saying whether real data was used.
-    pub fn load_or_generate(&self, data_dir: Option<&Path>, seed: u64) -> (Graph, bool) {
-        if let (Some(dir), Some(file)) = (data_dir, self.metadata().snap_file) {
-            let path = dir.join(file);
+    ///
+    /// Only an absent file falls back to the stand-in: a present file that cannot be read or
+    /// parsed is an error, so a broken download never passes for a stand-in row.
+    pub fn load_or_generate(
+        &self,
+        data_dir: Option<&Path>,
+        seed: u64,
+    ) -> Result<(Graph, bool), EdgeListError> {
+        if let Some(path) = self.snap_path(data_dir) {
             if path.exists() {
-                if let Ok(graph) = read_edge_list(&path) {
-                    return (graph, true);
-                }
+                return Ok((read_edge_list(&path)?, true));
             }
         }
-        (self.generate(seed), false)
+        Ok((self.generate(seed), false))
+    }
+
+    /// Where [`Dataset::load_or_generate`] looks for the real SNAP edge list under `data_dir`
+    /// (`None` without a directory, and for the synthetic graph).
+    pub fn snap_path(&self, data_dir: Option<&Path>) -> Option<PathBuf> {
+        Some(data_dir?.join(self.metadata().snap_file?))
     }
 }
 
@@ -236,24 +246,29 @@ mod tests {
 
     #[test]
     fn load_or_generate_falls_back_to_the_standin() {
-        let (g, real) = Dataset::As20.load_or_generate(Some(Path::new("/nonexistent")), 5);
+        let (g, real) = Dataset::As20.load_or_generate(Some(Path::new("/nonexistent")), 5).unwrap();
         assert!(!real);
         assert_eq!(g.node_count(), 8192);
-        let (g2, real2) = Dataset::SyntheticKronecker.load_or_generate(None, 5);
+        let (g2, real2) = Dataset::SyntheticKronecker.load_or_generate(None, 5).unwrap();
         assert!(!real2);
         assert_eq!(g2.node_count(), 16384);
     }
 
     #[test]
     fn load_or_generate_prefers_real_data_when_present() {
-        let dir = std::env::temp_dir().join("kronpriv-datasets-test");
+        let dir =
+            std::env::temp_dir().join(format!("kronpriv-datasets-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("as20000102.txt");
         std::fs::write(&path, "# tiny fake\n0 1\n1 2\n2 0\n").unwrap();
-        let (g, real) = Dataset::As20.load_or_generate(Some(&dir), 6);
+        let (g, real) = Dataset::As20.load_or_generate(Some(&dir), 6).unwrap();
         assert!(real);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
+        // A present file that does not parse is an error, not a silent stand-in.
+        std::fs::write(&path, "0 1\nbroken\n").unwrap();
+        let err = Dataset::As20.load_or_generate(Some(&dir), 6).unwrap_err();
+        assert!(matches!(err, EdgeListError::Parse { line: 2, .. }), "{err:?}");
         std::fs::remove_file(&path).unwrap();
     }
 

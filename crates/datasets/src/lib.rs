@@ -12,6 +12,7 @@
 //!
 //! If the actual SNAP edge-list files are available locally, [`Dataset::load_or_generate`]
 //! prefers them, so the experiments can also be run against the real data without code changes.
+//! A file that is present but does not parse is an error, never a silent stand-in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -110,6 +110,10 @@ impl Graph {
     /// Scanning in `(u, v)` order appends each node's smaller neighbours (as the `v` of edges
     /// `(w, x)`, in ascending `w`) before its larger ones (as the `u` of edges `(x, w)`, in
     /// ascending `w`), so every neighbour list comes out sorted without a per-node sort.
+    ///
+    /// `offsets[x + 1]` first counts node `x`'s degree, then holds the start of its list, then,
+    /// while filling, the next free slot of that list. It ends at the list's end, which is
+    /// exactly its final CSR value, so no separate cursor array is needed.
     fn from_sorted_edges(n: usize, edges: Vec<(u32, u32)>) -> Self {
         debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be sorted and distinct");
         let mut offsets = vec![0usize; n + 1];
@@ -117,16 +121,19 @@ impl Graph {
             offsets[u as usize + 1] += 1;
             offsets[v as usize + 1] += 1;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        let mut start = 0usize;
+        for slot in &mut offsets[1..] {
+            let degree = *slot;
+            *slot = start;
+            start += degree;
         }
-        let mut adjacency = vec![0u32; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
+        let mut adjacency = vec![0u32; start];
         for &(u, v) in &edges {
-            adjacency[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            adjacency[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+            for (x, neighbor) in [(u, v), (v, u)] {
+                let cursor = &mut offsets[x as usize + 1];
+                adjacency[*cursor] = neighbor;
+                *cursor += 1;
+            }
         }
         Graph { offsets, adjacency, edges }
     }

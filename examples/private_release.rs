@@ -16,7 +16,12 @@ use std::path::PathBuf;
 
 fn main() {
     let data_dir = std::env::var_os("KRONPRIV_DATA_DIR").map(PathBuf::from);
-    let (original, is_real) = Dataset::CaGrQc.load_or_generate(data_dir.as_deref(), 1);
+    let (original, is_real) =
+        Dataset::CaGrQc.load_or_generate(data_dir.as_deref(), 1).unwrap_or_else(|e| {
+            let path = Dataset::CaGrQc.snap_path(data_dir.as_deref()).unwrap_or_default();
+            eprintln!("private_release: {}: {e}", path.display());
+            std::process::exit(1)
+        });
     println!(
         "CA-GrQc {}: {} nodes, {} edges",
         if is_real { "(real SNAP data)" } else { "(documented stand-in)" },
