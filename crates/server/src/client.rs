@@ -15,21 +15,7 @@ pub fn request(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
-
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    parse_response(&raw)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response"))
+    request_with_head(addr, method, path, body).map(|(status, _, body)| (status, body))
 }
 
 /// Sends one request and returns `(status, head, body)`: like [`request`], but keeps the raw
@@ -53,22 +39,16 @@ pub fn request_with_head(
     stream.flush()?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header/body split"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unparseable status line"))?;
+    let (status, head, body) = parse_response(&raw)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response"))?;
     Ok((status, head.to_string(), body.to_string()))
 }
 
-/// Splits a full `Connection: close` response into `(status, body)`.
-fn parse_response(raw: &str) -> Option<(u16, String)> {
-    let status: u16 = raw.split_whitespace().nth(1)?.parse().ok()?;
-    let body = raw.split_once("\r\n\r\n")?.1.to_string();
-    Some((status, body))
+/// Splits a full `Connection: close` response into `(status, head, body)`.
+fn parse_response(raw: &str) -> Option<(u16, &str, &str)> {
+    let (head, body) = raw.split_once("\r\n\r\n")?;
+    let status = head.split_whitespace().nth(1)?.parse().ok()?;
+    Some((status, head, body))
 }
 
 /// `GET {path}`.
@@ -146,7 +126,8 @@ mod tests {
     #[test]
     fn parses_a_response_head_and_body() {
         let raw = "HTTP/1.1 202 Accepted\r\nContent-Length: 2\r\n\r\n{}";
-        assert_eq!(parse_response(raw), Some((202, "{}".to_string())));
+        let head = "HTTP/1.1 202 Accepted\r\nContent-Length: 2";
+        assert_eq!(parse_response(raw), Some((202, head, "{}")));
         assert!(parse_response("garbage").is_none());
     }
 

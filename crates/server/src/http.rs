@@ -302,23 +302,26 @@ pub fn finish_chunked(mut writer: impl Write) -> io::Result<()> {
     writer.flush()
 }
 
-/// The reason phrase for the status codes the service emits.
+/// The status codes the service emits, with their reason phrases: the one status table, read
+/// by the response writers and by the metrics' bounded `status` label.
+pub(crate) const STATUS_TABLE: [(u16, &str); 12] = [
+    (200, "OK"),
+    (201, "Created"),
+    (202, "Accepted"),
+    (400, "Bad Request"),
+    (403, "Forbidden"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (408, "Request Timeout"),
+    (409, "Conflict"),
+    (413, "Payload Too Large"),
+    (429, "Too Many Requests"),
+    (500, "Internal Server Error"),
+];
+
+/// The reason phrase for the status codes the service emits (`Unknown` for any other).
 pub fn reason_phrase(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        201 => "Created",
-        202 => "Accepted",
-        400 => "Bad Request",
-        403 => "Forbidden",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        _ => "Unknown",
-    }
+    STATUS_TABLE.iter().find(|&&(code, _)| code == status).map_or("Unknown", |&(_, phrase)| phrase)
 }
 
 #[cfg(test)]

@@ -349,8 +349,9 @@ impl JobStore {
     }
 
     /// Submits a job and returns its id immediately: [`JobStore::create`] followed by
-    /// [`JobStore::run`].
-    pub fn submit(
+    /// [`JobStore::run`]. Test-only: the server creates, persists and runs in separate steps.
+    #[cfg(test)]
+    pub(crate) fn submit(
         &self,
         work: impl FnOnce(&JobEventSink) -> Result<Json, String> + Send + 'static,
     ) -> u64 {

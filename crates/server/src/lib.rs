@@ -16,8 +16,9 @@
 //!   compaction under `--data-dir`, replayed on boot so jobs and datasets survive restarts,
 //! * [`api`] — the wire request/response types, built with the `kronpriv-json` macros; untrusted
 //!   fields land in `*Spec` types and pass explicit validation before touching the pipeline,
-//! * [`router`] — the single versioned route table (`/api/v1/...`) plus thin deprecated
-//!   aliases for the original unversioned paths,
+//! * [`router`] — the single route table: each request target is parsed once into a `Route`,
+//!   which dispatch, the metrics' `path` label and the event-stream intercept all read; the
+//!   original unversioned paths parse onto their `/api/v1/...` routes as deprecated aliases,
 //! * [`server`] — the accept loop, connection handling (including the chunked event stream and
 //!   the structured access log) and [`ServerHandle`] lifecycle,
 //! * [`client`] — the tiny blocking HTTP client the integration tests and the `--probe` mode
@@ -41,7 +42,8 @@
 //! | `GET /api/v1/datasets/{name}/budget`       | the dataset's budget document (limits, spent, remaining)       |
 //!
 //! The pre-versioning spellings `/api/estimate`, `/api/sample` and `/api/jobs/{id}[/events]`
-//! remain as aliases: same handlers, byte-identical bodies, plus a `Deprecation: true` header.
+//! remain as aliases until workspace version 0.2.0: same handlers, byte-identical bodies, plus
+//! a `Deprecation: true` header.
 //! See `API.md` at the repository root for request/response examples and the error-code table.
 //!
 //! # Reproducibility over the wire

@@ -1,11 +1,12 @@
-//! Request routing: maps `(method, path)` onto handlers and untrusted bodies onto validated
-//! pipeline calls. Every response body is JSON; every client error is a 4xx with an
-//! [`ErrorBody`], never a worker panic.
+//! Request routing: parses each request target once into a `Route`, maps `(route, method)`
+//! onto handlers and untrusted bodies onto validated pipeline calls. Every response body is
+//! JSON; every client error is a 4xx with an [`ErrorBody`], never a worker panic.
 //!
-//! The route table is versioned and resource-scoped under `/api/v1/`; the pre-versioning
-//! paths (`/api/estimate`, `/api/jobs/{id}`, `/api/sample`) are aliases onto their v1
-//! equivalents via [`canonical_path`] — same handlers, byte-identical bodies, plus a
-//! `Deprecation: true` response header.
+//! `Route` is the single route table: it alone knows the URL space, and it also names each
+//! route for the metrics. The table is versioned and resource-scoped under `/api/v1/`; the
+//! pre-versioning paths (`/api/estimate`, `/api/jobs/{id}[/events]`, `/api/sample`) parse onto
+//! their v1 routes — same handlers, byte-identical bodies, plus a `Deprecation: true` response
+//! header.
 
 use crate::api::BudgetDoc;
 use crate::api::{
@@ -16,7 +17,7 @@ use crate::api::{
 };
 use crate::datasets::{valid_name, CreateError, DatasetStore, DebitError};
 use crate::http::{Request, Response};
-use crate::jobs::{JobEventSink, JobStatus, JobStore};
+use crate::jobs::{JobEventSink, JobSnapshot, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
 use crate::store::{self, PendingJob, Persistence};
 use kronpriv::pipeline::{
@@ -126,25 +127,169 @@ impl AppState {
     }
 }
 
-/// Maps a request path onto its canonical v1 route. Returns the canonical path and whether
-/// the original spelling is a deprecated alias (answered with `Deprecation: true`). This is
-/// the **single** route table: legacy paths never get their own handlers.
-pub(crate) fn canonical_path(path: &str) -> (String, bool) {
-    if path == "/api/estimate" || path == "/api/sample" {
-        return (format!("/api/v1{}", path.trim_start_matches("/api")), true);
-    }
-    if let Some(rest) = path.strip_prefix("/api/jobs/") {
-        return (format!("/api/v1/jobs/{rest}"), true);
-    }
-    (path.to_string(), false)
+/// One request target, parsed once by [`Route::parse`]: the service's whole URL space. The
+/// router dispatches on it, [`Route::label`] names it for the metrics, and the connection layer
+/// intercepts [`Route::JobEvents`]. Both matches are exhaustive, so a new route cannot get a
+/// handler without a label, or the reverse. Legacy spellings never get routes of their own:
+/// they parse onto their v1 equivalent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Route<'a> {
+    Health,
+    Metrics,
+    Estimate,
+    Sample,
+    Datasets,
+    /// `/api/v1/datasets/{name}`; [`dispatch`] validates the name of every dataset route.
+    Dataset(&'a str),
+    DatasetEstimate(&'a str),
+    DatasetBudget(&'a str),
+    /// `/api/v1/datasets/{name}/{part}` for any other `part`: an unknown sub-resource.
+    DatasetPart(&'a str, &'a str),
+    /// `/api/v1/jobs/{id}`; [`find_job`] parses the id, for the event stream too.
+    Job(&'a str),
+    JobEvents(&'a str),
+    /// Any other path.
+    Unknown(&'a str),
 }
 
-/// Dispatches one request to its handler, answering deprecated alias spellings with the byte-
-/// identical v1 body plus a `Deprecation: true` header.
+impl<'a> Route<'a> {
+    /// Parses a request target, ignoring its `?query`, into its route and whether it was
+    /// spelled as a deprecated alias (answered with `Deprecation: true`).
+    pub(crate) fn parse(target: &'a str) -> (Route<'a>, bool) {
+        let path = path_of(target);
+        let job = |rest: &'a str| match rest.strip_suffix("/events") {
+            Some(id) => Route::JobEvents(id),
+            None => Route::Job(rest),
+        };
+        match path {
+            "/healthz" => (Route::Health, false),
+            "/metrics" => (Route::Metrics, false),
+            "/api/v1/estimate" => (Route::Estimate, false),
+            "/api/estimate" => (Route::Estimate, true),
+            "/api/v1/sample" => (Route::Sample, false),
+            "/api/sample" => (Route::Sample, true),
+            "/api/v1/datasets" => (Route::Datasets, false),
+            _ => {
+                if let Some(rest) = path.strip_prefix("/api/v1/jobs/") {
+                    (job(rest), false)
+                } else if let Some(rest) = path.strip_prefix("/api/jobs/") {
+                    (job(rest), true)
+                } else if let Some(rest) = path.strip_prefix("/api/v1/datasets/") {
+                    let route = match rest.split_once('/') {
+                        None => Route::Dataset(rest),
+                        Some((name, "estimate")) => Route::DatasetEstimate(name),
+                        Some((name, "budget")) => Route::DatasetBudget(name),
+                        Some((name, part)) => Route::DatasetPart(name, part),
+                    };
+                    (route, false)
+                } else {
+                    (Route::Unknown(path), false)
+                }
+            }
+        }
+    }
+
+    /// The metrics `path` label: the route's skeleton in the spelling it was requested in, so
+    /// legacy aliases keep their own, and `other` for an unknown path. The label set is thus
+    /// bounded whatever clients send. A path under a known prefix keeps that prefix's skeleton
+    /// even when it answers 404; an unknown dataset sub-resource is labelled by its last
+    /// segment, as `estimate`, `budget` or the dataset document.
+    pub(crate) fn label(self, deprecated: bool) -> &'static str {
+        match (self, deprecated) {
+            (Route::Health, _) => "/healthz",
+            (Route::Metrics, _) => "/metrics",
+            (Route::Estimate, false) => "/api/v1/estimate",
+            (Route::Estimate, true) => "/api/estimate",
+            (Route::Sample, false) => "/api/v1/sample",
+            (Route::Sample, true) => "/api/sample",
+            (Route::Datasets, _) => "/api/v1/datasets",
+            (Route::Dataset(_), _) => "/api/v1/datasets/{name}",
+            (Route::DatasetEstimate(_), _) => "/api/v1/datasets/{name}/estimate",
+            (Route::DatasetBudget(_), _) => "/api/v1/datasets/{name}/budget",
+            (Route::DatasetPart(_, part), _) => match part.rsplit_once('/') {
+                Some((_, "estimate")) => "/api/v1/datasets/{name}/estimate",
+                Some((_, "budget")) => "/api/v1/datasets/{name}/budget",
+                _ => "/api/v1/datasets/{name}",
+            },
+            (Route::Job(_), false) => "/api/v1/jobs/{id}",
+            (Route::Job(_), true) => "/api/jobs/{id}",
+            (Route::JobEvents(_), false) => "/api/v1/jobs/{id}/events",
+            (Route::JobEvents(_), true) => "/api/jobs/{id}/events",
+            (Route::Unknown(_), _) => "other",
+        }
+    }
+}
+
+/// The path of a request target: the target without its `?query`.
+pub(crate) fn path_of(target: &str) -> &str {
+    target.split_once('?').map_or(target, |(path, _)| path)
+}
+
+/// Answers one request: parses its target into a [`Route`] and [`dispatch`]es it.
 pub fn route(state: &AppState, request: &Request) -> Response {
-    let path = request.path.split('?').next().unwrap_or("");
-    let (canonical, deprecated) = canonical_path(path);
-    let response = dispatch(state, request, &canonical);
+    let (route, deprecated) = Route::parse(&request.path);
+    dispatch(state, request, route, deprecated)
+}
+
+/// Answers a parsed request: the one match of route and method. A deprecated alias spelling
+/// gets the byte-identical v1 response plus `Deprecation: true`, added here and nowhere else.
+pub(crate) fn dispatch(
+    state: &AppState,
+    request: &Request,
+    route: Route,
+    deprecated: bool,
+) -> Response {
+    let response = match (route, request.method.as_str()) {
+        (Route::Health, "GET") => health(state),
+        (Route::Metrics, "GET") => metrics(),
+        (Route::Health | Route::Metrics, _) => method_not_allowed("GET"),
+        (Route::Estimate, "POST") => estimate(state, request),
+        (Route::Sample, "POST") => sample(state, request),
+        (Route::Estimate | Route::Sample, _) => method_not_allowed("POST"),
+        (Route::Datasets, "GET") => list_datasets(state),
+        (Route::Datasets, "POST") => create_dataset(state, request),
+        (Route::Datasets, _) => method_not_allowed("GET, POST"),
+        (
+            Route::Dataset(name)
+            | Route::DatasetEstimate(name)
+            | Route::DatasetBudget(name)
+            | Route::DatasetPart(name, _),
+            _,
+        ) if !valid_name(name) => {
+            error(400, "bad_request", format!("invalid dataset name {name:?}"))
+        }
+        (Route::Dataset(name), "GET") => match state.datasets.meta(name) {
+            Some(meta) => ok_json(200, &DatasetDoc::of(&meta)),
+            None => no_such_dataset(name),
+        },
+        (Route::Dataset(name), "DELETE") => delete_dataset(state, name),
+        (Route::Dataset(_), _) => method_not_allowed("GET, DELETE"),
+        (Route::DatasetEstimate(name), "POST") => dataset_estimate(state, request, name),
+        (Route::DatasetEstimate(_), _) => method_not_allowed("POST"),
+        (Route::DatasetBudget(name), "GET") => match state.datasets.meta(name) {
+            Some(meta) => ok_json(200, &BudgetDoc::of(name, &meta.ledger)),
+            None => no_such_dataset(name),
+        },
+        (Route::DatasetBudget(_), _) => method_not_allowed("GET"),
+        (Route::DatasetPart(_, part), _) => {
+            error(404, "not_found", format!("no dataset sub-resource {part:?}"))
+        }
+        (Route::Job(raw_id), "GET") => match find_job(state, raw_id) {
+            Ok(JobSnapshot { id, status, result, error }) => {
+                ok_json(200, &JobResponse { job_id: id, status, result, error })
+            }
+            Err(response) => response,
+        },
+        (Route::Job(_), _) => method_not_allowed("GET"),
+        // The chunked event stream is written by the connection layer, which intercepts a valid
+        // target before dispatch (it needs the raw socket). The router still owns the
+        // validation, and answers for callers that cannot stream.
+        (Route::JobEvents(raw_id), method) => match events_target(state, method, raw_id) {
+            Ok(_) => error(400, "bad_request", "the event stream requires a direct connection"),
+            Err(response) => response,
+        },
+        (Route::Unknown(path), _) => error(404, "not_found", format!("no route for {path}")),
+    };
     if deprecated {
         response.with_header("Deprecation", "true")
     } else {
@@ -152,99 +297,23 @@ pub fn route(state: &AppState, request: &Request) -> Response {
     }
 }
 
-fn dispatch(state: &AppState, request: &Request, path: &str) -> Response {
-    match path {
-        "/healthz" => match request.method.as_str() {
-            "GET" => health(state),
-            _ => method_not_allowed("GET"),
-        },
-        "/metrics" => match request.method.as_str() {
-            "GET" => metrics(),
-            _ => method_not_allowed("GET"),
-        },
-        "/api/v1/estimate" => match request.method.as_str() {
-            "POST" => estimate(state, request),
-            _ => method_not_allowed("POST"),
-        },
-        "/api/v1/sample" => match request.method.as_str() {
-            "POST" => sample(state, request),
-            _ => method_not_allowed("POST"),
-        },
-        "/api/v1/datasets" => match request.method.as_str() {
-            "GET" => list_datasets(state),
-            "POST" => create_dataset(state, request),
-            _ => method_not_allowed("GET, POST"),
-        },
-        _ => {
-            if let Some(rest) = path.strip_prefix("/api/v1/jobs/") {
-                if let Some(raw_id) = rest.strip_suffix("/events") {
-                    // The chunked event stream is written by the connection layer, which
-                    // intercepts this path before routing (it needs the raw socket). The
-                    // router still owns the validation, and answers for transports that
-                    // cannot stream.
-                    return match events_target(state, request.method.as_str(), raw_id) {
-                        Ok(_) => error(
-                            400,
-                            "bad_request",
-                            "the event stream requires a direct connection",
-                        ),
-                        Err(response) => response,
-                    };
-                }
-                match request.method.as_str() {
-                    "GET" => job(state, rest),
-                    _ => method_not_allowed("GET"),
-                }
-            } else if let Some(rest) = path.strip_prefix("/api/v1/datasets/") {
-                dataset_route(state, request, rest)
-            } else {
-                error(404, "not_found", format!("no route for {path}"))
-            }
-        }
-    }
+/// Looks up the job a path names: its snapshot, or the `400` (the id is not an integer) or
+/// `404` (no such job) response.
+fn find_job(state: &AppState, raw_id: &str) -> Result<JobSnapshot, Response> {
+    let id: u64 = raw_id.parse().map_err(|_| {
+        error(400, "bad_request", format!("job id must be an integer, got {raw_id:?}"))
+    })?;
+    state.jobs.get(id).ok_or_else(|| error(404, "not_found", format!("no such job: {id}")))
 }
 
-/// Routes `/api/v1/datasets/{name}` and its `/estimate` / `/budget` sub-resources.
-fn dataset_route(state: &AppState, request: &Request, rest: &str) -> Response {
-    let (name, action) = match rest.split_once('/') {
-        None => (rest, None),
-        Some((name, action)) => (name, Some(action)),
-    };
-    if !valid_name(name) {
-        return error(400, "bad_request", format!("invalid dataset name {name:?}"));
-    }
-    match (action, request.method.as_str()) {
-        (None, "GET") => match state.datasets.meta(name) {
-            Some(meta) => ok_json(200, &DatasetDoc::of(&meta)),
-            None => no_such_dataset(name),
-        },
-        (None, "DELETE") => delete_dataset(state, name),
-        (None, _) => method_not_allowed("GET, DELETE"),
-        (Some("estimate"), "POST") => dataset_estimate(state, request, name),
-        (Some("estimate"), _) => method_not_allowed("POST"),
-        (Some("budget"), "GET") => match state.datasets.meta(name) {
-            Some(meta) => ok_json(200, &BudgetDoc::of(name, &meta.ledger)),
-            None => no_such_dataset(name),
-        },
-        (Some("budget"), _) => method_not_allowed("GET"),
-        (Some(other), _) => error(404, "not_found", format!("no dataset sub-resource {other:?}")),
-    }
-}
-
-/// Validates a `GET /api/v1/jobs/{id}/events` target: the method, the id syntax, and that the
-/// job exists right now. `Ok(id)` means the caller may stream; `Err` is the response to send
-/// instead. Shared by [`route`] and the connection layer's streaming intercept.
+/// Validates a [`Route::JobEvents`] target: the method, and that the job exists right now.
+/// `Ok(id)` means the caller may stream; `Err` is the response to send instead. Shared by
+/// [`dispatch`] and the connection layer's streaming intercept.
 pub(crate) fn events_target(state: &AppState, method: &str, raw_id: &str) -> Result<u64, Response> {
     if method != "GET" {
         return Err(method_not_allowed("GET"));
     }
-    let id: u64 = raw_id.parse().map_err(|_| {
-        error(400, "bad_request", format!("job id must be an integer, got {raw_id:?}"))
-    })?;
-    if state.jobs.get(id).is_none() {
-        return Err(error(404, "not_found", format!("no such job: {id}")));
-    }
-    Ok(id)
+    find_job(state, raw_id).map(|job| job.id)
 }
 
 /// Builds a JSON error response with the unified [`ErrorBody`] document: a human-readable
@@ -316,8 +385,8 @@ fn health(state: &AppState) -> Response {
 }
 
 /// `GET /metrics`: the process-global registry in Prometheus text exposition format. Label
-/// sets are bounded (fixed stage/mode names, normalized HTTP paths), so the scrape size is
-/// O(instrument count), not O(traffic).
+/// sets are bounded (fixed stage/mode names, [`Route::label`] skeletons), so the scrape size
+/// is O(instrument count), not O(traffic).
 fn metrics() -> Response {
     Response::metrics_text(200, Registry::global().render())
 }
@@ -791,27 +860,6 @@ pub fn replay_pending(state: &AppState, pending: Vec<PendingJob>) {
                 .jobs
                 .restore_finished(job.id, Err(format!("replay rejected: {}", e.message()))),
         }
-    }
-}
-
-fn job(state: &AppState, raw_id: &str) -> Response {
-    let id: u64 = match raw_id.parse() {
-        Ok(id) => id,
-        Err(_) => {
-            return error(400, "bad_request", format!("job id must be an integer, got {raw_id:?}"))
-        }
-    };
-    match state.jobs.get(id) {
-        Some(snapshot) => ok_json(
-            200,
-            &JobResponse {
-                job_id: snapshot.id,
-                status: snapshot.status,
-                result: snapshot.result,
-                error: snapshot.error,
-            },
-        ),
-        None => error(404, "not_found", format!("no such job: {id}")),
     }
 }
 
@@ -1296,5 +1344,80 @@ mod tests {
         assert_eq!(route(&state, &request("PUT", "/api/sample", "")).status, 405);
         // Query strings are ignored for routing.
         assert_eq!(route(&state, &request("GET", "/healthz?verbose=1", "")).status, 200);
+    }
+
+    /// The URL space as a method × path grid through [`route`]: the status, the error `code`
+    /// and the extra headers of every answer, with one dataset (`g`) and one finished job (1)
+    /// in the state. POSTs carry an empty body, so none of them creates anything; the dataset
+    /// document row comes last because its DELETE removes `g`.
+    #[test]
+    fn every_method_and_path_answers_as_pinned() {
+        let state = state();
+        let upload = r#"{"name": "g", "edge_list": "0 1\n1 2\n",
+                         "budget": {"epsilon": 1.0, "delta": 0.1}}"#;
+        assert_eq!(route(&state, &request("POST", "/api/v1/datasets", upload)).status, 201);
+        state.jobs.restore_finished(1, Ok(Json::Null));
+        const BAD: &str = "400 bad_request";
+        const MISSING: &str = "404 not_found";
+        const NO_DATASET: &str = "404 no_such_dataset";
+        const METHOD: &str = "405 method_not_allowed";
+        const METHODS: [&str; 5] = ["GET", "HEAD", "POST", "PUT", "DELETE"];
+        // (target, deprecated alias?, the answer to each of METHODS)
+        let grid: &[(&str, bool, [&str; 5])] = &[
+            ("/healthz", false, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/healthz?verbose=1", false, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/metrics", false, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/estimate", true, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/sample", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/sample", true, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/datasets", false, ["200", METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/jobs/1", false, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/1", true, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/1?verbose=1", true, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/2", false, [MISSING, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/abc", true, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            // A live stream target: the plain router cannot stream it.
+            ("/api/v1/jobs/1/events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/1/events", true, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/2/events", false, [MISSING, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/2/events", true, [MISSING, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/abc/events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/1/2/events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs//events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/7/events/", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/", true, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs", false, [MISSING; 5]),
+            ("/api/v1/datasets/g/budget", false, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/datasets/nope/budget", false, [NO_DATASET, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/datasets/g/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/datasets/nope/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/datasets/g/foo", false, [MISSING; 5]),
+            ("/api/v1/datasets/g/x/estimate", false, [MISSING; 5]),
+            ("/api/v1/datasets/estimate", false, [NO_DATASET, METHOD, METHOD, METHOD, NO_DATASET]),
+            ("/api/v1/datasets/", false, [BAD; 5]),
+            ("/api/v1/datasets/bad%20name/budget", false, [BAD; 5]),
+            ("/api/datasets", false, [MISSING; 5]),
+            ("/api/v1/estimate/", false, [MISSING; 5]),
+            ("/nope", false, [MISSING; 5]),
+            ("", false, [MISSING; 5]),
+            ("/api/v1/datasets/g", false, ["200", METHOD, METHOD, METHOD, "200"]),
+        ];
+        for &(target, deprecated, answers) in grid {
+            for (method, want) in METHODS.into_iter().zip(answers) {
+                let response = route(&state, &request(method, target, ""));
+                let got = match response.status {
+                    status @ 400.. => {
+                        let body = body_json(&response);
+                        format!("{status} {}", body.get("code").unwrap().as_str().unwrap())
+                    }
+                    status => status.to_string(),
+                };
+                assert_eq!(got, want, "{method} {target:?}: {}", response.body);
+                let headers: &[(&str, &str)] =
+                    if deprecated { &[("Deprecation", "true")] } else { &[] };
+                assert_eq!(response.headers, headers, "{method} {target:?}");
+            }
+        }
     }
 }

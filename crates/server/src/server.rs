@@ -1,8 +1,10 @@
 //! The TCP accept loop, connection handling and graceful shutdown.
 
-use crate::http::{finish_chunked, read_request, write_chunk, write_chunked_head, HttpError};
+use crate::http::{
+    finish_chunked, read_request, write_chunk, write_chunked_head, HttpError, STATUS_TABLE,
+};
 use crate::pool::ThreadPool;
-use crate::router::{self, canonical_path, error, events_target, route, AppState};
+use crate::router::{self, error, events_target, path_of, AppState, Route};
 use crate::store;
 use kronpriv_json::Json;
 use kronpriv_obs::Registry;
@@ -174,15 +176,16 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     Ok(ServerHandle { addr, shutdown, accept: Some(accept) })
 }
 
-/// How long one `/api/jobs/{id}/events` connection may follow a job before the server closes
+/// How long one [`Route::JobEvents`] connection may follow a job before the server closes
 /// the (well-terminated) stream anyway. Jobs themselves are bounded far below this by the
 /// router's iteration-budget caps; the limit only protects an HTTP worker from a job that
 /// somehow never completes.
 const MAX_EVENT_STREAM: Duration = Duration::from_secs(15 * 60);
 
-/// Serves one connection: read a request, route it, write the response, close. `GET
-/// /api/jobs/{id}/events` is intercepted *before* routing — it needs the raw socket to write
-/// a chunked stream that follows the job, which the request → response router cannot express.
+/// Serves one connection: read a request, route it, write the response, close. A valid
+/// [`Route::JobEvents`] target is intercepted before dispatch — it needs the raw socket to
+/// write a chunked stream that follows the job, which the request → response router cannot
+/// express.
 fn handle_connection(
     stream: TcpStream,
     state: &AppState,
@@ -195,52 +198,37 @@ fn handle_connection(
     let started = Instant::now();
     let deadline = started + request_deadline;
     let mut reader = BufReader::new(stream);
-    let (identity, response) = match read_request(&mut reader, deadline) {
+    let request = read_request(&mut reader, deadline);
+    // A request that could not be read logs an empty method and path, labelled `other`.
+    let (method, target) = match &request {
+        Ok(request) => (request.method.as_str(), request.path.as_str()),
+        Err(_) => ("", ""),
+    };
+    let (route, deprecated) = Route::parse(target);
+    let (path, label) = (path_of(target), route.label(deprecated));
+    let response = match &request {
         Ok(request) => {
-            let path = request.path.split('?').next().unwrap_or("").to_string();
-            // The event stream is intercepted on the *canonical* spelling so the legacy
-            // `/api/jobs/{id}/events` alias streams identically (plus the Deprecation header).
-            let (canonical, deprecated) = canonical_path(&path);
-            let events_id = canonical
-                .strip_prefix("/api/v1/jobs/")
-                .and_then(|rest| rest.strip_suffix("/events"))
-                .map(|raw_id| events_target(state, request.method.as_str(), raw_id));
-            match events_id {
-                Some(Ok(id)) => {
+            if let Route::JobEvents(raw_id) = route {
+                if let Ok(id) = events_target(state, method, raw_id) {
                     // Status and latency are observed at stream start (time to first byte);
                     // folding multi-minute job runtimes into the request histogram would
                     // drown the signal.
-                    observe_request(&request.method, &path, 200, started, access_log);
+                    observe_request(method, path, label, 200, started, access_log);
                     let _ = stream_events(reader.into_inner(), state, id, deprecated);
                     return;
                 }
-                Some(Err(response)) => {
-                    let response = if deprecated {
-                        response.with_header("Deprecation", "true")
-                    } else {
-                        response
-                    };
-                    (Some((request.method, path)), response)
-                }
-                None => {
-                    let response = route(state, &request);
-                    (Some((request.method, path)), response)
-                }
             }
+            // Everything else, an invalid stream target included, is answered by dispatch.
+            router::dispatch(state, request, route, deprecated)
         }
         // The shutdown wake-up connection lands here as an immediate EOF; answering a 408/400
         // into a closed socket is harmless.
-        Err(HttpError::Io(e)) => {
-            (None, error(400, "bad_request", format!("could not read request: {e}")))
-        }
-        Err(HttpError::TooLarge) => {
-            (None, error(413, "too_large", "request exceeds the size limits"))
-        }
-        Err(e @ HttpError::Malformed(_)) => (None, error(400, "bad_request", e.to_string())),
-        Err(e @ HttpError::Timeout) => (None, error(408, "timeout", e.to_string())),
+        Err(HttpError::Io(e)) => error(400, "bad_request", format!("could not read request: {e}")),
+        Err(HttpError::TooLarge) => error(413, "too_large", "request exceeds the size limits"),
+        Err(e @ HttpError::Malformed(_)) => error(400, "bad_request", e.to_string()),
+        Err(e @ HttpError::Timeout) => error(408, "timeout", e.to_string()),
     };
-    let (method, path) = identity.unwrap_or_default();
-    observe_request(&method, &path, response.status, started, access_log);
+    observe_request(method, path, label, response.status, started, access_log);
     let _ = response.write_to(reader.into_inner());
 }
 
@@ -271,45 +259,6 @@ fn stream_events(stream: TcpStream, state: &AppState, id: u64, deprecated: bool)
     finish_chunked(&mut writer)
 }
 
-/// Bounded label values for the per-request metrics: free-form request paths are collapsed
-/// onto the route skeleton so one scanning client cannot mint unbounded label sets.
-fn normalize_path(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/metrics" => "/metrics",
-        "/api/estimate" => "/api/estimate",
-        "/api/sample" => "/api/sample",
-        "/api/v1/estimate" => "/api/v1/estimate",
-        "/api/v1/sample" => "/api/v1/sample",
-        "/api/v1/datasets" => "/api/v1/datasets",
-        _ => {
-            if let Some(rest) = path.strip_prefix("/api/jobs/") {
-                if rest.ends_with("/events") {
-                    "/api/jobs/{id}/events"
-                } else {
-                    "/api/jobs/{id}"
-                }
-            } else if let Some(rest) = path.strip_prefix("/api/v1/jobs/") {
-                if rest.ends_with("/events") {
-                    "/api/v1/jobs/{id}/events"
-                } else {
-                    "/api/v1/jobs/{id}"
-                }
-            } else if let Some(rest) = path.strip_prefix("/api/v1/datasets/") {
-                if rest.ends_with("/estimate") {
-                    "/api/v1/datasets/{name}/estimate"
-                } else if rest.ends_with("/budget") {
-                    "/api/v1/datasets/{name}/budget"
-                } else {
-                    "/api/v1/datasets/{name}"
-                }
-            } else {
-                "other"
-            }
-        }
-    }
-}
-
 fn method_label(method: &str) -> &'static str {
     match method {
         "GET" => "GET",
@@ -321,43 +270,36 @@ fn method_label(method: &str) -> &'static str {
     }
 }
 
-fn status_label(status: u16) -> &'static str {
-    match status {
-        200 => "200",
-        201 => "201",
-        202 => "202",
-        400 => "400",
-        403 => "403",
-        404 => "404",
-        405 => "405",
-        408 => "408",
-        409 => "409",
-        413 => "413",
-        429 => "429",
-        500 => "500",
-        _ => "other",
+/// The `status` label: the code itself when the status table lists it, `other` for the rest.
+fn status_label(status: u16) -> String {
+    if STATUS_TABLE.iter().any(|&(code, _)| code == status) {
+        status.to_string()
+    } else {
+        "other".to_string()
     }
 }
 
-/// Records one handled request into the global registry and, when enabled, emits the
-/// structured access-log line. A request that never parsed logs with empty method/path and
-/// the `"other"` path label.
-fn observe_request(method: &str, path: &str, status: u16, started: Instant, access_log: bool) {
+/// Records one handled request into the global registry under the route's `label` and, when
+/// enabled, emits the structured access-log line with the request's `path` (its target
+/// without the query).
+fn observe_request(
+    method: &str,
+    path: &str,
+    label: &str,
+    status: u16,
+    started: Instant,
+    access_log: bool,
+) {
     let elapsed = started.elapsed();
     let registry = Registry::global();
-    let route_label = normalize_path(path);
     registry
         .counter(
             "kronpriv_http_requests_total",
-            &[
-                ("method", method_label(method)),
-                ("path", route_label),
-                ("status", status_label(status)),
-            ],
+            &[("method", method_label(method)), ("path", label), ("status", &status_label(status))],
         )
         .inc();
     registry
-        .histogram("kronpriv_http_request_ns", &[("path", route_label)])
+        .histogram("kronpriv_http_request_ns", &[("path", label)])
         .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
     if access_log {
         let epoch_ms = SystemTime::now()
@@ -530,11 +472,76 @@ mod tests {
         assert_eq!(kinds.first().map(String::as_str), Some("queued"), "{kinds:?}");
         assert_eq!(kinds.last().map(String::as_str), Some("done"), "{kinds:?}");
         assert!(kinds.iter().any(|k| k == "stage_started"), "{kinds:?}");
-        // Unknown jobs and wrong methods answer as plain (non-chunked) errors.
-        let (status, _) = client::get(handle.addr(), "/api/jobs/424242/events").unwrap();
-        assert_eq!(status, 404);
-        let (status, _) = client::post_json(handle.addr(), "/api/jobs/1/events", "{}").unwrap();
-        assert_eq!(status, 405);
+        // Unknown jobs and wrong methods answer as plain (non-chunked) errors, marked deprecated
+        // exactly on the legacy spelling.
+        for (prefix, deprecated) in [("/api/jobs", true), ("/api/v1/jobs", false)] {
+            for (method, target, body, want) in [
+                ("GET", format!("{prefix}/424242/events"), None, 404),
+                ("POST", format!("{prefix}/1/events"), Some("{}"), 405),
+            ] {
+                let (status, head, _) =
+                    client::request_with_head(handle.addr(), method, &target, body).unwrap();
+                assert_eq!(status, want, "{method} {target}: {head}");
+                let marks: Vec<&str> =
+                    head.lines().filter(|line| line.contains("Deprecation")).collect();
+                let want_marks = if deprecated { vec!["Deprecation: true"] } else { vec![] };
+                assert_eq!(marks, want_marks, "{method} {target}: {head}");
+            }
+        }
+        // Each spelling keeps its own metrics label.
+        let (status, scrape) = client::get(handle.addr(), "/metrics").unwrap();
+        assert_eq!(status, 200, "{scrape}");
+        for path in ["/api/jobs/{id}/events", "/api/v1/jobs/{id}/events"] {
+            let series = format!(
+                "kronpriv_http_requests_total{{method=\"GET\",path=\"{path}\",status=\"404\"}}"
+            );
+            assert!(scrape.contains(&series), "no {series} in {scrape}");
+        }
         handle.shutdown();
+    }
+
+    /// Every route in both spellings, and the corner cases around them, with its metrics
+    /// `path` label. A path under a known prefix keeps that prefix's skeleton even when it
+    /// answers 404; only a path under no known prefix is `other`.
+    const PATH_LABELS: &[(&str, &str)] = &[
+        ("/healthz", "/healthz"),
+        ("/healthz?verbose=1", "/healthz"),
+        ("/metrics", "/metrics"),
+        ("/api/v1/estimate", "/api/v1/estimate"),
+        ("/api/estimate", "/api/estimate"),
+        ("/api/v1/sample", "/api/v1/sample"),
+        ("/api/sample", "/api/sample"),
+        ("/api/v1/datasets", "/api/v1/datasets"),
+        ("/api/v1/datasets/g", "/api/v1/datasets/{name}"),
+        ("/api/v1/datasets/g/estimate", "/api/v1/datasets/{name}/estimate"),
+        ("/api/v1/datasets/g/budget", "/api/v1/datasets/{name}/budget"),
+        ("/api/v1/jobs/7", "/api/v1/jobs/{id}"),
+        ("/api/jobs/7", "/api/jobs/{id}"),
+        ("/api/jobs/7?verbose=1", "/api/jobs/{id}"),
+        ("/api/v1/jobs/7/events", "/api/v1/jobs/{id}/events"),
+        ("/api/jobs/7/events", "/api/jobs/{id}/events"),
+        ("/api/v1/jobs/1/2/events", "/api/v1/jobs/{id}/events"),
+        ("/api/v1/jobs//events", "/api/v1/jobs/{id}/events"),
+        ("/api/v1/jobs/7/events/", "/api/v1/jobs/{id}"),
+        ("/api/jobs/", "/api/jobs/{id}"),
+        ("/api/v1/datasets/g/foo", "/api/v1/datasets/{name}"),
+        ("/api/v1/datasets/g/x/estimate", "/api/v1/datasets/{name}/estimate"),
+        ("/api/v1/datasets/g/x/budget", "/api/v1/datasets/{name}/budget"),
+        ("/api/v1/datasets/estimate", "/api/v1/datasets/{name}"),
+        ("/api/v1/datasets/", "/api/v1/datasets/{name}"),
+        ("/api/v1/jobs", "other"),
+        ("/api/jobs", "other"),
+        ("/api/datasets", "other"),
+        ("/api/v1/estimate/", "other"),
+        ("/nope", "other"),
+        ("", "other"),
+    ];
+
+    #[test]
+    fn every_path_keeps_its_metrics_label() {
+        for &(target, label) in PATH_LABELS {
+            let (route, deprecated) = Route::parse(target);
+            assert_eq!(route.label(deprecated), label, "{target:?}");
+        }
     }
 }

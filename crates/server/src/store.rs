@@ -203,9 +203,10 @@ impl Persistence {
         Ok(())
     }
 
-    /// Forces a snapshot of the rendered state image now (used on graceful shutdown paths and
-    /// by tests).
-    pub fn snapshot_now(&self, image: &str) -> io::Result<()> {
+    /// Forces a snapshot of the rendered state image now. Test-only: the server snapshots
+    /// only from [`Persistence::record`], every `snapshot_every` appends.
+    #[cfg(test)]
+    fn snapshot_now(&self, image: &str) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("store log poisoned");
         let seq = inner.next_seq;
         self.write_snapshot(&mut inner, seq, image)

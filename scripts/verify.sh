@@ -3,9 +3,9 @@
 # dependency is an in-workspace path dependency — see README.md).
 #
 #   scripts/verify.sh          # fmt --check + build (release) + tests + clippy -D warnings
-#   scripts/verify.sh --quick  # additionally smoke-runs the bench harness (with the
-#                              # bench_check regression guard), the e2e bench's own tests,
-#                              # quickstart and the server probe
+#   scripts/verify.sh --quick  # additionally runs the e2e bench's own tests, quickstart and
+#                              # the server probe, then smoke-runs the bench harness with the
+#                              # bench_check regression guard
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,48 +38,6 @@ if (( lint_elapsed > lint_budget_s )); then
 fi
 
 if [[ "${1:-}" == "--quick" ]]; then
-    echo "==> bench harness smoke run"
-    cargo bench -q --offline -p kronpriv-bench --bench model_kernels -- --quick
-
-    echo "==> kernel micro-benchmark matrix + regression guard (BENCH_kernels.json vs baseline)"
-    # Machine-readable perf trajectory: one {kernel, nodes, threads, ns_per_op} record per
-    # measurement (the min over samples — robust to background load, which only ever inflates
-    # a sample), so kernel regressions across PRs show up in the checked JSON. The matrix
-    # covers the counting kernels, the fitting stage (fit_multistart, isotonic_postprocess)
-    # and one multi-chain KronFit ascent step (kronfit_step) at 1/2/4 threads.
-    #
-    # bench_check fails on >2x (override: BENCH_MAX_RATIO) per-kernel ns/op regressions
-    # against the committed baseline; refresh with `cp BENCH_kernels.json BENCH_baseline.json`
-    # after an intentional perf change — or after moving to a slower machine class, since the
-    # baseline records absolute ns/op of whatever machine produced it. It also prints the
-    # one-line "scaling 1T->4T" summary and, on hosts with >=4 hardware threads, enforces the
-    # executor's scaling gates (no kernel >10% slower at 4T; smooth_sensitivity/
-    # per_node_triangles >=1.5x at the ~10^5-node rows). The committed baseline predates the
-    # kronpriv-obs instrumentation, so the guard's overhead gate (median 1T fresh/baseline
-    # ratio <= 1.05, override: BENCH_OVERHEAD_RATIO) bounds what the always-on spans and
-    # counters cost the serial compute path.
-    #
-    # The measure-then-check pair is retried up to 3 times: on a small shared runner a load
-    # spike can inflate a whole bench run, and re-measuring filters that out — a *systematic*
-    # regression (real code cost, not transient load) fails all three attempts identically.
-    bench_ok=""
-    for attempt in 1 2 3; do
-        cargo bench -q --offline -p kronpriv-bench --bench kernels -- --quick \
-            --json "$PWD/BENCH_kernels.json"
-        test -s BENCH_kernels.json || { echo "BENCH_kernels.json was not written" >&2; exit 1; }
-        if cargo run -q --release --offline -p kronpriv-bench --bin bench_check -- \
-            --max-ratio "${BENCH_MAX_RATIO:-2.0}" \
-            --overhead-ratio "${BENCH_OVERHEAD_RATIO:-1.05}"; then
-            bench_ok=1
-            break
-        fi
-        echo "bench gate attempt ${attempt}/3 failed; re-measuring" >&2
-    done
-    if [[ -z "$bench_ok" ]]; then
-        echo "bench gate failed on 3 independent measurements — treating as a real regression" >&2
-        exit 1
-    fi
-
     echo "==> end-to-end benchmark smoke tests"
     # The e2e bench is a workspace of its own (e2e_bench/Cargo.toml) that builds the program
     # from source; its tests run every workload shrunk to a few small ops, check the
@@ -141,6 +99,51 @@ if [[ "${1:-}" == "--quick" ]]; then
     wait "$server_pid" 2>/dev/null || true
     trap - EXIT
     rm -rf "$server_log" "$server_data"
+
+    # The kernel bench gate runs last: it measures absolute ns/op against a baseline recorded
+    # on another machine, so on a host of a different class it can fail on code nobody
+    # touched, and the functional gates above must not depend on it. It still fails the run.
+    echo "==> bench harness smoke run"
+    cargo bench -q --offline -p kronpriv-bench --bench model_kernels -- --quick
+
+    echo "==> kernel micro-benchmark matrix + regression guard (BENCH_kernels.json vs baseline)"
+    # Machine-readable perf trajectory: one {kernel, nodes, threads, ns_per_op} record per
+    # measurement (the min over samples — robust to background load, which only ever inflates
+    # a sample), so kernel regressions across PRs show up in the checked JSON. The matrix
+    # covers the counting kernels, the fitting stage (fit_multistart, isotonic_postprocess)
+    # and one multi-chain KronFit ascent step (kronfit_step) at 1/2/4 threads.
+    #
+    # bench_check fails on >2x (override: BENCH_MAX_RATIO) per-kernel ns/op regressions
+    # against the committed baseline; refresh with `cp BENCH_kernels.json BENCH_baseline.json`
+    # after an intentional perf change — or after moving to a slower machine class, since the
+    # baseline records absolute ns/op of whatever machine produced it. It also prints the
+    # one-line "scaling 1T->4T" summary and, on hosts with >=4 hardware threads, enforces the
+    # executor's scaling gates (no kernel >10% slower at 4T; smooth_sensitivity/
+    # per_node_triangles >=1.5x at the ~10^5-node rows). The committed baseline predates the
+    # kronpriv-obs instrumentation, so the guard's overhead gate (median 1T fresh/baseline
+    # ratio <= 1.05, override: BENCH_OVERHEAD_RATIO) bounds what the always-on spans and
+    # counters cost the serial compute path.
+    #
+    # The measure-then-check pair is retried up to 3 times: on a small shared runner a load
+    # spike can inflate a whole bench run, and re-measuring filters that out — a *systematic*
+    # regression (real code cost, not transient load) fails all three attempts identically.
+    bench_ok=""
+    for attempt in 1 2 3; do
+        cargo bench -q --offline -p kronpriv-bench --bench kernels -- --quick \
+            --json "$PWD/BENCH_kernels.json"
+        test -s BENCH_kernels.json || { echo "BENCH_kernels.json was not written" >&2; exit 1; }
+        if cargo run -q --release --offline -p kronpriv-bench --bin bench_check -- \
+            --max-ratio "${BENCH_MAX_RATIO:-2.0}" \
+            --overhead-ratio "${BENCH_OVERHEAD_RATIO:-1.05}"; then
+            bench_ok=1
+            break
+        fi
+        echo "bench gate attempt ${attempt}/3 failed; re-measuring" >&2
+    done
+    if [[ -z "$bench_ok" ]]; then
+        echo "bench gate failed on 3 independent measurements — treating as a real regression" >&2
+        exit 1
+    fi
 fi
 
 echo "verify: OK"

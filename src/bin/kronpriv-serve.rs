@@ -40,9 +40,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
         Ok(Mode::Serve(config)) => run_server(config),
-        Ok(Mode::Probe(addr)) => run_probe(addr),
-        Ok(Mode::ProbeReplay(addr)) => run_probe_replay(addr),
-        Ok(Mode::Metrics(addr)) => run_metrics_check(addr),
+        Ok(Mode::Probe(addr)) => report("probe", probe(addr).map(|()| String::new())),
+        Ok(Mode::ProbeReplay(addr)) => {
+            report("probe-replay", probe_replay(addr).map(|()| String::new()))
+        }
+        Ok(Mode::Metrics(addr)) => report(
+            "metrics",
+            metrics_check(addr)
+                .map(|text| format!(" ({} well-formed lines)", text.lines().count())),
+        ),
         Err(message) => {
             eprintln!("kronpriv-serve: {message}");
             eprintln!(
@@ -180,23 +186,24 @@ fn run_server(config: ServerConfig) -> ExitCode {
     }
 }
 
-/// Scrapes `/metrics` from a live server and validates every line of the exposition against
-/// [`well_formed_exposition_line`] — the same validator the in-process tests and the CI gate
-/// use. Exits non-zero on any malformed line, so `scripts/verify.sh --quick` can gate on it.
-fn run_metrics_check(addr: SocketAddr) -> ExitCode {
-    match metrics_check(addr) {
-        Ok(exposition) => {
-            println!("metrics: OK ({} well-formed lines)", exposition.lines().count());
+/// Prints a check's outcome as `{mode}: OK{detail}` on stdout, or `{mode}: {message}` on
+/// stderr, and exits non-zero on failure, so `scripts/verify.sh --quick` can gate on it.
+fn report(mode: &str, outcome: Result<String, String>) -> ExitCode {
+    match outcome {
+        Ok(detail) => {
+            println!("{mode}: OK{detail}");
             ExitCode::SUCCESS
         }
         Err(message) => {
-            eprintln!("metrics: {message}");
+            eprintln!("{mode}: {message}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Scrapes and validates `/metrics`, returning the exposition.
+/// Scrapes `/metrics` from a live server and validates every line of the exposition against
+/// [`well_formed_exposition_line`] — the same validator the in-process tests and the CI gate
+/// use — returning the exposition.
 fn metrics_check(addr: SocketAddr) -> Result<String, String> {
     let (status, body) =
         client::get(addr, "/metrics").map_err(|e| format!("scrape failed: {e}"))?;
@@ -214,20 +221,7 @@ fn metrics_check(addr: SocketAddr) -> Result<String, String> {
 
 /// Drives a live server end to end: `/healthz`, then a tiny sampled-SKG estimate job polled to
 /// completion, then `/api/sample`, a `/metrics` scrape and a job event stream, both checked
-/// for the one stage vocabulary. Exits non-zero on any failure — the verify-script smoke test.
-fn run_probe(addr: SocketAddr) -> ExitCode {
-    match probe(addr) {
-        Ok(()) => {
-            println!("probe: OK");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("probe: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
+/// for the one stage vocabulary — the verify-script smoke test.
 fn probe(addr: SocketAddr) -> Result<(), String> {
     let (status, body) =
         client::get(addr, "/healthz").map_err(|e| format!("healthz request failed: {e}"))?;
@@ -246,25 +240,7 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
         return Err(format!("estimate returned {status}: {body}"));
     }
     let job_id = extract_number(&body, "job_id").ok_or(format!("no job_id in {body}"))?;
-
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let done = loop {
-        let (status, body) = client::get(addr, &format!("/api/jobs/{job_id}"))
-            .map_err(|e| format!("job poll failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("job poll returned {status}: {body}"));
-        }
-        if body.contains("\"Done\"") {
-            break body;
-        }
-        if body.contains("\"Failed\"") {
-            return Err(format!("job failed: {body}"));
-        }
-        if Instant::now() > deadline {
-            return Err(format!("job {job_id} did not finish in time"));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let done = wait_for_done(addr, job_id)?;
     if !done.contains("\"theta\"") {
         return Err(format!("job result has no theta: {done}"));
     }
@@ -286,26 +262,9 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
         return Err(format!("kronfit estimate returned {status}: {body}"));
     }
     let job_id = extract_number(&body, "job_id").ok_or(format!("no job_id in {body}"))?;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (status, body) = client::get(addr, &format!("/api/jobs/{job_id}"))
-            .map_err(|e| format!("kronfit job poll failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("kronfit job poll returned {status}: {body}"));
-        }
-        if body.contains("\"Done\"") {
-            if !body.contains("\"estimator\":\"kronfit\"") {
-                return Err(format!("kronfit job result is not marked as kronfit: {body}"));
-            }
-            break;
-        }
-        if body.contains("\"Failed\"") {
-            return Err(format!("kronfit job failed: {body}"));
-        }
-        if Instant::now() > deadline {
-            return Err(format!("kronfit job {job_id} did not finish in time"));
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    let done = wait_for_done(addr, job_id).map_err(|e| format!("kronfit {e}"))?;
+    if !done.contains("\"estimator\":\"kronfit\"") {
+        return Err(format!("kronfit job result is not marked as kronfit: {done}"));
     }
 
     let sample = r#"{"theta": {"a": 0.9, "b": 0.5, "c": 0.2}, "k": 6, "seed": 1}"#;
@@ -497,19 +456,6 @@ fn wait_for_done(addr: SocketAddr, job_id: u64) -> Result<String, String> {
 /// Asserts that a server restarted on the same `--data-dir` replayed what `--probe` left
 /// behind: the dataset with its spent ledger (still refusing over-budget draws), the deletion
 /// of the throwaway dataset, and the finished jobs with their results.
-fn run_probe_replay(addr: SocketAddr) -> ExitCode {
-    match probe_replay(addr) {
-        Ok(()) => {
-            println!("probe-replay: OK");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("probe-replay: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn probe_replay(addr: SocketAddr) -> Result<(), String> {
     let (status, body) =
         client::get(addr, "/healthz").map_err(|e| format!("healthz request failed: {e}"))?;

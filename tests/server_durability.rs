@@ -146,15 +146,16 @@ fn pending_jobs_left_in_the_log_rerun_to_completion_on_boot() {
             "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 5, "options": {old_options}}}"#
     );
     let warning = "options.compute_threads=3 is ignored: jobs run on the server's shared pool";
-    // A finished job as the older binary's snapshot stored it, warnings included.
+    // A finished job as the older binary's snapshot file stored it, warnings included.
     let finished = r#"{"seed":1,"theta":{"a":0.9,"b":0.5,"c":0.2}}"#;
     let snapshot = format!(
-        r#"{{"next_job_id":3,"datasets":[],"jobs":[{{"job_id":3,"status":"done",
-            "result":{finished},"warnings":["{warning}"]}}]}}"#
+        r#"{{"version":1,"last_seq":0,"next_job_id":3,"datasets":[],"jobs":[{{"job_id":3,
+            "status":"done","result":{finished},"warnings":["{warning}"]}}]}}"#
     );
     {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("snapshot.json"), snapshot).unwrap();
         let (store, _) = Persistence::open(&dir, 1000).unwrap();
-        store.snapshot_now(&snapshot).unwrap();
         store.record(
             "job_submitted",
             vec![
