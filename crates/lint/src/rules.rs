@@ -97,7 +97,7 @@ const HASH_ITER_METHODS: &[&str] = &[
 
 /// The deterministic executor's entry points: the first closure argument after the `Work`
 /// hint runs on worker threads and must be a pure `Fn + Sync` map.
-const EXECUTOR_ENTRY_POINTS: &[&str] = &["map_reduce", "try_map_reduce", "fold_reduce"];
+const EXECUTOR_ENTRY_POINTS: &[&str] = &["map_reduce", "fold_reduce"];
 
 /// Interior-mutability type names that must not appear inside a parallel closure: shared
 /// mutation through them is exactly the cross-thread feedback the chunk-order contract bans.
@@ -946,10 +946,9 @@ impl Scan<'_> {
 
     /// Rules `executor-capture` and `executor-work-hint`: the executor-contract family.
     ///
-    /// Closures in the parallel (`Fn + Sync`) positions of `map_reduce`/`try_map_reduce`/
-    /// `fold_reduce` must not mutably borrow captured state or touch interior-mutability
-    /// types — cross-thread feedback would break the byte-identical-for-any-thread-count
-    /// contract. The sequential fold/merge positions are exempt (they run on the calling
+    /// Closures in the parallel (`Fn + Sync`) positions of `map_reduce`/`fold_reduce` must not
+    /// mutably borrow captured state or touch interior-mutability types — cross-thread
+    /// feedback would break the byte-identical-for-any-thread-count contract. The sequential fold/merge positions are exempt (they run on the calling
     /// thread, in chunk order). Separately, the cost-hint argument must visibly carry a
     /// `Work` value so new kernels cannot silently opt out of work-aware cutoffs.
     fn executor_contracts(&mut self) {

@@ -19,10 +19,6 @@
 //!    chunk index order on the calling thread, so even non-associative combines (floating-point
 //!    sums) give the same answer regardless of which thread computed which chunk.
 //!
-//! [`Executor::try_map_reduce`] extends the first entry point to fallible per-chunk tasks: the
-//! error that comes back is always the one from the lowest-index failing chunk, so even the
-//! failure mode is byte-identical for every thread count.
-//!
 //! [`Executor::fold_reduce`] trades the second rule for memory: each *participant* folds chunks
 //! into one private accumulator (e.g. an `O(n)` counter array) and the accumulators are merged
 //! afterwards. Which chunks land in which accumulator does depend on scheduling, so that entry
@@ -162,8 +158,8 @@ fn auto_thread_count() -> NonZeroUsize {
 }
 
 /// A persistent deterministic executor: `threads - 1` pooled helper threads plus the calling
-/// thread, servicing [`Executor::map_reduce`] / [`Executor::fold_reduce`] /
-/// [`Executor::try_map_reduce`] with byte-identical results for every thread count.
+/// thread, servicing [`Executor::map_reduce`] / [`Executor::fold_reduce`] with byte-identical
+/// results for every thread count.
 ///
 /// Construction spawns the helpers once; see the crate docs for the lifecycle, panic and
 /// work-cutoff contracts. The executor is `Sync`: one instance is meant to be shared (e.g.
@@ -219,47 +215,11 @@ impl Executor {
         chunk_size: usize,
         work: Work,
         map: impl Fn(Range<usize>) -> M + Sync,
-        fold: impl FnMut(A, M) -> A,
+        mut fold: impl FnMut(A, M) -> A,
         init: A,
     ) -> A
     where
         M: Send,
-    {
-        // Infallible tasks are the `Result`-free view of the fallible entry point, so the two
-        // cannot drift apart.
-        match self.try_map_reduce(
-            len,
-            chunk_size,
-            work,
-            |range| Ok::<M, std::convert::Infallible>(map(range)),
-            fold,
-            init,
-        ) {
-            Ok(acc) => acc,
-        }
-    }
-
-    /// Deterministic chunked map-reduce for **fallible** per-chunk tasks.
-    ///
-    /// Like [`Executor::map_reduce`], but `map` may fail. On success every chunk result is
-    /// folded in chunk order; on failure the returned error is the one produced by the
-    /// **lowest-index failing chunk**, which keeps the outcome byte-identical for every thread
-    /// count. To preserve that guarantee every chunk is evaluated even after a failure has been
-    /// observed — errors are expected to be exceptional, so the wasted work does not matter; a
-    /// caller that needs cheap early exit should encode the failure in `M` and short-circuit in
-    /// `fold` instead.
-    pub fn try_map_reduce<M, A, E>(
-        &self,
-        len: usize,
-        chunk_size: usize,
-        work: Work,
-        map: impl Fn(Range<usize>) -> Result<M, E> + Sync,
-        mut fold: impl FnMut(A, M) -> A,
-        init: A,
-    ) -> Result<A, E>
-    where
-        M: Send,
-        E: Send,
     {
         let chunk_size = chunk_size.max(1);
         let chunks = len.div_ceil(chunk_size);
@@ -268,30 +228,20 @@ impl Executor {
         if helpers == 0 {
             let mut acc = init;
             for c in 0..chunks {
-                acc = fold(acc, map(chunk_range(c, chunk_size, len))?);
+                acc = fold(acc, map(chunk_range(c, chunk_size, len)));
             }
-            return Ok(acc);
+            return acc;
         }
 
-        let results: Mutex<Vec<(usize, Result<M, E>)>> = Mutex::new(Vec::with_capacity(chunks));
-        let mut job = ChunkJob::new(chunks, |c| {
-            let outcome = map(chunk_range(c, chunk_size, len));
-            results.lock().expect("no code panics while holding the slot lock").push((c, outcome));
+        // Each participant keeps its chunk results tagged with the chunk start; sorting the
+        // union by start restores chunk order whichever participant computed which chunk.
+        let parts = self.fold_pooled(len, chunk_size, helpers, Vec::new, |results, range| {
+            results.push((range.start, map(range)));
         });
-        self.dispatch(&job, helpers);
-        let panicked = job.take_panic();
-        drop(job);
-        if let Some(payload) = panicked {
-            panic::resume_unwind(payload);
-        }
-        let mut collected = results.into_inner().expect("all participants have detached");
-        debug_assert_eq!(collected.len(), chunks, "every chunk is claimed exactly once");
-        collected.sort_unstable_by_key(|&(c, _)| c);
-        let mut acc = init;
-        for (_, outcome) in collected {
-            acc = fold(acc, outcome?);
-        }
-        Ok(acc)
+        let mut results: Vec<(usize, M)> = parts.into_iter().flat_map(|(_, part)| part).collect();
+        debug_assert_eq!(results.len(), chunks, "every chunk is claimed exactly once");
+        results.sort_unstable_by_key(|&(start, _)| start);
+        results.into_iter().fold(init, |acc, (_, m)| fold(acc, m))
     }
 
     /// Chunked fold with one private accumulator **per participant**, for kernels whose natural
@@ -329,9 +279,30 @@ impl Executor {
             return acc;
         }
 
+        let mut parts = self.fold_pooled(len, chunk_size, helpers, identity, fold_chunk);
+        // Merge in order of each participant's first claimed chunk: a canonical order that a
+        // commutative merge is free to ignore but which keeps runs comparable in practice.
+        parts.sort_unstable_by_key(|&(first_chunk, _)| first_chunk);
+        let mut parts = parts.into_iter().map(|(_, acc)| acc);
+        let first = parts.next().expect("len > 0, so at least one chunk was folded");
+        parts.fold(first, &mut merge)
+    }
+
+    /// The pooled half of both entry points: runs a [`FoldJob`] on the calling thread plus up
+    /// to `helpers` pooled workers and returns every participant's accumulator, tagged with
+    /// its first claimed chunk. A panic in any chunk is re-raised here, after every
+    /// participant has detached.
+    fn fold_pooled<A: Send>(
+        &self,
+        len: usize,
+        chunk_size: usize,
+        helpers: usize,
+        identity: impl Fn() -> A + Sync,
+        fold_chunk: impl Fn(&mut A, Range<usize>) + Sync,
+    ) -> Vec<(usize, A)> {
         let job = FoldJob {
             next: AtomicUsize::new(0),
-            chunks,
+            chunks: len.div_ceil(chunk_size),
             chunk_size,
             len,
             identity,
@@ -339,17 +310,13 @@ impl Executor {
             accumulators: Mutex::new(Vec::new()),
             panic: Mutex::new(None),
         };
-        self.dispatch(&job, helpers);
-        let (panicked, mut parts) = job.finish();
+        let pool = self.pool.as_ref().expect("helpers are only planned for a pooled executor");
+        pool.run_shared(&job, helpers);
+        let (panicked, parts) = job.finish();
         if let Some(payload) = panicked {
             panic::resume_unwind(payload);
         }
-        // Merge in order of each participant's first claimed chunk: a canonical order that a
-        // commutative merge is free to ignore but which keeps runs comparable in practice.
-        parts.sort_unstable_by_key(|&(first_chunk, _)| first_chunk);
-        let mut parts = parts.into_iter().map(|(_, acc)| acc);
-        let first = parts.next().expect("len > 0, so at least one chunk was folded");
-        parts.fold(first, &mut merge)
+        parts
     }
 
     /// Helper-thread budget for a call, `0` meaning "run inline". A pure function of the input
@@ -365,15 +332,6 @@ impl Executor {
         let affordable =
             (work.total_ns(len) / SPAWN_AMORTIZATION_NS as u128).min(usize::MAX as u128) as usize;
         pool.workers.len().min(chunks - 1).min(affordable.saturating_sub(1))
-    }
-
-    /// Runs `job` on the calling thread plus up to `helpers` pooled workers, returning once
-    /// every participant has detached from it.
-    fn dispatch(&self, job: &(impl Runnable + Sync), helpers: usize) {
-        match &self.pool {
-            Some(pool) if helpers > 0 => pool.run_shared(job, helpers),
-            _ => job.run(),
-        }
     }
 }
 
@@ -404,69 +362,9 @@ fn record_call(work: Work, chunks: usize, helpers: usize) -> kronpriv_obs::Span 
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
-/// Claims the next chunk index, or `None` when the job is exhausted (or aborted).
-fn claim(next: &AtomicUsize, chunks: usize) -> Option<usize> {
-    let c = next.fetch_add(1, Ordering::Relaxed);
-    (c < chunks).then_some(c)
-}
-
-/// Records the first panic payload and aborts further chunk claims for the job.
-fn record_panic(
-    slot: &Mutex<Option<PanicPayload>>,
-    next: &AtomicUsize,
-    chunks: usize,
-    payload: PanicPayload,
-) {
-    let mut slot = match slot.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if slot.is_none() {
-        *slot = Some(payload);
-    }
-    drop(slot);
-    // Parking the claim counter at `chunks` makes every later `claim` fail fast: the results
-    // are about to be discarded by `resume_unwind`, so finishing the range is pure waste.
-    next.store(chunks, Ordering::Relaxed);
-}
-
-/// The map-reduce job: every chunk runs the same body (which records its own result).
-struct ChunkJob<F> {
-    next: AtomicUsize,
-    chunks: usize,
-    body: F,
-    panic: Mutex<Option<PanicPayload>>,
-}
-
-impl<F: Fn(usize) + Sync> ChunkJob<F> {
-    fn new(chunks: usize, body: F) -> ChunkJob<F> {
-        ChunkJob { next: AtomicUsize::new(0), chunks, body, panic: Mutex::new(None) }
-    }
-
-    /// The recorded panic payload, if any participant's chunk panicked. Exclusive access: only
-    /// callable once every participant has detached.
-    fn take_panic(&mut self) -> Option<PanicPayload> {
-        match self.panic.get_mut() {
-            Ok(slot) => slot.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
-    }
-}
-
-impl<F: Fn(usize) + Sync> Runnable for ChunkJob<F> {
-    fn run(&self) {
-        while let Some(c) = claim(&self.next, self.chunks) {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (self.body)(c))) {
-                record_panic(&self.panic, &self.next, self.chunks, payload);
-                return;
-            }
-        }
-    }
-}
-
-/// The fold-reduce job: each participant lazily builds one private accumulator and folds every
-/// chunk it claims into it, then parks the accumulator (tagged with its first chunk index) for
-/// the caller to merge.
+/// The pooled job behind both entry points: each participant lazily builds one private
+/// accumulator and folds every chunk it claims into it, then parks the accumulator (tagged with
+/// its first chunk index) for the caller to merge.
 struct FoldJob<A, I, F> {
     next: AtomicUsize,
     chunks: usize,
@@ -479,6 +377,28 @@ struct FoldJob<A, I, F> {
 }
 
 impl<A, I, F> FoldJob<A, I, F> {
+    /// Claims the next chunk index, or `None` when the job is exhausted (or aborted).
+    fn claim(&self) -> Option<usize> {
+        let c = self.next.fetch_add(1, Ordering::Relaxed);
+        (c < self.chunks).then_some(c)
+    }
+
+    /// Records the first panic payload and aborts further chunk claims for the job.
+    fn record_panic(&self, payload: PanicPayload) {
+        let mut slot = match self.panic.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if slot.is_none() {
+            *slot = Some(payload);
+        }
+        drop(slot);
+        // Parking the claim counter at `chunks` makes every later `claim` fail fast: the
+        // results are about to be discarded by `resume_unwind`, so finishing the range is pure
+        // waste.
+        self.next.store(self.chunks, Ordering::Relaxed);
+    }
+
     /// Tears the job down after every participant has detached: the recorded panic (if any)
     /// and the per-participant accumulators.
     #[allow(clippy::type_complexity)]
@@ -503,13 +423,13 @@ where
 {
     fn run(&self) {
         let mut acc: Option<(usize, A)> = None;
-        while let Some(c) = claim(&self.next, self.chunks) {
+        while let Some(c) = self.claim() {
             let step = panic::catch_unwind(AssertUnwindSafe(|| {
                 let (_, acc) = acc.get_or_insert_with(|| (c, (self.identity)()));
                 (self.fold_chunk)(acc, chunk_range(c, self.chunk_size, self.len));
             }));
             if let Err(payload) = step {
-                record_panic(&self.panic, &self.next, self.chunks, payload);
+                self.record_panic(payload);
                 return; // the partial accumulator dies with the poisoned call
             }
         }
@@ -846,14 +766,15 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reduce_folds_successes_in_chunk_order() {
+    fn map_reduce_folds_chunks_in_order_for_any_thread_count() {
+        // `Vec::push` does not commute: only chunk-order reduction returns the starts sorted.
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
-            let got: Result<Vec<usize>, ()> = exec.try_map_reduce(
+            let got = exec.map_reduce(
                 100,
                 9,
                 FORCE_PARALLEL,
-                |range| Ok(range.start),
+                |range| range.start,
                 |mut acc: Vec<usize>, start| {
                     acc.push(start);
                     acc
@@ -861,46 +782,8 @@ mod tests {
                 Vec::new(),
             );
             let expected: Vec<usize> = (0..100).step_by(9).collect();
-            assert_eq!(got.unwrap(), expected, "threads {threads}");
+            assert_eq!(got, expected, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn try_map_reduce_reports_the_lowest_index_error_for_any_thread_count() {
-        // Chunks 3 and 7 both fail; every thread count must report chunk 3's error, matching
-        // the sequential scan.
-        for threads in [1, 2, 8] {
-            let exec = Executor::new(threads);
-            let got: Result<usize, String> = exec.try_map_reduce(
-                100,
-                10,
-                FORCE_PARALLEL,
-                |range| {
-                    let chunk = range.start / 10;
-                    if chunk == 3 || chunk == 7 {
-                        Err(format!("chunk {chunk} failed"))
-                    } else {
-                        Ok(range.len())
-                    }
-                },
-                |acc: usize, m| acc + m,
-                0,
-            );
-            assert_eq!(got.unwrap_err(), "chunk 3 failed", "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn try_map_reduce_empty_range_is_ok() {
-        let got: Result<u32, ()> = Executor::new(4).try_map_reduce(
-            0,
-            8,
-            FORCE_PARALLEL,
-            |_| Err(()),
-            |a: u32, m: u32| a + m,
-            7,
-        );
-        assert_eq!(got.unwrap(), 7);
     }
 
     #[test]

@@ -243,6 +243,14 @@ impl Response {
 
     /// Serialises the response (status line, headers, body) onto a writer.
     pub fn write_to(&self, mut writer: impl Write) -> io::Result<()> {
+        self.write_head(&mut writer)?;
+        writer.write_all(self.body.as_bytes())?;
+        writer.flush()
+    }
+
+    /// Serialises the status line and headers only, `Content-Length` still counting the body:
+    /// the answer to a `HEAD` request, which carries no content (RFC 9110 §9.3.2).
+    pub(crate) fn write_head(&self, mut writer: impl Write) -> io::Result<()> {
         write!(
             writer,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -255,7 +263,6 @@ impl Response {
             write!(writer, "{name}: {value}\r\n")?;
         }
         writer.write_all(b"\r\n")?;
-        writer.write_all(self.body.as_bytes())?;
         writer.flush()
     }
 }

@@ -372,18 +372,24 @@ impl JobStore {
         table.retire(id);
     }
 
-    /// A snapshot of the job, or `None` for an unknown id. The result text is parsed back
-    /// into a document; it renders to the same bytes it was stored as.
+    /// A snapshot of the job, or `None` for an unknown id. The result text is copied under the
+    /// table lock and parsed back into a document after it is released, so a large result
+    /// never stalls the event pushes of running jobs; it renders to the same bytes it was
+    /// stored as.
     pub fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let table = self.shared.table.lock().expect("job table poisoned");
-        table.jobs.get(&id).map(|record| JobSnapshot {
-            id,
-            status: record.status,
-            result: record.result.as_deref().map(|text| {
-                Json::parse(text).expect("a stored result is JSON this store rendered")
-            }),
-            error: record.error.clone(),
-        })
+        let (status, result, error) = {
+            let table = self.shared.table.lock().expect("job table poisoned");
+            let record = table.jobs.get(&id)?;
+            (record.status, record.result.clone(), record.error.clone())
+        };
+        let result = result
+            .map(|text| Json::parse(&text).expect("a stored result is JSON this store rendered"));
+        Some(JobSnapshot { id, status, result, error })
+    }
+
+    /// Whether the store holds the job: the event-stream check, which needs no result.
+    pub(crate) fn contains(&self, id: u64) -> bool {
+        self.shared.table.lock().expect("job table poisoned").jobs.contains_key(&id)
     }
 
     /// The job's NDJSON event log from byte offset `from` onward, blocking up to `timeout`

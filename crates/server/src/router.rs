@@ -145,7 +145,7 @@ pub(crate) enum Route<'a> {
     DatasetBudget(&'a str),
     /// `/api/v1/datasets/{name}/{part}` for any other `part`: an unknown sub-resource.
     DatasetPart(&'a str, &'a str),
-    /// `/api/v1/jobs/{id}`; [`find_job`] parses the id, for the event stream too.
+    /// `/api/v1/jobs/{id}`; [`job_id`] parses the id, for the event stream too.
     Job(&'a str),
     JobEvents(&'a str),
     /// Any other path.
@@ -233,13 +233,19 @@ pub fn route(state: &AppState, request: &Request) -> Response {
 
 /// Answers a parsed request: the one match of route and method. A deprecated alias spelling
 /// gets the byte-identical v1 response plus `Deprecation: true`, added here and nowhere else.
+/// `HEAD` is answered as `GET` (RFC 9110 §9.3.2): same status, headers and `Content-Length`;
+/// the connection layer then writes no content.
 pub(crate) fn dispatch(
     state: &AppState,
     request: &Request,
     route: Route,
     deprecated: bool,
 ) -> Response {
-    let response = match (route, request.method.as_str()) {
+    let method = match request.method.as_str() {
+        "HEAD" => "GET",
+        method => method,
+    };
+    let response = match (route, method) {
         (Route::Health, "GET") => health(state),
         (Route::Metrics, "GET") => metrics(),
         (Route::Health | Route::Metrics, _) => method_not_allowed("GET"),
@@ -274,12 +280,14 @@ pub(crate) fn dispatch(
         (Route::DatasetPart(_, part), _) => {
             error(404, "not_found", format!("no dataset sub-resource {part:?}"))
         }
-        (Route::Job(raw_id), "GET") => match find_job(state, raw_id) {
-            Ok(JobSnapshot { id, status, result, error }) => {
-                ok_json(200, &JobResponse { job_id: id, status, result, error })
+        (Route::Job(raw_id), "GET") => {
+            match job_id(raw_id).and_then(|id| state.jobs.get(id).ok_or_else(|| no_such_job(id))) {
+                Ok(JobSnapshot { id, status, result, error }) => {
+                    ok_json(200, &JobResponse { job_id: id, status, result, error })
+                }
+                Err(response) => response,
             }
-            Err(response) => response,
-        },
+        }
         (Route::Job(_), _) => method_not_allowed("GET"),
         // The chunked event stream is written by the connection layer, which intercepts a valid
         // target before dispatch (it needs the raw socket). The router still owns the
@@ -297,23 +305,31 @@ pub(crate) fn dispatch(
     }
 }
 
-/// Looks up the job a path names: its snapshot, or the `400` (the id is not an integer) or
-/// `404` (no such job) response.
-fn find_job(state: &AppState, raw_id: &str) -> Result<JobSnapshot, Response> {
-    let id: u64 = raw_id.parse().map_err(|_| {
+/// Parses the job id a path names, or gives the `400` response (the id is not an integer).
+fn job_id(raw_id: &str) -> Result<u64, Response> {
+    raw_id.parse().map_err(|_| {
         error(400, "bad_request", format!("job id must be an integer, got {raw_id:?}"))
-    })?;
-    state.jobs.get(id).ok_or_else(|| error(404, "not_found", format!("no such job: {id}")))
+    })
 }
 
-/// Validates a [`Route::JobEvents`] target: the method, and that the job exists right now.
-/// `Ok(id)` means the caller may stream; `Err` is the response to send instead. Shared by
-/// [`dispatch`] and the connection layer's streaming intercept.
+fn no_such_job(id: u64) -> Response {
+    error(404, "not_found", format!("no such job: {id}"))
+}
+
+/// Validates a [`Route::JobEvents`] target: the method (`GET`, or `HEAD` answered as `GET`),
+/// and that the job exists right now — checked without touching its result. `Ok(id)` means
+/// the caller may stream; `Err` is the response to send instead. Shared by [`dispatch`] and
+/// the connection layer's streaming intercept.
 pub(crate) fn events_target(state: &AppState, method: &str, raw_id: &str) -> Result<u64, Response> {
-    if method != "GET" {
+    if !matches!(method, "GET" | "HEAD") {
         return Err(method_not_allowed("GET"));
     }
-    find_job(state, raw_id).map(|job| job.id)
+    let id = job_id(raw_id)?;
+    if state.jobs.contains(id) {
+        Ok(id)
+    } else {
+        Err(no_such_job(id))
+    }
 }
 
 /// Builds a JSON error response with the unified [`ErrorBody`] document: a human-readable
@@ -1364,44 +1380,52 @@ mod tests {
         const METHODS: [&str; 5] = ["GET", "HEAD", "POST", "PUT", "DELETE"];
         // (target, deprecated alias?, the answer to each of METHODS)
         let grid: &[(&str, bool, [&str; 5])] = &[
-            ("/healthz", false, ["200", METHOD, METHOD, METHOD, METHOD]),
-            ("/healthz?verbose=1", false, ["200", METHOD, METHOD, METHOD, METHOD]),
-            ("/metrics", false, ["200", METHOD, METHOD, METHOD, METHOD]),
+            ("/healthz", false, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/healthz?verbose=1", false, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/metrics", false, ["200", "200", METHOD, METHOD, METHOD]),
             ("/api/v1/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
             ("/api/estimate", true, [METHOD, METHOD, BAD, METHOD, METHOD]),
             ("/api/v1/sample", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
             ("/api/sample", true, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/v1/datasets", false, ["200", METHOD, BAD, METHOD, METHOD]),
-            ("/api/v1/jobs/1", false, ["200", METHOD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/1", true, ["200", METHOD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/1?verbose=1", true, ["200", METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/2", false, [MISSING, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/abc", true, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/datasets", false, ["200", "200", BAD, METHOD, METHOD]),
+            ("/api/v1/jobs/1", false, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/jobs/1", true, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/jobs/1?verbose=1", true, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/2", false, [MISSING, MISSING, METHOD, METHOD, METHOD]),
+            ("/api/jobs/abc", true, [BAD, BAD, METHOD, METHOD, METHOD]),
             // A live stream target: the plain router cannot stream it.
-            ("/api/v1/jobs/1/events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/1/events", true, [BAD, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/2/events", false, [MISSING, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/2/events", true, [MISSING, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/abc/events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/1/2/events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs//events", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/7/events/", false, [BAD, METHOD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/", true, [BAD, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/1/events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/1/events", true, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/2/events", false, [MISSING, MISSING, METHOD, METHOD, METHOD]),
+            ("/api/jobs/2/events", true, [MISSING, MISSING, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/abc/events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/1/2/events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs//events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/7/events/", false, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/", true, [BAD, BAD, METHOD, METHOD, METHOD]),
             ("/api/v1/jobs", false, [MISSING; 5]),
-            ("/api/v1/datasets/g/budget", false, ["200", METHOD, METHOD, METHOD, METHOD]),
-            ("/api/v1/datasets/nope/budget", false, [NO_DATASET, METHOD, METHOD, METHOD, METHOD]),
+            ("/api/v1/datasets/g/budget", false, ["200", "200", METHOD, METHOD, METHOD]),
+            (
+                "/api/v1/datasets/nope/budget",
+                false,
+                [NO_DATASET, NO_DATASET, METHOD, METHOD, METHOD],
+            ),
             ("/api/v1/datasets/g/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
             ("/api/v1/datasets/nope/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
             ("/api/v1/datasets/g/foo", false, [MISSING; 5]),
             ("/api/v1/datasets/g/x/estimate", false, [MISSING; 5]),
-            ("/api/v1/datasets/estimate", false, [NO_DATASET, METHOD, METHOD, METHOD, NO_DATASET]),
+            (
+                "/api/v1/datasets/estimate",
+                false,
+                [NO_DATASET, NO_DATASET, METHOD, METHOD, NO_DATASET],
+            ),
             ("/api/v1/datasets/", false, [BAD; 5]),
             ("/api/v1/datasets/bad%20name/budget", false, [BAD; 5]),
             ("/api/datasets", false, [MISSING; 5]),
             ("/api/v1/estimate/", false, [MISSING; 5]),
             ("/nope", false, [MISSING; 5]),
             ("", false, [MISSING; 5]),
-            ("/api/v1/datasets/g", false, ["200", METHOD, METHOD, METHOD, "200"]),
+            ("/api/v1/datasets/g", false, ["200", "200", METHOD, METHOD, "200"]),
         ];
         for &(target, deprecated, answers) in grid {
             for (method, want) in METHODS.into_iter().zip(answers) {

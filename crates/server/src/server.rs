@@ -185,7 +185,7 @@ const MAX_EVENT_STREAM: Duration = Duration::from_secs(15 * 60);
 /// Serves one connection: read a request, route it, write the response, close. A valid
 /// [`Route::JobEvents`] target is intercepted before dispatch — it needs the raw socket to
 /// write a chunked stream that follows the job, which the request → response router cannot
-/// express.
+/// express. A `HEAD` request gets the head its `GET` would, and no content.
 fn handle_connection(
     stream: TcpStream,
     state: &AppState,
@@ -206,6 +206,7 @@ fn handle_connection(
     };
     let (route, deprecated) = Route::parse(target);
     let (path, label) = (path_of(target), route.label(deprecated));
+    let head_only = method == "HEAD";
     let response = match &request {
         Ok(request) => {
             if let Route::JobEvents(raw_id) = route {
@@ -214,7 +215,7 @@ fn handle_connection(
                     // folding multi-minute job runtimes into the request histogram would
                     // drown the signal.
                     observe_request(method, path, label, 200, started, access_log);
-                    let _ = stream_events(reader.into_inner(), state, id, deprecated);
+                    let _ = stream_events(reader.into_inner(), state, id, deprecated, head_only);
                     return;
                 }
             }
@@ -229,17 +230,28 @@ fn handle_connection(
         Err(e @ HttpError::Timeout) => error(408, "timeout", e.to_string()),
     };
     observe_request(method, path, label, response.status, started, access_log);
-    let _ = response.write_to(reader.into_inner());
+    let stream = reader.into_inner();
+    let _ = if head_only { response.write_head(stream) } else { response.write_to(stream) };
 }
 
 /// Follows one job's event log onto the socket as a chunked `application/x-ndjson` stream:
 /// one JSON document per line, the log's new tail written as-is per batch, terminated by the
 /// zero-length chunk once the job's terminal event has been written (or the job was evicted,
-/// or the client went away, or [`MAX_EVENT_STREAM`] elapsed).
-fn stream_events(stream: TcpStream, state: &AppState, id: u64, deprecated: bool) -> io::Result<()> {
+/// or the client went away, or [`MAX_EVENT_STREAM`] elapsed). With `head_only` (a `HEAD`
+/// request) it writes the stream's head and no chunks.
+fn stream_events(
+    stream: TcpStream,
+    state: &AppState,
+    id: u64,
+    deprecated: bool,
+    head_only: bool,
+) -> io::Result<()> {
     let mut writer = stream;
     let extra: &[(&str, &str)] = if deprecated { &[("Deprecation", "true")] } else { &[] };
     write_chunked_head(&mut writer, 200, "application/x-ndjson", extra)?;
+    if head_only {
+        return Ok(());
+    }
     let cutoff = Instant::now() + MAX_EVENT_STREAM;
     let mut cursor = 0usize;
     while Instant::now() < cutoff {
@@ -497,6 +509,34 @@ mod tests {
             );
             assert!(scrape.contains(&series), "no {series} in {scrape}");
         }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn head_answers_as_get_without_content() {
+        let handle = serve_ephemeral(2, 1).unwrap();
+        let addr = handle.addr();
+        let (status, head, body) =
+            client::request_with_head(addr, "HEAD", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{head}");
+        assert!(head.contains("Content-Length: "), "{head}");
+        assert_eq!(body, "", "HEAD /healthz carried content");
+        let (_, get_body) = client::get(addr, "/nope").unwrap();
+        let (status, head, body) = client::request_with_head(addr, "HEAD", "/nope", None).unwrap();
+        assert_eq!(status, 404, "{head}");
+        assert!(head.contains(&format!("Content-Length: {}\r\n", get_body.len())), "{head}");
+        assert_eq!(body, "", "HEAD /nope carried content");
+        // A live event stream: the stream's chunked head, and no chunks.
+        let job = r#"{"graph": {"skg": {"theta": {"a": 0.95, "b": 0.55, "c": 0.2}, "k": 5}},
+                      "params": {"epsilon": 1.0, "delta": 0.01}, "seed": 3}"#;
+        let (status, submitted) = client::post_json(addr, "/api/v1/estimate", job).unwrap();
+        assert_eq!(status, 202, "{submitted}");
+        let id = Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
+        let target = format!("/api/v1/jobs/{id}/events");
+        let (status, head, body) = client::request_with_head(addr, "HEAD", &target, None).unwrap();
+        assert_eq!(status, 200, "{head}");
+        assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+        assert_eq!(body, "", "HEAD {target} carried chunks");
         handle.shutdown();
     }
 

@@ -127,66 +127,6 @@ impl std::fmt::Display for Initiator2 {
     }
 }
 
-/// A general square initiator matrix of arbitrary size, provided for experimentation with
-/// `N1 > 2` model selection (Section 3.3 discusses why the paper fixes `N1 = 2`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InitiatorMatrix {
-    size: usize,
-    entries: Vec<f64>,
-}
-
-impl_json_struct!(InitiatorMatrix { size, entries });
-
-impl InitiatorMatrix {
-    /// Creates an initiator from a row-major list of entries.
-    ///
-    /// # Panics
-    /// Panics if the number of entries is not a perfect square of `size`, or any entry is
-    /// outside `[0, 1]`.
-    pub fn new(size: usize, entries: Vec<f64>) -> Self {
-        assert_eq!(entries.len(), size * size, "expected {}x{} entries", size, size);
-        for &e in &entries {
-            assert!((0.0..=1.0).contains(&e), "initiator entry {e} must lie in [0,1]");
-        }
-        InitiatorMatrix { size, entries }
-    }
-
-    /// The initiator dimension `N1`.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Entry `(i, j)` of the initiator.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.entries[i * self.size + j]
-    }
-
-    /// Number of nodes of the order-`k` graph: `N1^k`.
-    pub fn node_count(&self, k: u32) -> usize {
-        self.size.pow(k)
-    }
-
-    /// Probability `P_{uv}` of the ordered pair under the `k`-th Kronecker power, evaluated by
-    /// decomposing the indices into base-`N1` digits.
-    pub fn edge_probability(&self, k: u32, u: usize, v: usize) -> f64 {
-        let n = self.node_count(k);
-        assert!(u < n && v < n, "node index out of range for k={k}");
-        let (mut u, mut v) = (u, v);
-        let mut p = 1.0;
-        for _ in 0..k {
-            p *= self.get(u % self.size, v % self.size);
-            u /= self.size;
-            v /= self.size;
-        }
-        p
-    }
-
-    /// Converts a symmetric 2×2 initiator into the general representation.
-    pub fn from_initiator2(theta: &Initiator2) -> Self {
-        InitiatorMatrix::new(2, vec![theta.a, theta.b, theta.b, theta.c])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,36 +250,6 @@ mod tests {
     fn display_renders_matrix_form() {
         let t = Initiator2::new(0.99, 0.45, 0.25);
         assert_eq!(format!("{t}"), "[0.9900 0.4500; 0.4500 0.2500]");
-    }
-
-    #[test]
-    fn general_initiator_matches_initiator2() {
-        let t = Initiator2::new(0.9, 0.4, 0.2);
-        let g = InitiatorMatrix::from_initiator2(&t);
-        assert_eq!(g.size(), 2);
-        for k in 1..=4u32 {
-            for u in 0..t.node_count(k) {
-                for v in 0..t.node_count(k) {
-                    assert!(
-                        (t.edge_probability(k, u, v) - g.edge_probability(k, u, v)).abs() < 1e-15
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn three_by_three_initiator_probability() {
-        let g = InitiatorMatrix::new(3, vec![0.9, 0.2, 0.1, 0.2, 0.8, 0.3, 0.1, 0.3, 0.7]);
-        assert_eq!(g.node_count(2), 9);
-        // u = 4 = (1,1) base 3, v = 8 = (2,2): entry(1,2) * entry(1,2) = 0.3 * 0.3.
-        assert!((g.edge_probability(2, 4, 8) - 0.09).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 2x2 entries")]
-    fn general_initiator_rejects_wrong_entry_count() {
-        let _ = InitiatorMatrix::new(2, vec![0.1, 0.2, 0.3]);
     }
 
     #[test]

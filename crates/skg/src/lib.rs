@@ -10,7 +10,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`initiator`] — initiator matrices, per-pair edge probabilities, dense Kronecker powers,
+//! * [`initiator`] — the 2×2 initiator, per-pair edge probabilities, dense Kronecker powers,
 //! * [`moments`] — the closed-form expected counts of edges, hairpins, triangles and tripins
 //!   under the model (Gleich & Owen's Equation 1, reproduced as Equation (1) in the paper),
 //!   which the moment-matching estimators equate with observed counts,

@@ -219,14 +219,26 @@ fn metrics_check(addr: SocketAddr) -> Result<String, String> {
     Ok(body)
 }
 
-/// Drives a live server end to end: `/healthz`, then a tiny sampled-SKG estimate job polled to
-/// completion, then `/api/sample`, a `/metrics` scrape and a job event stream, both checked
-/// for the one stage vocabulary — the verify-script smoke test.
+/// Drives a live server end to end: `/healthz` by GET and by HEAD, then a tiny sampled-SKG
+/// estimate job polled to completion, then `/api/sample`, a `/metrics` scrape and a job event
+/// stream, both checked for the one stage vocabulary — the verify-script smoke test.
 fn probe(addr: SocketAddr) -> Result<(), String> {
     let (status, body) =
         client::get(addr, "/healthz").map_err(|e| format!("healthz request failed: {e}"))?;
     if status != 200 || !body.contains("\"ok\"") {
         return Err(format!("healthz returned {status}: {body}"));
+    }
+    // HEAD is answered as GET, without content: the same 200 and Content-Length, no body.
+    let (status, head, body) = client::request_with_head(addr, "HEAD", "/healthz", None)
+        .map_err(|e| format!("HEAD /healthz request failed: {e}"))?;
+    if status != 200
+        || !head.to_ascii_lowercase().contains("\r\ncontent-length: ")
+        || !body.is_empty()
+    {
+        return Err(format!(
+            "HEAD /healthz returned {status} and {} body bytes: {head}",
+            body.len()
+        ));
     }
 
     let request = r#"{
