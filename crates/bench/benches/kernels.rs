@@ -5,12 +5,12 @@
 //! multistart moment-matching fit, one multi-chain KronFit ascent step and the isotonic degree
 //! post-processing — at pool sizes {1, 2, 4} on a seeded 2^14-node stochastic Kronecker graph
 //! (2^10 under `--quick`), plus the three counting kernels at ~10^5 nodes (2^17), so the
-//! speedup of the parallel layer is measured rather than assumed. Four sequential 1-thread
-//! rows at 2^17 cover graph construction: `graph_build` (SNAP edge-list text → `Graph`),
+//! speedup of the parallel layer is measured rather than assumed. Four rows at 2^17 cover graph
+//! construction: three sequential 1-thread ones, `graph_build` (SNAP edge-list text → `Graph`),
 //! `graph_build_keyed` (the same edges with every id + 10^9, so the parser remaps ids through
-//! its keyed map instead of its dense table), `sample_fast` (one SKG realization) and
-//! `degree_order` (the degree relabelling that both triangle kernels run on, which does not
-//! scale with threads).
+//! its keyed map instead of its dense table) and `degree_order` (the degree relabelling that
+//! both triangle kernels run on, which does not scale with threads), plus `sample_fast` (one
+//! SKG realization, whose bulk placement round runs on the executor) at every pool size.
 //!
 //! Each matrix cell builds its [`Executor`] **once, outside the timed loop**: the numbers
 //! measure steady-state reuse of the persistent worker pool, not worker spawn cost.
@@ -60,7 +60,7 @@ fn main() {
     let k = if quick { 10 } else { 14 };
     let mut rng = StdRng::seed_from_u64(14);
     let theta = Initiator2::new(0.99, 0.45, 0.25);
-    let g = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng);
+    let g = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
     let nodes = g.node_count();
     println!("kernel matrix on a 2^{k}-node SKG ({nodes} nodes, {} edges)", g.edge_count());
 
@@ -124,7 +124,8 @@ fn main() {
     // they are the inputs to the 4T-vs-1T scaling gates in bench_check, so the committed
     // baseline must always carry them.
     let mut rng = StdRng::seed_from_u64(18);
-    let large = sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng);
+    let large =
+        sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng, &Executor::sequential());
     let large_nodes = large.node_count();
     println!(
         "large-kernel rows on a 2^17-node SKG ({large_nodes} nodes, {} edges)",
@@ -146,9 +147,10 @@ fn main() {
         });
     }
 
-    // Graph construction at the same 2^17 scale, sequential by design (1 thread only): the
-    // sort-dedup edge-list parse behind every upload, the SKG sampler behind every release, and
-    // the degree relabelling inside the `triangle_count` and `smooth_sensitivity` rows above.
+    // Graph construction at the same 2^17 scale: the edge-list parse behind every upload and
+    // the degree relabelling inside the `triangle_count` and `smooth_sensitivity` rows above,
+    // both sequential by design (1 thread only), and the SKG sampler behind every release at
+    // every pool size.
     let large_text = to_edge_list_string(&large);
     run(&mut h, &mut records, "graph_build", large_nodes, 1, &|_exec| {
         black_box(parse_edge_list(black_box(&large_text)).expect("a serialized graph parses"));
@@ -163,10 +165,12 @@ fn main() {
     run(&mut h, &mut records, "graph_build_keyed", large_nodes, 1, &|_exec| {
         black_box(parse_edge_list(black_box(&keyed_text)).expect("a shifted edge list parses"));
     });
-    run(&mut h, &mut records, "sample_fast", large_nodes, 1, &|_exec| {
-        let mut rng = StdRng::seed_from_u64(18);
-        black_box(sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng));
-    });
+    for threads in THREADS {
+        run(&mut h, &mut records, "sample_fast", large_nodes, threads, &|exec| {
+            let mut rng = StdRng::seed_from_u64(18);
+            black_box(sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng, exec));
+        });
+    }
     run(&mut h, &mut records, "degree_order", large_nodes, 1, &|_exec| {
         black_box(DegreeOrdered::new(black_box(&large)));
     });
@@ -174,7 +178,13 @@ fn main() {
     // The exact all-sources BFS is quadratic; measure it on a 4× smaller graph so the full
     // suite stays within its time budget.
     let mut rng = StdRng::seed_from_u64(15);
-    let small = sample_fast(&theta, k.saturating_sub(2), &SamplerOptions::default(), &mut rng);
+    let small = sample_fast(
+        &theta,
+        k.saturating_sub(2),
+        &SamplerOptions::default(),
+        &mut rng,
+        &Executor::sequential(),
+    );
     for threads in THREADS {
         run(&mut h, &mut records, "exact_hop_plot", small.node_count(), threads, &|exec| {
             black_box(reachable_pairs_by_hops(black_box(&small), exec));

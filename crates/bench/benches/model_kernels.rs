@@ -33,11 +33,14 @@ fn main() {
         });
     }
 
+    let seq = Executor::sequential();
     for k in [10u32, 12, 14] {
         let mut rng = StdRng::seed_from_u64(k as u64);
         h.bench_function(&format!("skg_sample_fast/{k}"), |b| {
             b.iter(|| {
-                black_box(sample_fast(&theta, k, &SamplerOptions::default(), &mut rng).edge_count())
+                black_box(
+                    sample_fast(&theta, k, &SamplerOptions::default(), &mut rng, &seq).edge_count(),
+                )
             })
         });
     }

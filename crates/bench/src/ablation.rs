@@ -56,7 +56,7 @@ pub fn smooth_sensitivity_growth(
     let mut out = Vec::new();
     for k in k_range {
         let mut rng = StdRng::seed_from_u64(seed + k as u64);
-        let g = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng);
+        let g = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng, &seq);
         let stats = MatchingStatistics::of_graph(&g);
         out.push(SmoothSensitivityPoint {
             k,
@@ -146,10 +146,10 @@ impl_json_struct!(ObjectiveGridCell { distance, normalization, recovery_error, r
 pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(seed);
-    let graph = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng);
+    let exec = Executor::new(0);
+    let graph = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &exec);
     let stats = MatchingStatistics::of_graph(&graph);
     let kk = kronpriv_estimate::kronecker_order_for(graph.node_count());
-    let exec = Executor::new(0);
 
     let mut out = Vec::new();
     for (dist, dist_name) in

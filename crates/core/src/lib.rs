@@ -16,12 +16,14 @@
 //! use rand::SeedableRng;
 //!
 //! // A small sensitive graph (here: a synthetic Kronecker graph plays the part).
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let secret = sample_fast(&Initiator2::new(0.95, 0.55, 0.2), 9, &SamplerOptions::default(), &mut rng);
-//!
-//! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it. One executor
-//! // serves every parallel stage; `NullSink` ignores the progress events.
+//! // One executor serves every parallel stage, the samplers' placement round included.
 //! let exec = Executor::new(0);
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+//! let theta = Initiator2::new(0.95, 0.55, 0.2);
+//! let secret = sample_fast(&theta, 9, &SamplerOptions::default(), &mut rng, &exec);
+//!
+//! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it; `NullSink`
+//! // ignores the progress events.
 //! let options = PrivateEstimatorOptions::default();
 //! let params = PrivacyParams::new(1.0, 0.01);
 //! let release =

@@ -11,6 +11,7 @@ use kronpriv_json::impl_json_struct;
 use kronpriv_obs::{stage, NullSink, ProgressSink};
 use kronpriv_par::Executor;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A pipeline precondition violation, reported instead of a worker-thread panic.
@@ -123,19 +124,20 @@ pub fn try_kronmom_estimate(
 }
 
 /// The full pipeline of the paper's introduction: runs [`try_private_estimate`] and samples one
-/// synthetic graph from the released initiator. The estimate's stage events plus a final
-/// `sample` stage pair flow into `sink`.
-pub fn try_release_synthetic_graph<R: Rng + ?Sized>(
+/// synthetic graph from the released initiator, with the sampler's bulk placement round on
+/// `exec` (the graph is the same for every thread count). The estimate's stage events plus a
+/// final `sample` stage pair flow into `sink`.
+pub fn try_release_synthetic_graph(
     g: &Graph,
     params: PrivacyParams,
     options: &PrivateEstimatorOptions,
-    rng: &mut R,
+    rng: &mut StdRng,
     exec: &Executor,
     sink: &dyn ProgressSink,
 ) -> Result<SyntheticRelease, PipelineError> {
     let estimate = try_private_estimate(g, params, options, rng, exec, sink)?;
     let synthetic = stage("sample", sink, || {
-        sample_fast(&estimate.fit.theta, estimate.fit.k, &SamplerOptions::default(), rng)
+        sample_fast(&estimate.fit.theta, estimate.fit.k, &SamplerOptions::default(), rng, exec)
     });
     Ok(SyntheticRelease { estimate, synthetic })
 }
@@ -197,7 +199,13 @@ mod tests {
 
     fn small_graph(seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
-        sample_fast(&Initiator2::new(0.95, 0.55, 0.2), 9, &SamplerOptions::default(), &mut rng)
+        sample_fast(
+            &Initiator2::new(0.95, 0.55, 0.2),
+            9,
+            &SamplerOptions::default(),
+            &mut rng,
+            &Executor::sequential(),
+        )
     }
 
     fn quick_kronfit() -> KronFitOptions {
@@ -372,6 +380,7 @@ mod tests {
             panicking.fit.k,
             &SamplerOptions::default(),
             &mut rng,
+            &Executor::new(0),
         );
         assert_eq!(fallible.estimate.fit.theta, panicking.fit.theta);
         assert_eq!(fallible.synthetic.edge_count(), synthetic.edge_count());

@@ -142,7 +142,8 @@ mod tests {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let k = 11;
         let mut rng = StdRng::seed_from_u64(1);
-        let g = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng);
+        let g =
+            sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
         let fit = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
         assert_eq!(fit.k, k);
         // Sampling noise at this size keeps the estimates within a few hundredths, matching the

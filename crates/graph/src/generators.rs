@@ -40,10 +40,11 @@ pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph 
 pub fn erdos_renyi_gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
     let max_edges = n * n.saturating_sub(1) / 2;
     let m = m.min(max_edges);
-    // Rejection sampling without an attempt cap: draw node pairs until `m` are distinct.
-    Graph::from_distinct_draws(n, m, usize::MAX, || {
-        (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32))
-    })
+    // Rejection sampling without an attempt cap: draw node pairs until `m` are distinct. The
+    // first `m` draws can never overshoot, so they are made up front as the bulk round.
+    let mut draw = || (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+    let bulk = (0..m).map(|_| draw()).collect();
+    Graph::from_distinct_draws(n, m, usize::MAX, bulk, draw)
 }
 
 /// Samples a Barabási–Albert style preferential-attachment graph: nodes arrive one at a time and

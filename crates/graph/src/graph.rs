@@ -4,8 +4,9 @@
 //! stochastic Kronecker matrix is turned into the undirected simple graph that is actually
 //! modelled: self-loops are dropped and the adjacency is symmetrised. [`Graph::from_edges`]
 //! performs exactly those cleaning steps for arbitrary edge input, and every other constructor
-//! ([`GraphBuilder`], [`Graph::from_distinct_draws`], the edge-list parser) funnels into it, so
-//! every graph in the workspace is a simple undirected graph by construction.
+//! ([`GraphBuilder`], [`Graph::from_distinct_draws`], the edge-list parser) goes through the same
+//! private `O(n + m)` bucket sort-dedup, so every graph in the workspace is a simple undirected
+//! graph by construction.
 
 use std::collections::BTreeSet;
 
@@ -31,52 +32,47 @@ impl Graph {
     }
 
     /// Builds a graph from an iterator of undirected edges on `n` nodes — the one construction
-    /// path. Cleaning is sort-dedup: each pair is canonicalised to `(min, max)` and self-loops
-    /// are dropped, then a flat `Vec` is `sort_unstable`d and `dedup`ed, so duplicates and
-    /// reversed pairs collapse to one edge. The CSR is then filled straight from the sorted list.
+    /// path. Each pair is canonicalised to `(min, max)` and self-loops are dropped, then one
+    /// linear-time bucket pass (`sorted_distinct`) sorts and dedups the pairs, so duplicates
+    /// and reversed pairs collapse to one edge. The CSR is then filled straight from the sorted
+    /// list.
     ///
     /// # Panics
     /// Panics if any endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut edges: Vec<(u32, u32)> =
-            edges.into_iter().filter_map(|(u, v)| canonical_edge(n, u, v)).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        Graph::from_sorted_edges(n, edges)
+        Graph::from_sorted_edges(n, sorted_distinct(n, edges.into_iter().collect()))
     }
 
-    /// Builds the graph of the first `target` distinct non-loop pairs drawn by `draw`, making
-    /// at most `max_attempts` draws — byte-identical (graph and number of `draw` calls) to the
+    /// Builds the graph of the first `target` distinct non-loop pairs of a stream of draws,
+    /// making at most `max_attempts` draws — byte-identical (graph and number of draws) to the
     /// sequential rejection loop
     ///
     /// ```text
     /// while distinct < target && attempts < max_attempts { attempts += 1; insert(draw()) }
     /// ```
     ///
-    /// but without a per-attempt set insertion. A bulk round first makes exactly
-    /// `min(target, max_attempts)` draws into a `Vec` and sort-dedups it: each draw adds at
-    /// most one distinct edge, so the loop above could not have stopped earlier and this round
-    /// can never overshoot `target`. A sequential top-up then continues one draw at a time,
-    /// checking each pair against the bulk edges (`binary_search`) and the few top-up edges
-    /// (a `BTreeSet`), and stops on exactly the draw where the loop stops. The two sorted runs
+    /// but without a per-attempt set insertion. `bulk` holds the stream's first
+    /// `min(target, max_attempts)` draws, made by the caller however it likes (the SKG sampler
+    /// makes them in parallel): each draw adds at most one distinct edge, so the loop above
+    /// could not have stopped earlier and the bulk round can never overshoot `target`. A
+    /// sequential top-up then continues the stream through `draw`, one draw at a time, checking
+    /// each pair against the bulk edges (`binary_search`) and the few top-up edges (a
+    /// `BTreeSet`), and stops on exactly the draw where the loop stops. The two sorted runs
     /// merge once at the end, so near-complete targets stay `O(log E)` per draw.
     ///
     /// # Panics
-    /// Panics if a drawn endpoint is `>= n`.
+    /// Panics if `bulk` does not hold exactly `min(target, max_attempts)` draws, or if a drawn
+    /// endpoint is `>= n`.
     pub fn from_distinct_draws(
         n: usize,
         target: usize,
         max_attempts: usize,
+        bulk: Vec<(u32, u32)>,
         mut draw: impl FnMut() -> (u32, u32),
     ) -> Self {
         let bulk_attempts = target.min(max_attempts);
-        let mut edges = Vec::with_capacity(bulk_attempts);
-        for _ in 0..bulk_attempts {
-            let (u, v) = draw();
-            edges.extend(canonical_edge(n, u, v));
-        }
-        edges.sort_unstable();
-        edges.dedup();
+        assert_eq!(bulk.len(), bulk_attempts, "the bulk round is min(target, max_attempts) draws");
+        let mut edges = sorted_distinct(n, bulk);
 
         let mut top_up = BTreeSet::new();
         let mut attempts = bulk_attempts;
@@ -242,11 +238,61 @@ fn canonical_edge(n: usize, u: u32, v: u32) -> Option<(u32, u32)> {
     (u != v).then(|| (u.min(v), u.max(v)))
 }
 
+/// Turns raw pairs on `n` nodes into the strictly increasing list of their distinct canonical
+/// `(u, v)`, `u < v`, edges, in `O(n + m)` and in place — the sort behind every [`Graph`].
+///
+/// One pass canonicalises the pairs, drops self-loops and counts the pairs per smaller
+/// endpoint `u`; a second scatters each larger endpoint `v` into its `u` bucket (one `u32` per
+/// pair); then each bucket, which mostly holds a few entries, is sorted and deduped and written
+/// back as `(u, v)` pairs in bucket order. A set of distinct pairs has exactly one sorted
+/// order, so this agrees byte for byte with a comparison sort plus `dedup`.
+///
+/// # Panics
+/// Panics if an endpoint is `>= n`.
+fn sorted_distinct(n: usize, mut pairs: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+    // `bucket_end[u + 1]` counts bucket `u`, then holds its start, then — while scattering —
+    // its next free slot, which ends as the bucket's end. `usize`, so no edge count overflows.
+    let mut bucket_end = vec![0usize; n + 1];
+    pairs.retain_mut(|pair| match canonical_edge(n, pair.0, pair.1) {
+        Some(edge) => {
+            *pair = edge;
+            bucket_end[edge.0 as usize + 1] += 1;
+            true
+        }
+        None => false,
+    });
+    let mut start = 0usize;
+    for slot in &mut bucket_end[1..] {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut larger = vec![0u32; pairs.len()];
+    for &(u, v) in &pairs {
+        let cursor = &mut bucket_end[u as usize + 1];
+        larger[*cursor] = v;
+        *cursor += 1;
+    }
+    pairs.clear();
+    for u in 0..n {
+        let bucket = &mut larger[bucket_end[u]..bucket_end[u + 1]];
+        bucket.sort_unstable();
+        let mut previous = None;
+        for &v in bucket.iter() {
+            if previous != Some(v) {
+                pairs.push((u as u32, v));
+                previous = Some(v);
+            }
+        }
+    }
+    pairs
+}
+
 /// Accumulates edges for [`Graph::from_edges`]: a thin `Vec` wrapper for generators that add
 /// edges one at a time.
 ///
 /// Cleaning mirrors Section 3.2 of the paper: direction is ignored, self-loops are dropped, and
-/// parallel edges collapse to one — all by the sort-dedup in [`Graph::from_edges`] at
+/// parallel edges collapse to one — all by the bucket sort-dedup in [`Graph::from_edges`] at
 /// [`GraphBuilder::build`] time.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
@@ -280,6 +326,7 @@ mod tests {
     use super::*;
     use crate::test_support::rand_edges;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn triangle_plus_tail() -> Graph {
@@ -456,6 +503,15 @@ mod tests {
 
     #[test]
     fn from_edges_matches_btreeset_reference() {
+        let check = |n: usize, edges: &[(u32, u32)], case: &str| {
+            let g = Graph::from_edges(n, edges.iter().copied());
+            let (canonical, adjacency) = btreeset_reference(n, edges);
+            assert_eq!(g.node_count(), n, "{case}");
+            assert_eq!(g.edges(), canonical.as_slice(), "{case}");
+            for u in g.nodes() {
+                assert_eq!(g.neighbors(u), adjacency[u as usize].as_slice(), "{case}: node {u}");
+            }
+        };
         let mut rng = StdRng::seed_from_u64(0x62_7003);
         for round in 0..256 {
             let n = 1 + round % 40;
@@ -463,13 +519,32 @@ mod tests {
             let mut edges = rand_edges(&mut rng, n as u32, 300);
             let reversed: Vec<(u32, u32)> = edges.iter().take(20).map(|&(u, v)| (v, u)).collect();
             edges.extend(reversed);
-            let g = Graph::from_edges(n, edges.iter().copied());
-            let (canonical, adjacency) = btreeset_reference(n, &edges);
-            assert_eq!(g.edges(), canonical.as_slice());
-            for u in g.nodes() {
-                assert_eq!(g.neighbors(u), adjacency[u as usize].as_slice());
-            }
+            check(n, &edges, &format!("round {round}"));
         }
+        // Shapes that stress the bucket pass. A star: every pair lands in node 0's bucket, in
+        // both orientations, with repeats and in scrambled order.
+        let mut star: Vec<(u32, u32)> = (1..500u32).flat_map(|v| [(0, v), (v, 0)]).collect();
+        star.extend((1..500u32).step_by(7).map(|v| (v, 0)));
+        star.shuffle(&mut rng);
+        check(500, &star, "star");
+        // All duplicates of one pair, including its reversal and a loop.
+        let mut duplicates = vec![(3, 7); 200];
+        duplicates.extend([(7, 3), (5, 5), (7, 3)]);
+        check(10, &duplicates, "all duplicates");
+        // Only reversed pairs: every larger endpoint comes first.
+        let reversed: Vec<(u32, u32)> = rand_edges(&mut rng, 60, 400)
+            .into_iter()
+            .filter(|&(u, v)| u != v)
+            .map(|(u, v)| (u.max(v), u.min(v)))
+            .collect();
+        check(60, &reversed, "only reversed pairs");
+        // n ≫ m: nearly every bucket is empty.
+        let sparse: Vec<(u32, u32)> =
+            (0..40).map(|_| (rng.gen_range(0..100_000u32), rng.gen_range(0..100_000u32))).collect();
+        check(100_000, &sparse, "n >> m");
+        // Empty input, with and without nodes.
+        check(0, &[], "empty, no nodes");
+        check(7, &[], "empty, 7 nodes");
     }
 
     #[test]
@@ -496,11 +571,18 @@ mod tests {
                 }
             }
 
-            let mut used = 0;
-            let g = Graph::from_distinct_draws(n, target, max_attempts, || {
-                used += 1;
-                stream[used - 1]
-            });
+            let bulk = target.min(max_attempts);
+            let mut used = bulk;
+            let g = Graph::from_distinct_draws(
+                n,
+                target,
+                max_attempts,
+                stream[..bulk].to_vec(),
+                || {
+                    used += 1;
+                    stream[used - 1]
+                },
+            );
             assert_eq!(used, attempts, "round {round}: draw count differs");
             assert_eq!(g, Graph::from_edges(n, set), "round {round}: graph differs");
         }

@@ -4,7 +4,8 @@
 //! self-loops removed, adjacency symmetrised). This crate provides:
 //!
 //! * [`Graph`]: an immutable simple undirected graph stored as sorted adjacency lists (CSR),
-//!   built through the sort-dedup [`Graph::from_edges`] which performs the paper's cleaning steps,
+//!   built through [`Graph::from_edges`], whose linear-time bucket sort-dedup performs the
+//!   paper's cleaning steps,
 //! * [`counts`]: the four matching statistics the Gleich–Owen estimator equates
 //!   (edges `E`, hairpins/wedges `H`, tripins/3-stars `T`, triangles `Δ`), per-node triangle
 //!   counts, and common-neighbour queries needed by the smooth-sensitivity computation,

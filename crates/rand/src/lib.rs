@@ -7,6 +7,10 @@
 //! * [`Rng::gen`], [`Rng::gen_range`], [`Rng::gen_bool`], [`Rng::gen_ratio`],
 //! * [`seq::SliceRandom::choose`] and [`seq::SliceRandom::shuffle`].
 //!
+//! Two inherent methods of [`rngs::StdRng`] are shim-only surface with no `rand` 0.8
+//! counterpart: [`rngs::StdRng::split`] (a position-independent child stream per index) and
+//! [`rngs::StdRng::advance`] (an exact jump ahead by any number of draws).
+//!
 //! The generator is deterministic across platforms and releases: every seed maps to the same
 //! stream forever, which the reproduction relies on for its seeded tests and experiments.
 //!

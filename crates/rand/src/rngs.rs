@@ -1,5 +1,6 @@
 //! Concrete generators. Only [`StdRng`] exists: the workspace constructs every RNG through
-//! `StdRng::seed_from_u64` (and derives per-stream children with [`StdRng::split`]).
+//! `StdRng::seed_from_u64`, derives per-stream children with [`StdRng::split`] and jumps ahead
+//! within one stream with [`StdRng::advance`].
 
 use crate::xoshiro::{splitmix64, Xoshiro256PlusPlus};
 use crate::{RngCore, SeedableRng};
@@ -50,6 +51,18 @@ impl StdRng {
         // index lands on a distinct pre-finalisation state.
         let mut child = root.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         StdRng::seed_from_u64(splitmix64(&mut child))
+    }
+
+    /// Moves this generator exactly `draws` values ahead: afterwards it is where `draws` calls
+    /// of [`RngCore::next_u64`] would have left it, whatever `draws` is.
+    ///
+    /// The xoshiro256 state map is linear over GF(2), so the jump costs about `log2(draws)`
+    /// polynomial squarings plus 256 generator steps (microseconds) instead of `draws` steps.
+    /// This is what lets a chunked parallel loop give every chunk the exact draws a sequential
+    /// loop would: chunk `c` clones the entry generator and advances the clone past the draws
+    /// of chunks `0..c`. Like [`StdRng::split`], this has no `rand` 0.8 counterpart.
+    pub fn advance(&mut self, draws: u64) {
+        self.inner.advance(draws);
     }
 }
 

@@ -680,8 +680,13 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(1);
-        let g =
-            sample_fast(&Initiator2::new(0.9, 0.6, 0.3), 7, &SamplerOptions::default(), &mut rng);
+        let g = sample_fast(
+            &Initiator2::new(0.9, 0.6, 0.3),
+            7,
+            &SamplerOptions::default(),
+            &mut rng,
+            &Executor::sequential(),
+        );
         let est = try_private_estimate(
             &g,
             PrivacyParams::new(1.0, 0.01),

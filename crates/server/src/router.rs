@@ -33,7 +33,7 @@ use kronpriv_skg::moments::expected_edges;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -248,13 +248,13 @@ pub(crate) fn dispatch(
     let response = match (route, method) {
         (Route::Health, "GET") => health(state),
         (Route::Metrics, "GET") => metrics(),
-        (Route::Health | Route::Metrics, _) => method_not_allowed("GET"),
+        (Route::Health | Route::Metrics, _) => method_not_allowed("GET, HEAD"),
         (Route::Estimate, "POST") => estimate(state, request),
         (Route::Sample, "POST") => sample(state, request),
         (Route::Estimate | Route::Sample, _) => method_not_allowed("POST"),
         (Route::Datasets, "GET") => list_datasets(state),
         (Route::Datasets, "POST") => create_dataset(state, request),
-        (Route::Datasets, _) => method_not_allowed("GET, POST"),
+        (Route::Datasets, _) => method_not_allowed("GET, HEAD, POST"),
         (
             Route::Dataset(name)
             | Route::DatasetEstimate(name)
@@ -269,14 +269,14 @@ pub(crate) fn dispatch(
             None => no_such_dataset(name),
         },
         (Route::Dataset(name), "DELETE") => delete_dataset(state, name),
-        (Route::Dataset(_), _) => method_not_allowed("GET, DELETE"),
+        (Route::Dataset(_), _) => method_not_allowed("GET, HEAD, DELETE"),
         (Route::DatasetEstimate(name), "POST") => dataset_estimate(state, request, name),
         (Route::DatasetEstimate(_), _) => method_not_allowed("POST"),
         (Route::DatasetBudget(name), "GET") => match state.datasets.meta(name) {
             Some(meta) => ok_json(200, &BudgetDoc::of(name, &meta.ledger)),
             None => no_such_dataset(name),
         },
-        (Route::DatasetBudget(_), _) => method_not_allowed("GET"),
+        (Route::DatasetBudget(_), _) => method_not_allowed("GET, HEAD"),
         (Route::DatasetPart(_, part), _) => {
             error(404, "not_found", format!("no dataset sub-resource {part:?}"))
         }
@@ -288,7 +288,7 @@ pub(crate) fn dispatch(
                 Err(response) => response,
             }
         }
-        (Route::Job(_), _) => method_not_allowed("GET"),
+        (Route::Job(_), _) => method_not_allowed("GET, HEAD"),
         // The chunked event stream is written by the connection layer, which intercepts a valid
         // target before dispatch (it needs the raw socket). The router still owns the
         // validation, and answers for callers that cannot stream.
@@ -322,7 +322,7 @@ fn no_such_job(id: u64) -> Response {
 /// the connection layer's streaming intercept.
 pub(crate) fn events_target(state: &AppState, method: &str, raw_id: &str) -> Result<u64, Response> {
     if !matches!(method, "GET" | "HEAD") {
-        return Err(method_not_allowed("GET"));
+        return Err(method_not_allowed("GET, HEAD"));
     }
     let id = job_id(raw_id)?;
     if state.jobs.contains(id) {
@@ -372,8 +372,12 @@ fn no_such_dataset(name: &str) -> Response {
     error(404, "no_such_dataset", format!("no such dataset: {name:?}"))
 }
 
-fn method_not_allowed(allowed: &str) -> Response {
-    error(405, "method_not_allowed", format!("method not allowed; use {allowed}"))
+/// The `405` answer for a known route: the `Allow` header (RFC 9110 §15.5.6) and the message
+/// both name the route's methods, `HEAD` wherever `GET` is served, since [`dispatch`] answers
+/// `HEAD` as `GET`.
+fn method_not_allowed(allow: &'static str) -> Response {
+    error(405, "method_not_allowed", format!("method not allowed; use {allow}"))
+        .with_header("Allow", allow)
 }
 
 fn ok_json<T: ToJson>(status: u16, body: &T) -> Response {
@@ -546,17 +550,21 @@ fn check_exact_smooth_nodes(nodes: u64) -> Result<(), String> {
 }
 
 /// Realizes the job's input graph: parses the uploaded edge list, or samples the SKG spec from
-/// the job RNG. Exactly one of the two is present (validated before submission).
-fn materialize_graph<R: Rng + ?Sized>(
+/// the job RNG on the shared executor. Exactly one of the two is present (validated before
+/// submission).
+fn materialize_graph(
     edge_list: &Option<String>,
     skg: Option<(Initiator2, u32)>,
-    rng: &mut R,
+    rng: &mut StdRng,
+    exec: &Executor,
 ) -> Result<Graph, String> {
     match (edge_list, skg) {
         (Some(text), None) => {
             parse_edge_list_reader(text.as_bytes()).map_err(|e| format!("edge list rejected: {e}"))
         }
-        (None, Some((theta, k))) => Ok(sample_fast(&theta, k, &SamplerOptions::default(), rng)),
+        (None, Some((theta, k))) => {
+            Ok(sample_fast(&theta, k, &SamplerOptions::default(), rng, exec))
+        }
         _ => unreachable!("graph spec validated before submission"),
     }
 }
@@ -684,7 +692,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                     // One seeded RNG drives both the optional SKG realization and the privacy
                     // noise, so the whole job is a pure function of the request document.
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let graph = materialize_graph(&edge_list, skg, &mut rng)?;
+                    let graph = materialize_graph(&edge_list, skg, &mut rng, &exec)?;
                     if cubic {
                         // An inline edge list's node count is only known once parsed.
                         check_exact_smooth_nodes(graph.node_count() as u64)?;
@@ -703,7 +711,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                 draw: None,
                 work: Box::new(move |sink| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let graph = materialize_graph(&edge_list, skg, &mut rng)?;
+                    let graph = materialize_graph(&edge_list, skg, &mut rng, &exec)?;
                     let fit = try_kronmom_estimate(&graph, &options, &exec, sink)
                         .map_err(|e| format!("estimation rejected: {e}"))?;
                     Ok(BaselineResult::from_fit(EstimatorKind::KronMom, &fit, seed).to_json())
@@ -720,7 +728,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                     // multi-chain permutation sampling, so the fit is a pure function of the
                     // request document (and independent of --compute-threads).
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let graph = materialize_graph(&edge_list, skg, &mut rng)?;
+                    let graph = materialize_graph(&edge_list, skg, &mut rng, &exec)?;
                     let fit = try_kronfit_estimate(&graph, &options, &mut rng, &exec, sink)
                         .map_err(|e| format!("estimation rejected: {e}"))?;
                     Ok(BaselineResult::from_fit(EstimatorKind::KronFit, &fit, seed).to_json())
@@ -899,7 +907,7 @@ fn sample(state: &AppState, request: &Request) -> Response {
         return error(400, "too_large", message);
     }
     let mut rng = StdRng::seed_from_u64(req.seed);
-    let graph = sample_fast(&theta, req.k, &SamplerOptions::default(), &mut rng);
+    let graph = sample_fast(&theta, req.k, &SamplerOptions::default(), &mut rng, &state.executor);
     ok_json(
         200,
         &SampleResponse {
@@ -1364,8 +1372,9 @@ mod tests {
 
     /// The URL space as a method × path grid through [`route`]: the status, the error `code`
     /// and the extra headers of every answer, with one dataset (`g`) and one finished job (1)
-    /// in the state. POSTs carry an empty body, so none of them creates anything; the dataset
-    /// document row comes last because its DELETE removes `g`.
+    /// in the state. Every `405` carries the row's `Allow` list. POSTs carry an empty body, so
+    /// none of them creates anything; the dataset document row comes last because its DELETE
+    /// removes `g`.
     #[test]
     fn every_method_and_path_answers_as_pinned() {
         let state = state();
@@ -1378,56 +1387,64 @@ mod tests {
         const NO_DATASET: &str = "404 no_such_dataset";
         const METHOD: &str = "405 method_not_allowed";
         const METHODS: [&str; 5] = ["GET", "HEAD", "POST", "PUT", "DELETE"];
-        // (target, deprecated alias?, the answer to each of METHODS)
-        let grid: &[(&str, bool, [&str; 5])] = &[
-            ("/healthz", false, ["200", "200", METHOD, METHOD, METHOD]),
-            ("/healthz?verbose=1", false, ["200", "200", METHOD, METHOD, METHOD]),
-            ("/metrics", false, ["200", "200", METHOD, METHOD, METHOD]),
-            ("/api/v1/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/estimate", true, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/v1/sample", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/sample", true, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/v1/datasets", false, ["200", "200", BAD, METHOD, METHOD]),
-            ("/api/v1/jobs/1", false, ["200", "200", METHOD, METHOD, METHOD]),
-            ("/api/jobs/1", true, ["200", "200", METHOD, METHOD, METHOD]),
-            ("/api/jobs/1?verbose=1", true, ["200", "200", METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/2", false, [MISSING, MISSING, METHOD, METHOD, METHOD]),
-            ("/api/jobs/abc", true, [BAD, BAD, METHOD, METHOD, METHOD]),
+        // The `Allow` list of each route's `405`s; `NONE` marks a row that never answers 405.
+        const GET_HEAD: &str = "GET, HEAD";
+        const POST: &str = "POST";
+        const GET_HEAD_POST: &str = "GET, HEAD, POST";
+        const GET_HEAD_DELETE: &str = "GET, HEAD, DELETE";
+        const NONE: &str = "";
+        // (target, deprecated alias?, Allow on a 405, the answer to each of METHODS)
+        let grid: &[(&str, bool, &str, [&str; 5])] = &[
+            ("/healthz", false, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/healthz?verbose=1", false, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/metrics", false, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/v1/estimate", false, POST, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/estimate", true, POST, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/sample", false, POST, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/sample", true, POST, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/datasets", false, GET_HEAD_POST, ["200", "200", BAD, METHOD, METHOD]),
+            ("/api/v1/jobs/1", false, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/jobs/1", true, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/jobs/1?verbose=1", true, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/2", false, GET_HEAD, [MISSING, MISSING, METHOD, METHOD, METHOD]),
+            ("/api/jobs/abc", true, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
             // A live stream target: the plain router cannot stream it.
-            ("/api/v1/jobs/1/events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/1/events", true, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/2/events", false, [MISSING, MISSING, METHOD, METHOD, METHOD]),
-            ("/api/jobs/2/events", true, [MISSING, MISSING, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/abc/events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/1/2/events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs//events", false, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs/7/events/", false, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/jobs/", true, [BAD, BAD, METHOD, METHOD, METHOD]),
-            ("/api/v1/jobs", false, [MISSING; 5]),
-            ("/api/v1/datasets/g/budget", false, ["200", "200", METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/1/events", false, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/1/events", true, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/2/events", false, GET_HEAD, [MISSING, MISSING, METHOD, METHOD, METHOD]),
+            ("/api/jobs/2/events", true, GET_HEAD, [MISSING, MISSING, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/abc/events", false, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/1/2/events", false, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs//events", false, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs/7/events/", false, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/jobs/", true, GET_HEAD, [BAD, BAD, METHOD, METHOD, METHOD]),
+            ("/api/v1/jobs", false, NONE, [MISSING; 5]),
+            ("/api/v1/datasets/g/budget", false, GET_HEAD, ["200", "200", METHOD, METHOD, METHOD]),
             (
                 "/api/v1/datasets/nope/budget",
                 false,
+                GET_HEAD,
                 [NO_DATASET, NO_DATASET, METHOD, METHOD, METHOD],
             ),
-            ("/api/v1/datasets/g/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/v1/datasets/nope/estimate", false, [METHOD, METHOD, BAD, METHOD, METHOD]),
-            ("/api/v1/datasets/g/foo", false, [MISSING; 5]),
-            ("/api/v1/datasets/g/x/estimate", false, [MISSING; 5]),
+            ("/api/v1/datasets/g/estimate", false, POST, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/datasets/nope/estimate", false, POST, [METHOD, METHOD, BAD, METHOD, METHOD]),
+            ("/api/v1/datasets/g/foo", false, NONE, [MISSING; 5]),
+            ("/api/v1/datasets/g/x/estimate", false, NONE, [MISSING; 5]),
             (
                 "/api/v1/datasets/estimate",
                 false,
+                GET_HEAD_DELETE,
                 [NO_DATASET, NO_DATASET, METHOD, METHOD, NO_DATASET],
             ),
-            ("/api/v1/datasets/", false, [BAD; 5]),
-            ("/api/v1/datasets/bad%20name/budget", false, [BAD; 5]),
-            ("/api/datasets", false, [MISSING; 5]),
-            ("/api/v1/estimate/", false, [MISSING; 5]),
-            ("/nope", false, [MISSING; 5]),
-            ("", false, [MISSING; 5]),
-            ("/api/v1/datasets/g", false, ["200", "200", METHOD, METHOD, "200"]),
+            ("/api/v1/datasets/", false, NONE, [BAD; 5]),
+            ("/api/v1/datasets/bad%20name/budget", false, NONE, [BAD; 5]),
+            ("/api/datasets", false, NONE, [MISSING; 5]),
+            ("/api/v1/estimate/", false, NONE, [MISSING; 5]),
+            ("/nope", false, NONE, [MISSING; 5]),
+            ("", false, NONE, [MISSING; 5]),
+            ("/api/v1/datasets/g", false, GET_HEAD_DELETE, ["200", "200", METHOD, METHOD, "200"]),
         ];
-        for &(target, deprecated, answers) in grid {
+        for &(target, deprecated, allow, answers) in grid {
             for (method, want) in METHODS.into_iter().zip(answers) {
                 let response = route(&state, &request(method, target, ""));
                 let got = match response.status {
@@ -1438,8 +1455,13 @@ mod tests {
                     status => status.to_string(),
                 };
                 assert_eq!(got, want, "{method} {target:?}: {}", response.body);
-                let headers: &[(&str, &str)] =
-                    if deprecated { &[("Deprecation", "true")] } else { &[] };
+                let mut headers = Vec::new();
+                if response.status == 405 {
+                    headers.push(("Allow", allow));
+                }
+                if deprecated {
+                    headers.push(("Deprecation", "true"));
+                }
                 assert_eq!(response.headers, headers, "{method} {target:?}");
             }
         }

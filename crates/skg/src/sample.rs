@@ -23,13 +23,31 @@
 //! sequential top-up ([`Graph::from_distinct_draws`]). The bulk round places exactly
 //! `min(target, max_attempts)` edges (the loop can never stop sooner, since each placement adds
 //! at most one distinct edge) and sort-dedups them; the top-up then continues one placement at a
-//! time until the loop's own stopping point. Both therefore consume the same RNG draws and yield
-//! the same graph, byte for byte; a test pins this against the sequential `BTreeSet` reference.
+//! time until the loop's own stopping point.
+//!
+//! The bulk round runs on the executor in fixed chunks of `PLACE_CHUNK` placements. Every
+//! placement consumes exactly `k` draws, so chunk `c` starts exactly `c · PLACE_CHUNK · k` draws
+//! after the round's entry state: it clones the entry generator and jumps the clone there with
+//! [`StdRng::advance`], an exact jump-ahead. The chunks' pairs, concatenated in chunk order, are
+//! then the very list the one-at-a-time loop would place, and the caller's generator is jumped
+//! past the whole round before the top-up continues from it. So the graph, and the caller's
+//! next draw, are the sequential loop's byte for byte for every thread count; a test pins this
+//! against the sequential `BTreeSet` reference on executors of 1, 2 and 8 threads.
 
 use crate::initiator::Initiator2;
 use crate::moments::expected_edges;
 use kronpriv_graph::{Graph, GraphBuilder};
+use kronpriv_par::{Executor, Work};
+use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Placements per chunk of the bulk round: a constant, so the chunk boundaries — and the draws
+/// each chunk consumes — never depend on the thread count.
+const PLACE_CHUNK: usize = 16_384;
+
+/// Estimated nanoseconds per recursion level of one placement (a draw, three compares, two
+/// shifts); a placement costs `k` of them. Steers only the executor's sequential cutoff.
+const PLACE_LEVEL_NS: u64 = 5;
 
 /// Options for the fast sampler.
 #[derive(Debug, Clone, Copy)]
@@ -70,11 +88,14 @@ pub fn sample_exact<R: Rng + ?Sized>(theta: &Initiator2, k: u32, rng: &mut R) ->
 }
 
 /// Fast realization of the order-`k` stochastic Kronecker graph by recursive edge placement.
-pub fn sample_fast<R: Rng + ?Sized>(
+/// The bulk placement round runs on `exec` (see the module docs); the graph and the state `rng`
+/// is left in are the same for every thread count.
+pub fn sample_fast(
     theta: &Initiator2,
     k: u32,
     options: &SamplerOptions,
-    rng: &mut R,
+    rng: &mut StdRng,
+    exec: &Executor,
 ) -> Graph {
     let n = theta.node_count(k);
     let expected = expected_edges(theta, k).max(0.0);
@@ -91,10 +112,31 @@ pub fn sample_fast<R: Rng + ?Sized>(
     // Cap the total number of attempts so adversarial parameters (e.g. all mass on the
     // diagonal, which only produces rejected self-loops) cannot loop forever.
     let max_attempts = ((target as f64 * options.oversample.max(1.0)) as usize).max(16) * 20;
-    Graph::from_distinct_draws(n, target, max_attempts, || {
+    let place = |rng: &mut StdRng| {
         let (u, v) = place_edge(&thresholds, k, rng);
         (u as u32, v as u32)
-    })
+    };
+
+    let bulk = target.min(max_attempts);
+    let draws_per_placement = u64::from(k);
+    let entry = rng.clone();
+    let pairs = exec.map_reduce(
+        bulk,
+        PLACE_CHUNK,
+        Work::per_item_ns(PLACE_LEVEL_NS * draws_per_placement),
+        |placements| {
+            let mut chunk_rng = entry.clone();
+            chunk_rng.advance(placements.start as u64 * draws_per_placement);
+            placements.map(|_| place(&mut chunk_rng)).collect::<Vec<_>>()
+        },
+        |mut pairs: Vec<(u32, u32)>, chunk| {
+            pairs.extend(chunk);
+            pairs
+        },
+        Vec::with_capacity(bulk),
+    );
+    rng.advance(bulk as u64 * draws_per_placement);
+    Graph::from_distinct_draws(n, target, max_attempts, pairs, || place(rng))
 }
 
 /// Cumulative quadrant thresholds `[a, a+b, a+2b] / (a+2b+c)` used for the recursive descent.
@@ -151,7 +193,6 @@ mod tests {
     use super::*;
     use crate::moments::ExpectedMoments;
     use kronpriv_graph::MatchingStatistics;
-    use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
     use std::collections::BTreeSet;
 
@@ -230,7 +271,8 @@ mod tests {
     fn fast_sampler_produces_requested_size() {
         let theta = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(6);
-        let g = sample_fast(&theta, 12, &SamplerOptions::default(), &mut rng);
+        let g =
+            sample_fast(&theta, 12, &SamplerOptions::default(), &mut rng, &Executor::sequential());
         assert_eq!(g.node_count(), 4096);
         let expected = expected_edges(&theta, 12);
         let observed = g.edge_count() as f64;
@@ -245,8 +287,10 @@ mod tests {
     fn fast_sampler_with_deterministic_count_is_reproducible() {
         let theta = Initiator2::new(0.9, 0.6, 0.2);
         let opts = SamplerOptions { oversample: 1.0, randomize_edge_count: false };
-        let g1 = sample_fast(&theta, 10, &opts, &mut StdRng::seed_from_u64(7));
-        let g2 = sample_fast(&theta, 10, &opts, &mut StdRng::seed_from_u64(7));
+        let g1 =
+            sample_fast(&theta, 10, &opts, &mut StdRng::seed_from_u64(7), &Executor::sequential());
+        let g2 =
+            sample_fast(&theta, 10, &opts, &mut StdRng::seed_from_u64(7), &Executor::sequential());
         assert_eq!(g1, g2);
     }
 
@@ -254,7 +298,8 @@ mod tests {
     fn fast_sampler_handles_zero_initiator() {
         let theta = Initiator2::new(0.0, 0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(8);
-        let g = sample_fast(&theta, 8, &SamplerOptions::default(), &mut rng);
+        let g =
+            sample_fast(&theta, 8, &SamplerOptions::default(), &mut rng, &Executor::sequential());
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -264,7 +309,8 @@ mod tests {
         // the loop and return a (nearly) empty graph.
         let theta = Initiator2::new(1.0, 0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(9);
-        let g = sample_fast(&theta, 8, &SamplerOptions::default(), &mut rng);
+        let g =
+            sample_fast(&theta, 8, &SamplerOptions::default(), &mut rng, &Executor::sequential());
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -281,7 +327,13 @@ mod tests {
         let mut fast_wedges = 0.0;
         for _ in 0..reps {
             let ge = sample_exact(&theta, k, &mut rng);
-            let gf = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng);
+            let gf = sample_fast(
+                &theta,
+                k,
+                &SamplerOptions::default(),
+                &mut rng,
+                &Executor::sequential(),
+            );
             let se = MatchingStatistics::of_graph(&ge);
             let sf = MatchingStatistics::of_graph(&gf);
             exact_edges += se.edges;
@@ -303,7 +355,8 @@ mod tests {
     fn sampled_graphs_are_simple() {
         let theta = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(11);
-        let g = sample_fast(&theta, 11, &SamplerOptions::default(), &mut rng);
+        let g =
+            sample_fast(&theta, 11, &SamplerOptions::default(), &mut rng, &Executor::sequential());
         for u in g.nodes() {
             assert!(!g.neighbors(u).contains(&u), "self loop at {u}");
         }
@@ -369,6 +422,23 @@ mod tests {
 
     #[test]
     fn fast_sampler_matches_the_sequential_reference_byte_for_byte() {
+        // Each case runs on 1, 2 and 8 threads: the graph and the generator's next draw must
+        // equal the reference's whichever executor places the bulk round.
+        let executors = [Executor::new(1), Executor::new(2), Executor::new(8)];
+        let check = |theta: &Initiator2, k: u32, opts: &SamplerOptions, seed: u64| {
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let reference = reference_sample_fast(theta, k, opts, &mut ref_rng);
+            let next = ref_rng.next_u64();
+            for exec in &executors {
+                let mut fast_rng = StdRng::seed_from_u64(seed);
+                let fast = sample_fast(theta, k, opts, &mut fast_rng, exec);
+                let case =
+                    format!("{theta:?} k={k} {opts:?} seed={seed} threads={}", exec.threads());
+                assert_eq!(fast, reference, "graph differs: {case}");
+                assert_eq!(fast_rng.next_u64(), next, "rng differs: {case}");
+            }
+            reference
+        };
         let initiators = [
             Initiator2::new(0.99, 0.45, 0.25),
             Initiator2::new(0.9, 0.6, 0.2),
@@ -393,17 +463,14 @@ mod tests {
                 }
                 for opts in &options {
                     for seed in seeds.clone() {
-                        let mut fast_rng = StdRng::seed_from_u64(seed);
-                        let mut ref_rng = StdRng::seed_from_u64(seed);
-                        let fast = sample_fast(theta, k, opts, &mut fast_rng);
-                        let reference = reference_sample_fast(theta, k, opts, &mut ref_rng);
-                        let case = format!("{theta:?} k={k} {opts:?} seed={seed}");
-                        assert_eq!(fast, reference, "graph differs: {case}");
-                        assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "rng differs: {case}");
+                        check(theta, k, opts, seed);
                     }
                 }
             }
         }
+        // k = 16: a bulk round of at least six chunks, so chunks jump past the second one.
+        let reference = check(&initiators[0], 16, &options[1], 3);
+        assert!(reference.edge_count() > 5 * PLACE_CHUNK, "{} edges", reference.edge_count());
     }
 
     #[test]

@@ -15,8 +15,9 @@ fn main() {
     // `kronpriv_graph::io::read_edge_list`). Here a synthetic Kronecker graph plays the part so
     // the example is self-contained and we know the ground truth.
     let truth = Initiator2::new(0.99, 0.45, 0.25);
+    let exec = Executor::new(0);
     let mut rng = StdRng::seed_from_u64(2012);
-    let sensitive = sample_fast(&truth, 12, &SamplerOptions::default(), &mut rng);
+    let sensitive = sample_fast(&truth, 12, &SamplerOptions::default(), &mut rng, &exec);
     println!(
         "sensitive graph: {} nodes, {} edges (generated from Θ = {truth})",
         sensitive.node_count(),
@@ -29,7 +30,6 @@ fn main() {
     // Every parallel stage runs on one executor; `NullSink` ignores the progress events.
     let budget = PrivacyParams::paper_default(); // ε = 0.2, δ = 0.01, as in the paper
     let options = PrivateEstimatorOptions::default();
-    let exec = Executor::new(0);
     let release =
         try_release_synthetic_graph(&sensitive, budget, &options, &mut rng, &exec, &NullSink)
             .expect("a non-empty graph and δ > 0 satisfy the release preconditions");

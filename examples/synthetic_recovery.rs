@@ -16,7 +16,8 @@ fn main() {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let k = 14;
     let mut rng = StdRng::seed_from_u64(99);
-    let graph = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng);
+    let graph =
+        sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
     println!(
         "synthetic Kronecker graph: {} nodes, {} edges, generated from Θ = {truth}",
         graph.node_count(),

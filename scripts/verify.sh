@@ -3,9 +3,10 @@
 # dependency is an in-workspace path dependency — see README.md).
 #
 #   scripts/verify.sh          # fmt --check + build (release) + tests + clippy -D warnings
-#   scripts/verify.sh --quick  # additionally runs the e2e bench's own tests, quickstart and
-#                              # the server probe, then smoke-runs the bench harness with the
-#                              # bench_check regression guard
+#   scripts/verify.sh --quick  # additionally runs the rand/graph/skg tests optimized, the e2e
+#                              # bench's own tests, quickstart and the server probe, then
+#                              # smoke-runs the bench harness with the bench_check regression
+#                              # guard
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +39,12 @@ if (( lint_elapsed > lint_budget_s )); then
 fi
 
 if [[ "${1:-}" == "--quick" ]]; then
+    echo "==> rand, graph and skg tests in a release build"
+    # The xoshiro jump-ahead's bit arithmetic and the sampler's and graph builder's byte-
+    # identity pins run once more optimized, where overflow checks are off and the compiler
+    # reorders the most: an optimizer-dependent divergence must fail here, not in production.
+    cargo test -q --release --offline -p rand -p kronpriv-graph -p kronpriv-skg
+
     echo "==> end-to-end benchmark smoke tests"
     # The e2e bench is a workspace of its own (e2e_bench/Cargo.toml) that builds the program
     # from source; its tests run every workload shrunk to a few small ops, check the

@@ -219,9 +219,10 @@ fn metrics_check(addr: SocketAddr) -> Result<String, String> {
     Ok(body)
 }
 
-/// Drives a live server end to end: `/healthz` by GET and by HEAD, then a tiny sampled-SKG
-/// estimate job polled to completion, then `/api/sample`, a `/metrics` scrape and a job event
-/// stream, both checked for the one stage vocabulary — the verify-script smoke test.
+/// Drives a live server end to end: `/healthz` by GET, by HEAD and by DELETE (a `405` that must
+/// carry `Allow: GET, HEAD`), then a tiny sampled-SKG estimate job polled to completion, then
+/// `/api/sample`, a `/metrics` scrape and a job event stream, both checked for the one stage
+/// vocabulary — the verify-script smoke test.
 fn probe(addr: SocketAddr) -> Result<(), String> {
     let (status, body) =
         client::get(addr, "/healthz").map_err(|e| format!("healthz request failed: {e}"))?;
@@ -239,6 +240,12 @@ fn probe(addr: SocketAddr) -> Result<(), String> {
             "HEAD /healthz returned {status} and {} body bytes: {head}",
             body.len()
         ));
+    }
+    // A known route with a method it does not serve: 405 plus the route's `Allow` list.
+    let (status, head, _) = client::request_with_head(addr, "DELETE", "/healthz", None)
+        .map_err(|e| format!("DELETE /healthz request failed: {e}"))?;
+    if status != 405 || !head.lines().any(|line| line.eq_ignore_ascii_case("allow: GET, HEAD")) {
+        return Err(format!("DELETE /healthz returned {status} without Allow: GET, HEAD: {head}"));
     }
 
     let request = r#"{

@@ -20,8 +20,13 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// tail) and a preferential-attachment graph (power-law hubs).
 fn test_graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = StdRng::seed_from_u64(0xDE_7001);
-    let skg =
-        sample_fast(&Initiator2::new(0.99, 0.45, 0.25), 10, &SamplerOptions::default(), &mut rng);
+    let skg = sample_fast(
+        &Initiator2::new(0.99, 0.45, 0.25),
+        10,
+        &SamplerOptions::default(),
+        &mut rng,
+        &Executor::sequential(),
+    );
     let mut rng = StdRng::seed_from_u64(0xDE_7002);
     let pa = preferential_attachment(1200, 4, &mut rng);
     vec![("skg_k10", skg), ("pref_attach_1200", pa)]
