@@ -14,13 +14,7 @@ use std::hint::black_box;
 
 fn synthetic_graph(k: u32) -> Graph {
     let mut rng = StdRng::seed_from_u64(k as u64);
-    sample_fast(
-        &Initiator2::new(0.99, 0.45, 0.25),
-        k,
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    )
+    sample_fast(&Initiator2::new(0.99, 0.45, 0.25), k, &mut rng, &Executor::sequential())
 }
 
 fn main() {

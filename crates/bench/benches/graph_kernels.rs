@@ -10,7 +10,7 @@ use kronpriv_bench::harness::Harness;
 use kronpriv_dp::{private_degree_sequence, smooth_sensitivity_triangles};
 use kronpriv_graph::counts::triangle_count;
 use kronpriv_graph::traversal::reachable_pairs_by_hops;
-use kronpriv_stats::{scree_plot, SpectralOptions};
+use kronpriv_stats::scree_plot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -45,13 +45,7 @@ fn main() {
     {
         let mut rng = StdRng::seed_from_u64(8);
         h.bench_function("scree_plot_25_ca_grqc", |b| {
-            b.iter(|| {
-                black_box(scree_plot(
-                    &g,
-                    &SpectralOptions { scree_values: 25, ..Default::default() },
-                    &mut rng,
-                ))
-            })
+            b.iter(|| black_box(scree_plot(&g, 25, &mut rng)))
         });
     }
 

@@ -37,7 +37,7 @@ use kronpriv_json::Json;
 use kronpriv_obs::NullSink;
 use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions};
 use kronpriv_par::Executor;
-use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+use kronpriv_skg::sample::sample_fast;
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,7 +60,7 @@ fn main() {
     let k = if quick { 10 } else { 14 };
     let mut rng = StdRng::seed_from_u64(14);
     let theta = Initiator2::new(0.99, 0.45, 0.25);
-    let g = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+    let g = sample_fast(&theta, k, &mut rng, &Executor::sequential());
     let nodes = g.node_count();
     println!("kernel matrix on a 2^{k}-node SKG ({nodes} nodes, {} edges)", g.edge_count());
 
@@ -124,8 +124,7 @@ fn main() {
     // they are the inputs to the 4T-vs-1T scaling gates in bench_check, so the committed
     // baseline must always carry them.
     let mut rng = StdRng::seed_from_u64(18);
-    let large =
-        sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+    let large = sample_fast(&theta, 17, &mut rng, &Executor::sequential());
     let large_nodes = large.node_count();
     println!(
         "large-kernel rows on a 2^17-node SKG ({large_nodes} nodes, {} edges)",
@@ -168,7 +167,7 @@ fn main() {
     for threads in THREADS {
         run(&mut h, &mut records, "sample_fast", large_nodes, threads, &|exec| {
             let mut rng = StdRng::seed_from_u64(18);
-            black_box(sample_fast(&theta, 17, &SamplerOptions::default(), &mut rng, exec));
+            black_box(sample_fast(&theta, 17, &mut rng, exec));
         });
     }
     run(&mut h, &mut records, "degree_order", large_nodes, 1, &|_exec| {
@@ -178,13 +177,7 @@ fn main() {
     // The exact all-sources BFS is quadratic; measure it on a 4× smaller graph so the full
     // suite stays within its time budget.
     let mut rng = StdRng::seed_from_u64(15);
-    let small = sample_fast(
-        &theta,
-        k.saturating_sub(2),
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    );
+    let small = sample_fast(&theta, k.saturating_sub(2), &mut rng, &Executor::sequential());
     for threads in THREADS {
         run(&mut h, &mut records, "exact_hop_plot", small.node_count(), threads, &|exec| {
             black_box(reachable_pairs_by_hops(black_box(&small), exec));

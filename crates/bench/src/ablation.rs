@@ -56,7 +56,7 @@ pub fn smooth_sensitivity_growth(
     let mut out = Vec::new();
     for k in k_range {
         let mut rng = StdRng::seed_from_u64(seed + k as u64);
-        let g = sample_fast(&theta, k, &SamplerOptions::default(), &mut rng, &seq);
+        let g = sample_fast(&theta, k, &mut rng, &seq);
         let stats = MatchingStatistics::of_graph(&g);
         out.push(SmoothSensitivityPoint {
             k,
@@ -147,7 +147,7 @@ pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(seed);
     let exec = Executor::new(0);
-    let graph = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &exec);
+    let graph = sample_fast(&truth, k, &mut rng, &exec);
     let stats = MatchingStatistics::of_graph(&graph);
     let kk = kronpriv_estimate::kronecker_order_for(graph.node_count());
 

@@ -125,7 +125,7 @@ pub fn run_figure(figure: u32, options: &FigureOptions) -> Result<FigureResult, 
     let mut profiles = vec![original_profile.clone()];
     let mut comparisons = Vec::new();
     for (label, theta) in &estimates {
-        let synthetic = sample_fast(theta, k, &SamplerOptions::default(), &mut rng, &exec);
+        let synthetic = sample_fast(theta, k, &mut rng, &exec);
         let profile = GraphProfile::compute(label.clone(), &synthetic, &popts, &mut rng);
         comparisons.push(ProfileComparison::between(
             &original_profile,
@@ -144,7 +144,7 @@ pub fn run_figure(figure: u32, options: &FigureOptions) -> Result<FigureResult, 
             let mut sums = [0.0f64; 4];
             let mut clustering = 0.0;
             for _ in 0..reps {
-                let g = sample_fast(theta, k, &SamplerOptions::default(), &mut rng, &exec);
+                let g = sample_fast(theta, k, &mut rng, &exec);
                 let s = MatchingStatistics::of_graph(&g).as_array();
                 for i in 0..4 {
                     sums[i] += s[i] / reps as f64;

@@ -20,7 +20,7 @@
 //! let exec = Executor::new(0);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let theta = Initiator2::new(0.95, 0.55, 0.2);
-//! let secret = sample_fast(&theta, 9, &SamplerOptions::default(), &mut rng, &exec);
+//! let secret = sample_fast(&theta, 9, &mut rng, &exec);
 //!
 //! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it; `NullSink`
 //! // ignores the progress events.
@@ -112,7 +112,7 @@ pub mod prelude {
     };
     pub use kronpriv_par::{Executor, Work};
     pub use kronpriv_skg::{
-        sample::{sample_exact, sample_fast, SamplerOptions},
+        sample::{sample_exact, sample_fast},
         ExpectedMoments, Initiator2,
     };
     pub use kronpriv_stats::{GraphProfile, ProfileComparison, ProfileOptions};

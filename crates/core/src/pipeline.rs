@@ -10,7 +10,7 @@ use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
 use kronpriv_obs::{stage, NullSink, ProgressSink};
 use kronpriv_par::Executor;
-use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+use kronpriv_skg::sample::sample_fast;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -136,9 +136,8 @@ pub fn try_release_synthetic_graph(
     sink: &dyn ProgressSink,
 ) -> Result<SyntheticRelease, PipelineError> {
     let estimate = try_private_estimate(g, params, options, rng, exec, sink)?;
-    let synthetic = stage("sample", sink, || {
-        sample_fast(&estimate.fit.theta, estimate.fit.k, &SamplerOptions::default(), rng, exec)
-    });
+    let synthetic =
+        stage("sample", sink, || sample_fast(&estimate.fit.theta, estimate.fit.k, rng, exec));
     Ok(SyntheticRelease { estimate, synthetic })
 }
 
@@ -199,13 +198,7 @@ mod tests {
 
     fn small_graph(seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
-        sample_fast(
-            &Initiator2::new(0.95, 0.55, 0.2),
-            9,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::sequential(),
-        )
+        sample_fast(&Initiator2::new(0.95, 0.55, 0.2), 9, &mut rng, &Executor::sequential())
     }
 
     fn quick_kronfit() -> KronFitOptions {
@@ -375,13 +368,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let panicking =
             PrivateEstimator::new(options).fit(&g, params, &mut rng, &Executor::new(0), &NullSink);
-        let synthetic = sample_fast(
-            &panicking.fit.theta,
-            panicking.fit.k,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::new(0),
-        );
+        let synthetic =
+            sample_fast(&panicking.fit.theta, panicking.fit.k, &mut rng, &Executor::new(0));
         assert_eq!(fallible.estimate.fit.theta, panicking.fit.theta);
         assert_eq!(fallible.synthetic.edge_count(), synthetic.edge_count());
         // Degrees-only runs are allowed with δ = 0 through the fallible path too.

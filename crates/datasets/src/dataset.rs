@@ -11,7 +11,7 @@ use kronpriv_graph::io::{read_edge_list, EdgeListError};
 use kronpriv_graph::Graph;
 use kronpriv_json::{impl_json_enum, impl_to_json_struct};
 use kronpriv_par::Executor;
-use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+use kronpriv_skg::sample::sample_fast;
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,13 +137,7 @@ impl Dataset {
     pub fn generate(&self, seed: u64) -> Graph {
         let meta = self.metadata();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6b72_6f6e_7072_6976);
-        sample_fast(
-            &meta.generator,
-            meta.k,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::sequential(),
-        )
+        sample_fast(&meta.generator, meta.k, &mut rng, &Executor::sequential())
     }
 
     /// Loads the real SNAP edge list from `data_dir` if present, otherwise generates the

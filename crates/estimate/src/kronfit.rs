@@ -528,7 +528,7 @@ mod tests {
     use super::*;
     use kronpriv_obs::NullSink;
     use kronpriv_skg::moments::expected_edges;
-    use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+    use kronpriv_skg::sample::sample_fast;
 
     fn quick_options() -> KronFitOptions {
         KronFitOptions {
@@ -666,8 +666,7 @@ mod tests {
     fn full_gradient_matches_finite_differences_of_log_likelihood() {
         let truth = Initiator2::new(0.9, 0.55, 0.25);
         let mut rng = StdRng::seed_from_u64(1);
-        let g =
-            sample_fast(&truth, 7, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 7, &mut rng, &Executor::sequential());
         let asg = Assignment::identity(1 << 7);
         let theta = Initiator2::new(0.8, 0.5, 0.3);
         let grad = gradient(&g, &ClassTable::new(&theta, 7), &asg, &seq());
@@ -689,8 +688,7 @@ mod tests {
     fn edge_partitioned_sums_are_bit_identical_for_any_thread_count() {
         let truth = Initiator2::new(0.95, 0.5, 0.2);
         let mut rng = StdRng::seed_from_u64(8);
-        let g =
-            sample_fast(&truth, 13, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 13, &mut rng, &Executor::sequential());
         assert!(g.edge_count() > 4 * EDGE_CHUNK, "want a multi-chunk edge sum");
         let asg = Assignment::identity(1 << 13);
         let table = ClassTable::new(&Initiator2::new(0.85, 0.45, 0.3), 13);
@@ -711,8 +709,7 @@ mod tests {
     fn swap_delta_matches_full_log_likelihood_difference() {
         let truth = Initiator2::new(0.95, 0.5, 0.2);
         let mut rng = StdRng::seed_from_u64(2);
-        let g =
-            sample_fast(&truth, 6, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 6, &mut rng, &Executor::sequential());
         let table = ClassTable::new(&Initiator2::new(0.85, 0.45, 0.3), 6);
         let mut asg = Assignment::identity(1 << 6);
         let before = log_likelihood(&g, &table, &asg, &seq());
@@ -736,8 +733,7 @@ mod tests {
         // scrambled and the generating (identity) assignment.
         let truth = Initiator2::new(0.95, 0.5, 0.15);
         let mut rng = StdRng::seed_from_u64(3);
-        let g =
-            sample_fast(&truth, 8, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 8, &mut rng, &Executor::sequential());
         let table = ClassTable::new(&Initiator2::new(0.9, 0.5, 0.2), 8);
         let n_padded = 1 << 8;
         let identity_ll = log_likelihood(&g, &table, &Assignment::identity(n_padded), &seq());
@@ -763,8 +759,7 @@ mod tests {
     fn fit_improves_the_likelihood_over_the_initial_guess() {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(4);
-        let g =
-            sample_fast(&truth, 9, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 9, &mut rng, &Executor::sequential());
         let k = kronecker_order_for(g.node_count());
         let initial_ll = ll(&g, &quick_options().initial, k, &Assignment::identity(1 << k), &seq());
         let fit = KronFitEstimator::new(quick_options()).fit_graph(
@@ -787,8 +782,7 @@ mod tests {
         // this reduced size and step budget. Runs under the multi-chain default (4 chains).
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(5);
-        let g =
-            sample_fast(&truth, 10, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 10, &mut rng, &Executor::sequential());
         let fit = KronFitEstimator::new(quick_options()).fit_graph(
             &g,
             &mut rng,
@@ -814,8 +808,7 @@ mod tests {
     fn parameters_stay_inside_the_unit_box() {
         let truth = Initiator2::new(0.7, 0.3, 0.1);
         let mut rng = StdRng::seed_from_u64(6);
-        let g =
-            sample_fast(&truth, 8, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, 8, &mut rng, &Executor::sequential());
         let fit = KronFitEstimator::new(quick_options()).fit_graph(
             &g,
             &mut rng,
@@ -830,13 +823,7 @@ mod tests {
     #[test]
     fn fit_is_reproducible_given_a_seed() {
         let truth = Initiator2::new(0.9, 0.5, 0.2);
-        let g = sample_fast(
-            &truth,
-            8,
-            &SamplerOptions::default(),
-            &mut StdRng::seed_from_u64(7),
-            &Executor::sequential(),
-        );
+        let g = sample_fast(&truth, 8, &mut StdRng::seed_from_u64(7), &Executor::sequential());
         let run = |seed| {
             KronFitEstimator::new(quick_options())
                 .fit_graph(&g, &mut StdRng::seed_from_u64(seed), &Executor::new(0), &NullSink)
@@ -849,13 +836,7 @@ mod tests {
     fn observed_fit_is_byte_identical_and_reports_every_chain_step() {
         use kronpriv_obs::CollectingSink;
         let truth = Initiator2::new(0.9, 0.5, 0.2);
-        let g = sample_fast(
-            &truth,
-            7,
-            &SamplerOptions::default(),
-            &mut StdRng::seed_from_u64(20),
-            &Executor::sequential(),
-        );
+        let g = sample_fast(&truth, 7, &mut StdRng::seed_from_u64(20), &Executor::sequential());
         let options = KronFitOptions {
             gradient_steps: 3,
             warmup_swaps: 200,
@@ -898,13 +879,7 @@ mod tests {
     fn silent_sink_skips_the_likelihood_probe() {
         use kronpriv_obs::CollectingSink;
         let truth = Initiator2::new(0.9, 0.5, 0.2);
-        let g = sample_fast(
-            &truth,
-            6,
-            &SamplerOptions::default(),
-            &mut StdRng::seed_from_u64(22),
-            &Executor::sequential(),
-        );
+        let g = sample_fast(&truth, 6, &mut StdRng::seed_from_u64(22), &Executor::sequential());
         let options = KronFitOptions {
             gradient_steps: 2,
             warmup_swaps: 100,
@@ -932,13 +907,7 @@ mod tests {
         // Unlike the thread knob, changing the chain count changes which split streams drive
         // the fit, so the result is allowed — indeed expected — to differ.
         let truth = Initiator2::new(0.95, 0.5, 0.2);
-        let g = sample_fast(
-            &truth,
-            8,
-            &SamplerOptions::default(),
-            &mut StdRng::seed_from_u64(9),
-            &Executor::sequential(),
-        );
+        let g = sample_fast(&truth, 8, &mut StdRng::seed_from_u64(9), &Executor::sequential());
         let run = |chains: usize| {
             let options = KronFitOptions { chains, ..quick_options() };
             KronFitEstimator::new(options)

@@ -10,7 +10,7 @@ use crate::objective::MomentObjective;
 use crate::{kronecker_order_for, FittedInitiator};
 use kronpriv_graph::{Graph, MatchingStatistics};
 use kronpriv_json::impl_json_struct;
-use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions, NelderMeadOptions};
+use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions};
 use kronpriv_par::Executor;
 use kronpriv_skg::Initiator2;
 
@@ -70,14 +70,10 @@ impl KronMomEstimator {
     /// use. The optimiser is bit-identical for every pool size.
     pub fn fit_objective(&self, objective: &MomentObjective, exec: &Executor) -> FittedInitiator {
         let bounds = Bounds::unit(3);
-        let nm = NelderMeadOptions {
-            max_evaluations: self.options.max_evaluations,
-            ..NelderMeadOptions::default()
-        };
         let opts = MultistartOptions {
             grid_points_per_axis: self.options.grid_points_per_axis,
             refine_top: self.options.refine_top,
-            nelder_mead: nm,
+            max_evaluations: self.options.max_evaluations,
         };
         // Extra start: a "typical" real-network corner (high a, moderate b, low c), which is
         // where all of the paper's fits land; cheap insurance against a coarse grid.
@@ -104,7 +100,7 @@ mod tests {
     use super::*;
     use crate::objective::{DistanceKind, NormalizationKind};
     use kronpriv_skg::moments::ExpectedMoments;
-    use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+    use kronpriv_skg::sample::sample_fast;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -142,8 +138,7 @@ mod tests {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let k = 11;
         let mut rng = StdRng::seed_from_u64(1);
-        let g =
-            sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&truth, k, &mut rng, &Executor::sequential());
         let fit = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
         assert_eq!(fit.k, k);
         // Sampling noise at this size keeps the estimates within a few hundredths, matching the

@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use kronpriv_graph::MatchingStatistics;
     use kronpriv_obs::{NullSink, ProgressEvent};
-    use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+    use kronpriv_skg::sample::sample_fast;
     use kronpriv_skg::Initiator2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -224,10 +224,7 @@ mod tests {
     fn synthetic_graph(k: u32, seed: u64) -> (Initiator2, Graph) {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(seed);
-        (
-            truth,
-            sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &Executor::sequential()),
-        )
+        (truth, sample_fast(&truth, k, &mut rng, &Executor::sequential()))
     }
 
     #[test]

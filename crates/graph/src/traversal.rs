@@ -231,10 +231,19 @@ mod tests {
     }
 
     #[test]
+    fn hop_plot_of_two_paths_saturates_below_n_squared() {
+        // Two components of 3 nodes: saturates at 2 · 3² = 18, not 6² = 36.
+        let g = Graph::from_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5)]);
+        assert_eq!(reachable_pairs_by_hops(&g, &Executor::sequential()), vec![6, 14, 18]);
+    }
+
+    #[test]
     fn hop_plot_is_monotone_non_decreasing() {
         let g = Graph::from_edges(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let hops = reachable_pairs_by_hops(&g, &Executor::sequential());
         assert!(hops.windows(2).all(|w| w[0] <= w[1]));
+        // Each node of the 6-cycle reaches 2 more nodes per hop until the antipode at h = 3.
+        assert_eq!(hops, vec![6, 18, 30, 36]);
     }
 
     // Former proptest properties, now deterministic seeded loops.

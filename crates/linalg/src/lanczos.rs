@@ -13,29 +13,17 @@ use crate::tridiag::symmetric_tridiagonal_eigenvalues;
 use crate::vector::{axpy, dot, normalize, orthogonalize_against};
 use rand::Rng;
 
-/// Options controlling [`lanczos_eigenvalues`].
-#[derive(Debug, Clone, Copy)]
-pub struct LanczosOptions {
-    /// Size of the Krylov subspace to build. More steps give more converged Ritz values; a good
-    /// default is `2 * k + 20` when `k` leading eigenvalues are wanted.
-    pub steps: usize,
-}
-
-impl Default for LanczosOptions {
-    fn default() -> Self {
-        LanczosOptions { steps: 120 }
-    }
-}
-
 /// Runs Lanczos with full re-orthogonalisation on the symmetric matrix `a` and returns the `k`
 /// Ritz values of largest magnitude, sorted by decreasing magnitude.
 ///
-/// The result length may be smaller than `k` if the Krylov space is exhausted early (for example
-/// on low-rank matrices).
+/// `steps` is the size of the Krylov subspace to build (raised to `k`, capped at the matrix
+/// dimension): more steps give more converged Ritz values, and `2 * k + 20` is a good choice
+/// when `k` leading eigenvalues are wanted. The result length may be smaller than `k` if the
+/// Krylov space is exhausted early (for example on low-rank matrices).
 pub fn lanczos_eigenvalues<R: Rng + ?Sized>(
     a: &CsrMatrix,
     k: usize,
-    options: &LanczosOptions,
+    steps: usize,
     rng: &mut R,
 ) -> Vec<f64> {
     assert_eq!(a.rows(), a.cols(), "lanczos requires a square matrix");
@@ -43,7 +31,7 @@ pub fn lanczos_eigenvalues<R: Rng + ?Sized>(
     if n == 0 || k == 0 {
         return Vec::new();
     }
-    let steps = options.steps.max(k).min(n);
+    let steps = steps.max(k).min(n);
 
     let mut alphas: Vec<f64> = Vec::with_capacity(steps);
     let mut betas: Vec<f64> = Vec::with_capacity(steps.saturating_sub(1));
@@ -126,7 +114,7 @@ mod tests {
     fn recovers_leading_diagonal_entries() {
         let a = diag(&[10.0, -8.0, 6.0, 1.0, 0.5, 0.1, 3.0, -2.0]);
         let mut rng = StdRng::seed_from_u64(11);
-        let ev = lanczos_eigenvalues(&a, 3, &LanczosOptions { steps: 8 }, &mut rng);
+        let ev = lanczos_eigenvalues(&a, 3, 8, &mut rng);
         assert_eq!(ev.len(), 3);
         assert!((ev[0] - 10.0).abs() < 1e-6, "{ev:?}");
         assert!((ev[1] + 8.0).abs() < 1e-6, "{ev:?}");
@@ -145,7 +133,7 @@ mod tests {
         }
         let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(12);
-        let ev = lanczos_eigenvalues(&a, 4, &LanczosOptions { steps: 12 }, &mut rng);
+        let ev = lanczos_eigenvalues(&a, 4, 12, &mut rng);
         assert!((ev[0] - (n as f64 - 1.0)).abs() < 1e-6);
         for v in &ev[1..] {
             assert!((v + 1.0).abs() < 1e-5, "{ev:?}");
@@ -159,7 +147,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
         let a = CsrMatrix::symmetric_adjacency(leaves as usize + 1, &edges);
         let mut rng = StdRng::seed_from_u64(13);
-        let ev = lanczos_eigenvalues(&a, 2, &LanczosOptions { steps: 10 }, &mut rng);
+        let ev = lanczos_eigenvalues(&a, 2, 10, &mut rng);
         assert!((ev[0] - 3.0).abs() < 1e-6);
         assert!((ev[1] + 3.0).abs() < 1e-6);
     }
@@ -179,14 +167,9 @@ mod tests {
         }
         let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(14);
-        let lz = lanczos_eigenvalues(&a, 1, &LanczosOptions { steps: 60 }, &mut rng);
+        let lz = lanczos_eigenvalues(&a, 1, 60, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(15);
-        let pw = crate::power::principal_eigenpair(
-            &a,
-            &crate::power::PowerIterationOptions { max_iterations: 5000, tolerance: 1e-12 },
-            &mut rng2,
-        )
-        .unwrap();
+        let pw = crate::power::principal_eigenpair(&a, &mut rng2).unwrap();
         assert!((lz[0].abs() - pw.value.abs()).abs() < 1e-5, "{} vs {}", lz[0], pw.value);
     }
 
@@ -194,14 +177,14 @@ mod tests {
     fn empty_matrix_returns_empty() {
         let a = CsrMatrix::from_triplets(0, 0, &[]);
         let mut rng = StdRng::seed_from_u64(16);
-        assert!(lanczos_eigenvalues(&a, 3, &LanczosOptions::default(), &mut rng).is_empty());
+        assert!(lanczos_eigenvalues(&a, 3, 120, &mut rng).is_empty());
     }
 
     #[test]
     fn requesting_zero_values_returns_empty() {
         let a = diag(&[1.0, 2.0]);
         let mut rng = StdRng::seed_from_u64(17);
-        assert!(lanczos_eigenvalues(&a, 0, &LanczosOptions::default(), &mut rng).is_empty());
+        assert!(lanczos_eigenvalues(&a, 0, 120, &mut rng).is_empty());
     }
 }
 
@@ -221,7 +204,7 @@ mod regression_tests {
         let a = CsrMatrix::symmetric_adjacency(leaves as usize + 1, &edges);
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let ev = lanczos_eigenvalues(&a, 2, &LanczosOptions { steps: 10 }, &mut rng);
+            let ev = lanczos_eigenvalues(&a, 2, 10, &mut rng);
             assert!((ev[0] - 3.0).abs() < 1e-6, "seed {seed}: {ev:?}");
             assert!((ev[1] + 3.0).abs() < 1e-6, "seed {seed}: {ev:?}");
         }

@@ -29,8 +29,8 @@ pub mod vector;
 
 pub use csr::CsrMatrix;
 pub use isotonic::{isotonic_decreasing, isotonic_increasing, IsotonicBlocks};
-pub use lanczos::{lanczos_eigenvalues, LanczosOptions};
-pub use power::{principal_eigenpair, top_eigenpairs, PowerIterationOptions};
+pub use lanczos::lanczos_eigenvalues;
+pub use power::{principal_eigenpair, top_eigenpairs};
 pub use tridiag::symmetric_tridiagonal_eigenvalues;
 pub use vector::{axpy, dot, norm2, normalize, scale};
 

@@ -16,20 +16,12 @@ use crate::csr::CsrMatrix;
 use crate::vector::{dot, normalize, orthogonalize_against};
 use rand::Rng;
 
-/// Options controlling [`top_eigenpairs`].
-#[derive(Debug, Clone, Copy)]
-pub struct PowerIterationOptions {
-    /// Maximum number of iterations per eigenpair.
-    pub max_iterations: usize,
-    /// Convergence tolerance on the change of the Rayleigh quotient between iterations.
-    pub tolerance: f64,
-}
+/// Maximum number of power iterations per eigenpair.
+const MAX_ITERATIONS: usize = 2000;
 
-impl Default for PowerIterationOptions {
-    fn default() -> Self {
-        PowerIterationOptions { max_iterations: 2000, tolerance: 1e-12 }
-    }
-}
+/// Convergence tolerance on the change of the Rayleigh quotient between iterations, relative to
+/// `|λ| + σ`.
+const TOLERANCE: f64 = 1e-12;
 
 /// One converged eigenpair of a symmetric matrix.
 #[derive(Debug, Clone)]
@@ -53,12 +45,7 @@ fn infinity_norm(a: &CsrMatrix) -> f64 {
 /// Eigenvectors are mutually orthogonal (they are re-orthogonalised against all previously
 /// converged vectors on every iteration). The returned list may be shorter than `k` if iterates
 /// vanish (e.g. the matrix dimension is smaller than `k`).
-pub fn top_eigenpairs<R: Rng + ?Sized>(
-    a: &CsrMatrix,
-    k: usize,
-    options: &PowerIterationOptions,
-    rng: &mut R,
-) -> Vec<EigenPair> {
+pub fn top_eigenpairs<R: Rng + ?Sized>(a: &CsrMatrix, k: usize, rng: &mut R) -> Vec<EigenPair> {
     assert_eq!(a.rows(), a.cols(), "top_eigenpairs requires a square matrix");
     let n = a.rows();
     let k = k.min(n);
@@ -76,7 +63,7 @@ pub fn top_eigenpairs<R: Rng + ?Sized>(
         let mut lambda = 0.0;
         let mut iterations = 0;
         let mut y = vec![0.0; n];
-        for it in 0..options.max_iterations {
+        for it in 0..MAX_ITERATIONS {
             iterations = it + 1;
             // y = (A + shift I) x
             a.mul_vec_into(&x, &mut y);
@@ -94,7 +81,7 @@ pub fn top_eigenpairs<R: Rng + ?Sized>(
                 break;
             }
             std::mem::swap(&mut x, &mut y);
-            if (lambda - prev_lambda).abs() <= options.tolerance * (lambda.abs() + shift) {
+            if (lambda - prev_lambda).abs() <= TOLERANCE * (lambda.abs() + shift) {
                 break;
             }
             prev_lambda = lambda;
@@ -115,12 +102,8 @@ pub fn top_eigenpairs<R: Rng + ?Sized>(
 /// components are the "network values" plotted in the paper's Figures 1–4(d).
 ///
 /// Returns `None` for an empty matrix.
-pub fn principal_eigenpair<R: Rng + ?Sized>(
-    a: &CsrMatrix,
-    options: &PowerIterationOptions,
-    rng: &mut R,
-) -> Option<EigenPair> {
-    top_eigenpairs(a, 1, options, rng).into_iter().next()
+pub fn principal_eigenpair<R: Rng + ?Sized>(a: &CsrMatrix, rng: &mut R) -> Option<EigenPair> {
+    top_eigenpairs(a, 1, rng).into_iter().next()
 }
 
 #[cfg(test)]
@@ -139,7 +122,7 @@ mod tests {
     fn principal_eigenvalue_of_diagonal_matrix() {
         let a = diag(&[1.0, 5.0, 3.0]);
         let mut rng = StdRng::seed_from_u64(1);
-        let pair = principal_eigenpair(&a, &PowerIterationOptions::default(), &mut rng).unwrap();
+        let pair = principal_eigenpair(&a, &mut rng).unwrap();
         assert!((pair.value - 5.0).abs() < 1e-8, "got {}", pair.value);
         // Eigenvector should be concentrated on index 1.
         assert!(pair.vector[1].abs() > 0.999);
@@ -149,7 +132,7 @@ mod tests {
     fn top_eigenpairs_of_diagonal_matrix_sorted_algebraically() {
         let a = diag(&[1.0, -7.0, 3.0, 5.0]);
         let mut rng = StdRng::seed_from_u64(2);
-        let pairs = top_eigenpairs(&a, 3, &PowerIterationOptions::default(), &mut rng);
+        let pairs = top_eigenpairs(&a, 3, &mut rng);
         assert_eq!(pairs.len(), 3);
         let vals: Vec<f64> = pairs.iter().map(|p| p.value).collect();
         assert!((vals[0] - 5.0).abs() < 1e-7, "{vals:?}");
@@ -161,7 +144,7 @@ mod tests {
     fn eigenvectors_are_orthogonal() {
         let a = diag(&[4.0, 2.0, 9.0, 1.0]);
         let mut rng = StdRng::seed_from_u64(3);
-        let pairs = top_eigenpairs(&a, 3, &PowerIterationOptions::default(), &mut rng);
+        let pairs = top_eigenpairs(&a, 3, &mut rng);
         for i in 0..pairs.len() {
             for j in (i + 1)..pairs.len() {
                 assert!(dot(&pairs[i].vector, &pairs[j].vector).abs() < 1e-6);
@@ -178,7 +161,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(4);
-        let pair = principal_eigenpair(&a, &PowerIterationOptions::default(), &mut rng).unwrap();
+        let pair = principal_eigenpair(&a, &mut rng).unwrap();
         let expected = 2.0 * (std::f64::consts::PI / (n as f64 + 1.0)).cos();
         assert!((pair.value - expected).abs() < 1e-6, "got {} want {}", pair.value, expected);
     }
@@ -194,7 +177,7 @@ mod tests {
         }
         let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(5);
-        let pairs = top_eigenpairs(&a, 2, &PowerIterationOptions::default(), &mut rng);
+        let pairs = top_eigenpairs(&a, 2, &mut rng);
         assert!((pairs[0].value - (n as f64 - 1.0)).abs() < 1e-6);
         // Second eigenvalue of K_n is -1.
         assert!((pairs[1].value + 1.0).abs() < 1e-5);
@@ -208,7 +191,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
         let a = CsrMatrix::symmetric_adjacency(leaves as usize + 1, &edges);
         let mut rng = StdRng::seed_from_u64(8);
-        let pair = principal_eigenpair(&a, &PowerIterationOptions::default(), &mut rng).unwrap();
+        let pair = principal_eigenpair(&a, &mut rng).unwrap();
         assert!((pair.value - 4.0).abs() < 1e-7);
         let hub = pair.vector[0].abs();
         let leaf = pair.vector[1].abs();
@@ -221,7 +204,7 @@ mod tests {
         let edges = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2)];
         let a = CsrMatrix::symmetric_adjacency(4, &edges);
         let mut rng = StdRng::seed_from_u64(9);
-        let pair = principal_eigenpair(&a, &PowerIterationOptions::default(), &mut rng).unwrap();
+        let pair = principal_eigenpair(&a, &mut rng).unwrap();
         let signs: Vec<bool> = pair.vector.iter().map(|&x| x > 0.0).collect();
         assert!(signs.iter().all(|&s| s) || signs.iter().all(|&s| !s), "{:?}", pair.vector);
     }
@@ -230,7 +213,7 @@ mod tests {
     fn requesting_more_pairs_than_dimension_truncates() {
         let a = diag(&[2.0, 1.0]);
         let mut rng = StdRng::seed_from_u64(6);
-        let pairs = top_eigenpairs(&a, 5, &PowerIterationOptions::default(), &mut rng);
+        let pairs = top_eigenpairs(&a, 5, &mut rng);
         assert_eq!(pairs.len(), 2);
     }
 
@@ -238,7 +221,7 @@ mod tests {
     fn zero_matrix_returns_zero_eigenvalues() {
         let a = CsrMatrix::from_triplets(3, 3, &[]);
         let mut rng = StdRng::seed_from_u64(7);
-        let pairs = top_eigenpairs(&a, 2, &PowerIterationOptions::default(), &mut rng);
+        let pairs = top_eigenpairs(&a, 2, &mut rng);
         for p in pairs {
             assert!(p.value.abs() < 1e-9);
         }

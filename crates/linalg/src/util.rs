@@ -20,11 +20,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Median (average of the two middle values for even lengths); returns 0.0 for an empty slice.
 pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)

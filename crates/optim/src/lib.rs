@@ -24,4 +24,4 @@ pub mod nelder_mead;
 
 pub use grid::grid_search;
 pub use multistart::{multistart_minimize, MultistartOptions};
-pub use nelder_mead::{nelder_mead, Bounds, NelderMeadOptions, OptimizationResult};
+pub use nelder_mead::{nelder_mead, Bounds, OptimizationResult};

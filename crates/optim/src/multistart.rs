@@ -8,7 +8,7 @@
 //! thread count.
 
 use crate::grid::grid_search;
-use crate::nelder_mead::{nelder_mead, Bounds, NelderMeadOptions, OptimizationResult};
+use crate::nelder_mead::{nelder_mead, Bounds, OptimizationResult};
 use kronpriv_par::{Executor, Work};
 
 /// Cost hint for one Nelder–Mead restart: each restart runs up to hundreds of objective
@@ -22,17 +22,13 @@ pub struct MultistartOptions {
     pub grid_points_per_axis: usize,
     /// How many of the best grid points to refine with Nelder–Mead.
     pub refine_top: usize,
-    /// Options forwarded to each Nelder–Mead run.
-    pub nelder_mead: NelderMeadOptions,
+    /// Maximum objective evaluations per Nelder–Mead run.
+    pub max_evaluations: usize,
 }
 
 impl Default for MultistartOptions {
     fn default() -> Self {
-        MultistartOptions {
-            grid_points_per_axis: 7,
-            refine_top: 5,
-            nelder_mead: NelderMeadOptions::default(),
-        }
+        MultistartOptions { grid_points_per_axis: 7, refine_top: 5, max_evaluations: 4000 }
     }
 }
 
@@ -69,7 +65,7 @@ pub fn multistart_minimize(
         RESTART_WORK,
         |range| {
             range
-                .map(|i| nelder_mead(&f, &starts[i], bounds, &options.nelder_mead))
+                .map(|i| nelder_mead(&f, &starts[i], bounds, options.max_evaluations))
                 .collect::<Vec<_>>()
         },
         |mut acc: Vec<OptimizationResult>, chunk| {
@@ -131,11 +127,8 @@ mod tests {
                 d
             }
         };
-        let opts = MultistartOptions {
-            grid_points_per_axis: 3,
-            refine_top: 1,
-            nelder_mead: NelderMeadOptions { initial_step: 0.01, ..Default::default() },
-        };
+        let opts =
+            MultistartOptions { grid_points_per_axis: 3, refine_top: 1, ..Default::default() };
         let result = multistart_minimize(
             f,
             &Bounds::unit(1),
@@ -148,11 +141,8 @@ mod tests {
 
     #[test]
     fn evaluation_count_includes_grid_and_refinements() {
-        let opts = MultistartOptions {
-            grid_points_per_axis: 4,
-            refine_top: 2,
-            nelder_mead: NelderMeadOptions { max_evaluations: 30, ..Default::default() },
-        };
+        let opts =
+            MultistartOptions { grid_points_per_axis: 4, refine_top: 2, max_evaluations: 30 };
         let result = multistart_minimize(
             |x| x[0] * x[0],
             &Bounds::unit(1),
@@ -215,7 +205,7 @@ mod tests {
         let opts = MultistartOptions {
             grid_points_per_axis: 5, // lattice {0, 0.25, 0.5, 0.75, 1}: seeds in both wells
             refine_top: 2,
-            nelder_mead: NelderMeadOptions::default(),
+            ..Default::default()
         };
         let reference = multistart_minimize(f, &bounds, &[], &opts, &Executor::sequential());
         assert_eq!(reference.value, 0.0);

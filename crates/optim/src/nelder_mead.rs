@@ -59,32 +59,20 @@ impl Bounds {
     }
 }
 
-/// Options controlling the simplex iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct NelderMeadOptions {
-    /// Maximum number of objective evaluations across all restarts.
-    pub max_evaluations: usize,
-    /// Terminate a run when the spread of objective values across the simplex falls below this.
-    pub f_tolerance: f64,
-    /// Terminate a run when the simplex diameter falls below this.
-    pub x_tolerance: f64,
-    /// Relative size of the initial simplex (fraction of each coordinate's box width).
-    pub initial_step: f64,
-    /// Maximum number of restarts after the first run (0 disables restarting).
-    pub max_restarts: usize,
-}
+/// A run terminates when the spread of objective values across the simplex falls below this
+/// (and the simplex diameter below [`X_TOLERANCE`]).
+const F_TOLERANCE: f64 = 1e-10;
 
-impl Default for NelderMeadOptions {
-    fn default() -> Self {
-        NelderMeadOptions {
-            max_evaluations: 4000,
-            f_tolerance: 1e-10,
-            x_tolerance: 1e-8,
-            initial_step: 0.1,
-            max_restarts: 4,
-        }
-    }
-}
+/// A run terminates when the simplex diameter falls below this (and the objective spread below
+/// [`F_TOLERANCE`]).
+const X_TOLERANCE: f64 = 1e-8;
+
+/// Relative size of the first run's initial simplex (fraction of each coordinate's box width);
+/// each restart halves it.
+const INITIAL_STEP: f64 = 0.1;
+
+/// Maximum number of restarts after the first run.
+const MAX_RESTARTS: usize = 4;
 
 /// The outcome of a minimisation run.
 #[derive(Debug, Clone)]
@@ -143,7 +131,8 @@ impl BoxTransform {
 }
 
 /// Minimises `f` over the box `bounds` starting from `start` using restarted Nelder–Mead in the
-/// sin²-transformed coordinates.
+/// sin²-transformed coordinates, spending at most `max_evaluations` objective evaluations
+/// across all restarts (a shrink step may overshoot by the simplex size).
 ///
 /// # Panics
 /// Panics if `start` has a different dimension than `bounds` or the dimension is zero.
@@ -151,7 +140,7 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
     mut f: F,
     start: &[f64],
     bounds: &Bounds,
-    options: &NelderMeadOptions,
+    max_evaluations: usize,
 ) -> OptimizationResult {
     let dim = bounds.dim();
     assert_eq!(start.len(), dim, "start point dimension mismatch");
@@ -167,14 +156,14 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
     // Objective in z-space.
     let mut g = |z: &[f64]| f(&transform.to_x(z));
 
-    let mut step = options.initial_step;
-    for restart in 0..=options.max_restarts {
-        if evaluations >= options.max_evaluations {
+    let mut step = INITIAL_STEP;
+    for restart in 0..=MAX_RESTARTS {
+        if evaluations >= max_evaluations {
             break;
         }
         let start_z = transform.to_z(&best_x);
-        let run = run_simplex(&mut g, &start_z, options, step, &mut evaluations);
-        let improved = run.1 < best_value - options.f_tolerance.max(1e-15);
+        let run = run_simplex(&mut g, &start_z, max_evaluations, step, &mut evaluations);
+        let improved = run.1 < best_value - F_TOLERANCE;
         if run.1 < best_value {
             best_x = transform.to_x(&run.0);
             best_value = run.1;
@@ -198,7 +187,7 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
 fn run_simplex<F: FnMut(&[f64]) -> f64>(
     f: &mut F,
     start: &[f64],
-    options: &NelderMeadOptions,
+    max_evaluations: usize,
     initial_step: f64,
     evaluations: &mut usize,
 ) -> (Vec<f64>, f64, bool) {
@@ -227,7 +216,7 @@ fn run_simplex<F: FnMut(&[f64]) -> f64>(
     let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
     let mut converged = false;
 
-    while *evaluations < options.max_evaluations {
+    while *evaluations < max_evaluations {
         // Order the simplex by objective value.
         let mut order: Vec<usize> = (0..simplex.len()).collect();
         order.sort_by(|&i, &j| values[i].total_cmp(&values[j]));
@@ -240,7 +229,7 @@ fn run_simplex<F: FnMut(&[f64]) -> f64>(
             .iter()
             .map(|v| v.iter().zip(&simplex[0]).map(|(a, b)| (a - b).abs()).fold(0.0_f64, f64::max))
             .fold(0.0_f64, f64::max);
-        if f_spread.abs() <= options.f_tolerance && x_spread <= options.x_tolerance {
+        if f_spread.abs() <= F_TOLERANCE && x_spread <= X_TOLERANCE {
             converged = true;
             break;
         }
@@ -328,7 +317,7 @@ mod tests {
             |x| (x[0] - target[0]).powi(2) + (x[1] - target[1]).powi(2),
             &[0.9, 0.1],
             &Bounds::unit(2),
-            &NelderMeadOptions::default(),
+            4000,
         );
         assert!(result.converged);
         assert!((result.point[0] - target[0]).abs() < 1e-4, "{:?}", result.point);
@@ -343,7 +332,7 @@ mod tests {
             |x| 100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2),
             &[0.2, 1.8],
             &Bounds::new(vec![0.0, 0.0], vec![2.0, 2.0]),
-            &NelderMeadOptions { max_evaluations: 8000, ..Default::default() },
+            8000,
         );
         assert!((result.point[0] - 1.0).abs() < 1e-3, "{:?}", result.point);
         assert!((result.point[1] - 1.0).abs() < 1e-3, "{:?}", result.point);
@@ -357,7 +346,7 @@ mod tests {
             |x| (x[0] + 1.0).powi(2) + (x[1] + 1.0).powi(2),
             &[0.5, 0.5],
             &Bounds::unit(2),
-            &NelderMeadOptions::default(),
+            4000,
         );
         assert!(result.point[0] < 1e-5, "{:?}", result.point);
         assert!(result.point[1] < 1e-5, "{:?}", result.point);
@@ -373,7 +362,7 @@ mod tests {
             |x| (x[0] - tx).powi(2) + 3.0 * (x[1] - ty).powi(2),
             &[0.86, 0.84],
             &Bounds::unit(2),
-            &NelderMeadOptions::default(),
+            4000,
         );
         assert!((result.point[0] - tx).abs() < 1e-3, "{:?}", result.point);
         assert!((result.point[1] - ty).abs() < 1e-3, "{:?}", result.point);
@@ -381,12 +370,7 @@ mod tests {
 
     #[test]
     fn one_dimensional_problems_work() {
-        let result = nelder_mead(
-            |x| (x[0] - 0.25).powi(2),
-            &[0.9],
-            &Bounds::unit(1),
-            &NelderMeadOptions::default(),
-        );
+        let result = nelder_mead(|x| (x[0] - 0.25).powi(2), &[0.9], &Bounds::unit(1), 4000);
         assert!((result.point[0] - 0.25).abs() < 1e-5);
     }
 
@@ -398,7 +382,7 @@ mod tests {
             |x| if x[0] < 0.5 { f64::NAN } else { (x[0] - 0.75).powi(2) },
             &[0.9],
             &Bounds::unit(1),
-            &NelderMeadOptions::default(),
+            4000,
         );
         assert!((result.point[0] - 0.75).abs() < 1e-4, "{:?}", result.point);
         assert!(result.value.is_finite());
@@ -414,7 +398,7 @@ mod tests {
             },
             &[0.5, 0.5, 0.5],
             &Bounds::unit(3),
-            &NelderMeadOptions { max_evaluations: 50, ..Default::default() },
+            50,
         );
         // The shrink step may overshoot the budget by at most the simplex size per restart.
         assert!(count <= 50 + 8, "used {count} evaluations");
@@ -426,27 +410,16 @@ mod tests {
             |x| (x[0] - 0.4).powi(2) + (x[1] - 0.6).powi(2),
             &[1.0, 1.0],
             &Bounds::unit(2),
-            &NelderMeadOptions::default(),
+            4000,
         );
         assert!((result.point[0] - 0.4).abs() < 1e-4);
         assert!((result.point[1] - 0.6).abs() < 1e-4);
     }
 
     #[test]
-    fn zero_restarts_still_returns_a_result() {
-        let result = nelder_mead(
-            |x| (x[0] - 0.5).powi(2),
-            &[0.1],
-            &Bounds::unit(1),
-            &NelderMeadOptions { max_restarts: 0, ..Default::default() },
-        );
-        assert!((result.point[0] - 0.5).abs() < 1e-4);
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn start_dimension_must_match_bounds() {
-        let _ = nelder_mead(|x| x[0], &[0.1, 0.2], &Bounds::unit(1), &NelderMeadOptions::default());
+        let _ = nelder_mead(|x| x[0], &[0.1, 0.2], &Bounds::unit(1), 4000);
     }
 
     // Former proptest property, now a deterministic seeded loop.
@@ -460,7 +433,7 @@ mod tests {
             let objective = |x: &[f64]| (x[0] - tx).powi(2) + 3.0 * (x[1] - ty).powi(2);
             let start = [sx, sy];
             let start_value = objective(&start);
-            let result = nelder_mead(objective, &start, &bounds, &NelderMeadOptions::default());
+            let result = nelder_mead(objective, &start, &bounds, 4000);
             assert!(bounds.contains(&result.point));
             assert!(result.value <= start_value + 1e-12);
             // For a convex quadratic the restarted optimiser should find the target accurately.

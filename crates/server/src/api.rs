@@ -15,7 +15,7 @@ use kronpriv_dp::{ParamError, PrivacyParams};
 use kronpriv_estimate::{
     FittedInitiator, KronFitOptions, PrivateEstimate, PrivateEstimatorOptions,
 };
-use kronpriv_json::{impl_json_struct, impl_json_struct_lenient, Json};
+use kronpriv_json::{impl_json_struct, impl_json_struct_lenient};
 use kronpriv_skg::Initiator2;
 
 /// An `(ε, δ)` privacy budget as it appears on the wire (untrusted until validated).
@@ -357,21 +357,6 @@ pub struct SubmitResponse {
 
 impl_json_struct!(SubmitResponse { job_id, status });
 
-/// `GET /api/jobs/{id}` body: the job record snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobResponse {
-    /// The job id.
-    pub job_id: u64,
-    /// Current lifecycle state.
-    pub status: JobStatus,
-    /// The [`EstimateResult`] document, present exactly when `status` is `Done`.
-    pub result: Option<Json>,
-    /// The failure message, present exactly when `status` is `Failed`.
-    pub error: Option<String>,
-}
-
-impl_json_struct_lenient!(JobResponse { job_id, status, result, error });
-
 /// `POST /api/sample`: synchronously sample a synthetic graph from a (public) fitted initiator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleRequest {
@@ -680,13 +665,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(1);
-        let g = sample_fast(
-            &Initiator2::new(0.9, 0.6, 0.3),
-            7,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::sequential(),
-        );
+        let g = sample_fast(&Initiator2::new(0.9, 0.6, 0.3), 7, &mut rng, &Executor::sequential());
         let est = try_private_estimate(
             &g,
             PrivacyParams::new(1.0, 0.01),

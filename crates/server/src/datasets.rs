@@ -195,13 +195,6 @@ impl DatasetStore {
         }
     }
 
-    /// Applies a replayed debit unconditionally (it was admitted when first logged).
-    pub fn force_debit(&self, name: &str, epsilon: f64, delta: f64) {
-        if let Some(dataset) = self.lock().get_mut(name) {
-            dataset.ledger.force_debit(epsilon, delta);
-        }
-    }
-
     /// An upper estimate of the bytes [`DatasetStore::write_image`] renders, to pre-size the
     /// snapshot buffer (escapes can grow an edge list by its newline count).
     pub(crate) fn image_len_hint(&self) -> usize {

@@ -15,7 +15,7 @@
 //!
 //! A job record holds rendered text, not `Json` trees: the event log is one NDJSON string to
 //! which each event is rendered once, when pushed, and the result is kept as compact JSON
-//! text that polls parse. A finished job also drops its request spec. Up to
+//! text that polls serve verbatim. A finished job also drops its request spec. Up to
 //! [`DEFAULT_RETAINED_JOBS`] finished records stay in memory, so each one costs a couple of
 //! allocations rather than a few hundred.
 
@@ -58,8 +58,9 @@ pub struct JobSnapshot {
     pub id: u64,
     /// Current lifecycle state.
     pub status: JobStatus,
-    /// The result document (present exactly when `status == Done`).
-    pub result: Option<Json>,
+    /// The result document as the compact JSON text it was stored as (present exactly when
+    /// `status == Done`): the bytes the terminal `done` event embeds.
+    pub result: Option<String>,
     /// The failure message (present exactly when `status == Failed`).
     pub error: Option<String>,
 }
@@ -373,18 +374,16 @@ impl JobStore {
     }
 
     /// A snapshot of the job, or `None` for an unknown id. The result text is copied under the
-    /// table lock and parsed back into a document after it is released, so a large result
-    /// never stalls the event pushes of running jobs; it renders to the same bytes it was
-    /// stored as.
+    /// table lock and served as stored, never re-parsed.
     pub fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let (status, result, error) = {
-            let table = self.shared.table.lock().expect("job table poisoned");
-            let record = table.jobs.get(&id)?;
-            (record.status, record.result.clone(), record.error.clone())
-        };
-        let result = result
-            .map(|text| Json::parse(&text).expect("a stored result is JSON this store rendered"));
-        Some(JobSnapshot { id, status, result, error })
+        let table = self.shared.table.lock().expect("job table poisoned");
+        let record = table.jobs.get(&id)?;
+        Some(JobSnapshot {
+            id,
+            status: record.status,
+            result: record.result.clone(),
+            error: record.error.clone(),
+        })
     }
 
     /// Whether the store holds the job: the event-stream check, which needs no result.
@@ -615,7 +614,7 @@ mod tests {
         let id = store.submit(|_| Ok(Json::Number(42.0)));
         let snap = wait_done(&store, id);
         assert_eq!(snap.status, JobStatus::Done);
-        assert_eq!(snap.result, Some(Json::Number(42.0)));
+        assert_eq!(snap.result.as_deref(), Some("42"));
         assert_eq!(snap.error, None);
         assert_eq!(store.submitted(), 1);
         let counts = store.counts();
@@ -708,12 +707,12 @@ mod tests {
     fn restored_jobs_log_queued_then_their_outcome() {
         let store = JobStore::new(1);
         let doc = Json::Object(vec![("theta".to_string(), Json::Number(0.5))]);
-        store.restore_finished(3, Ok(doc.clone()));
+        store.restore_finished(3, Ok(doc));
         store.restore_finished(4, Err("bad \"spec\"".to_string()));
         let (log, terminal) = store.wait_events(3, 0, Duration::from_secs(1)).unwrap();
         assert!(terminal);
         assert_eq!(log, "{\"event\":\"queued\",\"job_id\":3}\n{\"event\":\"done\",\"result\":{\"theta\":0.5}}\n");
-        assert_eq!(store.get(3).unwrap().result, Some(doc));
+        assert_eq!(store.get(3).unwrap().result.as_deref(), Some("{\"theta\":0.5}"));
         let (log, _) = store.wait_events(4, 0, Duration::from_secs(1)).unwrap();
         let events = parse_log(&log);
         assert_eq!(events.iter().map(event_kind).collect::<Vec<_>>(), ["queued", "failed"]);

@@ -12,8 +12,7 @@ use crate::api::BudgetDoc;
 use crate::api::{
     BaselineResult, DatasetCreateRequest, DatasetDeleteResponse, DatasetDoc,
     DatasetEstimateRequest, DatasetListResponse, ErrorBody, EstimateRequest, EstimateResult,
-    EstimatorKind, HealthResponse, JobResponse, JobSpec, SampleRequest, SampleResponse,
-    SubmitResponse,
+    EstimatorKind, HealthResponse, JobSpec, SampleRequest, SampleResponse, SubmitResponse,
 };
 use crate::datasets::{valid_name, CreateError, DatasetStore, DebitError};
 use crate::http::{Request, Response};
@@ -26,11 +25,13 @@ use kronpriv::pipeline::{
 use kronpriv_estimate::{KronFitOptions, KronMomOptions};
 use kronpriv_graph::io::{parse_edge_list_reader, to_edge_list_string};
 use kronpriv_graph::Graph;
-use kronpriv_json::{from_str, to_string, FromJson, Json, ToJson};
+use kronpriv_json::{
+    from_str, push_json, push_json_number, push_json_str, to_string, FromJson, Json, ToJson,
+};
 use kronpriv_obs::Registry;
 use kronpriv_par::Executor;
 use kronpriv_skg::moments::expected_edges;
-use kronpriv_skg::sample::{sample_fast, SamplerOptions};
+use kronpriv_skg::sample::sample_fast;
 use kronpriv_skg::Initiator2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -282,9 +283,7 @@ pub(crate) fn dispatch(
         }
         (Route::Job(raw_id), "GET") => {
             match job_id(raw_id).and_then(|id| state.jobs.get(id).ok_or_else(|| no_such_job(id))) {
-                Ok(JobSnapshot { id, status, result, error }) => {
-                    ok_json(200, &JobResponse { job_id: id, status, result, error })
-                }
+                Ok(job) => Response::json(200, poll_body(&job)),
                 Err(response) => response,
             }
         }
@@ -382,6 +381,26 @@ fn method_not_allowed(allow: &'static str) -> Response {
 
 fn ok_json<T: ToJson>(status: u16, body: &T) -> Response {
     Response::json(status, to_string(body))
+}
+
+/// The `GET /api/v1/jobs/{id}` body, `{"job_id":…,"status":…,"result":…,"error":…}`: the
+/// stored result text goes in verbatim, so a poll renders nothing but the envelope.
+fn poll_body(job: &JobSnapshot) -> String {
+    let result = job.result.as_deref().unwrap_or("null");
+    let mut body = String::with_capacity(64 + result.len());
+    body.push_str("{\"job_id\":");
+    push_json_number(&mut body, job.id as f64);
+    body.push_str(",\"status\":");
+    push_json(&mut body, &job.status.to_json());
+    body.push_str(",\"result\":");
+    body.push_str(result);
+    body.push_str(",\"error\":");
+    match &job.error {
+        Some(message) => push_json_str(&mut body, message),
+        None => body.push_str("null"),
+    }
+    body.push('}');
+    body
 }
 
 fn health(state: &AppState) -> Response {
@@ -562,9 +581,7 @@ fn materialize_graph(
         (Some(text), None) => {
             parse_edge_list_reader(text.as_bytes()).map_err(|e| format!("edge list rejected: {e}"))
         }
-        (None, Some((theta, k))) => {
-            Ok(sample_fast(&theta, k, &SamplerOptions::default(), rng, exec))
-        }
+        (None, Some((theta, k))) => Ok(sample_fast(&theta, k, rng, exec)),
         _ => unreachable!("graph spec validated before submission"),
     }
 }
@@ -907,7 +924,7 @@ fn sample(state: &AppState, request: &Request) -> Response {
         return error(400, "too_large", message);
     }
     let mut rng = StdRng::seed_from_u64(req.seed);
-    let graph = sample_fast(&theta, req.k, &SamplerOptions::default(), &mut rng, &state.executor);
+    let graph = sample_fast(&theta, req.k, &mut rng, &state.executor);
     ok_json(
         200,
         &SampleResponse {
@@ -1083,7 +1100,7 @@ mod tests {
         let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
         let snap = wait_for_job(&state, id);
         assert_eq!(snap.status, JobStatus::Done, "{:?}", snap.error);
-        let result = snap.result.unwrap();
+        let result = Json::parse(&snap.result.unwrap()).unwrap();
         let theta = result.get("theta").unwrap();
         let a = theta.get("a").unwrap().as_f64().unwrap();
         assert!((0.0..=1.0).contains(&a));
@@ -1091,6 +1108,44 @@ mod tests {
         let poll = route(&state, &request("GET", &format!("/api/jobs/{id}"), ""));
         assert_eq!(poll.status, 200);
         assert_eq!(body_json(&poll).get("status").unwrap().as_str(), Some("Done"));
+    }
+
+    #[test]
+    fn poll_bodies_wrap_the_terminal_event_bytes() {
+        let state = state();
+        // The last line of a finished job's event log, with its `{"event":"<kind>","<field>":`
+        // head and closing brace stripped: the bytes the poll body must embed.
+        let terminal = |id: u64, head: &str| {
+            let (log, finished) = state.jobs.wait_events(id, 0, Duration::from_secs(5)).unwrap();
+            assert!(finished);
+            let last = log.lines().last().unwrap().to_string();
+            last.strip_prefix(head).and_then(|rest| rest.strip_suffix('}')).unwrap().to_string()
+        };
+        let poll = |id: u64| {
+            let poll = route(&state, &request("GET", &format!("/api/jobs/{id}"), ""));
+            assert_eq!(poll.status, 200);
+            poll.body
+        };
+
+        let response = route(&state, &request("POST", "/api/estimate", SKG_BODY));
+        let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
+        assert_eq!(wait_for_job(&state, id).status, JobStatus::Done);
+        let result = terminal(id, "{\"event\":\"done\",\"result\":");
+        assert_eq!(
+            poll(id),
+            format!("{{\"job_id\":{id},\"status\":\"Done\",\"result\":{result},\"error\":null}}")
+        );
+
+        let body = r#"{"graph": {"edge_list": "0 1\n\"2\" 3\n"},
+                       "params": {"epsilon": 1.0, "delta": 0.01}, "seed": 1}"#;
+        let response = route(&state, &request("POST", "/api/estimate", body));
+        let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
+        assert_eq!(wait_for_job(&state, id).status, JobStatus::Failed);
+        let error = terminal(id, "{\"event\":\"failed\",\"error\":");
+        assert_eq!(
+            poll(id),
+            format!("{{\"job_id\":{id},\"status\":\"Failed\",\"result\":null,\"error\":{error}}}")
+        );
     }
 
     #[test]
@@ -1104,7 +1159,7 @@ mod tests {
             let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
             let snap = wait_for_job(&state, id);
             assert_eq!(snap.status, JobStatus::Done, "{:?}", snap.error);
-            kronpriv_json::to_string(&snap.result.unwrap())
+            snap.result.unwrap()
         };
         assert_eq!(run(1), run(4));
     }
@@ -1270,7 +1325,7 @@ mod tests {
             let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
             let snap = wait_for_job(&state, id);
             assert_eq!(snap.status, JobStatus::Done, "{estimator}: {:?}", snap.error);
-            let result = snap.result.unwrap();
+            let result = Json::parse(&snap.result.unwrap()).unwrap();
             assert_eq!(result.get("estimator").unwrap().as_str(), Some(estimator));
             let theta = result.get("theta").unwrap();
             let a = theta.get("a").unwrap().as_f64().unwrap();
@@ -1292,7 +1347,7 @@ mod tests {
             let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
             let snap = wait_for_job(&state, id);
             assert_eq!(snap.status, JobStatus::Done, "{:?}", snap.error);
-            kronpriv_json::to_string(&snap.result.unwrap())
+            snap.result.unwrap()
         };
         let explicit = SKG_BODY.replace("\"seed\": 11", "\"estimator\": \"private\", \"seed\": 11");
         assert_eq!(run(SKG_BODY), run(&explicit));

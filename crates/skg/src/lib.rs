@@ -26,4 +26,4 @@ pub mod sample;
 
 pub use initiator::Initiator2;
 pub use moments::ExpectedMoments;
-pub use sample::{sample_exact, sample_fast, SamplerOptions};
+pub use sample::{sample_exact, sample_fast};

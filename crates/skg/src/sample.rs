@@ -11,18 +11,19 @@
 //! * [`sample_exact`] — visits all `C(2^k, 2)` pairs. Exact but `O(4^k)`; used for small `k`
 //!   (tests, Monte-Carlo validation of the closed-form moments).
 //! * [`sample_fast`] — the standard "edge placement" generator used by Leskovec et al.'s
-//!   `krongen`: it draws approximately the expected number of edges and places each one by
-//!   descending the `k` levels of Kronecker recursion, choosing a quadrant at each level with
-//!   probability proportional to the initiator entries. Duplicates and self-loops are rejected.
+//!   `krongen`: it draws an edge count around the expectation (a normal approximation to
+//!   Poisson) and places each edge by descending the `k` levels of Kronecker recursion,
+//!   choosing a quadrant at each level with probability proportional to the initiator
+//!   entries. Duplicates and self-loops are rejected.
 //!   Runtime is `O(E · k)`, which is what makes the `2^14`-node experiments practical. The
 //!   per-pair marginals are approximately — not exactly — Bernoulli(`P_{uv}`); tests check that
 //!   its aggregate statistics agree with the exact sampler and the closed-form moments.
 //!
 //! `sample_fast` is specified as a sequential rejection loop — place one edge, keep it if it is
-//! new, stop at the target count or the attempt cap — but runs as a bulk placement round plus a
-//! sequential top-up ([`Graph::from_distinct_draws`]). The bulk round places exactly
-//! `min(target, max_attempts)` edges (the loop can never stop sooner, since each placement adds
-//! at most one distinct edge) and sort-dedups them; the top-up then continues one placement at a
+//! new, stop at the target count or after `20 · max(target, 16)` attempts — but runs as a bulk
+//! placement round plus a sequential top-up ([`Graph::from_distinct_draws`]). The bulk round
+//! places exactly `target` edges (the loop can never stop sooner, since each placement adds at
+//! most one distinct edge) and sort-dedups them; the top-up then continues one placement at a
 //! time until the loop's own stopping point.
 //!
 //! The bulk round runs on the executor in fixed chunks of `PLACE_CHUNK` placements. Every
@@ -49,24 +50,6 @@ const PLACE_CHUNK: usize = 16_384;
 /// shifts); a placement costs `k` of them. Steers only the executor's sequential cutoff.
 const PLACE_LEVEL_NS: u64 = 5;
 
-/// Options for the fast sampler.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplerOptions {
-    /// Multiplier applied to the expected edge count when deciding how many placement attempts
-    /// to make. Values slightly above 1 compensate for duplicate placements that get rejected.
-    pub oversample: f64,
-    /// If true, the number of edges is drawn from a Poisson-like distribution around the
-    /// expectation (via a normal approximation); if false, exactly the rounded expectation is
-    /// targeted.
-    pub randomize_edge_count: bool,
-}
-
-impl Default for SamplerOptions {
-    fn default() -> Self {
-        SamplerOptions { oversample: 1.0, randomize_edge_count: true }
-    }
-}
-
 /// Exact realization of the order-`k` stochastic Kronecker graph: one independent coin per
 /// unordered node pair.
 ///
@@ -90,38 +73,26 @@ pub fn sample_exact<R: Rng + ?Sized>(theta: &Initiator2, k: u32, rng: &mut R) ->
 /// Fast realization of the order-`k` stochastic Kronecker graph by recursive edge placement.
 /// The bulk placement round runs on `exec` (see the module docs); the graph and the state `rng`
 /// is left in are the same for every thread count.
-pub fn sample_fast(
-    theta: &Initiator2,
-    k: u32,
-    options: &SamplerOptions,
-    rng: &mut StdRng,
-    exec: &Executor,
-) -> Graph {
+pub fn sample_fast(theta: &Initiator2, k: u32, rng: &mut StdRng, exec: &Executor) -> Graph {
     let n = theta.node_count(k);
     let expected = expected_edges(theta, k).max(0.0);
-    let target = if options.randomize_edge_count {
-        // Normal approximation to Poisson(expected); adequate for the graph sizes involved.
-        let std = expected.sqrt();
-        (expected + std * standard_normal(rng)).round().max(0.0) as usize
-    } else {
-        expected.round() as usize
-    };
+    // Normal approximation to Poisson(expected); adequate for the graph sizes involved.
+    let target = (expected + expected.sqrt() * standard_normal(rng)).round().max(0.0) as usize;
     let target = target.min(n * n.saturating_sub(1) / 2);
 
     let thresholds = quadrant_thresholds(theta);
     // Cap the total number of attempts so adversarial parameters (e.g. all mass on the
     // diagonal, which only produces rejected self-loops) cannot loop forever.
-    let max_attempts = ((target as f64 * options.oversample.max(1.0)) as usize).max(16) * 20;
+    let max_attempts = target.max(16) * 20;
     let place = |rng: &mut StdRng| {
         let (u, v) = place_edge(&thresholds, k, rng);
         (u as u32, v as u32)
     };
 
-    let bulk = target.min(max_attempts);
     let draws_per_placement = u64::from(k);
     let entry = rng.clone();
     let pairs = exec.map_reduce(
-        bulk,
+        target,
         PLACE_CHUNK,
         Work::per_item_ns(PLACE_LEVEL_NS * draws_per_placement),
         |placements| {
@@ -133,9 +104,9 @@ pub fn sample_fast(
             pairs.extend(chunk);
             pairs
         },
-        Vec::with_capacity(bulk),
+        Vec::with_capacity(target),
     );
-    rng.advance(bulk as u64 * draws_per_placement);
+    rng.advance(target as u64 * draws_per_placement);
     Graph::from_distinct_draws(n, target, max_attempts, pairs, || place(rng))
 }
 
@@ -271,8 +242,7 @@ mod tests {
     fn fast_sampler_produces_requested_size() {
         let theta = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(6);
-        let g =
-            sample_fast(&theta, 12, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&theta, 12, &mut rng, &Executor::sequential());
         assert_eq!(g.node_count(), 4096);
         let expected = expected_edges(&theta, 12);
         let observed = g.edge_count() as f64;
@@ -284,13 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_sampler_with_deterministic_count_is_reproducible() {
+    fn fast_sampler_is_reproducible_with_a_seed() {
         let theta = Initiator2::new(0.9, 0.6, 0.2);
-        let opts = SamplerOptions { oversample: 1.0, randomize_edge_count: false };
-        let g1 =
-            sample_fast(&theta, 10, &opts, &mut StdRng::seed_from_u64(7), &Executor::sequential());
-        let g2 =
-            sample_fast(&theta, 10, &opts, &mut StdRng::seed_from_u64(7), &Executor::sequential());
+        let g1 = sample_fast(&theta, 10, &mut StdRng::seed_from_u64(7), &Executor::sequential());
+        let g2 = sample_fast(&theta, 10, &mut StdRng::seed_from_u64(7), &Executor::sequential());
         assert_eq!(g1, g2);
     }
 
@@ -298,8 +265,7 @@ mod tests {
     fn fast_sampler_handles_zero_initiator() {
         let theta = Initiator2::new(0.0, 0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(8);
-        let g =
-            sample_fast(&theta, 8, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&theta, 8, &mut rng, &Executor::sequential());
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -309,8 +275,7 @@ mod tests {
         // the loop and return a (nearly) empty graph.
         let theta = Initiator2::new(1.0, 0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(9);
-        let g =
-            sample_fast(&theta, 8, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&theta, 8, &mut rng, &Executor::sequential());
         assert_eq!(g.edge_count(), 0);
     }
 
@@ -327,13 +292,7 @@ mod tests {
         let mut fast_wedges = 0.0;
         for _ in 0..reps {
             let ge = sample_exact(&theta, k, &mut rng);
-            let gf = sample_fast(
-                &theta,
-                k,
-                &SamplerOptions::default(),
-                &mut rng,
-                &Executor::sequential(),
-            );
+            let gf = sample_fast(&theta, k, &mut rng, &Executor::sequential());
             let se = MatchingStatistics::of_graph(&ge);
             let sf = MatchingStatistics::of_graph(&gf);
             exact_edges += se.edges;
@@ -355,8 +314,7 @@ mod tests {
     fn sampled_graphs_are_simple() {
         let theta = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(11);
-        let g =
-            sample_fast(&theta, 11, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&theta, 11, &mut rng, &Executor::sequential());
         for u in g.nodes() {
             assert!(!g.neighbors(u).contains(&u), "self loop at {u}");
         }
@@ -366,24 +324,15 @@ mod tests {
 
     /// The pre-bulk `sample_fast`: a sequential rejection loop with one `BTreeSet` insertion per
     /// placement and the four-way branch descent. `sample_fast` must match it byte for byte.
-    fn reference_sample_fast<R: Rng + ?Sized>(
-        theta: &Initiator2,
-        k: u32,
-        options: &SamplerOptions,
-        rng: &mut R,
-    ) -> Graph {
+    fn reference_sample_fast<R: Rng + ?Sized>(theta: &Initiator2, k: u32, rng: &mut R) -> Graph {
         let n = theta.node_count(k);
         let expected = expected_edges(theta, k).max(0.0);
-        let target = if options.randomize_edge_count {
-            let std = expected.sqrt();
-            (expected + std * standard_normal(rng)).round().max(0.0) as usize
-        } else {
-            expected.round() as usize
-        };
+        let std = expected.sqrt();
+        let target = (expected + std * standard_normal(rng)).round().max(0.0) as usize;
         let target = target.min(n * n.saturating_sub(1) / 2);
         let weights = reference_weights(theta);
         let mut edges = BTreeSet::new();
-        let max_attempts = ((target as f64 * options.oversample.max(1.0)) as usize).max(16) * 20;
+        let max_attempts = target.max(16) * 20;
         let mut attempts = 0usize;
         while edges.len() < target && attempts < max_attempts {
             attempts += 1;
@@ -425,15 +374,14 @@ mod tests {
         // Each case runs on 1, 2 and 8 threads: the graph and the generator's next draw must
         // equal the reference's whichever executor places the bulk round.
         let executors = [Executor::new(1), Executor::new(2), Executor::new(8)];
-        let check = |theta: &Initiator2, k: u32, opts: &SamplerOptions, seed: u64| {
+        let check = |theta: &Initiator2, k: u32, seed: u64| {
             let mut ref_rng = StdRng::seed_from_u64(seed);
-            let reference = reference_sample_fast(theta, k, opts, &mut ref_rng);
+            let reference = reference_sample_fast(theta, k, &mut ref_rng);
             let next = ref_rng.next_u64();
             for exec in &executors {
                 let mut fast_rng = StdRng::seed_from_u64(seed);
-                let fast = sample_fast(theta, k, opts, &mut fast_rng, exec);
-                let case =
-                    format!("{theta:?} k={k} {opts:?} seed={seed} threads={}", exec.threads());
+                let fast = sample_fast(theta, k, &mut fast_rng, exec);
+                let case = format!("{theta:?} k={k} seed={seed} threads={}", exec.threads());
                 assert_eq!(fast, reference, "graph differs: {case}");
                 assert_eq!(fast_rng.next_u64(), next, "rng differs: {case}");
             }
@@ -449,27 +397,19 @@ mod tests {
             Initiator2::new(0.0, 0.0, 0.0),
             Initiator2::new(1.0, 1.0, 1.0), // complete graph: a top-up-heavy target
         ];
-        let options = [
-            SamplerOptions { oversample: 1.0, randomize_edge_count: true },
-            SamplerOptions { oversample: 1.0, randomize_edge_count: false },
-            SamplerOptions { oversample: 2.5, randomize_edge_count: true },
-            SamplerOptions { oversample: 3.0, randomize_edge_count: false },
-        ];
         for k in [1, 6, 10, 14] {
             let seeds = if k >= 14 { 0..2 } else { 0..12 };
             for theta in &initiators {
                 if theta.b == 1.0 && k > 6 {
                     continue; // C(2^k, 2) edges: keep the complete graph small
                 }
-                for opts in &options {
-                    for seed in seeds.clone() {
-                        check(theta, k, opts, seed);
-                    }
+                for seed in seeds.clone() {
+                    check(theta, k, seed);
                 }
             }
         }
         // k = 16: a bulk round of at least six chunks, so chunks jump past the second one.
-        let reference = check(&initiators[0], 16, &options[1], 3);
+        let reference = check(&initiators[0], 16, 3);
         assert!(reference.edge_count() > 5 * PLACE_CHUNK, "{} edges", reference.edge_count());
     }
 

@@ -4,7 +4,8 @@
 //! the KronFit, KronMom and Private estimates using five statistic families:
 //!
 //! 1. the **degree distribution** ([`degree`]),
-//! 2. the **hop plot** — reachable pairs of nodes within `h` hops ([`hops`]),
+//! 2. the **hop plot** — reachable pairs of nodes within `h` hops, the exact all-sources BFS
+//!    [`reachable_pairs_by_hops`](hops::reachable_pairs_by_hops) ([`hops`]),
 //! 3. the **scree plot** — singular values of the adjacency matrix versus rank ([`spectral`]),
 //! 4. the **network value** — the components of the principal eigenvector versus rank
 //!    ([`spectral`]),
@@ -26,6 +27,5 @@ pub mod spectral;
 
 pub use clustering::{average_clustering_by_degree, clustering_coefficients, global_clustering};
 pub use degree::{degree_distribution, degree_histogram, DegreePoint};
-pub use hops::{approximate_hop_plot, HopPlotOptions};
 pub use profile::{GraphProfile, ProfileComparison, ProfileOptions};
-pub use spectral::{network_values, scree_plot, SpectralOptions};
+pub use spectral::{network_values, scree_plot};

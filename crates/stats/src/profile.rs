@@ -8,7 +8,7 @@
 
 use crate::clustering::{average_clustering_by_degree, global_clustering, ClusteringPoint};
 use crate::degree::{degree_distribution, degree_distribution_distance, DegreePoint};
-use crate::spectral::{network_values, scree_plot, SpectralOptions};
+use crate::spectral::{network_values, scree_plot};
 use kronpriv_graph::traversal::reachable_pairs_by_hops;
 use kronpriv_graph::{Graph, MatchingStatistics};
 use kronpriv_json::impl_json_struct;
@@ -80,11 +80,6 @@ impl GraphProfile {
         options: &ProfileOptions,
         rng: &mut R,
     ) -> Self {
-        let spectral = SpectralOptions {
-            scree_values: options.scree_values,
-            lanczos_steps: 0,
-            network_values: options.network_values,
-        };
         GraphProfile {
             label: label.into(),
             nodes: g.node_count(),
@@ -96,8 +91,8 @@ impl GraphProfile {
             } else {
                 reachable_pairs_by_hops(g, &Executor::sequential())
             },
-            scree: scree_plot(g, &spectral, rng),
-            network_values: network_values(g, &spectral, rng),
+            scree: scree_plot(g, options.scree_values, rng),
+            network_values: network_values(g, options.network_values, rng),
             clustering_by_degree: average_clustering_by_degree(g),
             global_clustering: global_clustering(g),
         }

@@ -8,44 +8,21 @@
 //! "network value".
 
 use kronpriv_graph::Graph;
-use kronpriv_json::impl_json_struct;
-use kronpriv_linalg::{
-    lanczos_eigenvalues, principal_eigenpair, CsrMatrix, LanczosOptions, PowerIterationOptions,
-};
+use kronpriv_linalg::{lanczos_eigenvalues, principal_eigenpair, CsrMatrix};
 use rand::Rng;
-
-/// Options for the spectral statistics.
-#[derive(Debug, Clone, Copy)]
-pub struct SpectralOptions {
-    /// How many leading singular values to compute for the scree plot.
-    pub scree_values: usize,
-    /// Lanczos subspace size (0 = choose automatically from `scree_values`).
-    pub lanczos_steps: usize,
-    /// How many of the largest network-value components to return (0 = all nodes).
-    pub network_values: usize,
-}
-
-impl_json_struct!(SpectralOptions { scree_values, lanczos_steps, network_values });
-
-impl Default for SpectralOptions {
-    fn default() -> Self {
-        SpectralOptions { scree_values: 50, lanczos_steps: 0, network_values: 0 }
-    }
-}
 
 fn adjacency(g: &Graph) -> CsrMatrix {
     CsrMatrix::symmetric_adjacency(g.node_count(), g.edges())
 }
 
-/// The scree plot: the `options.scree_values` largest singular values of the adjacency matrix,
-/// in decreasing order.
-pub fn scree_plot<R: Rng + ?Sized>(g: &Graph, options: &SpectralOptions, rng: &mut R) -> Vec<f64> {
+/// The scree plot: the `count` largest singular values of the adjacency matrix, in decreasing
+/// order, from a Lanczos run of `2 · count + 20` steps.
+pub fn scree_plot<R: Rng + ?Sized>(g: &Graph, count: usize, rng: &mut R) -> Vec<f64> {
     if g.node_count() == 0 || g.edge_count() == 0 {
         return Vec::new();
     }
-    let k = options.scree_values.min(g.node_count());
-    let steps = if options.lanczos_steps > 0 { options.lanczos_steps } else { 2 * k + 20 };
-    let mut values = lanczos_eigenvalues(&adjacency(g), k, &LanczosOptions { steps }, rng)
+    let k = count.min(g.node_count());
+    let mut values = lanczos_eigenvalues(&adjacency(g), k, 2 * k + 20, rng)
         .into_iter()
         .map(f64::abs)
         .collect::<Vec<_>>();
@@ -54,24 +31,20 @@ pub fn scree_plot<R: Rng + ?Sized>(g: &Graph, options: &SpectralOptions, rng: &m
 }
 
 /// The network values: components (absolute values) of the principal eigenvector of the
-/// adjacency matrix, sorted in decreasing order. If `options.network_values > 0` only that many
-/// leading components are returned.
-pub fn network_values<R: Rng + ?Sized>(
-    g: &Graph,
-    options: &SpectralOptions,
-    rng: &mut R,
-) -> Vec<f64> {
+/// adjacency matrix, sorted in decreasing order. If `count > 0` only that many leading
+/// components are returned.
+pub fn network_values<R: Rng + ?Sized>(g: &Graph, count: usize, rng: &mut R) -> Vec<f64> {
     if g.node_count() == 0 || g.edge_count() == 0 {
         return Vec::new();
     }
-    let pair = match principal_eigenpair(&adjacency(g), &PowerIterationOptions::default(), rng) {
+    let pair = match principal_eigenpair(&adjacency(g), rng) {
         Some(p) => p,
         None => return Vec::new(),
     };
     let mut components: Vec<f64> = pair.vector.iter().map(|x| x.abs()).collect();
     components.sort_by(|a, b| b.total_cmp(a));
-    if options.network_values > 0 {
-        components.truncate(options.network_values);
+    if count > 0 {
+        components.truncate(count);
     }
     components
 }
@@ -100,11 +73,7 @@ mod tests {
         // may be shorter than requested on such degenerate spectra (real networks have
         // essentially distinct leading singular values, so this does not affect the figures).
         let mut rng = StdRng::seed_from_u64(1);
-        let values = scree_plot(
-            &complete_graph(8),
-            &SpectralOptions { scree_values: 4, ..Default::default() },
-            &mut rng,
-        );
+        let values = scree_plot(&complete_graph(8), 4, &mut rng);
         assert!(values.len() >= 2 && values.len() <= 4, "{values:?}");
         assert!((values[0] - 7.0).abs() < 1e-6);
         for v in &values[1..] {
@@ -117,8 +86,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let g = preferential_attachment(300, 3, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(3);
-        let values =
-            scree_plot(&g, &SpectralOptions { scree_values: 20, ..Default::default() }, &mut rng2);
+        let values = scree_plot(&g, 20, &mut rng2);
         assert_eq!(values.len(), 20);
         assert!(values.windows(2).all(|w| w[0] >= w[1] - 1e-9));
         assert!(values[0] > 0.0);
@@ -129,8 +97,7 @@ mod tests {
         let leaves = 25u32;
         let g = Graph::from_edges(26, (1..=leaves).map(|v| (0, v)));
         let mut rng = StdRng::seed_from_u64(4);
-        let values =
-            scree_plot(&g, &SpectralOptions { scree_values: 3, ..Default::default() }, &mut rng);
+        let values = scree_plot(&g, 3, &mut rng);
         assert!((values[0] - 5.0).abs() < 1e-6);
         assert!((values[1] - 5.0).abs() < 1e-6);
         assert!(values[2] < 1e-6);
@@ -139,8 +106,8 @@ mod tests {
     #[test]
     fn empty_graph_has_empty_spectra() {
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(scree_plot(&Graph::empty(5), &SpectralOptions::default(), &mut rng).is_empty());
-        assert!(network_values(&Graph::empty(5), &SpectralOptions::default(), &mut rng).is_empty());
+        assert!(scree_plot(&Graph::empty(5), 50, &mut rng).is_empty());
+        assert!(network_values(&Graph::empty(5), 0, &mut rng).is_empty());
     }
 
     #[test]
@@ -148,7 +115,7 @@ mod tests {
         let leaves = 16u32;
         let g = Graph::from_edges(17, (1..=leaves).map(|v| (0, v)));
         let mut rng = StdRng::seed_from_u64(6);
-        let values = network_values(&g, &SpectralOptions::default(), &mut rng);
+        let values = network_values(&g, 0, &mut rng);
         assert_eq!(values.len(), 17);
         // Hub component 1/sqrt(2), each leaf 1/sqrt(2*16) = 0.1768.
         assert!((values[0] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-5);
@@ -164,11 +131,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let g = preferential_attachment(100, 2, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(8);
-        let values = network_values(
-            &g,
-            &SpectralOptions { network_values: 10, ..Default::default() },
-            &mut rng2,
-        );
+        let values = network_values(&g, 10, &mut rng2);
         assert_eq!(values.len(), 10);
     }
 
@@ -180,7 +143,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let g = preferential_attachment(400, 2, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(10);
-        let values = network_values(&g, &SpectralOptions::default(), &mut rng2);
+        let values = network_values(&g, 0, &mut rng2);
         let median = values[values.len() / 2];
         assert!(values[0] > 5.0 * median.max(1e-12), "{} vs {}", values[0], median);
     }

@@ -52,13 +52,7 @@ fn main() {
     for (label, fit) in
         [("KronFit", &suite.kronfit), ("KronMom", &suite.kronmom), ("Private", &suite.private.fit)]
     {
-        let synthetic = sample_fast(
-            &fit.theta,
-            fit.k,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::sequential(),
-        );
+        let synthetic = sample_fast(&fit.theta, fit.k, &mut rng, &Executor::sequential());
         let profile = GraphProfile::compute(label, &synthetic, &options, &mut rng);
         let cmp = ProfileComparison::between(&original_profile, &original, &profile, &synthetic);
         println!(

@@ -17,7 +17,7 @@ fn main() {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let exec = Executor::new(0);
     let mut rng = StdRng::seed_from_u64(2012);
-    let sensitive = sample_fast(&truth, 12, &SamplerOptions::default(), &mut rng, &exec);
+    let sensitive = sample_fast(&truth, 12, &mut rng, &exec);
     println!(
         "sensitive graph: {} nodes, {} edges (generated from Θ = {truth})",
         sensitive.node_count(),

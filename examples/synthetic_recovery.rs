@@ -16,8 +16,7 @@ fn main() {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let k = 14;
     let mut rng = StdRng::seed_from_u64(99);
-    let graph =
-        sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+    let graph = sample_fast(&truth, k, &mut rng, &Executor::sequential());
     println!(
         "synthetic Kronecker graph: {} nodes, {} edges, generated from Θ = {truth}",
         graph.node_count(),

@@ -49,9 +49,18 @@ if [[ "${1:-}" == "--quick" ]]; then
     # The e2e bench is a workspace of its own (e2e_bench/Cargo.toml) that builds the program
     # from source; its tests run every workload shrunk to a few small ops, check the
     # BENCHMARK.json manifest against the metrics the runs emit, and corrupt a result that the
-    # checks must catch (about 6 s once built).
+    # checks must catch (about 6 s once built). Building it rewrites e2e_bench/Cargo.lock
+    # whenever a workspace crate's path dependencies changed since the lockfile was committed;
+    # the bench directory stays as committed, so the lockfile is put back afterwards, on
+    # failure too.
+    e2e_lock="$(mktemp)"
+    cp e2e_bench/Cargo.lock "$e2e_lock"
+    trap 'cp "$e2e_lock" e2e_bench/Cargo.lock; rm -f "$e2e_lock"' EXIT
     CARGO_TARGET_DIR="$PWD/target/e2e-bench" \
         cargo test -q --release --offline --manifest-path e2e_bench/Cargo.toml
+    cp "$e2e_lock" e2e_bench/Cargo.lock
+    rm -f "$e2e_lock"
+    trap - EXIT
 
     echo "==> example smoke run"
     cargo run -q --release --offline --example quickstart

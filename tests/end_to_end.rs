@@ -16,7 +16,7 @@ fn release(g: &Graph, params: PrivacyParams, rng: &mut StdRng) -> SyntheticRelea
 fn sensitive_graph(k: u32, seed: u64) -> (Initiator2, Graph) {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(seed);
-    (truth, sample_fast(&truth, k, &SamplerOptions::default(), &mut rng, &Executor::sequential()))
+    (truth, sample_fast(&truth, k, &mut rng, &Executor::sequential()))
 }
 
 #[test]

@@ -22,8 +22,7 @@ fn release_synthetic_graph_end_to_end_on_a_small_seeded_graph() {
     // A small sensitive graph: a 512-node SKG realization (k = 9) plays the part.
     let truth = Initiator2::new(0.95, 0.55, 0.2);
     let mut rng = StdRng::seed_from_u64(7);
-    let secret =
-        sample_fast(&truth, 9, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+    let secret = sample_fast(&truth, 9, &mut rng, &Executor::sequential());
     assert_eq!(secret.node_count(), 512);
     assert!(secret.edge_count() > 0);
 
@@ -77,13 +76,8 @@ fn release_is_reproducible_from_the_seed() {
     // Same seed, same release — the determinism the paper's experiment scripts rely on.
     let run = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
-        let secret = sample_fast(
-            &Initiator2::new(0.9, 0.5, 0.2),
-            9,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::sequential(),
-        );
+        let secret =
+            sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 9, &mut rng, &Executor::sequential());
         let release = release(&secret, PrivacyParams::new(0.5, 0.01), &mut rng);
         (release.estimate.fit.theta, release.synthetic.edge_count())
     };
@@ -179,13 +173,7 @@ const GOLDEN: &[Golden] = &[
 fn golden_graph(name: &str) -> Graph {
     let theta = Initiator2::new(0.99, 0.45, 0.25);
     let skg = |k: u32, seed: u64| {
-        sample_fast(
-            &theta,
-            k,
-            &SamplerOptions::default(),
-            &mut StdRng::seed_from_u64(seed),
-            &Executor::sequential(),
-        )
+        sample_fast(&theta, k, &mut StdRng::seed_from_u64(seed), &Executor::sequential())
     };
     match name {
         "skg_k8" => skg(8, 0x60_1D08),

@@ -11,9 +11,7 @@ use kronpriv::prelude::*;
 use kronpriv_dp::{isotonic_increasing_par, private_degree_sequence};
 use kronpriv_estimate::MomentObjective;
 use kronpriv_linalg::isotonic_increasing;
-use kronpriv_optim::{
-    grid_search, multistart_minimize, Bounds, MultistartOptions, NelderMeadOptions,
-};
+use kronpriv_optim::{grid_search, multistart_minimize, Bounds, MultistartOptions};
 use kronpriv_par::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,13 +21,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// A seeded SKG realization at the scale of the paper's smaller networks.
 fn skg_graph(k: u32, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
-    sample_fast(
-        &Initiator2::new(0.99, 0.45, 0.25),
-        k,
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    )
+    sample_fast(&Initiator2::new(0.99, 0.45, 0.25), k, &mut rng, &Executor::sequential())
 }
 
 fn assert_same_result(
@@ -111,7 +103,7 @@ fn equal_objective_restarts_tie_break_deterministically() {
     let opts = MultistartOptions {
         grid_points_per_axis: 5, // lattice {0, 0.25, 0.5, 0.75, 1}: one seed in each well
         refine_top: 2,
-        nelder_mead: NelderMeadOptions::default(),
+        ..Default::default()
     };
     let sequential = multistart_minimize(f, &bounds, &[], &opts, &Executor::sequential());
     assert_eq!(sequential.value, 0.0, "both wells bottom out at exactly zero");

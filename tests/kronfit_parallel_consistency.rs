@@ -23,13 +23,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// A seeded SKG realization at the scale of the paper's smaller networks.
 fn skg_graph(k: u32, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
-    sample_fast(
-        &Initiator2::new(0.99, 0.45, 0.25),
-        k,
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    )
+    sample_fast(&Initiator2::new(0.99, 0.45, 0.25), k, &mut rng, &Executor::sequential())
 }
 
 /// A short but real fit configuration: multi-chunk edge sums would need a bigger graph, so the

@@ -16,8 +16,7 @@ fn monte_carlo_moments_of_the_fast_sampler_match_the_closed_forms() {
     let mut rng = StdRng::seed_from_u64(1);
     let mut sums = [0.0f64; 4];
     for _ in 0..reps {
-        let g =
-            sample_fast(&theta, k, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+        let g = sample_fast(&theta, k, &mut rng, &Executor::sequential());
         let s = MatchingStatistics::of_graph(&g).as_array();
         for i in 0..4 {
             sums[i] += s[i] / reps as f64;
@@ -44,16 +43,9 @@ fn estimation_then_resampling_preserves_the_matching_statistics() {
     // (this is the "synthetic graph mimics the original" claim in operational form).
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(2);
-    let original =
-        sample_fast(&truth, 12, &SamplerOptions::default(), &mut rng, &Executor::sequential());
+    let original = sample_fast(&truth, 12, &mut rng, &Executor::sequential());
     let fit = KronMomEstimator::default().fit_graph(&original, &Executor::new(0));
-    let resampled = sample_fast(
-        &fit.theta,
-        fit.k,
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    );
+    let resampled = sample_fast(&fit.theta, fit.k, &mut rng, &Executor::sequential());
     let a = MatchingStatistics::of_graph(&original);
     let b = MatchingStatistics::of_graph(&resampled);
     assert!((a.edges - b.edges).abs() / a.edges < 0.15, "edges {} vs {}", a.edges, b.edges);
@@ -116,13 +108,7 @@ fn private_statistics_are_always_finite_and_non_negative() {
         let seed = outer.gen_range(0..50u64);
         let epsilon = outer.gen_range(0.05..2.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = sample_fast(
-            &Initiator2::new(0.9, 0.5, 0.2),
-            9,
-            &SamplerOptions::default(),
-            &mut rng,
-            &Executor::sequential(),
-        );
+        let g = sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 9, &mut rng, &Executor::sequential());
         let est = PrivateEstimator::default().fit(
             &g,
             PrivacyParams::new(epsilon, 0.01),

@@ -58,13 +58,7 @@ fn fingerprint(release: &SyntheticRelease) -> String {
 
 fn secret_graph() -> Graph {
     let mut rng = StdRng::seed_from_u64(99);
-    sample_fast(
-        &Initiator2::new(0.95, 0.55, 0.2),
-        8,
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    )
+    sample_fast(&Initiator2::new(0.95, 0.55, 0.2), 8, &mut rng, &Executor::sequential())
 }
 
 #[test]

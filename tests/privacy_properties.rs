@@ -11,13 +11,7 @@ use rand::SeedableRng;
 
 fn base_graph(seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
-    sample_fast(
-        &Initiator2::new(0.95, 0.5, 0.2),
-        10,
-        &SamplerOptions::default(),
-        &mut rng,
-        &Executor::sequential(),
-    )
+    sample_fast(&Initiator2::new(0.95, 0.5, 0.2), 10, &mut rng, &Executor::sequential())
 }
 
 #[test]
