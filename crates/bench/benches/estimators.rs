@@ -25,15 +25,23 @@ fn main() {
     {
         let g = synthetic_graph(13);
         h.bench_function("kronmom_fit_k13", |b| {
-            b.iter(|| black_box(KronMomEstimator::default().fit_graph(black_box(&g), &exec)))
+            b.iter(|| {
+                black_box(try_kronmom_estimate(
+                    black_box(&g),
+                    &KronMomOptions::default(),
+                    &exec,
+                    &NullSink,
+                ))
+            })
         });
 
         let mut rng = StdRng::seed_from_u64(11);
         h.bench_function("private_fit_k13_eps0.2", |b| {
             b.iter(|| {
-                black_box(PrivateEstimator::default().fit(
+                black_box(try_private_estimate(
                     &g,
                     PrivacyParams::paper_default(),
+                    &PrivateEstimatorOptions::default(),
                     &mut rng,
                     &exec,
                     &NullSink,
@@ -53,9 +61,7 @@ fn main() {
         };
         let mut rng = StdRng::seed_from_u64(12);
         h.bench_function("kronfit_10steps_k11", |b| {
-            b.iter(|| {
-                black_box(KronFitEstimator::new(options).fit_graph(&g, &mut rng, &exec, &NullSink))
-            })
+            b.iter(|| black_box(try_kronfit_estimate(&g, &options, &mut rng, &exec, &NullSink)))
         });
     }
 

@@ -28,14 +28,14 @@
 
 use kronpriv_bench::harness::Harness;
 use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles, LaplaceNoise};
-use kronpriv_estimate::{KronFitEstimator, KronFitOptions, MomentObjective};
+use kronpriv_estimate::{try_kronfit_estimate, KronFitOptions, KronMomOptions, MomentObjective};
 use kronpriv_graph::counts::{per_node_triangles, triangle_count, DegreeOrdered};
 use kronpriv_graph::io::{parse_edge_list, to_edge_list_string};
 use kronpriv_graph::traversal::reachable_pairs_by_hops;
 use kronpriv_graph::MatchingStatistics;
 use kronpriv_json::Json;
 use kronpriv_obs::NullSink;
-use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions};
+use kronpriv_optim::{multistart_minimize, Bounds};
 use kronpriv_par::Executor;
 use kronpriv_skg::sample::sample_fast;
 use kronpriv_skg::Initiator2;
@@ -189,7 +189,7 @@ fn main() {
     // grid-seeded multistart Nelder–Mead on the graph's observed moments.
     let stats = MatchingStatistics::of_graph(&g);
     let objective = MomentObjective::standard(&stats, k);
-    let fit_opts = MultistartOptions::default();
+    let fit_opts = KronMomOptions::default();
     let fit_bounds = Bounds::unit(3);
     let extra_starts = vec![vec![0.99, 0.5, 0.2]];
     for threads in THREADS {
@@ -198,7 +198,9 @@ fn main() {
                 |p| objective.evaluate_params(p),
                 &fit_bounds,
                 &extra_starts,
-                &fit_opts,
+                fit_opts.grid_points_per_axis,
+                fit_opts.refine_top,
+                fit_opts.max_evaluations,
                 exec,
             ));
         });
@@ -218,12 +220,8 @@ fn main() {
     for threads in THREADS {
         run(&mut h, &mut records, "kronfit_step", nodes, threads, &|exec| {
             let mut rng = StdRng::seed_from_u64(17);
-            black_box(KronFitEstimator::new(kronfit_opts).fit_graph(
-                black_box(&g),
-                &mut rng,
-                exec,
-                &NullSink,
-            ));
+            let fit = try_kronfit_estimate(black_box(&g), &kronfit_opts, &mut rng, exec, &NullSink);
+            black_box(fit.expect("the bench graph has edges"));
         });
     }
 

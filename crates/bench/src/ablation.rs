@@ -100,19 +100,22 @@ pub fn epsilon_sweep(
 ) -> Vec<EpsilonSweepPoint> {
     let graph = dataset.generate(seed);
     let exec = Executor::new(0);
-    let kronmom = KronMomEstimator::default().fit_graph(&graph, &exec);
+    let kronmom = try_kronmom_estimate(&graph, &KronMomOptions::default(), &exec, &NullSink)
+        .expect("a dataset stand-in has edges");
     let mut out = Vec::new();
     for &epsilon in epsilons {
         let mut distances = Vec::new();
         for rep in 0..repetitions.max(1) {
             let mut rng = StdRng::seed_from_u64(seed + 1000 * rep as u64 + 1);
-            let est = PrivateEstimator::default().fit(
+            let est = try_private_estimate(
                 &graph,
                 PrivacyParams::new(epsilon, 0.01),
+                &PrivateEstimatorOptions::default(),
                 &mut rng,
                 &exec,
                 &NullSink,
-            );
+            )
+            .expect("a dataset stand-in has edges and the budget has delta > 0");
             distances.push(est.fit.theta.distance(&kronmom.theta));
         }
         out.push(EpsilonSweepPoint {
@@ -163,7 +166,7 @@ pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
         ] {
             let objective =
                 MomentObjective::standard(&stats, kk).with_distance(dist).with_normalization(norm);
-            let fit = KronMomEstimator::default().fit_objective(&objective, &exec);
+            let fit = fit_objective(&objective, &KronMomOptions::default(), &exec);
             out.push(ObjectiveGridCell {
                 distance: dist_name.to_string(),
                 normalization: norm_name.to_string(),

@@ -98,7 +98,8 @@ impl_json_struct!(FigureResult {
 });
 
 /// Runs the experiment behind one of Figures 1–4, or returns the error of a SNAP file that is
-/// present under `data_dir` but cannot be read or parsed.
+/// present under `data_dir` but cannot be read or parsed, or that an estimator refuses (one
+/// without edges).
 pub fn run_figure(figure: u32, options: &FigureOptions) -> Result<FigureResult, String> {
     let dataset = dataset_for_figure(figure)
         .unwrap_or_else(|| panic!("figure number must be 1-4, got {figure}"));
@@ -107,11 +108,26 @@ pub fn run_figure(figure: u32, options: &FigureOptions) -> Result<FigureResult, 
 
     // Fit the three estimators on one executor.
     let exec = Executor::new(0);
-    let kronfit = KronFitEstimator::new(kronfit_options(options.quick))
-        .fit_graph(&original, &mut rng, &exec, &NullSink);
-    let kronmom = KronMomEstimator::default().fit_graph(&original, &exec);
-    let private =
-        PrivateEstimator::default().fit(&original, paper_budget(), &mut rng, &exec, &NullSink);
+    let refused = |e: PipelineError| format!("{}: {e}", dataset.metadata().name);
+    let kronfit = try_kronfit_estimate(
+        &original,
+        &kronfit_options(options.quick),
+        &mut rng,
+        &exec,
+        &NullSink,
+    )
+    .map_err(refused)?;
+    let kronmom = try_kronmom_estimate(&original, &KronMomOptions::default(), &exec, &NullSink)
+        .map_err(refused)?;
+    let private = try_private_estimate(
+        &original,
+        paper_budget(),
+        &PrivateEstimatorOptions::default(),
+        &mut rng,
+        &exec,
+        &NullSink,
+    )
+    .map_err(refused)?;
     let estimates: Vec<(String, Initiator2)> = vec![
         ("KronFit".to_string(), kronfit.theta),
         ("KronMom".to_string(), kronmom.theta),

@@ -67,7 +67,8 @@ impl_to_json_struct!(MeasuredRow {
 });
 
 /// Runs the Table 1 experiment and returns one measured row per dataset, or the error of a
-/// SNAP file that is present under `data_dir` but cannot be read or parsed.
+/// SNAP file that is present under `data_dir` but cannot be read or parsed, or that an
+/// estimator refuses (one without edges).
 pub fn run_table1(options: &Table1Options) -> Result<Vec<MeasuredRow>, String> {
     let exec = Executor::new(0);
     let mut rows = Vec::new();
@@ -75,22 +76,32 @@ pub fn run_table1(options: &Table1Options) -> Result<Vec<MeasuredRow>, String> {
         let (graph, real_data) = load_dataset(dataset, options.data_dir.as_deref(), options.seed)?;
         let mut rng = StdRng::seed_from_u64(options.seed ^ dataset.metadata().k as u64);
 
-        let kronfit = KronFitEstimator::new(kronfit_options(options.quick))
-            .fit_graph(&graph, &mut rng, &exec, &NullSink);
-        let kronmom = KronMomEstimator::default().fit_graph(&graph, &exec);
+        let refused = |e: PipelineError| format!("{}: {e}", dataset.metadata().name);
+        let kronfit = try_kronfit_estimate(
+            &graph,
+            &kronfit_options(options.quick),
+            &mut rng,
+            &exec,
+            &NullSink,
+        )
+        .map_err(refused)?;
+        let kronmom = try_kronmom_estimate(&graph, &KronMomOptions::default(), &exec, &NullSink)
+            .map_err(refused)?;
 
         // Average the private estimate over a few independent noise draws.
         let reps = options.private_repetitions.max(1);
         let mut sum = [0.0f64; 3];
         for rep in 0..reps {
             let mut noise_rng = StdRng::seed_from_u64(options.seed + 7 * rep as u64 + 1);
-            let est = PrivateEstimator::default().fit(
+            let est = try_private_estimate(
                 &graph,
                 paper_budget(),
+                &PrivateEstimatorOptions::default(),
                 &mut noise_rng,
                 &exec,
                 &NullSink,
-            );
+            )
+            .map_err(refused)?;
             let arr = est.fit.theta.as_array();
             for i in 0..3 {
                 sum[i] += arr[i] / reps as f64;

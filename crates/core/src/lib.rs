@@ -5,8 +5,8 @@
 //! Kronecker Graph Model"* (PAIS @ EDBT 2012). The headline workflow is:
 //!
 //! 1. observe a sensitive graph `G`,
-//! 2. run [`PrivateEstimator`](kronpriv_estimate::PrivateEstimator) (the paper's Algorithm 1) to
-//!    obtain an `(ε, δ)`-differentially private initiator estimate `Θ̃`,
+//! 2. run [`try_private_estimate`] (the paper's Algorithm 1) to obtain an `(ε, δ)`-differentially
+//!    private initiator estimate `Θ̃`,
 //! 3. publish `Θ̃` and sample synthetic graphs from it; the synthetic graphs mimic the degree
 //!    distribution, hop plot, spectrum, and clustering behaviour of `G` without exposing any
 //!    individual edge.
@@ -61,11 +61,11 @@ pub use kronpriv_par;
 pub use kronpriv_skg;
 pub use kronpriv_stats;
 
-pub use pipeline::{
-    estimate_with_all_estimators, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
-    try_release_synthetic_graph, validate_estimator_inputs, EstimatorSuite, PipelineError,
-    SyntheticRelease,
+pub use kronpriv_estimate::{
+    fit_objective, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
+    validate_estimator_inputs, PipelineError,
 };
+pub use pipeline::{try_release_synthetic_graph, SyntheticRelease};
 
 // Two older names that the end-to-end benchmark in `e2e_bench/` still imports; they are not part
 // of the API. This block goes when the benchmark next changes.
@@ -95,16 +95,13 @@ mod compat {
 
 /// The most commonly used items, importable with `use kronpriv::prelude::*`.
 pub mod prelude {
-    pub use crate::pipeline::{
-        estimate_with_all_estimators, try_kronfit_estimate, try_kronmom_estimate,
-        try_private_estimate, try_release_synthetic_graph, validate_estimator_inputs,
-        EstimatorSuite, PipelineError, SyntheticRelease,
-    };
+    pub use crate::pipeline::{try_release_synthetic_graph, SyntheticRelease};
     pub use kronpriv_datasets::{Dataset, DatasetMetadata};
     pub use kronpriv_dp::{PrivacyParams, PrivateDegreeSequence, PrivateTriangleCount};
     pub use kronpriv_estimate::{
-        FittedInitiator, KronFitEstimator, KronFitOptions, KronMomEstimator, KronMomOptions,
-        PrivateEstimate, PrivateEstimator, PrivateEstimatorOptions,
+        fit_objective, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
+        validate_estimator_inputs, FittedInitiator, KronFitOptions, KronMomOptions, PipelineError,
+        PrivateEstimate, PrivateEstimatorOptions,
     };
     pub use kronpriv_graph::{Graph, GraphBuilder, MatchingStatistics};
     pub use kronpriv_obs::{
@@ -130,8 +127,8 @@ mod tests {
         assert!(moments.edges > 0.0);
         let params = PrivacyParams::paper_default();
         assert_eq!(params.epsilon, 0.2);
-        let _ = KronMomEstimator::default();
-        let _ = KronFitEstimator::default();
-        let _ = PrivateEstimator::default();
+        let _ = KronMomOptions::default();
+        let _ = KronFitOptions::default();
+        let _ = PrivateEstimatorOptions::default();
     }
 }

@@ -1,10 +1,11 @@
-//! Privacy parameters, budget splitting and sequential composition.
+//! Privacy parameters.
 //!
 //! Definition 4.2 of the paper is `(ε, δ)`-edge differential privacy; Theorem 4.9 (sequential
-//! composition) says that running `ℓ` mechanisms that are each `(ε, δ)`-DP on the same graph is
-//! `(ℓε, ℓδ)`-DP. Algorithm 1 splits its total budget as `ε/2` for the degree sequence and
-//! `(ε/2, δ)` for the triangle count, so the whole estimator is `(ε, δ)`-DP by composition
-//! (Theorem 4.10 states the sum as `(2·(ε/2), δ)`).
+//! composition) says that running mechanisms that are `(ε₁, δ₁)`- and `(ε₂, δ₂)`-DP on the same
+//! graph is `(ε₁ + ε₂, δ₁ + δ₂)`-DP. Algorithm 1 splits its total budget by its degree-budget
+//! fraction `f` (one half in the paper): `(f·ε, 0)` for the degree sequence and
+//! `((1 − f)·ε, δ)` for the triangle count, so the whole estimator is `(ε, δ)`-DP by
+//! composition (Theorem 4.10 states the even split as `(2·(ε/2), δ)`).
 
 use kronpriv_json::impl_json_struct;
 
@@ -86,51 +87,6 @@ impl PrivacyParams {
     pub fn paper_default() -> Self {
         Self::new(0.2, 0.01)
     }
-
-    /// Splits the `ε` budget into `parts` equal shares, keeping `δ` intact on each share.
-    ///
-    /// This mirrors Algorithm 1, which spends `ε/2` on the degree sequence and `ε/2` on the
-    /// triangle count. The δ handling is conservative: the paper's Theorem 4.10 charges δ only
-    /// to the triangle release, and [`PrivacyParams::split_with_delta_on_last`] reproduces that
-    /// accounting exactly.
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
-    pub fn split_evenly(&self, parts: usize) -> Vec<PrivacyParams> {
-        assert!(parts > 0, "cannot split a budget into zero parts");
-        (0..parts)
-            .map(|_| PrivacyParams { epsilon: self.epsilon / parts as f64, delta: self.delta })
-            .collect()
-    }
-
-    /// Splits the `ε` budget evenly into `parts` shares where only the *last* share carries the
-    /// `δ` slack; the others are pure-DP. This is the exact accounting of Algorithm 1.
-    pub fn split_with_delta_on_last(&self, parts: usize) -> Vec<PrivacyParams> {
-        assert!(parts > 0, "cannot split a budget into zero parts");
-        (0..parts)
-            .map(|i| PrivacyParams {
-                epsilon: self.epsilon / parts as f64,
-                delta: if i + 1 == parts { self.delta } else { 0.0 },
-            })
-            .collect()
-    }
-
-    /// Sequential composition (Theorem 4.9): the guarantee obtained by running all the given
-    /// mechanisms on the same graph. Epsilons and deltas add.
-    pub fn compose(parts: &[PrivacyParams]) -> PrivacyParams {
-        let epsilon: f64 = parts.iter().map(|p| p.epsilon).sum();
-        let delta: f64 = parts.iter().map(|p| p.delta).sum();
-        PrivacyParams { epsilon, delta: delta.min(1.0 - f64::EPSILON) }
-    }
-
-    /// The guarantee with respect to `k`-edge neighbours (Hay et al.): an algorithm that is
-    /// `(ε, δ)`-DP for 1-edge neighbours is `(kε, kδ)`-DP for `k`-edge neighbours.
-    pub fn k_edge(&self, k: usize) -> PrivacyParams {
-        PrivacyParams {
-            epsilon: self.epsilon * k as f64,
-            delta: (self.delta * k as f64).min(1.0 - f64::EPSILON),
-        }
-    }
 }
 
 impl std::fmt::Display for PrivacyParams {
@@ -146,8 +102,6 @@ impl std::fmt::Display for PrivacyParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn new_accepts_the_paper_setting() {
@@ -199,63 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn even_split_preserves_total_epsilon() {
-        let p = PrivacyParams::new(1.0, 0.01);
-        let parts = p.split_evenly(4);
-        assert_eq!(parts.len(), 4);
-        let total: f64 = parts.iter().map(|q| q.epsilon).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!(parts.iter().all(|q| q.delta == 0.01));
-    }
-
-    #[test]
-    fn delta_on_last_split_matches_algorithm_one_accounting() {
-        let p = PrivacyParams::new(0.2, 0.01);
-        let parts = p.split_with_delta_on_last(2);
-        assert_eq!(parts[0], PrivacyParams::new(0.1, 0.0));
-        assert_eq!(parts[1], PrivacyParams::new(0.1, 0.01));
-        // Composing the shares recovers the original budget (Theorem 4.10).
-        let composed = PrivacyParams::compose(&parts);
-        assert!((composed.epsilon - 0.2).abs() < 1e-12);
-        assert!((composed.delta - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composition_sums_epsilons_and_deltas() {
-        let composed = PrivacyParams::compose(&[
-            PrivacyParams::new(0.1, 0.0),
-            PrivacyParams::new(0.2, 0.001),
-            PrivacyParams::new(0.3, 0.002),
-        ]);
-        assert!((composed.epsilon - 0.6).abs() < 1e-12);
-        assert!((composed.delta - 0.003).abs() < 1e-12);
-    }
-
-    #[test]
-    fn k_edge_scales_both_parameters() {
-        let p = PrivacyParams::new(0.2, 0.001).k_edge(3);
-        assert!((p.epsilon - 0.6).abs() < 1e-12);
-        assert!((p.delta - 0.003).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_renders_pure_and_approximate_forms() {
         assert_eq!(format!("{}", PrivacyParams::pure(0.5)), "ε=0.5");
         assert_eq!(format!("{}", PrivacyParams::new(0.2, 0.01)), "(ε=0.2, δ=0.01)");
-    }
-
-    // Former proptest property, now a deterministic seeded loop.
-    #[test]
-    fn splitting_then_composing_is_the_identity() {
-        let mut rng = StdRng::seed_from_u64(0xD9_7001);
-        for _ in 0..256 {
-            let epsilon = rng.gen_range(0.01..5.0);
-            let delta = rng.gen_range(0.0..0.5);
-            let parts = rng.gen_range(1..10usize);
-            let p = PrivacyParams::new(epsilon, delta);
-            let composed = PrivacyParams::compose(&p.split_with_delta_on_last(parts));
-            assert!((composed.epsilon - epsilon).abs() < 1e-9);
-            assert!((composed.delta - delta).abs() < 1e-9);
-        }
     }
 }

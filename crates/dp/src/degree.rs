@@ -113,7 +113,7 @@ pub fn private_degree_sequence_from_sorted<R: Rng + ?Sized>(
 }
 
 /// The block-parallel constrained-inference pass: the same L2 projection onto the monotone cone
-/// as [`kronpriv_linalg::isotonic_increasing`], decomposed over fixed [`ISOTONIC_CHUNK`]-length
+/// as [`kronpriv_linalg::isotonic_increasing`], decomposed over fixed `ISOTONIC_CHUNK`-length
 /// blocks. Each block's PAVA solution is computed independently (the independent descending
 /// runs inside a block never interact with other blocks until the merge) and the per-block
 /// [`IsotonicBlocks`] stacks are merged **in index order** on the calling thread, pooling only

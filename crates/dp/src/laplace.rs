@@ -56,11 +56,6 @@ impl LaplaceNoise {
     }
 }
 
-/// Convenience wrapper: one sample of `Lap(scale)`.
-pub fn sample_laplace<R: Rng + ?Sized>(scale: f64, rng: &mut R) -> f64 {
-    LaplaceNoise::new(scale).sample(rng)
-}
-
 /// The Laplace mechanism of Theorem 4.5: perturbs each answer of the query vector `answers`
 /// (whose global sensitivity is `global_sensitivity`) with independent `Lap(GS/ε)` noise.
 ///

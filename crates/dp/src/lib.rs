@@ -7,8 +7,7 @@
 //!
 //! * [`laplace`] — the Laplace distribution and the global-sensitivity Laplace mechanism of
 //!   Dwork et al. (Theorem 4.5),
-//! * [`budget`] — `(ε, δ)` privacy parameters, splitting, and sequential composition
-//!   (Theorem 4.9),
+//! * [`budget`] — `(ε, δ)` privacy parameters,
 //! * [`degree`] — Hay et al.'s differentially private sorted degree sequence: Laplace noise with
 //!   global sensitivity 2, followed by constrained-inference post-processing (isotonic
 //!   regression), plus the `Ẽ/H̃/T̃` derivation,
@@ -27,7 +26,7 @@ pub mod smooth;
 
 pub use budget::{ParamError, PrivacyParams};
 pub use degree::{isotonic_increasing_par, private_degree_sequence, PrivateDegreeSequence};
-pub use laplace::{laplace_mechanism, sample_laplace, LaplaceNoise};
+pub use laplace::{laplace_mechanism, LaplaceNoise};
 pub use smooth::{
     private_triangle_count, smooth_sensitivity_triangles, triangle_local_sensitivity,
     PrivateTriangleCount,

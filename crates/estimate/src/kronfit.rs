@@ -30,7 +30,7 @@
 //! of the result's definition) but is byte-identical for every **pool size** (a pure
 //! performance knob).
 
-use crate::{kronecker_order_for, FittedInitiator};
+use crate::{kronecker_order_for, require_edges, FittedInitiator, PipelineError};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_with_defaults;
 use kronpriv_obs::{stage, ProgressEvent, ProgressSink};
@@ -108,12 +108,6 @@ impl Default for KronFitOptions {
             chains: 4,
         }
     }
-}
-
-/// The KronFit estimator.
-#[derive(Debug, Clone, Default)]
-pub struct KronFitEstimator {
-    options: KronFitOptions,
 }
 
 /// Internal fitting state: the node-to-Kronecker-index assignment.
@@ -236,176 +230,164 @@ impl ClassTable {
     }
 }
 
-impl KronFitEstimator {
-    /// Creates an estimator with the given options.
-    pub fn new(options: KronFitOptions) -> Self {
-        KronFitEstimator { options }
-    }
+/// The KronFit baseline: fits an initiator to `g` by multi-chain stochastic gradient ascent on
+/// the approximate log-likelihood. This is the entry point the server uses for `/api/estimate`
+/// with `"estimator": "kronfit"`. **Not differentially private** — it touches the exact graph;
+/// it exists so the service can serve the paper's baseline columns for comparison.
+///
+/// Exactly one `u64` is drawn from `rng` to seed the chain family; every chain then runs on
+/// its own [`StdRng::split`] stream. Both the chain fan-out and the nested edge-partitioned
+/// sums borrow `exec`. The fit is a pure function of `(g, options, that draw)` — in
+/// particular it is byte-identical for every pool size.
+///
+/// Progress flows into `sink` (pass [`kronpriv_obs::NullSink`] to ignore it): the whole fit
+/// runs as the `kronfit` stage of [`kronpriv_obs::stage`], with one
+/// [`ProgressEvent::ChainStep`] per chain per ascent step in between (emitted from
+/// whichever worker ran the chain, so events from different chains may interleave; within
+/// one chain the step order is monotone).
+///
+/// `ChainStep::log_likelihood` is `NaN` unless the sink opts in via
+/// [`ProgressSink::wants_chain_likelihood`] — the extra per-step likelihood evaluation
+/// consumes no randomness, so opting in (or not) never changes the fit: the sink is
+/// strictly an observer (the `kronpriv-obs` no-feedback invariant).
+///
+/// Returns [`PipelineError::EmptyGraph`] for a graph without edges; nothing is drawn from
+/// `rng` then.
+pub fn try_kronfit_estimate<R: Rng + ?Sized>(
+    g: &Graph,
+    options: &KronFitOptions,
+    rng: &mut R,
+    exec: &Executor,
+    sink: &dyn ProgressSink,
+) -> Result<FittedInitiator, PipelineError> {
+    require_edges(g)?;
+    Ok(stage("kronfit", sink, || fit_chains(g, options, rng, exec, sink)))
+}
 
-    /// Fits an initiator to `g` by multi-chain stochastic gradient ascent on the approximate
-    /// log-likelihood.
-    ///
-    /// Exactly one `u64` is drawn from `rng` to seed the chain family; every chain then runs on
-    /// its own [`StdRng::split`] stream. Both the chain fan-out and the nested edge-partitioned
-    /// sums borrow `exec`. The fit is a pure function of `(g, options, that draw)` — in
-    /// particular it is byte-identical for every pool size.
-    ///
-    /// Progress flows into `sink` (pass [`kronpriv_obs::NullSink`] to ignore it): the whole fit
-    /// runs as the `kronfit` stage of [`kronpriv_obs::stage`], with one
-    /// [`ProgressEvent::ChainStep`] per chain per ascent step in between (emitted from
-    /// whichever worker ran the chain, so events from different chains may interleave; within
-    /// one chain the step order is monotone).
-    ///
-    /// `ChainStep::log_likelihood` is `NaN` unless the sink opts in via
-    /// [`ProgressSink::wants_chain_likelihood`] — the extra per-step likelihood evaluation
-    /// consumes no randomness, so opting in (or not) never changes the fit: the sink is
-    /// strictly an observer (the `kronpriv-obs` no-feedback invariant).
-    pub fn fit_graph<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        rng: &mut R,
-        exec: &Executor,
-        sink: &dyn ProgressSink,
-    ) -> FittedInitiator {
-        stage("kronfit", sink, || self.fit_chains(g, rng, exec, sink))
-    }
+/// The multi-chain ascent loop behind [`try_kronfit_estimate`], for a graph with at least one
+/// edge (so `k ≥ 1`).
+fn fit_chains<R: Rng + ?Sized>(
+    g: &Graph,
+    options: &KronFitOptions,
+    rng: &mut R,
+    exec: &Executor,
+    sink: &dyn ProgressSink,
+) -> FittedInitiator {
+    let k = kronecker_order_for(g.node_count());
+    let mut theta = clamp_theta(&options.initial, options.min_parameter);
+    let n_padded = 1usize << k;
+    let chains = options.chains.max(1);
 
-    /// The multi-chain ascent loop behind [`Self::fit_graph`].
-    fn fit_chains<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        rng: &mut R,
-        exec: &Executor,
-        sink: &dyn ProgressSink,
-    ) -> FittedInitiator {
-        let k = kronecker_order_for(g.node_count());
-        let mut theta = clamp_theta(&self.options.initial, self.options.min_parameter);
-
-        if k == 0 {
-            // Empty or single-node graph: there is no assignment to sample and no bit position
-            // to differentiate over, so the fit degenerates to the clamped starting initiator.
-            return FittedInitiator {
-                theta: theta.canonicalized(),
-                k,
-                objective_value: 0.0,
-                evaluations: 0,
-            };
-        }
-
-        let n_padded = 1usize << k;
-        let chains = self.options.chains.max(1);
-
-        // One draw from the caller's RNG seeds the whole chain family; each chain's stream is
-        // then derived by `StdRng::split`, so the fit depends on the chain count but never on
-        // the thread count.
-        let root = StdRng::seed_from_u64(rng.next_u64());
-        let states: Vec<Mutex<Chain>> = (0..chains)
-            .map(|i| {
-                Mutex::new(Chain {
-                    assignment: Assignment::identity(n_padded),
-                    rng: root.split(i as u64),
-                })
+    // One draw from the caller's RNG seeds the whole chain family; each chain's stream is then
+    // derived by `StdRng::split`, so the fit depends on the chain count but never on the
+    // thread count.
+    let root = StdRng::seed_from_u64(rng.next_u64());
+    let states: Vec<Mutex<Chain>> = (0..chains)
+        .map(|i| {
+            Mutex::new(Chain {
+                assignment: Assignment::identity(n_padded),
+                rng: root.split(i as u64),
             })
-            .collect();
+        })
+        .collect();
 
-        let mut evaluations = 0usize;
-        for step in 0..self.options.gradient_steps {
-            let table = ClassTable::new(&theta, k);
-            // Fan the chains out over the workers: chunk size 1 makes chunk index == chain
-            // index, and the chunk-order fold below averages the per-chain gradients in fixed
-            // chain order whatever thread ran which chain.
-            let (gradient, step_evaluations) = exec.map_reduce(
-                chains,
-                1,
-                CHAIN_WORK,
-                |range| {
-                    let chain_index = range.start;
-                    let mut chain =
-                        states[chain_index].lock().expect("a chain worker panicked earlier");
-                    let chain = &mut *chain;
-                    let result = self.chain_gradient(g, &table, chain, exec);
-                    // Reporting only: the optional likelihood probe reads the chain state but
-                    // consumes no randomness, so the fit is identical whatever the sink asks for.
-                    let log_likelihood = if sink.wants_chain_likelihood() {
-                        log_likelihood(g, &table, &chain.assignment, exec)
-                    } else {
-                        f64::NAN
-                    };
-                    sink.emit(&ProgressEvent::ChainStep {
-                        chain: chain_index,
-                        step,
-                        total_steps: self.options.gradient_steps,
-                        log_likelihood,
-                    });
-                    result
-                },
-                |(mut acc, evals): ([f64; 3], usize), (grad, chain_evals)| {
-                    for i in 0..3 {
-                        acc[i] += grad[i] / chains as f64;
-                    }
-                    (acc, evals + chain_evals)
-                },
-                ([0.0f64; 3], 0usize),
-            );
-            evaluations += step_evaluations;
-
-            // Trust-region ascent step: normalise to infinity norm, decay the radius.
-            let max_component = gradient.iter().map(|g| g.abs()).fold(0.0_f64, f64::max);
-            if max_component <= 1e-15 {
-                break;
-            }
-            let radius = self.options.learning_rate / (1.0 + step as f64 / 20.0);
-            let mut params = theta.as_array();
-            for i in 0..3 {
-                params[i] += radius * gradient[i] / max_component;
-            }
-            theta = clamp_theta(
-                &Initiator2::clamped(params[0], params[1], params[2]),
-                self.options.min_parameter,
-            );
-        }
-
-        // Final likelihood: averaged over the chains' terminal assignments, in chain order.
+    let mut evaluations = 0usize;
+    for step in 0..options.gradient_steps {
         let table = ClassTable::new(&theta, k);
-        let final_ll = exec.map_reduce(
+        // Fan the chains out over the workers: chunk size 1 makes chunk index == chain index,
+        // and the chunk-order fold below averages the per-chain gradients in fixed chain order
+        // whatever thread ran which chain.
+        let (gradient, step_evaluations) = exec.map_reduce(
             chains,
             1,
             CHAIN_WORK,
             |range| {
-                let chain = states[range.start].lock().expect("a chain worker panicked earlier");
-                log_likelihood(g, &table, &chain.assignment, exec)
+                let chain_index = range.start;
+                let mut chain =
+                    states[chain_index].lock().expect("a chain worker panicked earlier");
+                let chain = &mut *chain;
+                let result = chain_gradient(g, options, &table, chain, exec);
+                // Reporting only: the optional likelihood probe reads the chain state but
+                // consumes no randomness, so the fit is identical whatever the sink asks for.
+                let log_likelihood = if sink.wants_chain_likelihood() {
+                    log_likelihood(g, &table, &chain.assignment, exec)
+                } else {
+                    f64::NAN
+                };
+                sink.emit(&ProgressEvent::ChainStep {
+                    chain: chain_index,
+                    step,
+                    total_steps: options.gradient_steps,
+                    log_likelihood,
+                });
+                result
             },
-            |acc: f64, ll| acc + ll / chains as f64,
-            0.0,
+            |(mut acc, evals): ([f64; 3], usize), (grad, chain_evals)| {
+                for i in 0..3 {
+                    acc[i] += grad[i] / chains as f64;
+                }
+                (acc, evals + chain_evals)
+            },
+            ([0.0f64; 3], 0usize),
         );
-        FittedInitiator { theta: theta.canonicalized(), k, objective_value: -final_ll, evaluations }
+        evaluations += step_evaluations;
+
+        // Trust-region ascent step: normalise to infinity norm, decay the radius.
+        let max_component = gradient.iter().map(|g| g.abs()).fold(0.0_f64, f64::max);
+        if max_component <= 1e-15 {
+            break;
+        }
+        let radius = options.learning_rate / (1.0 + step as f64 / 20.0);
+        let mut params = theta.as_array();
+        for i in 0..3 {
+            params[i] += radius * gradient[i] / max_component;
+        }
+        theta = clamp_theta(
+            &Initiator2::clamped(params[0], params[1], params[2]),
+            options.min_parameter,
+        );
     }
 
-    /// One ascent step of a single chain: warm-up swaps, then `samples_per_step` spaced-out
-    /// permutation samples whose gradients are averaged. Returns the chain's averaged gradient
-    /// and the number of gradient evaluations spent.
-    fn chain_gradient(
-        &self,
-        g: &Graph,
-        table: &ClassTable,
-        chain: &mut Chain,
-        exec: &Executor,
-    ) -> ([f64; 3], usize) {
-        let asg = &mut chain.assignment;
-        run_swaps(g, table, asg, self.options.warmup_swaps, &mut chain.rng);
-        let mut averaged = [0.0f64; 3];
-        let samples = self.options.samples_per_step.max(1);
-        for sample in 0..samples {
-            if sample > 0 {
-                run_swaps(g, table, asg, self.options.swaps_between_samples, &mut chain.rng);
-            }
-            let grad = gradient(g, table, asg, exec);
-            for i in 0..3 {
-                averaged[i] += grad[i] / samples as f64;
-            }
+    // Final likelihood: averaged over the chains' terminal assignments, in chain order.
+    let table = ClassTable::new(&theta, k);
+    let final_ll = exec.map_reduce(
+        chains,
+        1,
+        CHAIN_WORK,
+        |range| {
+            let chain = states[range.start].lock().expect("a chain worker panicked earlier");
+            log_likelihood(g, &table, &chain.assignment, exec)
+        },
+        |acc: f64, ll| acc + ll / chains as f64,
+        0.0,
+    );
+    FittedInitiator { theta: theta.canonicalized(), k, objective_value: -final_ll, evaluations }
+}
+
+/// One ascent step of a single chain: warm-up swaps, then `samples_per_step` spaced-out
+/// permutation samples whose gradients are averaged. Returns the chain's averaged gradient and
+/// the number of gradient evaluations spent.
+fn chain_gradient(
+    g: &Graph,
+    options: &KronFitOptions,
+    table: &ClassTable,
+    chain: &mut Chain,
+    exec: &Executor,
+) -> ([f64; 3], usize) {
+    let asg = &mut chain.assignment;
+    run_swaps(g, table, asg, options.warmup_swaps, &mut chain.rng);
+    let mut averaged = [0.0f64; 3];
+    let samples = options.samples_per_step.max(1);
+    for sample in 0..samples {
+        if sample > 0 {
+            run_swaps(g, table, asg, options.swaps_between_samples, &mut chain.rng);
         }
-        (averaged, samples)
+        let grad = gradient(g, table, asg, exec);
+        for i in 0..3 {
+            averaged[i] += grad[i] / samples as f64;
+        }
     }
+    (averaged, samples)
 }
 
 /// Approximate log-likelihood of `g` at the table's `θ` for the given assignment, with the
@@ -645,21 +627,22 @@ mod tests {
     }
 
     #[test]
-    fn order_zero_graphs_degenerate_to_the_clamped_initial_initiator() {
-        // A single-node graph (k = 0): the fit must return the clamped starting point instead
-        // of ascending along reciprocal garbage.
+    fn order_zero_graphs_are_rejected_as_empty() {
+        use rand::RngCore;
+        // A single-node graph (k = 0) has no edge, so there is nothing to fit: it is refused
+        // before any randomness is drawn.
         let g = Graph::empty(1);
         let mut rng = StdRng::seed_from_u64(1);
-        let fit = KronFitEstimator::default().fit_graph(&g, &mut rng, &Executor::new(0), &NullSink);
-        assert_eq!(fit.k, 0);
-        assert_eq!(fit.evaluations, 0);
-        let expected = clamp_theta(
-            &KronFitOptions::default().initial,
-            KronFitOptions::default().min_parameter,
-        )
-        .canonicalized();
-        assert_eq!(fit.theta, expected);
-        assert!(fit.objective_value.is_finite());
+        let before = rng.clone().next_u64();
+        let fit = try_kronfit_estimate(
+            &g,
+            &KronFitOptions::default(),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
+        assert_eq!(fit.unwrap_err(), PipelineError::EmptyGraph);
+        assert_eq!(rng.next_u64(), before, "a refused fit must not consume randomness");
     }
 
     #[test]
@@ -762,12 +745,9 @@ mod tests {
         let g = sample_fast(&truth, 9, &mut rng, &Executor::sequential());
         let k = kronecker_order_for(g.node_count());
         let initial_ll = ll(&g, &quick_options().initial, k, &Assignment::identity(1 << k), &seq());
-        let fit = KronFitEstimator::new(quick_options()).fit_graph(
-            &g,
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
+        let fit =
+            try_kronfit_estimate(&g, &quick_options(), &mut rng, &Executor::new(0), &NullSink)
+                .unwrap();
         assert!(
             -fit.objective_value > initial_ll,
             "final LL {} should exceed initial {initial_ll}",
@@ -783,12 +763,9 @@ mod tests {
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let mut rng = StdRng::seed_from_u64(5);
         let g = sample_fast(&truth, 10, &mut rng, &Executor::sequential());
-        let fit = KronFitEstimator::new(quick_options()).fit_graph(
-            &g,
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
+        let fit =
+            try_kronfit_estimate(&g, &quick_options(), &mut rng, &Executor::new(0), &NullSink)
+                .unwrap();
         assert!((fit.theta.a - truth.a).abs() < 0.15, "{:?}", fit.theta);
         assert!((fit.theta.b - truth.b).abs() < 0.15, "{:?}", fit.theta);
         assert!((fit.theta.c - truth.c).abs() < 0.20, "{:?}", fit.theta);
@@ -809,12 +786,9 @@ mod tests {
         let truth = Initiator2::new(0.7, 0.3, 0.1);
         let mut rng = StdRng::seed_from_u64(6);
         let g = sample_fast(&truth, 8, &mut rng, &Executor::sequential());
-        let fit = KronFitEstimator::new(quick_options()).fit_graph(
-            &g,
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
+        let fit =
+            try_kronfit_estimate(&g, &quick_options(), &mut rng, &Executor::new(0), &NullSink)
+                .unwrap();
         for p in fit.theta.as_array() {
             assert!((0.0..=1.0).contains(&p));
         }
@@ -825,8 +799,9 @@ mod tests {
         let truth = Initiator2::new(0.9, 0.5, 0.2);
         let g = sample_fast(&truth, 8, &mut StdRng::seed_from_u64(7), &Executor::sequential());
         let run = |seed| {
-            KronFitEstimator::new(quick_options())
-                .fit_graph(&g, &mut StdRng::seed_from_u64(seed), &Executor::new(0), &NullSink)
+            let mut rng = StdRng::seed_from_u64(seed);
+            try_kronfit_estimate(&g, &quick_options(), &mut rng, &Executor::new(0), &NullSink)
+                .unwrap()
                 .theta
         };
         assert_eq!(run(42), run(42));
@@ -845,12 +820,15 @@ mod tests {
             chains: 2,
             ..Default::default()
         };
-        let estimator = KronFitEstimator::new(options);
-        let plain = estimator.fit_graph(&g, &mut StdRng::seed_from_u64(21), &seq(), &NullSink);
+        let fit = |sink: &dyn ProgressSink| {
+            try_kronfit_estimate(&g, &options, &mut StdRng::seed_from_u64(21), &seq(), sink)
+                .unwrap()
+        };
+        let plain = fit(&NullSink);
         // The likelihood probe is the expensive sink option, so exercise the opted-in path:
         // the fit must still be byte-identical (the probe consumes no randomness).
         let sink = CollectingSink::with_chain_likelihood();
-        let observed = estimator.fit_graph(&g, &mut StdRng::seed_from_u64(21), &seq(), &sink);
+        let observed = fit(&sink);
         assert_eq!(plain.theta, observed.theta);
         assert_eq!(plain.objective_value.to_bits(), observed.objective_value.to_bits());
         assert_eq!(plain.evaluations, observed.evaluations);
@@ -889,7 +867,7 @@ mod tests {
             ..Default::default()
         };
         let sink = CollectingSink::new();
-        KronFitEstimator::new(options).fit_graph(&g, &mut StdRng::seed_from_u64(23), &seq(), &sink);
+        try_kronfit_estimate(&g, &options, &mut StdRng::seed_from_u64(23), &seq(), &sink).unwrap();
         let lls: Vec<f64> = sink
             .events()
             .iter()
@@ -910,8 +888,9 @@ mod tests {
         let g = sample_fast(&truth, 8, &mut StdRng::seed_from_u64(9), &Executor::sequential());
         let run = |chains: usize| {
             let options = KronFitOptions { chains, ..quick_options() };
-            KronFitEstimator::new(options)
-                .fit_graph(&g, &mut StdRng::seed_from_u64(10), &Executor::new(0), &NullSink)
+            let mut rng = StdRng::seed_from_u64(10);
+            try_kronfit_estimate(&g, &options, &mut rng, &Executor::new(0), &NullSink)
+                .unwrap()
                 .theta
         };
         assert_ne!(run(1), run(4));

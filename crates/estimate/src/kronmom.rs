@@ -7,10 +7,11 @@
 //! the `fminsearch`-based reference implementation.
 
 use crate::objective::MomentObjective;
-use crate::{kronecker_order_for, FittedInitiator};
+use crate::{kronecker_order_for, require_edges, FittedInitiator, PipelineError};
 use kronpriv_graph::{Graph, MatchingStatistics};
 use kronpriv_json::impl_json_struct;
-use kronpriv_optim::{multistart_minimize, Bounds, MultistartOptions};
+use kronpriv_obs::{stage, ProgressSink};
+use kronpriv_optim::{multistart_minimize, Bounds};
 use kronpriv_par::Executor;
 use kronpriv_skg::Initiator2;
 
@@ -35,63 +36,53 @@ impl Default for KronMomOptions {
     }
 }
 
-/// The KronMom estimator.
-#[derive(Debug, Clone, Default)]
-pub struct KronMomEstimator {
-    options: KronMomOptions,
-}
-
-impl KronMomEstimator {
-    /// Creates an estimator with the given options.
-    pub fn new(options: KronMomOptions) -> Self {
-        KronMomEstimator { options }
-    }
-
-    /// Fits an initiator to the observed graph: computes the exact matching statistics and
-    /// minimises the standard objective on `exec`.
-    pub fn fit_graph(&self, g: &Graph, exec: &Executor) -> FittedInitiator {
+/// The KronMom baseline: computes the exact matching statistics of `g` and minimises the
+/// standard objective on `exec`, the whole fit running as the `fit` stage reported to `sink`.
+/// This is the entry point the server uses for `/api/estimate` with `"estimator": "kronmom"`.
+/// **Not differentially private** — it matches the exact counts.
+///
+/// Returns [`PipelineError::EmptyGraph`] for a graph without edges.
+pub fn try_kronmom_estimate(
+    g: &Graph,
+    options: &KronMomOptions,
+    exec: &Executor,
+    sink: &dyn ProgressSink,
+) -> Result<FittedInitiator, PipelineError> {
+    require_edges(g)?;
+    Ok(stage("fit", sink, || {
         let stats = MatchingStatistics::of_graph(g);
         let k = kronecker_order_for(g.node_count());
-        self.fit_statistics(&stats, k, exec)
-    }
+        fit_objective(&MomentObjective::standard(&stats, k), options, exec)
+    }))
+}
 
-    /// Fits an initiator to pre-computed matching statistics for a graph of Kronecker order `k`.
-    pub fn fit_statistics(
-        &self,
-        stats: &MatchingStatistics,
-        k: u32,
-        exec: &Executor,
-    ) -> FittedInitiator {
-        self.fit_objective(&MomentObjective::standard(stats, k), exec)
-    }
-
-    /// Fits an initiator by minimising an arbitrary (possibly non-default) moment objective on
-    /// `exec`. This is the entry point the private estimator and the objective-grid ablation
-    /// use. The optimiser is bit-identical for every pool size.
-    pub fn fit_objective(&self, objective: &MomentObjective, exec: &Executor) -> FittedInitiator {
-        let bounds = Bounds::unit(3);
-        let opts = MultistartOptions {
-            grid_points_per_axis: self.options.grid_points_per_axis,
-            refine_top: self.options.refine_top,
-            max_evaluations: self.options.max_evaluations,
-        };
-        // Extra start: a "typical" real-network corner (high a, moderate b, low c), which is
-        // where all of the paper's fits land; cheap insurance against a coarse grid.
-        let extra = vec![vec![0.99, 0.5, 0.2]];
-        // The objective moves behind an `Arc` so the per-restart workers of the parallel
-        // multistart share the observed statistics without copying or locking; the optimiser
-        // is bit-identical for every thread count, so the pool size never changes the fit.
-        let shared = objective.clone().into_shared();
-        let result =
-            multistart_minimize(move |p| shared.evaluate_params(p), &bounds, &extra, &opts, exec);
-        let theta =
-            Initiator2::clamped(result.point[0], result.point[1], result.point[2]).canonicalized();
-        FittedInitiator {
-            theta,
-            k: objective.k,
-            objective_value: result.value,
-            evaluations: result.evaluations,
-        }
+/// Fits an initiator by minimising an arbitrary (possibly non-default) moment objective on
+/// `exec`: the fitting step of KronMom, of Algorithm 1 and of the objective-grid ablation. The
+/// optimiser is bit-identical for every pool size.
+pub fn fit_objective(
+    objective: &MomentObjective,
+    options: &KronMomOptions,
+    exec: &Executor,
+) -> FittedInitiator {
+    // Extra start: a "typical" real-network corner (high a, moderate b, low c), which is
+    // where all of the paper's fits land; cheap insurance against a coarse grid.
+    let extra = [vec![0.99, 0.5, 0.2]];
+    let result = multistart_minimize(
+        |p| objective.evaluate_params(p),
+        &Bounds::unit(3),
+        &extra,
+        options.grid_points_per_axis,
+        options.refine_top,
+        options.max_evaluations,
+        exec,
+    );
+    let theta =
+        Initiator2::clamped(result.point[0], result.point[1], result.point[2]).canonicalized();
+    FittedInitiator {
+        theta,
+        k: objective.k,
+        objective_value: result.value,
+        evaluations: result.evaluations,
     }
 }
 
@@ -99,6 +90,7 @@ impl KronMomEstimator {
 mod tests {
     use super::*;
     use crate::objective::{DistanceKind, NormalizationKind};
+    use kronpriv_obs::NullSink;
     use kronpriv_skg::moments::ExpectedMoments;
     use kronpriv_skg::sample::sample_fast;
     use rand::rngs::StdRng;
@@ -114,17 +106,18 @@ mod tests {
         }
     }
 
+    /// The default-options fit of the standard objective on `stats`.
+    fn fit_statistics(stats: &MatchingStatistics, k: u32, exec: &Executor) -> FittedInitiator {
+        fit_objective(&MomentObjective::standard(stats, k), &KronMomOptions::default(), exec)
+    }
+
     #[test]
     fn recovers_parameters_from_noiseless_moments() {
         // Feeding the exact expected moments back into the fit must recover the generating
         // parameters: the objective has a zero at the truth.
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let k = 14;
-        let fit = KronMomEstimator::default().fit_statistics(
-            &stats_from_moments(&truth, k),
-            k,
-            &Executor::new(0),
-        );
+        let fit = fit_statistics(&stats_from_moments(&truth, k), k, &Executor::new(0));
         assert!(fit.objective_value < 1e-8, "objective {}", fit.objective_value);
         assert!((fit.theta.a - truth.a).abs() < 0.02, "{:?}", fit.theta);
         assert!((fit.theta.b - truth.b).abs() < 0.02, "{:?}", fit.theta);
@@ -139,7 +132,9 @@ mod tests {
         let k = 11;
         let mut rng = StdRng::seed_from_u64(1);
         let g = sample_fast(&truth, k, &mut rng, &Executor::sequential());
-        let fit = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
+        let fit =
+            try_kronmom_estimate(&g, &KronMomOptions::default(), &Executor::new(0), &NullSink)
+                .unwrap();
         assert_eq!(fit.k, k);
         // Sampling noise at this size keeps the estimates within a few hundredths, matching the
         // spread the paper reports between the three estimators.
@@ -152,11 +147,7 @@ mod tests {
     fn canonicalisation_keeps_a_above_c() {
         let truth = Initiator2::new(0.3, 0.5, 0.9); // deliberately reversed
         let k = 10;
-        let fit = KronMomEstimator::default().fit_statistics(
-            &stats_from_moments(&truth, k),
-            k,
-            &Executor::new(0),
-        );
+        let fit = fit_statistics(&stats_from_moments(&truth, k), k, &Executor::new(0));
         assert!(fit.theta.a >= fit.theta.c);
     }
 
@@ -175,27 +166,23 @@ mod tests {
         ] {
             let objective =
                 MomentObjective::standard(&stats, k).with_distance(dist).with_normalization(norm);
-            let fit = KronMomEstimator::default().fit_objective(&objective, &Executor::new(0));
+            let fit = fit_objective(&objective, &KronMomOptions::default(), &Executor::new(0));
             assert!(fit.theta.distance(&truth) < 0.05, "{dist:?}/{norm:?} -> {:?}", fit.theta);
         }
     }
 
     #[test]
-    fn degenerate_empty_graph_fits_a_near_zero_model() {
+    fn empty_graph_is_rejected() {
         let g = Graph::empty(64);
-        let fit = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
-        let m = ExpectedMoments::of(&fit.theta, fit.k);
-        assert!(m.edges < 5.0, "expected nearly edge-free model, got {m:?}");
+        let fit =
+            try_kronmom_estimate(&g, &KronMomOptions::default(), &Executor::new(0), &NullSink);
+        assert_eq!(fit.unwrap_err(), PipelineError::EmptyGraph);
     }
 
     #[test]
     fn evaluations_are_reported() {
         let truth = Initiator2::new(0.9, 0.4, 0.2);
-        let fit = KronMomEstimator::default().fit_statistics(
-            &stats_from_moments(&truth, 10),
-            10,
-            &Executor::new(0),
-        );
+        let fit = fit_statistics(&stats_from_moments(&truth, 10), 10, &Executor::new(0));
         assert!(fit.evaluations > 7 * 7 * 7, "at least the seeding grid must be counted");
     }
 
@@ -205,9 +192,7 @@ mod tests {
         // knob is purely a performance control.
         let truth = Initiator2::new(0.99, 0.45, 0.25);
         let stats = stats_from_moments(&truth, 12);
-        let fit_with = |threads: usize| {
-            KronMomEstimator::default().fit_statistics(&stats, 12, &Executor::new(threads))
-        };
+        let fit_with = |threads: usize| fit_statistics(&stats, 12, &Executor::new(threads));
         let reference = fit_with(1);
         for threads in [2usize, 8] {
             let fit = fit_with(threads);

@@ -1,18 +1,21 @@
-//! `kronpriv-estimate` — the three estimators compared in the paper.
+//! `kronpriv-estimate` — the three estimators compared in the paper, one fallible function each.
 //!
-//! * **KronMom** ([`kronmom`]) — Gleich & Owen's moment-based estimator: choose the initiator
-//!   whose expected counts of edges, hairpins, triangles and tripins best match the observed
-//!   counts, under a configurable distance/normalisation (Equation 2). This is the "KronMom"
-//!   column of Table 1.
-//! * **KronFit** ([`kronfit`]) — Leskovec & Faloutsos's approximate maximum-likelihood
-//!   estimator: stochastic gradient ascent on the permutation-marginalised likelihood, with
-//!   Metropolis sampling over node-to-Kronecker-index assignments. This is the "KronFit" column
-//!   of Table 1 and the paper's non-moment baseline.
-//! * **Private** ([`private`]) — the paper's contribution (Algorithm 1): feed differentially
-//!   private approximations of the four matching statistics into the KronMom objective. This is
-//!   the "Private" column of Table 1.
+//! * **KronMom** ([`try_kronmom_estimate`]) — Gleich & Owen's moment-based estimator: choose
+//!   the initiator whose expected counts of edges, hairpins, triangles and tripins best match
+//!   the observed counts, under a configurable distance/normalisation (Equation 2). This is the
+//!   "KronMom" column of Table 1. Its minimiser, [`fit_objective`], also fits any other
+//!   [`MomentObjective`].
+//! * **KronFit** ([`try_kronfit_estimate`]) — Leskovec & Faloutsos's approximate
+//!   maximum-likelihood estimator: stochastic gradient ascent on the permutation-marginalised
+//!   likelihood, with Metropolis sampling over node-to-Kronecker-index assignments. This is the
+//!   "KronFit" column of Table 1 and the paper's non-moment baseline.
+//! * **Private** ([`try_private_estimate`]) — the paper's contribution (Algorithm 1): feed
+//!   differentially private approximations of the four matching statistics into the KronMom
+//!   objective. This is the "Private" column of Table 1.
 //!
-//! The shared moment-matching objective lives in [`objective`].
+//! Each returns a [`PipelineError`] for an input it cannot estimate from, instead of
+//! panicking, so callers such as the HTTP server can map a bad request to a 4xx response. The
+//! shared moment-matching objective lives in [`objective`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,13 +25,58 @@ pub mod kronmom;
 pub mod objective;
 pub mod private;
 
-pub use kronfit::{KronFitEstimator, KronFitOptions};
-pub use kronmom::{KronMomEstimator, KronMomOptions};
-pub use objective::{DistanceKind, MomentObjective, NormalizationKind, SharedMomentObjective};
-pub use private::{PrivateEstimate, PrivateEstimator, PrivateEstimatorOptions};
+pub use kronfit::{try_kronfit_estimate, KronFitOptions};
+pub use kronmom::{fit_objective, try_kronmom_estimate, KronMomOptions};
+pub use objective::{DistanceKind, MomentObjective, NormalizationKind};
+pub use private::{
+    try_private_estimate, validate_estimator_inputs, PrivateEstimate, PrivateEstimatorOptions,
+};
 
+use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
 use kronpriv_skg::Initiator2;
+
+/// An input an estimator refuses, reported instead of a worker-thread panic.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PipelineError {
+    /// The input graph has no nodes or no edges, so no model can be estimated from it.
+    EmptyGraph,
+    /// `δ = 0` was supplied but the smooth-sensitivity triangle release requires `δ > 0`
+    /// (select the degrees-only ablation to run with pure DP).
+    DeltaRequired,
+    /// The configured degree-budget fraction lies outside the open interval `(0, 1)`.
+    InvalidBudgetFraction(
+        /// The rejected fraction.
+        f64,
+    ),
+}
+
+impl std::fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PipelineError::EmptyGraph => {
+                write!(f, "the input graph is empty (no nodes or no edges)")
+            }
+            PipelineError::DeltaRequired => {
+                write!(f, "the triangle release requires delta > 0 (or use degrees_only)")
+            }
+            PipelineError::InvalidBudgetFraction(frac) => {
+                write!(f, "degree_budget_fraction must be in (0,1), got {frac}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {}
+
+/// Refuses a graph with no edges (a graph with no nodes has none either): every estimator
+/// needs at least one edge, which also guarantees a Kronecker order `k ≥ 1`.
+fn require_edges(g: &Graph) -> Result<(), PipelineError> {
+    if g.edge_count() == 0 {
+        return Err(PipelineError::EmptyGraph);
+    }
+    Ok(())
+}
 
 /// A fitted initiator matrix together with fit diagnostics, returned by every estimator.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,7 +15,6 @@
 use kronpriv_graph::MatchingStatistics;
 use kronpriv_json::{impl_json_enum, impl_json_struct};
 use kronpriv_skg::{ExpectedMoments, Initiator2};
-use std::sync::Arc;
 
 /// The distance function `Dist` of Equation (2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,39 +182,6 @@ impl MomentObjective {
     pub fn evaluate_params(&self, params: &[f64]) -> f64 {
         let theta = Initiator2::clamped(params[0], params[1], params[2]);
         self.evaluate(&theta)
-    }
-
-    /// Moves the objective behind an [`Arc`] for the parallel fitting stage; see
-    /// [`SharedMomentObjective`].
-    pub fn into_shared(self) -> SharedMomentObjective {
-        SharedMomentObjective { inner: Arc::new(self) }
-    }
-}
-
-/// A [`MomentObjective`] behind an [`Arc`], the form the parallel multistart optimiser
-/// evaluates: cloning costs one pointer copy and evaluation takes `&self` on immutable data,
-/// so the per-restart workers of `multistart_minimize` need no locking of any kind.
-///
-/// Today's objective is four floats and three enums, so plain borrowing would do just as well
-/// (scoped workers can share `&MomentObjective` directly — the benches do). The `Arc` form is
-/// the *shape* the fitting stage standardises on so that heavier observed state (a
-/// degree-sequence-aware objective, cached expected-moment tables) can be shared without
-/// revisiting the threading story.
-#[derive(Debug, Clone)]
-pub struct SharedMomentObjective {
-    inner: Arc<MomentObjective>,
-}
-
-impl SharedMomentObjective {
-    /// Evaluates the discrepancy at a raw `[a, b, c]` parameter vector; identical to
-    /// [`MomentObjective::evaluate_params`].
-    pub fn evaluate_params(&self, params: &[f64]) -> f64 {
-        self.inner.evaluate_params(params)
-    }
-
-    /// The shared underlying objective.
-    pub fn objective(&self) -> &MomentObjective {
-        &self.inner
     }
 }
 

@@ -12,9 +12,9 @@
 //! `Θ̃` is `(ε, δ)`-differentially private; the subsequent optimisation touches only released
 //! values, so it costs no additional privacy.
 
-use crate::kronmom::{KronMomEstimator, KronMomOptions};
+use crate::kronmom::{fit_objective, KronMomOptions};
 use crate::objective::{FeatureSelection, MomentObjective};
-use crate::{kronecker_order_for, FittedInitiator};
+use crate::{kronecker_order_for, require_edges, FittedInitiator, PipelineError};
 use kronpriv_dp::{
     private_degree_sequence, private_triangle_count, PrivacyParams, PrivateDegreeSequence,
     PrivateTriangleCount,
@@ -98,117 +98,114 @@ impl_json_struct!(PrivateEstimate {
     triangle_release,
 });
 
-/// The differentially private estimator of Algorithm 1.
-#[derive(Debug, Clone, Default)]
-pub struct PrivateEstimator {
-    options: PrivateEstimatorOptions,
+/// Checks the graph-independent preconditions of Algorithm 1: the degree-budget fraction lies in
+/// `(0, 1)`, and `δ > 0` unless the degrees-only ablation is selected (the triangle release
+/// requires it). [`try_private_estimate`] runs this check, and so does request validation in
+/// the HTTP server, which rejects bad budgets and options with a 400 before a graph is ever
+/// materialised.
+pub fn validate_estimator_inputs(
+    params: PrivacyParams,
+    options: &PrivateEstimatorOptions,
+) -> Result<(), PipelineError> {
+    let frac = options.degree_budget_fraction;
+    if !(frac > 0.0 && frac < 1.0) {
+        return Err(PipelineError::InvalidBudgetFraction(frac));
+    }
+    if params.delta == 0.0 && !options.degrees_only {
+        return Err(PipelineError::DeltaRequired);
+    }
+    Ok(())
 }
 
-impl PrivateEstimator {
-    /// Creates an estimator with the given options.
-    pub fn new(options: PrivateEstimatorOptions) -> Self {
-        PrivateEstimator { options }
-    }
+/// Runs Algorithm 1 on `g` with total budget `params`, using `rng` for all noise.
+///
+/// Every parallel stage borrows `exec`; the estimate is byte-identical for any pool size, so
+/// hosts that serve many jobs — the HTTP server in particular — build one executor at startup
+/// and pass it here. The `degree_release`, `triangle_release` (skipped in the degrees-only
+/// ablation) and `fit` stages each run through [`kronpriv_obs::stage`], so their
+/// started/finished events flow into `sink` (pass [`kronpriv_obs::NullSink`] to ignore them).
+/// The sink is strictly an observer — the estimate is byte-identical whatever the sink does
+/// (the no-feedback invariant of `kronpriv-obs`, pinned by `tests/observability_determinism.rs`).
+///
+/// Returns [`PipelineError::EmptyGraph`] for a graph without edges, and the error of
+/// [`validate_estimator_inputs`] for a budget or options it refuses; nothing is drawn from
+/// `rng` then.
+pub fn try_private_estimate<R: Rng + ?Sized>(
+    g: &Graph,
+    params: PrivacyParams,
+    options: &PrivateEstimatorOptions,
+    rng: &mut R,
+    exec: &Executor,
+    sink: &dyn ProgressSink,
+) -> Result<PrivateEstimate, PipelineError> {
+    require_edges(g)?;
+    validate_estimator_inputs(params, options)?;
+    let frac = options.degree_budget_fraction;
+    let k = kronecker_order_for(g.node_count());
 
-    /// Runs Algorithm 1 on `g` with total budget `params`, using `rng` for all noise.
-    ///
-    /// Every parallel stage borrows `exec`; the estimate is byte-identical for any pool size.
-    /// The `degree_release`, `triangle_release` (skipped in the degrees-only ablation) and `fit`
-    /// stages each run through [`kronpriv_obs::stage`], so their started/finished events flow
-    /// into `sink` (pass [`kronpriv_obs::NullSink`] to ignore them). The sink is
-    /// strictly an observer — the estimate is byte-identical whatever the sink does (the
-    /// no-feedback invariant of `kronpriv-obs`, pinned by `tests/observability_determinism.rs`).
-    ///
-    /// # Panics
-    /// Panics if `params.delta == 0` unless the degrees-only ablation is selected (the triangle
-    /// release requires `δ > 0`), or if the budget fraction is not in `(0, 1)`.
-    pub fn fit<R: Rng + ?Sized>(
-        &self,
-        g: &Graph,
-        params: PrivacyParams,
-        rng: &mut R,
-        exec: &Executor,
-        sink: &dyn ProgressSink,
-    ) -> PrivateEstimate {
-        let frac = self.options.degree_budget_fraction;
-        assert!(frac > 0.0 && frac < 1.0, "degree_budget_fraction must be in (0,1), got {frac}");
-        let k = kronecker_order_for(g.node_count());
-        // One pool governs the whole pipeline: the fitting stage borrows the same executor as
-        // the counting kernels (every stage is thread-count-deterministic, so this only
-        // affects speed).
-        let kronmom = KronMomEstimator::new(self.options.kronmom);
-
-        if self.options.degrees_only {
-            // Spend everything on the degree sequence and drop Δ from the objective.
-            let degree_release = stage("degree_release", sink, || {
-                private_degree_sequence(g, PrivacyParams::pure(params.epsilon), rng, exec)
-            });
-            let observed = [
-                degree_release.edge_count(),
-                degree_release.hairpin_count(),
-                0.0,
-                degree_release.tripin_count(),
-            ];
-            let objective = MomentObjective::from_counts(observed, k)
-                .with_features(FeatureSelection::without_triangles());
-            let fit = stage("fit", sink, || kronmom.fit_objective(&objective, exec));
-            return PrivateEstimate {
-                fit,
-                params,
-                private_statistics: observed,
-                degree_release,
-                triangle_release: None,
-            };
-        }
-
-        // Step 2: (ε·frac, 0)-DP degree sequence, with the isotonic post-processing running on
-        // the parallel executor (thread-count-deterministic like every other stage).
-        let degree_budget = PrivacyParams::pure(params.epsilon * frac);
-        let degree_release =
-            stage("degree_release", sink, || private_degree_sequence(g, degree_budget, rng, exec));
-
-        // Step 5: (ε·(1-frac), δ)-DP triangle count. The parallel kernels are deterministic
-        // for any thread count, so the release is a pure function of (graph, budget, rng).
-        let triangle_budget = PrivacyParams::new(params.epsilon * (1.0 - frac), params.delta);
-        let triangle_release = stage("triangle_release", sink, || {
-            private_triangle_count(
-                g,
-                triangle_budget,
-                self.options.exact_smooth_sensitivity,
-                rng,
-                exec,
-            )
+    if options.degrees_only {
+        // Spend everything on the degree sequence and drop Δ from the objective.
+        let degree_release = stage("degree_release", sink, || {
+            private_degree_sequence(g, PrivacyParams::pure(params.epsilon), rng, exec)
         });
-
-        // Step 6: moment matching on the private statistics. Negative noisy counts are clamped
-        // to zero — a postprocessing step that costs no privacy and keeps the objective sane.
         let observed = [
-            degree_release.edge_count().max(0.0),
-            degree_release.hairpin_count().max(0.0),
-            triangle_release.value.max(0.0),
-            degree_release.tripin_count().max(0.0),
+            degree_release.edge_count(),
+            degree_release.hairpin_count(),
+            0.0,
+            degree_release.tripin_count(),
         ];
-        // Keep Δ̃ in the objective only when it rises above its own noise floor (see the option
-        // docs); otherwise match the three degree-derived features, as Equation (2) permits.
-        let noise_scale = 2.0 * triangle_release.smooth_sensitivity / triangle_budget.epsilon;
-        let keep_triangles =
-            triangle_release.value > self.options.triangle_signal_threshold * noise_scale;
-        let features = if keep_triangles {
-            FeatureSelection::all()
-        } else {
-            FeatureSelection::without_triangles()
-        };
-        let objective = MomentObjective::from_counts(observed, k).with_features(features);
-        let fit = stage("fit", sink, || kronmom.fit_objective(&objective, exec));
-
-        PrivateEstimate {
+        let objective = MomentObjective::from_counts(observed, k)
+            .with_features(FeatureSelection::without_triangles());
+        let fit = stage("fit", sink, || fit_objective(&objective, &options.kronmom, exec));
+        return Ok(PrivateEstimate {
             fit,
             params,
             private_statistics: observed,
             degree_release,
-            triangle_release: Some(triangle_release),
-        }
+            triangle_release: None,
+        });
     }
+
+    // Step 2: (ε·frac, 0)-DP degree sequence, with the isotonic post-processing running on the
+    // parallel executor (thread-count-deterministic like every other stage).
+    let degree_budget = PrivacyParams::pure(params.epsilon * frac);
+    let degree_release =
+        stage("degree_release", sink, || private_degree_sequence(g, degree_budget, rng, exec));
+
+    // Step 5: (ε·(1-frac), δ)-DP triangle count. The parallel kernels are deterministic for any
+    // thread count, so the release is a pure function of (graph, budget, rng).
+    let triangle_budget = PrivacyParams::new(params.epsilon * (1.0 - frac), params.delta);
+    let triangle_release = stage("triangle_release", sink, || {
+        private_triangle_count(g, triangle_budget, options.exact_smooth_sensitivity, rng, exec)
+    });
+
+    // Step 6: moment matching on the private statistics. Negative noisy counts are clamped to
+    // zero — a postprocessing step that costs no privacy and keeps the objective sane.
+    let observed = [
+        degree_release.edge_count().max(0.0),
+        degree_release.hairpin_count().max(0.0),
+        triangle_release.value.max(0.0),
+        degree_release.tripin_count().max(0.0),
+    ];
+    // Keep Δ̃ in the objective only when it rises above its own noise floor (see the option
+    // docs); otherwise match the three degree-derived features, as Equation (2) permits.
+    let noise_scale = 2.0 * triangle_release.smooth_sensitivity / triangle_budget.epsilon;
+    let keep_triangles = triangle_release.value > options.triangle_signal_threshold * noise_scale;
+    let features = if keep_triangles {
+        FeatureSelection::all()
+    } else {
+        FeatureSelection::without_triangles()
+    };
+    let objective = MomentObjective::from_counts(observed, k).with_features(features);
+    let fit = stage("fit", sink, || fit_objective(&objective, &options.kronmom, exec));
+
+    Ok(PrivateEstimate {
+        fit,
+        params,
+        private_statistics: observed,
+        degree_release,
+        triangle_release: Some(triangle_release),
+    })
 }
 
 #[cfg(test)]
@@ -227,13 +224,30 @@ mod tests {
         (truth, sample_fast(&truth, k, &mut rng, &Executor::sequential()))
     }
 
+    /// Algorithm 1 with the default options.
+    fn estimate(
+        g: &Graph,
+        params: PrivacyParams,
+        rng: &mut StdRng,
+        exec: &Executor,
+        sink: &dyn ProgressSink,
+    ) -> PrivateEstimate {
+        let options = PrivateEstimatorOptions::default();
+        try_private_estimate(g, params, &options, rng, exec, sink).unwrap()
+    }
+
+    /// The non-private KronMom fit of `g`.
+    fn kronmom(g: &Graph) -> FittedInitiator {
+        crate::try_kronmom_estimate(g, &KronMomOptions::default(), &Executor::new(0), &NullSink)
+            .unwrap()
+    }
+
     #[test]
     fn private_estimate_reports_budget_and_statistics() {
         let (_, g) = synthetic_graph(10, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let params = PrivacyParams::paper_default();
-        let est =
-            PrivateEstimator::default().fit(&g, params, &mut rng, &Executor::new(0), &NullSink);
+        let est = estimate(&g, params, &mut rng, &Executor::new(0), &NullSink);
         assert_eq!(est.params, params);
         assert_eq!(est.private_statistics.len(), 4);
         assert!(est.triangle_release.is_some());
@@ -246,14 +260,9 @@ mod tests {
         // coincide with KronMom on the same graph.
         let (_, g) = synthetic_graph(11, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let private = PrivateEstimator::default().fit(
-            &g,
-            PrivacyParams::new(1e6, 0.01),
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
-        let non_private = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
+        let private =
+            estimate(&g, PrivacyParams::new(1e6, 0.01), &mut rng, &Executor::new(0), &NullSink);
+        let non_private = kronmom(&g);
         assert!(
             private.fit.theta.distance(&non_private.theta) < 0.02,
             "private {:?} vs non-private {:?}",
@@ -273,14 +282,9 @@ mod tests {
         // on 5k-16k-node networks.
         let (truth, g) = synthetic_graph(13, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let est = PrivateEstimator::default().fit(
-            &g,
-            PrivacyParams::paper_default(),
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
-        let non_private = KronMomEstimator::default().fit_graph(&g, &Executor::new(0));
+        let est =
+            estimate(&g, PrivacyParams::paper_default(), &mut rng, &Executor::new(0), &NullSink);
+        let non_private = kronmom(&g);
         assert!(
             est.fit.theta.distance(&non_private.theta) < 0.1,
             "private {:?} vs kronmom {:?}",
@@ -300,13 +304,8 @@ mod tests {
         let (_, g) = synthetic_graph(13, 7);
         let exact = MatchingStatistics::of_graph(&g).as_array();
         let mut rng = StdRng::seed_from_u64(8);
-        let est = PrivateEstimator::default().fit(
-            &g,
-            PrivacyParams::new(0.5, 0.01),
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
+        let est =
+            estimate(&g, PrivacyParams::new(0.5, 0.01), &mut rng, &Executor::new(0), &NullSink);
         // Edges and hairpins are dominated by the degree sums and should be close in relative
         // terms; the triangle count carries smooth-sensitivity noise so allow a wider band.
         let rel = |i: usize| (est.private_statistics[i] - exact[i]).abs() / exact[i].max(1.0);
@@ -321,13 +320,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let options = PrivateEstimatorOptions { degrees_only: true, ..Default::default() };
         // δ = 0 is allowed here because no smooth-sensitivity release happens.
-        let est = PrivateEstimator::new(options).fit(
+        let est = try_private_estimate(
             &g,
             PrivacyParams::pure(0.2),
+            &options,
             &mut rng,
             &Executor::new(0),
             &NullSink,
-        );
+        )
+        .unwrap();
         assert!(est.triangle_release.is_none());
         assert_eq!(est.private_statistics[2], 0.0);
         assert!(est.fit.theta.a >= est.fit.theta.c);
@@ -338,13 +339,15 @@ mod tests {
         let (_, g) = synthetic_graph(10, 11);
         let mut rng = StdRng::seed_from_u64(12);
         let options = PrivateEstimatorOptions { degree_budget_fraction: 0.8, ..Default::default() };
-        let est = PrivateEstimator::new(options).fit(
+        let est = try_private_estimate(
             &g,
             PrivacyParams::new(1.0, 0.01),
+            &options,
             &mut rng,
             &Executor::new(0),
             &NullSink,
-        );
+        )
+        .unwrap();
         assert!((est.degree_release.params.epsilon - 0.8).abs() < 1e-12);
         let tri = est.triangle_release.unwrap();
         assert!((tri.params.epsilon - 0.2).abs() < 1e-12);
@@ -352,18 +355,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "degree_budget_fraction")]
     fn invalid_budget_fraction_is_rejected() {
         let (_, g) = synthetic_graph(8, 13);
         let mut rng = StdRng::seed_from_u64(14);
-        let options = PrivateEstimatorOptions { degree_budget_fraction: 1.5, ..Default::default() };
-        let _ = PrivateEstimator::new(options).fit(
-            &g,
-            PrivacyParams::paper_default(),
-            &mut rng,
-            &Executor::new(0),
-            &NullSink,
-        );
+        for frac in [0.0, 1.0, 1.5] {
+            let options =
+                PrivateEstimatorOptions { degree_budget_fraction: frac, ..Default::default() };
+            let err = try_private_estimate(
+                &g,
+                PrivacyParams::paper_default(),
+                &options,
+                &mut rng,
+                &Executor::new(0),
+                &NullSink,
+            )
+            .unwrap_err();
+            assert_eq!(err, PipelineError::InvalidBudgetFraction(frac));
+            assert!(err.to_string().contains("degree_budget_fraction"), "{err}");
+        }
     }
 
     #[test]
@@ -392,12 +401,11 @@ mod tests {
         let (_, g) = synthetic_graph(9, 30);
         let fit_with = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(31);
-            let exec = Executor::new(threads);
-            PrivateEstimator::default().fit(
+            estimate(
                 &g,
                 PrivacyParams::paper_default(),
                 &mut rng,
-                &exec,
+                &Executor::new(threads),
                 &NullSink,
             )
         };
@@ -419,21 +427,9 @@ mod tests {
         let (_, g) = synthetic_graph(9, 40);
         let exec = Executor::sequential();
         let params = PrivacyParams::paper_default();
-        let plain = PrivateEstimator::default().fit(
-            &g,
-            params,
-            &mut StdRng::seed_from_u64(41),
-            &exec,
-            &NullSink,
-        );
+        let plain = estimate(&g, params, &mut StdRng::seed_from_u64(41), &exec, &NullSink);
         let sink = CollectingSink::new();
-        let observed = PrivateEstimator::default().fit(
-            &g,
-            params,
-            &mut StdRng::seed_from_u64(41),
-            &exec,
-            &sink,
-        );
+        let observed = estimate(&g, params, &mut StdRng::seed_from_u64(41), &exec, &sink);
         assert_eq!(plain.fit.theta, observed.fit.theta, "the sink must not steer the fit");
         assert_eq!(plain.private_statistics, observed.private_statistics);
         // Stage events arrive as ordered started/finished pairs covering the three stages.
@@ -466,13 +462,15 @@ mod tests {
         let exec = Executor::sequential();
         let options = PrivateEstimatorOptions { degrees_only: true, ..Default::default() };
         let sink = CollectingSink::new();
-        PrivateEstimator::new(options).fit(
+        try_private_estimate(
             &g,
             PrivacyParams::pure(0.5),
+            &options,
             &mut StdRng::seed_from_u64(43),
             &exec,
             &sink,
-        );
+        )
+        .unwrap();
         let started: Vec<&str> = sink
             .events()
             .iter()
@@ -489,8 +487,7 @@ mod tests {
         let (_, g) = synthetic_graph(9, 15);
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            PrivateEstimator::default()
-                .fit(&g, PrivacyParams::paper_default(), &mut rng, &Executor::new(0), &NullSink)
+            estimate(&g, PrivacyParams::paper_default(), &mut rng, &Executor::new(0), &NullSink)
                 .fit
                 .theta
         };

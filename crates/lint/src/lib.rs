@@ -100,12 +100,6 @@ fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// Per-file scan cost: lexing plus a handful of token passes over a few-KB source file.
 const FILE_SCAN_WORK: Work = Work::per_item_ns(200_000);
 
-/// Scans every `.rs` file in the workspace rooted at `root` on an automatically sized
-/// executor. See [`scan_workspace_with`].
-pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    scan_workspace_with(root, &Executor::auto())
-}
-
 /// Scans every `.rs` file in the workspace rooted at `root` and aggregates the per-file
 /// reports. Fails only on I/O errors; findings are data, not errors.
 ///
@@ -114,7 +108,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
 /// propagation), then the per-file rule scan fans out over `exec`. Files are sorted and the
 /// chunk-order reduction concatenates per-file reports in that fixed path order, so the
 /// resulting report — down to the byte — is independent of the thread count.
-pub fn scan_workspace_with(root: &Path, exec: &Executor) -> io::Result<Report> {
+pub fn scan_workspace(root: &Path, exec: &Executor) -> io::Result<Report> {
     let mut files: Vec<(String, String)> = Vec::new();
     for rel in collect_rs_files(root)? {
         let rel_str = rel.to_string_lossy().replace('\\', "/");

@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+use kronpriv_par::Executor;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -40,7 +41,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let report = match kronpriv_lint::scan_workspace(&root) {
+    let report = match kronpriv_lint::scan_workspace(&root, &Executor::auto()) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("kronpriv-lint: cannot scan {}: {err}", root.display());

@@ -4,7 +4,7 @@
 //!
 //! * **Sources** — any identifier on the sensitive deny list ([`crate::rules::SENSITIVE_IDENTS`],
 //!   bare or as a field projection), and any call to a function the workspace
-//!   [`Context`](crate::callgraph::Context) marks as tainting (annotated
+//!   [`Context`] marks as tainting (annotated
 //!   `// lint:source(sensitive)`, or with an inferred tainted return).
 //! * **Propagation** — `let` bindings and (compound) assignments: a binding whose initializer
 //!   span contains taint becomes tainted; taint is sticky (reassignment never clears it —

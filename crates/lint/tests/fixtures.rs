@@ -11,9 +11,7 @@
 //! 3. **Real tree** — the actual workspace must scan clean: zero unwaived findings, and every
 //!    waiver carries a reason.
 
-use kronpriv_lint::{
-    scan_source, scan_workspace, scan_workspace_with, SENSITIVE_IDENTS, WORKSPACE_LINT_TABLE,
-};
+use kronpriv_lint::{scan_source, scan_workspace, SENSITIVE_IDENTS, WORKSPACE_LINT_TABLE};
 use kronpriv_par::Executor;
 use std::path::Path;
 
@@ -72,7 +70,7 @@ const EXPECTED: &[(&str, usize, &str)] = &[
 
 #[test]
 fn fixture_corpus_is_flagged_exactly() {
-    let report = scan_workspace(fixture_root()).expect("fixture tree scans");
+    let report = scan_workspace(fixture_root(), &Executor::auto()).expect("fixture tree scans");
     let got: Vec<(String, usize, String)> =
         report.findings.iter().map(|f| (f.file.clone(), f.line, f.rule.clone())).collect();
     let want: Vec<(String, usize, String)> =
@@ -87,7 +85,7 @@ fn fixture_corpus_is_flagged_exactly() {
 
 #[test]
 fn fixture_waivers_are_counted_with_reasons() {
-    let report = scan_workspace(fixture_root()).expect("fixture tree scans");
+    let report = scan_workspace(fixture_root(), &Executor::auto()).expect("fixture tree scans");
     // waiver_ok.rs demonstrates both accepted placements: line-above and same-line.
     let waived: Vec<(String, usize, String)> = report
         .waived
@@ -108,7 +106,7 @@ fn fixture_waivers_are_counted_with_reasons() {
 
 #[test]
 fn every_rule_has_a_failing_fixture() {
-    let report = scan_workspace(fixture_root()).expect("fixture tree scans");
+    let report = scan_workspace(fixture_root(), &Executor::auto()).expect("fixture tree scans");
     for rule in kronpriv_lint::RULES {
         assert!(
             report.findings.iter().any(|f| f.rule == *rule),
@@ -122,7 +120,7 @@ fn every_rule_has_a_failing_fixture() {
 /// flow-aware taint rule catches it.
 #[test]
 fn renamed_sensitive_value_is_invisible_to_v1_rules_but_caught_by_taint() {
-    let report = scan_workspace(fixture_root()).expect("fixture tree scans");
+    let report = scan_workspace(fixture_root(), &Executor::auto()).expect("fixture tree scans");
     let rename_findings: Vec<&str> = report
         .findings
         .iter()
@@ -140,8 +138,8 @@ fn renamed_sensitive_value_is_invisible_to_v1_rules_but_caught_by_taint() {
 /// path-order reduction makes one thread and four produce identical reports.
 #[test]
 fn report_bytes_are_identical_for_any_thread_count() {
-    let one = scan_workspace_with(fixture_root(), &Executor::new(1)).expect("scan on 1 thread");
-    let four = scan_workspace_with(fixture_root(), &Executor::new(4)).expect("scan on 4 threads");
+    let one = scan_workspace(fixture_root(), &Executor::new(1)).expect("scan on 1 thread");
+    let four = scan_workspace(fixture_root(), &Executor::new(4)).expect("scan on 4 threads");
     assert_eq!(one.to_text(), four.to_text());
     assert_eq!(one.to_json().to_pretty_string(), four.to_json().to_pretty_string());
     assert_eq!(one.to_sarif().to_pretty_string(), four.to_sarif().to_pretty_string());
@@ -191,7 +189,7 @@ fn obs_registry_read_from_dp_is_a_finding() {
 
 #[test]
 fn real_tree_scans_clean() {
-    let report = scan_workspace(workspace_root()).expect("workspace scans");
+    let report = scan_workspace(workspace_root(), &Executor::auto()).expect("workspace scans");
     assert!(
         report.findings.is_empty(),
         "the real tree has unwaived findings:\n{}",

@@ -42,7 +42,7 @@ fn lattice_point(index: usize, bounds: &Bounds, points_per_axis: usize) -> Vec<f
 /// objective values are treated as `+∞`.
 ///
 /// The lattice has `points_per_axis ^ dim` points, so this is intended for low-dimensional
-/// problems (the estimators use `dim = 3`). It is split into fixed [`GRID_CHUNK`]-sized index
+/// problems (the estimators use `dim = 3`). It is split into fixed `GRID_CHUNK`-sized index
 /// chunks evaluated concurrently on `exec` and concatenated in chunk order, so the output —
 /// including the stable-sort order of equal-valued points — is **bit-identical** for every
 /// thread count. `f` is shared by the workers, so it must be a pure function of the point.

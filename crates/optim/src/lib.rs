@@ -5,7 +5,7 @@
 //! reference MATLAB code minimises it with `fminsearch` (Nelder–Mead) from a handful of starting
 //! points; this crate reproduces that strategy from scratch:
 //!
-//! * [`nelder_mead`] — a projection-based box-constrained Nelder–Mead simplex method,
+//! * [`nelder_mead`](mod@nelder_mead) — a projection-based box-constrained Nelder–Mead simplex method,
 //! * [`grid`] — coarse grid evaluation used to seed the simplex,
 //! * [`multistart`] — the driver that combines the two and returns the best local minimum.
 //!
@@ -23,5 +23,5 @@ pub mod multistart;
 pub mod nelder_mead;
 
 pub use grid::grid_search;
-pub use multistart::{multistart_minimize, MultistartOptions};
+pub use multistart::multistart_minimize;
 pub use nelder_mead::{nelder_mead, Bounds, OptimizationResult};

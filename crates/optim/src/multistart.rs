@@ -15,26 +15,10 @@ use kronpriv_par::{Executor, Work};
 /// evaluations, so a restart always dwarfs the spawn overhead.
 const RESTART_WORK: Work = Work::per_item_ns(1_000_000);
 
-/// Options for [`multistart_minimize`].
-#[derive(Debug, Clone, Copy)]
-pub struct MultistartOptions {
-    /// Points per axis of the seeding grid.
-    pub grid_points_per_axis: usize,
-    /// How many of the best grid points to refine with Nelder–Mead.
-    pub refine_top: usize,
-    /// Maximum objective evaluations per Nelder–Mead run.
-    pub max_evaluations: usize,
-}
-
-impl Default for MultistartOptions {
-    fn default() -> Self {
-        MultistartOptions { grid_points_per_axis: 7, refine_top: 5, max_evaluations: 4000 }
-    }
-}
-
-/// Minimises `f` over `bounds`: evaluates a coarse grid, refines the `refine_top` best grid
-/// points with Nelder–Mead (plus any caller-provided extra starting points, projected into the
-/// box) and returns the best result found.
+/// Minimises `f` over `bounds`: evaluates a grid of `grid_points_per_axis` points per axis,
+/// refines the `refine_top` best grid points with Nelder–Mead runs of at most `max_evaluations`
+/// objective evaluations each (plus any caller-provided extra starting points, projected into
+/// the box) and returns the best result found.
 ///
 /// The seeding grid is scanned with [`grid_search`] and every Nelder–Mead restart runs as an
 /// independent chunked task on `exec`. Each restart is a pure function of its start point, the
@@ -46,12 +30,14 @@ pub fn multistart_minimize(
     f: impl Fn(&[f64]) -> f64 + Sync,
     bounds: &Bounds,
     extra_starts: &[Vec<f64>],
-    options: &MultistartOptions,
+    grid_points_per_axis: usize,
+    refine_top: usize,
+    max_evaluations: usize,
     exec: &Executor,
 ) -> OptimizationResult {
-    let grid = grid_search(&f, bounds, options.grid_points_per_axis, exec);
+    let grid = grid_search(&f, bounds, grid_points_per_axis, exec);
     let mut starts: Vec<Vec<f64>> =
-        grid.iter().take(options.refine_top.max(1)).map(|p| p.point.clone()).collect();
+        grid.iter().take(refine_top.max(1)).map(|p| p.point.clone()).collect();
     for s in extra_starts {
         let mut s = s.clone();
         bounds.project(&mut s);
@@ -64,9 +50,7 @@ pub fn multistart_minimize(
         1,
         RESTART_WORK,
         |range| {
-            range
-                .map(|i| nelder_mead(&f, &starts[i], bounds, options.max_evaluations))
-                .collect::<Vec<_>>()
+            range.map(|i| nelder_mead(&f, &starts[i], bounds, max_evaluations)).collect::<Vec<_>>()
         },
         |mut acc: Vec<OptimizationResult>, chunk| {
             acc.extend(chunk);
@@ -103,13 +87,8 @@ mod tests {
             let global = (x[0] - 0.8).powi(2) + (x[1] - 0.8).powi(2);
             local.min(global)
         };
-        let result = multistart_minimize(
-            f,
-            &Bounds::unit(2),
-            &[],
-            &MultistartOptions::default(),
-            &Executor::sequential(),
-        );
+        let result =
+            multistart_minimize(f, &Bounds::unit(2), &[], 7, 5, 4000, &Executor::sequential());
         assert!((result.point[0] - 0.8).abs() < 1e-3, "{:?}", result.point);
         assert!((result.point[1] - 0.8).abs() < 1e-3, "{:?}", result.point);
         assert!(result.value < 1e-6);
@@ -127,13 +106,13 @@ mod tests {
                 d
             }
         };
-        let opts =
-            MultistartOptions { grid_points_per_axis: 3, refine_top: 1, ..Default::default() };
         let result = multistart_minimize(
             f,
             &Bounds::unit(1),
             &[vec![0.335]],
-            &opts,
+            3,
+            1,
+            4000,
             &Executor::sequential(),
         );
         assert!(result.value < -0.9, "value {}", result.value);
@@ -141,13 +120,13 @@ mod tests {
 
     #[test]
     fn evaluation_count_includes_grid_and_refinements() {
-        let opts =
-            MultistartOptions { grid_points_per_axis: 4, refine_top: 2, max_evaluations: 30 };
         let result = multistart_minimize(
             |x| x[0] * x[0],
             &Bounds::unit(1),
             &[],
-            &opts,
+            4,
+            2,
+            30,
             &Executor::sequential(),
         );
         assert!(result.evaluations >= 4, "grid evaluations should be counted");
@@ -161,7 +140,9 @@ mod tests {
             |x| (x[0] + 2.0).powi(2) + (x[1] + 2.0).powi(2),
             &bounds,
             &[],
-            &MultistartOptions::default(),
+            7,
+            5,
+            4000,
             &Executor::sequential(),
         );
         assert!(bounds.contains(&result.point));
@@ -177,12 +158,11 @@ mod tests {
             local.min(global)
         };
         let bounds = Bounds::unit(2);
-        let opts = MultistartOptions::default();
-        let reference =
-            multistart_minimize(f, &bounds, &[vec![0.5, 0.1]], &opts, &Executor::sequential());
+        let run =
+            |exec: &Executor| multistart_minimize(f, &bounds, &[vec![0.5, 0.1]], 7, 5, 4000, exec);
+        let reference = run(&Executor::sequential());
         for threads in [1usize, 2, 8] {
-            let got =
-                multistart_minimize(f, &bounds, &[vec![0.5, 0.1]], &opts, &Executor::new(threads));
+            let got = run(&Executor::new(threads));
             assert_eq!(got.value.to_bits(), reference.value.to_bits(), "threads {threads}");
             assert_eq!(got.evaluations, reference.evaluations, "threads {threads}");
             for (a, b) in got.point.iter().zip(&reference.point) {
@@ -202,16 +182,13 @@ mod tests {
             (d - 0.1).max(0.0)
         };
         let bounds = Bounds::unit(1);
-        let opts = MultistartOptions {
-            grid_points_per_axis: 5, // lattice {0, 0.25, 0.5, 0.75, 1}: seeds in both wells
-            refine_top: 2,
-            ..Default::default()
-        };
-        let reference = multistart_minimize(f, &bounds, &[], &opts, &Executor::sequential());
+        // Five points per axis, the lattice {0, 0.25, 0.5, 0.75, 1}: seeds in both wells.
+        let run = |exec: &Executor| multistart_minimize(f, &bounds, &[], 5, 2, 4000, exec);
+        let reference = run(&Executor::sequential());
         assert_eq!(reference.value, 0.0);
         assert!(reference.point[0] < 0.5, "tie must resolve to the left well: {reference:?}");
         for threads in [1usize, 2, 8] {
-            let got = multistart_minimize(f, &bounds, &[], &opts, &Executor::new(threads));
+            let got = run(&Executor::new(threads));
             assert_eq!(got.value, 0.0, "threads {threads}");
             assert_eq!(
                 got.point[0].to_bits(),
@@ -228,13 +205,8 @@ mod tests {
         let target = [0.99, 0.45, 0.25];
         let f =
             |x: &[f64]| x.iter().zip(&target).map(|(xi, ti)| (xi - ti) * (xi - ti)).sum::<f64>();
-        let result = multistart_minimize(
-            f,
-            &Bounds::unit(3),
-            &[],
-            &MultistartOptions::default(),
-            &Executor::sequential(),
-        );
+        let result =
+            multistart_minimize(f, &Bounds::unit(3), &[], 7, 5, 4000, &Executor::sequential());
         for (p, t) in result.point.iter().zip(&target) {
             assert!((p - t).abs() < 1e-3, "{:?}", result.point);
         }

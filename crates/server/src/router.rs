@@ -19,7 +19,7 @@ use crate::http::{Request, Response};
 use crate::jobs::{JobEventSink, JobSnapshot, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
 use crate::store::{self, PendingJob, Persistence};
-use kronpriv::pipeline::{
+use kronpriv::{
     try_kronfit_estimate, try_kronmom_estimate, try_private_estimate, validate_estimator_inputs,
 };
 use kronpriv_estimate::{KronFitOptions, KronMomOptions};
@@ -226,7 +226,7 @@ pub(crate) fn path_of(target: &str) -> &str {
     target.split_once('?').map_or(target, |(path, _)| path)
 }
 
-/// Answers one request: parses its target into a [`Route`] and [`dispatch`]es it.
+/// Answers one request: parses its target into a `Route` and hands it to `dispatch`.
 pub fn route(state: &AppState, request: &Request) -> Response {
     let (route, deprecated) = Route::parse(&request.path);
     dispatch(state, request, route, deprecated)
@@ -512,11 +512,12 @@ fn validate_kronfit_options(options: &KronFitOptions) -> Result<(), String> {
 /// Sanity bounds on wire-supplied KronMom options (reached both via the `"kronmom"` baseline
 /// and as the fitting stage of the private pipeline): the multistart grid is **cubic** in
 /// `grid_points_per_axis`, so an absurd value would pin an estimation worker or exhaust memory
-/// before a single objective evaluation finishes.
+/// before a single objective evaluation finishes, and it needs at least two points per axis
+/// (its lattice includes both ends of every axis).
 fn validate_kronmom_options(options: &KronMomOptions) -> Result<(), String> {
-    if options.grid_points_per_axis == 0 || options.grid_points_per_axis > 64 {
+    if !(2..=64).contains(&options.grid_points_per_axis) {
         return Err(format!(
-            "kronmom.grid_points_per_axis must be in 1..=64, got {}",
+            "kronmom.grid_points_per_axis must be in 2..=64, got {}",
             options.grid_points_per_axis
         ));
     }
@@ -874,7 +875,7 @@ fn delete_dataset(state: &AppState, name: &str) -> Response {
 }
 
 /// Re-launches the jobs that were pending when the previous process stopped. Each persisted
-/// spec passes through the same [`prepare_job`] validation as a live request, and its job id
+/// spec passes through the same `prepare_job` validation as a live request, and its job id
 /// is re-used so clients' poll URLs stay valid; seed determinism makes the re-run produce the
 /// byte-identical result document. The budget is **not** debited again — the original debit
 /// record replayed with the log. A spec that no longer validates (e.g. its dataset was
@@ -1073,6 +1074,53 @@ mod tests {
         let snap = wait_for_job(&state, id);
         assert_eq!(snap.status, JobStatus::Failed);
         assert!(snap.error.unwrap().contains("this input has 1100"));
+    }
+
+    #[test]
+    fn a_one_point_kronmom_grid_is_refused_before_any_debit() {
+        // Regression: the seeding grid needs two points per axis (`grid_search` asserts it),
+        // but one used to pass validation, so a dataset job was debited and then panicked.
+        let state = state();
+        let upload = format!(
+            r#"{{"name": "g", "edge_list": {}, "budget": {{"epsilon": 5.0, "delta": 0.5}}}}"#,
+            kronpriv_json::to_string(&ring(16))
+        );
+        assert_eq!(route(&state, &request("POST", "/api/v1/datasets", &upload)).status, 201);
+        let options = |grid_points_per_axis| {
+            kronpriv_json::to_string(&kronpriv_estimate::PrivateEstimatorOptions {
+                kronmom: KronMomOptions { grid_points_per_axis, ..Default::default() },
+                ..Default::default()
+            })
+        };
+        let body = format!(
+            r#"{{"params": {{"epsilon": 0.2, "delta": 0.01}}, "seed": 3, "options": {}}}"#,
+            options(1)
+        );
+        let response = route(&state, &request("POST", "/api/v1/datasets/g/estimate", &body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("\"bad_request\""), "{}", response.body);
+        assert!(
+            response.body.contains("grid_points_per_axis must be in 2..=64"),
+            "{}",
+            response.body
+        );
+        let ledger = state.datasets.meta("g").unwrap().ledger;
+        assert_eq!((ledger.epsilon_spent, ledger.delta_spent), (0.0, 0.0));
+        // The KronMom baseline refuses it the same way.
+        let graph = kronpriv_json::to_string(&ring(16));
+        let baseline = |grid_points_per_axis| {
+            format!(
+                r#"{{"graph": {{"edge_list": {graph}}}, "estimator": "kronmom", "seed": 1,
+                    "options": {}}}"#,
+                options(grid_points_per_axis)
+            )
+        };
+        let response = route(&state, &request("POST", "/api/estimate", &baseline(1)));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert_eq!(state.jobs.submitted(), 0, "a refused request must not enqueue a job");
+        // Two points per axis, the smallest grid, is admitted (validated without running).
+        let spec: JobSpec = from_str(&baseline(2)).map(JobSpec::from_estimate_request).unwrap();
+        assert!(prepare_job(&state, &spec).is_ok());
     }
 
     #[test]

@@ -17,7 +17,8 @@ fn main() {
 
     // One executor serves every fit of the sweep.
     let exec = Executor::new(0);
-    let kronmom = KronMomEstimator::default().fit_graph(&original, &exec);
+    let kronmom = try_kronmom_estimate(&original, &KronMomOptions::default(), &exec, &NullSink)
+        .expect("the CA-GrQc stand-in has edges");
     println!("non-private KronMom estimate: {}", kronmom.theta);
 
     let repetitions = 5;
@@ -28,13 +29,15 @@ fn main() {
         let mut distances = Vec::new();
         for rep in 0..repetitions {
             let mut rng = StdRng::seed_from_u64(1000 + rep);
-            let est = PrivateEstimator::default().fit(
+            let est = try_private_estimate(
                 &original,
                 PrivacyParams::new(epsilon, 0.01),
+                &PrivateEstimatorOptions::default(),
                 &mut rng,
                 &exec,
                 &NullSink,
-            );
+            )
+            .expect("the stand-in has edges and the budget has delta > 0");
             distances.push(est.fit.theta.distance(&kronmom.theta));
         }
         let mean = distances.iter().sum::<f64>() / distances.len() as f64;

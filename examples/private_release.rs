@@ -9,12 +9,11 @@
 //! ```
 
 use kronpriv::prelude::*;
-use kronpriv_estimate::KronFitOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let data_dir = std::env::var_os("KRONPRIV_DATA_DIR").map(PathBuf::from);
     let (original, is_real) =
         Dataset::CaGrQc.load_or_generate(data_dir.as_deref(), 1).unwrap_or_else(|e| {
@@ -29,29 +28,32 @@ fn main() {
         original.edge_count()
     );
 
+    // The three estimators of Table 1 on one executor, KronFit's permutation sampling and the
+    // privacy noise drawing from the same RNG, in this order.
     let mut rng = StdRng::seed_from_u64(11);
-    let suite = estimate_with_all_estimators(
+    let exec = Executor::new(0);
+    let kronfit_options = KronFitOptions { gradient_steps: 40, ..Default::default() };
+    let kronfit = try_kronfit_estimate(&original, &kronfit_options, &mut rng, &exec, &NullSink)?;
+    let kronmom = try_kronmom_estimate(&original, &KronMomOptions::default(), &exec, &NullSink)?;
+    let private = try_private_estimate(
         &original,
         PrivacyParams::paper_default(),
-        &KronFitOptions { gradient_steps: 40, ..Default::default() },
-        &KronMomOptions::default(),
         &PrivateEstimatorOptions::default(),
         &mut rng,
-        &Executor::new(0),
-    );
+        &exec,
+        &NullSink,
+    )?;
     println!("\nestimates (a, b, c):");
-    println!("  KronFit  {}", suite.kronfit.theta);
-    println!("  KronMom  {}", suite.kronmom.theta);
-    println!("  Private  {}   (ε = 0.2, δ = 0.01)", suite.private.fit.theta);
+    println!("  KronFit  {}", kronfit.theta);
+    println!("  KronMom  {}", kronmom.theta);
+    println!("  Private  {}   (ε = 0.2, δ = 0.01)", private.fit.theta);
 
     // Sample one synthetic graph per estimator and profile it the way Figures 1-3 do.
     let options = ProfileOptions { scree_values: 25, network_values: 100, skip_hop_plot: false };
     let original_profile = GraphProfile::compute("Original", &original, &options, &mut rng);
     println!("\nprofile comparison against the original (lower is better):");
     println!("  estimator  edge err  triangle err  degree KS  λ₁ err  clustering diff");
-    for (label, fit) in
-        [("KronFit", &suite.kronfit), ("KronMom", &suite.kronmom), ("Private", &suite.private.fit)]
-    {
+    for (label, fit) in [("KronFit", &kronfit), ("KronMom", &kronmom), ("Private", &private.fit)] {
         let synthetic = sample_fast(&fit.theta, fit.k, &mut rng, &Executor::sequential());
         let profile = GraphProfile::compute(label, &synthetic, &options, &mut rng);
         let cmp = ProfileComparison::between(&original_profile, &original, &profile, &synthetic);
@@ -67,4 +69,5 @@ fn main() {
 
     println!("\nThe private column should track the KronMom column closely — that is the");
     println!("paper's headline claim (its Table 1 and Figures 1-3).");
+    Ok(())
 }

@@ -7,7 +7,6 @@
 //! ```
 
 use kronpriv::prelude::*;
-use kronpriv_estimate::KronFitOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,15 +22,23 @@ fn main() {
         graph.edge_count()
     );
 
-    let suite = estimate_with_all_estimators(
+    // The three estimators of Table 1 on one executor, KronFit's permutation sampling and the
+    // privacy noise drawing from the same RNG, in this order.
+    let exec = Executor::new(0);
+    let kronfit_options = KronFitOptions { gradient_steps: 50, ..Default::default() };
+    let kronfit = try_kronfit_estimate(&graph, &kronfit_options, &mut rng, &exec, &NullSink)
+        .expect("the synthetic graph has edges");
+    let kronmom = try_kronmom_estimate(&graph, &KronMomOptions::default(), &exec, &NullSink)
+        .expect("the synthetic graph has edges");
+    let private = try_private_estimate(
         &graph,
         PrivacyParams::paper_default(),
-        &KronFitOptions { gradient_steps: 50, ..Default::default() },
-        &KronMomOptions::default(),
         &PrivateEstimatorOptions::default(),
         &mut rng,
-        &Executor::new(0),
-    );
+        &exec,
+        &NullSink,
+    )
+    .expect("the synthetic graph has edges and the budget has delta > 0");
 
     println!("\n               a        b        c     |Θ̂ − Θ|");
     let report = |label: &str, theta: &Initiator2| {
@@ -44,9 +51,9 @@ fn main() {
         );
     };
     report("truth", &truth);
-    report("KronFit", &suite.kronfit.theta);
-    report("KronMom", &suite.kronmom.theta);
-    report("Private", &suite.private.fit.theta);
+    report("KronFit", &kronfit.theta);
+    report("KronMom", &kronmom.theta);
+    report("Private", &private.fit.theta);
 
     println!("\npaper's Table 1 values for the same experiment (their own random realization):");
     let row = Dataset::SyntheticKronecker.table1_row();

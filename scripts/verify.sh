@@ -3,6 +3,7 @@
 # dependency is an in-workspace path dependency — see README.md).
 #
 #   scripts/verify.sh          # fmt --check + build (release) + tests + clippy -D warnings
+#                              # + rustdoc -D warnings + kronpriv-lint
 #   scripts/verify.sh --quick  # additionally runs the rand/graph/skg tests optimized, the e2e
 #                              # bench's own tests, quickstart and the server probe, then
 #                              # smoke-runs the bench harness with the bench_check regression
@@ -21,6 +22,11 @@ cargo test -q --offline
 
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --offline --workspace (rustdoc warnings are errors)"
+# A doc link to a deleted, renamed or private item, or an ambiguous one, is only a rustdoc
+# warning; this gate turns it into a failure so the API docs cannot rot silently (~5 s).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "==> kronpriv-lint (static privacy/determinism/no-feedback gate)"
 # The invariant checker (crates/lint): zero unwaived findings or the build fails. Waivers

@@ -11,7 +11,7 @@ use kronpriv::prelude::*;
 use kronpriv_dp::{isotonic_increasing_par, private_degree_sequence};
 use kronpriv_estimate::MomentObjective;
 use kronpriv_linalg::isotonic_increasing;
-use kronpriv_optim::{grid_search, multistart_minimize, Bounds, MultistartOptions};
+use kronpriv_optim::{grid_search, multistart_minimize, Bounds};
 use kronpriv_par::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,23 +48,23 @@ fn multistart_on_an_skg_objective_is_bit_identical_for_all_thread_counts() {
     let objective = MomentObjective::standard(&stats, 10);
     let bounds = Bounds::unit(3);
     let extra = vec![vec![0.99, 0.5, 0.2]];
-    let opts = MultistartOptions::default();
-
-    let sequential = multistart_minimize(
-        |p| objective.evaluate_params(p),
-        &bounds,
-        &extra,
-        &opts,
-        &Executor::sequential(),
-    );
-    for threads in THREAD_COUNTS {
-        let par = multistart_minimize(
+    // KronMom's default grid, refinement count and evaluation budget.
+    let opts = KronMomOptions::default();
+    let run = |exec: &Executor| {
+        multistart_minimize(
             |p| objective.evaluate_params(p),
             &bounds,
             &extra,
-            &opts,
-            &Executor::new(threads),
-        );
+            opts.grid_points_per_axis,
+            opts.refine_top,
+            opts.max_evaluations,
+            exec,
+        )
+    };
+
+    let sequential = run(&Executor::sequential());
+    for threads in THREAD_COUNTS {
+        let par = run(&Executor::new(threads));
         assert_same_result(&par, &sequential, &format!("threads {threads}"));
     }
 }
@@ -100,16 +100,14 @@ fn equal_objective_restarts_tie_break_deterministically() {
         (d - 0.1).max(0.0)
     };
     let bounds = Bounds::unit(1);
-    let opts = MultistartOptions {
-        grid_points_per_axis: 5, // lattice {0, 0.25, 0.5, 0.75, 1}: one seed in each well
-        refine_top: 2,
-        ..Default::default()
-    };
-    let sequential = multistart_minimize(f, &bounds, &[], &opts, &Executor::sequential());
+    // Five points per axis, the lattice {0, 0.25, 0.5, 0.75, 1}: one seed in each well; the
+    // two best refined with the default budget.
+    let run = |exec: &Executor| multistart_minimize(f, &bounds, &[], 5, 2, 4000, exec);
+    let sequential = run(&Executor::sequential());
     assert_eq!(sequential.value, 0.0, "both wells bottom out at exactly zero");
     assert!(sequential.point[0] < 0.5, "stable grid order seeds the left well first");
     for threads in THREAD_COUNTS {
-        let par = multistart_minimize(f, &bounds, &[], &opts, &Executor::new(threads));
+        let par = run(&Executor::new(threads));
         assert_same_result(&par, &sequential, &format!("threads {threads}"));
     }
 }

@@ -42,12 +42,9 @@ fn quick_options(chains: usize) -> KronFitOptions {
 
 /// The KronFit fit with `chains` chains on a `threads`-participant pool.
 fn pooled_fit(g: &Graph, chains: usize, threads: usize, rng: &mut StdRng) -> FittedInitiator {
-    KronFitEstimator::new(quick_options(chains)).fit_graph(
-        g,
-        rng,
-        &Executor::new(threads),
-        &NullSink,
-    )
+    let exec = Executor::new(threads);
+    try_kronfit_estimate(g, &quick_options(chains), rng, &exec, &NullSink)
+        .expect("an SKG graph has edges")
 }
 
 #[test]

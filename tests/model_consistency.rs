@@ -3,6 +3,7 @@
 //! the paper relies on.
 
 use kronpriv::prelude::*;
+use kronpriv_estimate::MomentObjective;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,7 +45,9 @@ fn estimation_then_resampling_preserves_the_matching_statistics() {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(2);
     let original = sample_fast(&truth, 12, &mut rng, &Executor::sequential());
-    let fit = KronMomEstimator::default().fit_graph(&original, &Executor::new(0));
+    let fit =
+        try_kronmom_estimate(&original, &KronMomOptions::default(), &Executor::new(0), &NullSink)
+            .unwrap();
     let resampled = sample_fast(&fit.theta, fit.k, &mut rng, &Executor::sequential());
     let a = MatchingStatistics::of_graph(&original);
     let b = MatchingStatistics::of_graph(&resampled);
@@ -96,7 +99,8 @@ fn kronmom_recovers_arbitrary_initiators_from_their_own_expectations() {
             tripins: m.tripins,
             triangles: m.triangles,
         };
-        let fit = KronMomEstimator::default().fit_statistics(&stats, k, &Executor::new(0));
+        let objective = MomentObjective::standard(&stats, k);
+        let fit = fit_objective(&objective, &KronMomOptions::default(), &Executor::new(0));
         assert!(fit.theta.distance(&truth) < 0.05, "recovered {:?} from {truth:?}", fit.theta);
     }
 }
@@ -109,13 +113,15 @@ fn private_statistics_are_always_finite_and_non_negative() {
         let epsilon = outer.gen_range(0.05..2.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let g = sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 9, &mut rng, &Executor::sequential());
-        let est = PrivateEstimator::default().fit(
+        let est = try_private_estimate(
             &g,
             PrivacyParams::new(epsilon, 0.01),
+            &PrivateEstimatorOptions::default(),
             &mut rng,
             &Executor::new(0),
             &NullSink,
-        );
+        )
+        .unwrap();
         for v in est.private_statistics {
             assert!(v.is_finite());
             assert!(v >= 0.0);

@@ -16,11 +16,22 @@ fn base_graph(seed: u64) -> Graph {
 
 #[test]
 fn budget_accounting_of_algorithm_one_composes_to_the_requested_guarantee() {
+    // Sequential composition (Theorem 4.9) of the two releases a real run made, at an uneven
+    // split: the degree release is pure DP, the triangle release carries all of δ, and their
+    // epsilons add up to the requested ε.
+    let graph = base_graph(5);
     let params = PrivacyParams::paper_default();
-    let shares = params.split_with_delta_on_last(2);
-    let composed = PrivacyParams::compose(&shares);
-    assert!((composed.epsilon - params.epsilon).abs() < 1e-12);
-    assert!((composed.delta - params.delta).abs() < 1e-12);
+    let options = PrivateEstimatorOptions { degree_budget_fraction: 0.3, ..Default::default() };
+    let mut rng = StdRng::seed_from_u64(6);
+    let est =
+        try_private_estimate(&graph, params, &options, &mut rng, &Executor::new(0), &NullSink)
+            .unwrap();
+    let degree = est.degree_release.params;
+    let triangle = est.triangle_release.expect("triangle release present by default").params;
+    assert!((degree.epsilon + triangle.epsilon - params.epsilon).abs() < 1e-12);
+    assert!((degree.epsilon - 0.3 * params.epsilon).abs() < 1e-12);
+    assert_eq!(degree.delta, 0.0);
+    assert_eq!(triangle.delta, params.delta);
 }
 
 #[test]
@@ -28,8 +39,10 @@ fn private_estimate_reports_exactly_the_budget_it_was_given() {
     let graph = base_graph(1);
     let mut rng = StdRng::seed_from_u64(2);
     let params = PrivacyParams::new(0.3, 0.005);
+    let options = PrivateEstimatorOptions::default();
     let est =
-        PrivateEstimator::default().fit(&graph, params, &mut rng, &Executor::new(0), &NullSink);
+        try_private_estimate(&graph, params, &options, &mut rng, &Executor::new(0), &NullSink)
+            .unwrap();
     assert_eq!(est.params, params);
     // The two sub-releases carry the split budgets.
     assert!((est.degree_release.params.epsilon - 0.15).abs() < 1e-12);
