@@ -62,8 +62,7 @@ pub use kronpriv_skg;
 pub use kronpriv_stats;
 
 pub use kronpriv_estimate::{
-    fit_objective, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
-    validate_estimator_inputs, PipelineError,
+    fit_objective, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate, PipelineError,
 };
 pub use pipeline::{try_release_synthetic_graph, SyntheticRelease};
 
@@ -100,8 +99,8 @@ pub mod prelude {
     pub use kronpriv_dp::{PrivacyParams, PrivateDegreeSequence, PrivateTriangleCount};
     pub use kronpriv_estimate::{
         fit_objective, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
-        validate_estimator_inputs, FittedInitiator, KronFitOptions, KronMomOptions, PipelineError,
-        PrivateEstimate, PrivateEstimatorOptions,
+        FittedInitiator, KronFitOptions, KronMomOptions, PipelineError, PrivateEstimate,
+        PrivateEstimatorOptions,
     };
     pub use kronpriv_graph::{Graph, GraphBuilder, MatchingStatistics};
     pub use kronpriv_obs::{

@@ -151,7 +151,9 @@ mod tests {
                 &NullSink
             )
             .unwrap_err(),
-            PipelineError::DeltaRequired
+            PipelineError::InvalidOption(
+                "the triangle release requires delta > 0 (or use degrees_only)".to_string()
+            )
         );
         let bad = PrivateEstimatorOptions { degree_budget_fraction: 1.5, ..Default::default() };
         assert_eq!(
@@ -164,7 +166,9 @@ mod tests {
                 &NullSink
             )
             .unwrap_err(),
-            PipelineError::InvalidBudgetFraction(1.5)
+            PipelineError::InvalidOption(
+                "degree_budget_fraction must be in (0,1), got 1.5".to_string()
+            )
         );
     }
 

@@ -28,6 +28,6 @@ pub use budget::{ParamError, PrivacyParams};
 pub use degree::{isotonic_increasing_par, private_degree_sequence, PrivateDegreeSequence};
 pub use laplace::{laplace_mechanism, LaplaceNoise};
 pub use smooth::{
-    private_triangle_count, smooth_sensitivity_triangles, triangle_local_sensitivity,
-    PrivateTriangleCount,
+    private_triangle_count, smooth_sensitivity_triangles, smoothing_beta,
+    triangle_local_sensitivity, PrivateTriangleCount,
 };

@@ -176,6 +176,12 @@ fn smooth_upper_bound(ls: usize, n: usize, beta: f64) -> f64 {
     best
 }
 
+/// The smoothing parameter `β = ε / (2 ln(2/δ))` of [`private_triangle_count`]; 0 (a panic
+/// there) once `2/δ` overflows.
+pub fn smoothing_beta(params: PrivacyParams) -> f64 {
+    params.epsilon / (2.0 * (2.0 / params.delta).ln())
+}
+
 /// The output of the `(ε, δ)` private triangle-count mechanism.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrivateTriangleCount {
@@ -223,7 +229,7 @@ pub fn private_triangle_count<R: Rng + ?Sized>(
     exec: &Executor,
 ) -> PrivateTriangleCount {
     assert!(params.delta > 0.0, "the smooth-sensitivity triangle release requires delta > 0");
-    let beta = params.epsilon / (2.0 * (2.0 / params.delta).ln());
+    let beta = smoothing_beta(params);
     let (ss, ordered) = stage("triangle_release/smooth_sensitivity", &NullSink, || {
         let ordered = DegreeOrdered::new(g);
         let ss = if exact {

@@ -30,7 +30,7 @@
 //! of the result's definition) but is byte-identical for every **pool size** (a pure
 //! performance knob).
 
-use crate::{kronecker_order_for, require_edges, FittedInitiator, PipelineError};
+use crate::{kronecker_order_for, refuse, require_edges, FittedInitiator, PipelineError};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_with_defaults;
 use kronpriv_obs::{stage, ProgressEvent, ProgressSink};
@@ -73,9 +73,9 @@ pub struct KronFitOptions {
     /// Starting initiator.
     pub initial: Initiator2,
     /// Number of independent Metropolis permutation chains whose gradients are averaged each
-    /// ascent step. This is an **algorithm parameter**: changing it changes the fit (each chain
-    /// consumes its own [`StdRng::split`] stream), unlike the executor's pool size, which never
-    /// does. Values are clamped to at least 1.
+    /// ascent step, from 1 to 64. This is an **algorithm parameter**: changing it changes the
+    /// fit (each chain consumes its own [`StdRng::split`] stream), unlike the executor's pool
+    /// size, which never does.
     pub chains: usize,
 }
 
@@ -107,6 +107,71 @@ impl Default for KronFitOptions {
             initial: Initiator2::new(0.9, 0.6, 0.2),
             chains: 4,
         }
+    }
+}
+
+/// Most Metropolis proposals one fit may run (`gradient_steps × chains × per-step swaps`):
+/// per-knob caps alone multiply into weeks of CPU. 10⁹ is minutes, ~150× the default.
+const MAX_TOTAL_SWAPS: u128 = 1_000_000_000;
+
+/// Most [`ProgressEvent::ChainStep`] events one fit may emit (`gradient_steps × chains`), 17× the
+/// default: the HTTP server keeps ~100 bytes per event for 1024 jobs, so ≤ 430 MB in all.
+const MAX_CHAIN_STEP_EVENTS: u128 = 4096;
+
+/// Smallest `min_parameter`: an edge probability multiplies `k ≤ 32` entries (node ids are
+/// `u32`) of at least `min_parameter` and takes the log, and `(1e-9)^32` is still normal.
+const MIN_PARAMETER_FLOOR: f64 = 1e-9;
+
+impl KronFitOptions {
+    /// Checks every rule on these options, so that a fit neither pins a worker nor ends without
+    /// a finite likelihood: `chains` and `samples_per_step` in `1..=64`; at most 10⁶ gradient
+    /// evaluations (each O(edges)), 10⁹ Metropolis proposals and 4096 chain-step events; a
+    /// `min_parameter` of at least `1e-9`; a positive `learning_rate`; `initial` in `[0, 1]`.
+    pub fn validate(&self) -> Result<(), PipelineError> {
+        for (name, got) in [("chains", self.chains), ("samples_per_step", self.samples_per_step)] {
+            if !(1..=64).contains(&got) {
+                return refuse(format!("kronfit.{name} must be in 1..=64, got {got}"));
+            }
+        }
+        let chain_steps = self.gradient_steps as u128 * self.chains as u128;
+        let evaluations = chain_steps * self.samples_per_step as u128;
+        if evaluations > 1_000_000 {
+            return refuse(format!(
+                "kronfit gradient budget too large: gradient_steps x chains x samples_per_step \
+                 = {evaluations} evaluations exceeds the limit of 1000000"
+            ));
+        }
+        let per_step_swaps = self.warmup_swaps as u128
+            + (self.samples_per_step as u128 - 1) * self.swaps_between_samples as u128;
+        let total_swaps = chain_steps * per_step_swaps;
+        if total_swaps > MAX_TOTAL_SWAPS {
+            return refuse(format!(
+                "kronfit iteration budget too large: gradient_steps x chains x per-step swaps \
+                 = {total_swaps} proposals exceeds the limit of {MAX_TOTAL_SWAPS}"
+            ));
+        }
+        if chain_steps > MAX_CHAIN_STEP_EVENTS {
+            return refuse(format!(
+                "kronfit progress log too large: gradient_steps x chains = {chain_steps} \
+                 chain-step events exceeds the limit of {MAX_CHAIN_STEP_EVENTS}"
+            ));
+        }
+        for (name, got) in
+            [("min_parameter", self.min_parameter), ("learning_rate", self.learning_rate)]
+        {
+            if !(got.is_finite() && got > 0.0) {
+                return refuse(format!("kronfit.{name} must be a positive number, got {got}"));
+            }
+        }
+        if self.min_parameter < MIN_PARAMETER_FLOOR {
+            let (got, floor) = (self.min_parameter, MIN_PARAMETER_FLOOR);
+            return refuse(format!("kronfit.min_parameter must be >= {floor:e}, got {got:e}"));
+        }
+        if let Err(e) = Initiator2::try_new(self.initial.a, self.initial.b, self.initial.c) {
+            let (name, got) = (e.parameter, e.value);
+            return refuse(format!("kronfit.initial.{name}={got} must lie in [0,1]"));
+        }
+        Ok(())
     }
 }
 
@@ -156,14 +221,8 @@ fn closed_form_part(theta: &Initiator2, k: u32) -> f64 {
     -0.5 * (s_all - s_diag) - 0.25 * (s2_all - s2_diag)
 }
 
-/// Gradient of [`closed_form_part`] with respect to `(a, b, c)`.
+/// Gradient of [`closed_form_part`] with respect to `(a, b, c)`, for the fit's `k ≥ 1`.
 fn closed_form_gradient(theta: &Initiator2, k: u32) -> [f64; 3] {
-    if k == 0 {
-        // A 2^0-node "graph" has one index pair and no free bit positions: the closed form is
-        // constant, so its gradient vanishes. Without this guard `powi(k − 1)` is `powi(-1)` —
-        // a reciprocal that used to feed garbage into the ascent for degenerate inputs.
-        return [0.0; 3];
-    }
     let (a, b, c) = (theta.a, theta.b, theta.c);
     let kf = k as f64;
     let s_all = (a + 2.0 * b + c).powi(k as i32 - 1);
@@ -251,8 +310,8 @@ impl ClassTable {
 /// consumes no randomness, so opting in (or not) never changes the fit: the sink is
 /// strictly an observer (the `kronpriv-obs` no-feedback invariant).
 ///
-/// Returns [`PipelineError::EmptyGraph`] for a graph without edges; nothing is drawn from
-/// `rng` then.
+/// Returns [`PipelineError::EmptyGraph`] for a graph without edges, and the error of
+/// [`KronFitOptions::validate`] for options it refuses; nothing is drawn from `rng` then.
 pub fn try_kronfit_estimate<R: Rng + ?Sized>(
     g: &Graph,
     options: &KronFitOptions,
@@ -261,11 +320,12 @@ pub fn try_kronfit_estimate<R: Rng + ?Sized>(
     sink: &dyn ProgressSink,
 ) -> Result<FittedInitiator, PipelineError> {
     require_edges(g)?;
+    options.validate()?;
     Ok(stage("kronfit", sink, || fit_chains(g, options, rng, exec, sink)))
 }
 
 /// The multi-chain ascent loop behind [`try_kronfit_estimate`], for a graph with at least one
-/// edge (so `k ≥ 1`).
+/// edge (so `k ≥ 1`) and validated options.
 fn fit_chains<R: Rng + ?Sized>(
     g: &Graph,
     options: &KronFitOptions,
@@ -276,7 +336,7 @@ fn fit_chains<R: Rng + ?Sized>(
     let k = kronecker_order_for(g.node_count());
     let mut theta = clamp_theta(&options.initial, options.min_parameter);
     let n_padded = 1usize << k;
-    let chains = options.chains.max(1);
+    let chains = options.chains;
 
     // One draw from the caller's RNG seeds the whole chain family; each chain's stream is then
     // derived by `StdRng::split`, so the fit depends on the chain count but never on the
@@ -377,7 +437,7 @@ fn chain_gradient(
     let asg = &mut chain.assignment;
     run_swaps(g, table, asg, options.warmup_swaps, &mut chain.rng);
     let mut averaged = [0.0f64; 3];
-    let samples = options.samples_per_step.max(1);
+    let samples = options.samples_per_step;
     for sample in 0..samples {
         if sample > 0 {
             run_swaps(g, table, asg, options.swaps_between_samples, &mut chain.rng);
@@ -618,12 +678,38 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_gradient_is_zero_at_order_zero() {
-        // Regression: `powi(k − 1)` for k = 0 is a reciprocal, which used to produce garbage
-        // gradients for empty/single-node graphs (`kronecker_order_for(1) == 0`). The closed
-        // form is constant at k = 0, so its gradient must vanish.
-        let theta = Initiator2::new(0.8, 0.5, 0.3);
-        assert_eq!(closed_form_gradient(&theta, 0), [0.0; 3]);
+    fn the_min_parameter_floor_keeps_every_class_finite_up_to_order_32() {
+        // Node ids are u32, so k <= 32: at the floor every edge term and gradient entry must
+        // stay finite, and the smallest edge probability a normal f64.
+        let floor = Initiator2::new(MIN_PARAMETER_FLOOR, MIN_PARAMETER_FLOOR, MIN_PARAMETER_FLOOR);
+        let table = ClassTable::new(&floor, 32);
+        assert!(table.term.iter().all(|t| t.is_finite()));
+        assert!(table.grad.iter().flatten().all(|g| g.is_finite()));
+        assert!(edge_probability(&floor, (32, 0, 0)).is_normal());
+    }
+
+    #[test]
+    fn options_the_fit_cannot_honour_are_refused_before_any_randomness() {
+        use rand::RngCore;
+        let g =
+            sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 6, &mut StdRng::seed_from_u64(1), &seq());
+        let mut rng = StdRng::seed_from_u64(2);
+        let before = rng.clone().next_u64();
+        let base = quick_options();
+        for (options, needle) in [
+            (KronFitOptions { chains: 0, ..base }, "kronfit.chains must be in 1..=64, got 0"),
+            (KronFitOptions { samples_per_step: 0, ..base }, "kronfit.samples_per_step"),
+            (KronFitOptions { min_parameter: 5e-324, ..base }, ">= 1e-9, got 5e-324"),
+            (KronFitOptions { learning_rate: f64::INFINITY, ..base }, "learning_rate"),
+            (
+                KronFitOptions { initial: Initiator2 { a: 1.5, b: 0.5, c: 0.2 }, ..base },
+                "kronfit.initial.a=1.5 must lie in [0,1]",
+            ),
+        ] {
+            let err = try_kronfit_estimate(&g, &options, &mut rng, &seq(), &NullSink).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        assert_eq!(rng.next_u64(), before, "a refused fit must not consume randomness");
     }
 
     #[test]

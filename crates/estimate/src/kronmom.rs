@@ -7,7 +7,7 @@
 //! the `fminsearch`-based reference implementation.
 
 use crate::objective::MomentObjective;
-use crate::{kronecker_order_for, require_edges, FittedInitiator, PipelineError};
+use crate::{kronecker_order_for, refuse, require_edges, FittedInitiator, PipelineError};
 use kronpriv_graph::{Graph, MatchingStatistics};
 use kronpriv_json::impl_json_struct;
 use kronpriv_obs::{stage, ProgressSink};
@@ -36,12 +36,35 @@ impl Default for KronMomOptions {
     }
 }
 
+impl KronMomOptions {
+    /// Checks every rule on these options, so that a fit neither pins a worker nor ends without
+    /// an objective value: `grid_points_per_axis` in `2..=64` (the lattice spans both ends of
+    /// each axis, and its size is cubic in it); at most 64 restarts in `refine_top` (0 refines
+    /// one, as 1 does); `max_evaluations` in `1..=10⁶` per restart (0 evaluates nothing).
+    pub fn validate(&self) -> Result<(), PipelineError> {
+        let (grid, refine, evaluations) =
+            (self.grid_points_per_axis, self.refine_top, self.max_evaluations);
+        if !(2..=64).contains(&grid) {
+            return refuse(format!("kronmom.grid_points_per_axis must be in 2..=64, got {grid}"));
+        }
+        if refine > 64 {
+            return refuse(format!("kronmom.refine_top must be at most 64, got {refine}"));
+        }
+        if !(1..=1_000_000).contains(&evaluations) {
+            let rule = if evaluations == 0 { "at least 1" } else { "at most 1000000" };
+            return refuse(format!("kronmom.max_evaluations must be {rule}, got {evaluations}"));
+        }
+        Ok(())
+    }
+}
+
 /// The KronMom baseline: computes the exact matching statistics of `g` and minimises the
 /// standard objective on `exec`, the whole fit running as the `fit` stage reported to `sink`.
 /// This is the entry point the server uses for `/api/estimate` with `"estimator": "kronmom"`.
 /// **Not differentially private** — it matches the exact counts.
 ///
-/// Returns [`PipelineError::EmptyGraph`] for a graph without edges.
+/// Returns [`PipelineError::EmptyGraph`] for a graph without edges, and the error of
+/// [`KronMomOptions::validate`] for options it refuses.
 pub fn try_kronmom_estimate(
     g: &Graph,
     options: &KronMomOptions,
@@ -49,6 +72,7 @@ pub fn try_kronmom_estimate(
     sink: &dyn ProgressSink,
 ) -> Result<FittedInitiator, PipelineError> {
     require_edges(g)?;
+    options.validate()?;
     Ok(stage("fit", sink, || {
         let stats = MatchingStatistics::of_graph(g);
         let k = kronecker_order_for(g.node_count());
@@ -168,6 +192,32 @@ mod tests {
                 MomentObjective::standard(&stats, k).with_distance(dist).with_normalization(norm);
             let fit = fit_objective(&objective, &KronMomOptions::default(), &Executor::new(0));
             assert!(fit.theta.distance(&truth) < 0.05, "{dist:?}/{norm:?} -> {:?}", fit.theta);
+        }
+    }
+
+    #[test]
+    fn options_the_fit_cannot_honour_are_refused_before_any_work() {
+        // With no evaluations every Nelder-Mead restart returns +inf unevaluated, so the fit
+        // would report its first start with no objective value.
+        let truth = Initiator2::new(0.9, 0.4, 0.2);
+        let g = sample_fast(&truth, 7, &mut StdRng::seed_from_u64(3), &Executor::sequential());
+        let fit = |options: KronMomOptions| {
+            try_kronmom_estimate(&g, &options, &Executor::sequential(), &NullSink)
+        };
+        let refused = |options: KronMomOptions| fit(options).unwrap_err().to_string();
+        let options = KronMomOptions::default();
+        assert_eq!(
+            refused(KronMomOptions { max_evaluations: 0, ..options }),
+            "kronmom.max_evaluations must be at least 1, got 0"
+        );
+        assert!(refused(KronMomOptions { grid_points_per_axis: 1, ..options }).contains("2..=64"));
+        assert!(refused(KronMomOptions { refine_top: 65, ..options }).contains("at most 64"));
+        // The smallest admitted budgets still end with a finite objective.
+        for options in [
+            KronMomOptions { max_evaluations: 1, ..options },
+            KronMomOptions { refine_top: 0, grid_points_per_axis: 2, ..options },
+        ] {
+            assert!(fit(options).unwrap().objective_value.is_finite(), "{options:?}");
         }
     }
 

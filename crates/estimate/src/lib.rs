@@ -14,8 +14,10 @@
 //!   objective. This is the "Private" column of Table 1.
 //!
 //! Each returns a [`PipelineError`] for an input it cannot estimate from, instead of
-//! panicking, so callers such as the HTTP server can map a bad request to a 4xx response. The
-//! shared moment-matching objective lives in [`objective`].
+//! panicking, so callers such as the HTTP server can map a bad request to a 4xx response.
+//! Every rule on option values lives in one `validate` per option type, which each function
+//! calls before it draws anything and the server calls before it debits a budget. The shared
+//! moment-matching objective lives in [`objective`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,27 +30,20 @@ pub mod private;
 pub use kronfit::{try_kronfit_estimate, KronFitOptions};
 pub use kronmom::{fit_objective, try_kronmom_estimate, KronMomOptions};
 pub use objective::{DistanceKind, MomentObjective, NormalizationKind};
-pub use private::{
-    try_private_estimate, validate_estimator_inputs, PrivateEstimate, PrivateEstimatorOptions,
-};
+pub use private::{try_private_estimate, PrivateEstimate, PrivateEstimatorOptions};
 
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
 use kronpriv_skg::Initiator2;
 
 /// An input an estimator refuses, reported instead of a worker-thread panic.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// The input graph has no nodes or no edges, so no model can be estimated from it.
     EmptyGraph,
-    /// `δ = 0` was supplied but the smooth-sensitivity triangle release requires `δ > 0`
-    /// (select the degrees-only ablation to run with pure DP).
-    DeltaRequired,
-    /// The configured degree-budget fraction lies outside the open interval `(0, 1)`.
-    InvalidBudgetFraction(
-        /// The rejected fraction.
-        f64,
-    ),
+    /// An option value or budget the estimator cannot honour; the message names the field, the
+    /// rule it breaks and the rejected value.
+    InvalidOption(String),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -57,12 +52,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::EmptyGraph => {
                 write!(f, "the input graph is empty (no nodes or no edges)")
             }
-            PipelineError::DeltaRequired => {
-                write!(f, "the triangle release requires delta > 0 (or use degrees_only)")
-            }
-            PipelineError::InvalidBudgetFraction(frac) => {
-                write!(f, "degree_budget_fraction must be in (0,1), got {frac}")
-            }
+            PipelineError::InvalidOption(message) => f.write_str(message),
         }
     }
 }
@@ -76,6 +66,11 @@ fn require_edges(g: &Graph) -> Result<(), PipelineError> {
         return Err(PipelineError::EmptyGraph);
     }
     Ok(())
+}
+
+/// The refusal of one option rule.
+fn refuse<T>(message: String) -> Result<T, PipelineError> {
+    Err(PipelineError::InvalidOption(message))
 }
 
 /// A fitted initiator matrix together with fit diagnostics, returned by every estimator.

@@ -14,10 +14,10 @@
 
 use crate::kronmom::{fit_objective, KronMomOptions};
 use crate::objective::{FeatureSelection, MomentObjective};
-use crate::{kronecker_order_for, require_edges, FittedInitiator, PipelineError};
+use crate::{kronecker_order_for, refuse, require_edges, FittedInitiator, PipelineError};
 use kronpriv_dp::{
-    private_degree_sequence, private_triangle_count, PrivacyParams, PrivateDegreeSequence,
-    PrivateTriangleCount,
+    private_degree_sequence, private_triangle_count, smoothing_beta, PrivacyParams,
+    PrivateDegreeSequence, PrivateTriangleCount,
 };
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct;
@@ -98,23 +98,51 @@ impl_json_struct!(PrivateEstimate {
     triangle_release,
 });
 
-/// Checks the graph-independent preconditions of Algorithm 1: the degree-budget fraction lies in
-/// `(0, 1)`, and `δ > 0` unless the degrees-only ablation is selected (the triangle release
-/// requires it). [`try_private_estimate`] runs this check, and so does request validation in
-/// the HTTP server, which rejects bad budgets and options with a 400 before a graph is ever
-/// materialised.
-pub fn validate_estimator_inputs(
-    params: PrivacyParams,
-    options: &PrivateEstimatorOptions,
-) -> Result<(), PipelineError> {
-    let frac = options.degree_budget_fraction;
-    if !(frac > 0.0 && frac < 1.0) {
-        return Err(PipelineError::InvalidBudgetFraction(frac));
+/// Smallest `ε` either stage may run with. The degree stage adds Laplace noise of scale `2/ε` to
+/// each degree and sums their cubes: at `ε = 1e-300` that overflows and the fit has no
+/// objective value; at `1e-9` it stays finite for `u32` node ids. No program here goes below 0.05.
+const MIN_STAGE_EPSILON: f64 = 1e-9;
+
+impl PrivateEstimatorOptions {
+    /// Checks these options against the total budget `params`. Returns the stage budgets that
+    /// [`try_private_estimate`] spends, `(ε·frac, 0)` and `(ε·(1 − frac), δ)`, or `(ε, 0)` and
+    /// `None` with `degrees_only`. The rules, in order: `frac` lies in `(0, 1)`; `δ > 0` unless
+    /// `degrees_only`; [`KronMomOptions::validate`]; each stage `ε` is at least `1e-9`; the
+    /// triangle stage's [`smoothing_beta`] is positive.
+    pub fn validate(
+        &self,
+        params: PrivacyParams,
+    ) -> Result<(PrivacyParams, Option<PrivacyParams>), PipelineError> {
+        let frac = self.degree_budget_fraction;
+        if !(frac > 0.0 && frac < 1.0) {
+            return refuse(format!("degree_budget_fraction must be in (0,1), got {frac}"));
+        }
+        if params.delta == 0.0 && !self.degrees_only {
+            return refuse("the triangle release requires delta > 0 (or use degrees_only)".into());
+        }
+        self.kronmom.validate()?;
+        if self.degrees_only {
+            return Ok((stage_budget("degree release", params.epsilon, 0.0)?, None));
+        }
+        let degree = stage_budget("degree release", params.epsilon * frac, 0.0)?;
+        let triangle =
+            stage_budget("triangle release", params.epsilon * (1.0 - frac), params.delta)?;
+        if smoothing_beta(triangle) <= 0.0 {
+            let delta = params.delta;
+            return refuse(format!("delta {delta:e} gives the triangle release a beta of 0"));
+        }
+        Ok((degree, Some(triangle)))
     }
-    if params.delta == 0.0 && !options.degrees_only {
-        return Err(PipelineError::DeltaRequired);
+}
+
+/// One stage's budget: valid for [`PrivacyParams::try_new`], with `ε ≥` [`MIN_STAGE_EPSILON`].
+fn stage_budget(stage: &str, epsilon: f64, delta: f64) -> Result<PrivacyParams, PipelineError> {
+    let floor = MIN_STAGE_EPSILON;
+    match PrivacyParams::try_new(epsilon, delta) {
+        Ok(budget) if epsilon >= floor => Ok(budget),
+        Ok(_) => refuse(format!("the {stage} gets epsilon {epsilon:e}, below {floor:e}")),
+        Err(e) => refuse(format!("the {stage} budget is invalid: {e}")),
     }
-    Ok(())
 }
 
 /// Runs Algorithm 1 on `g` with total budget `params`, using `rng` for all noise.
@@ -128,8 +156,8 @@ pub fn validate_estimator_inputs(
 /// (the no-feedback invariant of `kronpriv-obs`, pinned by `tests/observability_determinism.rs`).
 ///
 /// Returns [`PipelineError::EmptyGraph`] for a graph without edges, and the error of
-/// [`validate_estimator_inputs`] for a budget or options it refuses; nothing is drawn from
-/// `rng` then.
+/// [`PrivateEstimatorOptions::validate`] for a budget or options it refuses; nothing is drawn
+/// from `rng` then.
 pub fn try_private_estimate<R: Rng + ?Sized>(
     g: &Graph,
     params: PrivacyParams,
@@ -139,15 +167,16 @@ pub fn try_private_estimate<R: Rng + ?Sized>(
     sink: &dyn ProgressSink,
 ) -> Result<PrivateEstimate, PipelineError> {
     require_edges(g)?;
-    validate_estimator_inputs(params, options)?;
-    let frac = options.degree_budget_fraction;
+    let (degree_budget, triangle_budget) = options.validate(params)?;
     let k = kronecker_order_for(g.node_count());
 
-    if options.degrees_only {
-        // Spend everything on the degree sequence and drop Δ from the objective.
-        let degree_release = stage("degree_release", sink, || {
-            private_degree_sequence(g, PrivacyParams::pure(params.epsilon), rng, exec)
-        });
+    // Step 2: (ε·frac, 0)-DP degree sequence ((ε, 0) in the degrees-only ablation), with the
+    // isotonic post-processing on the parallel executor (thread-count-deterministic).
+    let degree_release =
+        stage("degree_release", sink, || private_degree_sequence(g, degree_budget, rng, exec));
+
+    let Some(triangle_budget) = triangle_budget else {
+        // Degrees-only: the whole budget went to the degree sequence, and Δ leaves the objective.
         let observed = [
             degree_release.edge_count(),
             degree_release.hairpin_count(),
@@ -164,17 +193,10 @@ pub fn try_private_estimate<R: Rng + ?Sized>(
             degree_release,
             triangle_release: None,
         });
-    }
-
-    // Step 2: (ε·frac, 0)-DP degree sequence, with the isotonic post-processing running on the
-    // parallel executor (thread-count-deterministic like every other stage).
-    let degree_budget = PrivacyParams::pure(params.epsilon * frac);
-    let degree_release =
-        stage("degree_release", sink, || private_degree_sequence(g, degree_budget, rng, exec));
+    };
 
     // Step 5: (ε·(1-frac), δ)-DP triangle count. The parallel kernels are deterministic for any
     // thread count, so the release is a pure function of (graph, budget, rng).
-    let triangle_budget = PrivacyParams::new(params.epsilon * (1.0 - frac), params.delta);
     let triangle_release = stage("triangle_release", sink, || {
         private_triangle_count(g, triangle_budget, options.exact_smooth_sensitivity, rng, exec)
     });
@@ -355,6 +377,65 @@ mod tests {
     }
 
     #[test]
+    fn validate_returns_the_stage_budgets_the_release_spends() {
+        let params = PrivacyParams::new(0.2, 0.01);
+        let options = PrivateEstimatorOptions { degree_budget_fraction: 0.3, ..Default::default() };
+        let (degree, triangle) = options.validate(params).unwrap();
+        assert_eq!(degree, PrivacyParams { epsilon: 0.2 * 0.3, delta: 0.0 });
+        assert_eq!(triangle, Some(PrivacyParams { epsilon: 0.2 * (1.0 - 0.3), delta: 0.01 }));
+        let degrees_only = PrivateEstimatorOptions { degrees_only: true, ..options };
+        assert_eq!(
+            degrees_only.validate(PrivacyParams::pure(0.2)),
+            Ok((PrivacyParams::pure(0.2), None))
+        );
+    }
+
+    #[test]
+    fn budgets_no_release_can_honour_are_refused_before_any_draw() {
+        use rand::RngCore;
+        let (_, g) = synthetic_graph(7, 16);
+        let mut rng = StdRng::seed_from_u64(17);
+        let before = rng.clone().next_u64();
+        let half = PrivateEstimatorOptions::default();
+        let cases = [
+            // ε·frac rounds to 0, below the floor, and a β that vanishes with 2/δ = +inf.
+            (PrivacyParams::new(0.2, 0.01), 5e-324, "the degree release budget is invalid"),
+            (PrivacyParams::new(0.2, 0.01), 1e-300, "the degree release gets epsilon"),
+            (PrivacyParams::new(0.2, 0.01), 1.0 - f64::EPSILON / 2.0, "the triangle release gets"),
+            (PrivacyParams::new(1e-300, 0.01), 0.5, "below 1e-9"),
+            (PrivacyParams::new(0.2, 5e-324), 0.5, "a beta of 0"),
+        ];
+        for (params, frac, needle) in cases {
+            let options = PrivateEstimatorOptions { degree_budget_fraction: frac, ..half };
+            let err = try_private_estimate(
+                &g,
+                params,
+                &options,
+                &mut rng,
+                &Executor::sequential(),
+                &NullSink,
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains(needle), "{params:?} at {frac}: {err}");
+        }
+        // The KronMom block is checked too: a one-point grid used to panic inside the fit.
+        let options = PrivateEstimatorOptions {
+            kronmom: KronMomOptions { grid_points_per_axis: 1, ..Default::default() },
+            ..half
+        };
+        let err = options.validate(PrivacyParams::paper_default()).unwrap_err();
+        assert!(err.to_string().contains("grid_points_per_axis"), "{err}");
+        assert_eq!(rng.next_u64(), before, "a refused release must not consume randomness");
+        // At the floor itself the release runs and every released value is finite.
+        let floor = PrivacyParams::new(2.0 * MIN_STAGE_EPSILON, 0.01);
+        let est =
+            try_private_estimate(&g, floor, &half, &mut rng, &Executor::sequential(), &NullSink)
+                .unwrap();
+        assert!(est.private_statistics.iter().all(|v| v.is_finite()), "{est:?}");
+        assert!(est.fit.objective_value.is_finite());
+    }
+
+    #[test]
     fn invalid_budget_fraction_is_rejected() {
         let (_, g) = synthetic_graph(8, 13);
         let mut rng = StdRng::seed_from_u64(14);
@@ -370,7 +451,8 @@ mod tests {
                 &NullSink,
             )
             .unwrap_err();
-            assert_eq!(err, PipelineError::InvalidBudgetFraction(frac));
+            let message = format!("degree_budget_fraction must be in (0,1), got {frac}");
+            assert_eq!(err, PipelineError::InvalidOption(message));
             assert!(err.to_string().contains("degree_budget_fraction"), "{err}");
         }
     }

@@ -1,10 +1,10 @@
 //! The wire types of the HTTP/JSON API, defined with the `kronpriv-json` derive-style macros.
 //!
 //! Request types deliberately do not reuse the library structs (`PrivacyParams`, `Initiator2`):
-//! deserializing through `impl_json_struct!` constructs values without running the library's
-//! validating constructors, so every untrusted field arrives in a `*Spec` type here and passes
-//! through an explicit `validate()` before it touches the pipeline. Response types are likewise
-//! separate from the library structs so that only *released* values cross the wire — in
+//! deserializing through `impl_json_struct!` skips the library's validating constructors, so an
+//! untrusted budget or initiator arrives in a `*Spec` type here, and estimator options in their
+//! library types; each passes its `validate()` before it touches the pipeline. Response types are
+//! likewise separate from the library structs so that only *released* values cross the wire — in
 //! particular the exact triangle count, which [`kronpriv_dp::PrivateTriangleCount`] retains for
 //! experiment bookkeeping, is never serialized by the server.
 
@@ -55,14 +55,9 @@ pub struct InitiatorSpec {
 impl_json_struct!(InitiatorSpec { a, b, c });
 
 impl InitiatorSpec {
-    /// Validates each entry into `[0, 1]` and builds an [`Initiator2`].
+    /// Validates the entries into an [`Initiator2`] via [`Initiator2::try_new`].
     pub fn validate(&self) -> Result<Initiator2, String> {
-        for (name, v) in [("a", self.a), ("b", self.b), ("c", self.c)] {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return Err(format!("initiator parameter {name}={v} must lie in [0,1]"));
-            }
-        }
-        Ok(Initiator2::new(self.a, self.b, self.c))
+        Initiator2::try_new(self.a, self.b, self.c).map_err(|e| e.to_string())
     }
 
     /// The wire form of a released initiator.

@@ -8,21 +8,18 @@
 //! their v1 routes — same handlers, byte-identical bodies, plus a `Deprecation: true` response
 //! header.
 
-use crate::api::BudgetDoc;
 use crate::api::{
-    BaselineResult, DatasetCreateRequest, DatasetDeleteResponse, DatasetDoc,
+    BaselineResult, BudgetDoc, DatasetCreateRequest, DatasetDeleteResponse, DatasetDoc,
     DatasetEstimateRequest, DatasetListResponse, ErrorBody, EstimateRequest, EstimateResult,
-    EstimatorKind, HealthResponse, JobSpec, SampleRequest, SampleResponse, SubmitResponse,
+    EstimatorKind, HealthResponse, InitiatorSpec, JobSpec, SampleRequest, SampleResponse,
+    SubmitResponse,
 };
 use crate::datasets::{valid_name, CreateError, DatasetStore, DebitError};
 use crate::http::{Request, Response};
 use crate::jobs::{JobEventSink, JobSnapshot, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
 use crate::store::{self, PendingJob, Persistence};
-use kronpriv::{
-    try_kronfit_estimate, try_kronmom_estimate, try_private_estimate, validate_estimator_inputs,
-};
-use kronpriv_estimate::{KronFitOptions, KronMomOptions};
+use kronpriv::{try_kronfit_estimate, try_kronmom_estimate, try_private_estimate};
 use kronpriv_graph::io::{parse_edge_list_reader, to_edge_list_string};
 use kronpriv_graph::Graph;
 use kronpriv_json::{
@@ -437,119 +434,28 @@ fn parse_body<T: FromJson>(request: &Request) -> Result<T, Response> {
     from_str::<T>(text).map_err(|e| error(400, "bad_request", format!("invalid request body: {e}")))
 }
 
-/// Upper bound on the *total* Metropolis proposals one KronFit request may run
-/// (`gradient_steps × chains × per-step swaps`). Per-knob caps alone compose multiplicatively
-/// into weeks of CPU; bounding the product is what actually protects the estimation workers.
-/// 10⁹ proposals is minutes of work — ~150× the default configuration — so real fits pass.
-const MAX_KRONFIT_TOTAL_SWAPS: u128 = 1_000_000_000;
-
-/// Upper bound on the `chain_step` progress events one KronFit request may log
-/// (`gradient_steps × chains`). Each event stays in the finished job's event log as a ~100-byte
-/// NDJSON line, and the server retains up to [`crate::jobs::DEFAULT_RETAINED_JOBS`] = 1024
-/// finished jobs. So the bound caps one job's log at 4096 × ~103 B ≈ 420 KB, and a full
-/// retention table at ≈ 430 MB. 4096 is 17× the default 60 steps × 4 chains = 240.
-const MAX_CHAIN_STEP_EVENTS: u128 = 4096;
-
-/// Basic sanity bounds on wire-supplied KronFit options: reject parameter values that would
-/// make the ascent numerically meaningless (non-positive clamps) or let one request hog an
-/// estimation worker with an absurd iteration budget.
-fn validate_kronfit_options(options: &KronFitOptions) -> Result<(), String> {
-    if options.chains == 0 || options.chains > 64 {
-        return Err(format!("kronfit.chains must be in 1..=64, got {}", options.chains));
-    }
-    if options.samples_per_step == 0 || options.samples_per_step > 64 {
-        return Err(format!(
-            "kronfit.samples_per_step must be in 1..=64, got {}",
-            options.samples_per_step
-        ));
-    }
-    // Swap-free configurations are still bounded by their O(edges) gradient evaluations.
-    let evaluations =
-        options.gradient_steps as u128 * options.chains as u128 * options.samples_per_step as u128;
-    if evaluations > 1_000_000 {
-        return Err(format!(
-            "kronfit gradient budget too large: gradient_steps x chains x samples_per_step \
-             = {evaluations} evaluations exceeds the limit of 1000000"
-        ));
-    }
-    let per_step_swaps = options.warmup_swaps as u128
-        + (options.samples_per_step as u128 - 1) * options.swaps_between_samples as u128;
-    let total_swaps = options.gradient_steps as u128 * options.chains as u128 * per_step_swaps;
-    if total_swaps > MAX_KRONFIT_TOTAL_SWAPS {
-        return Err(format!(
-            "kronfit iteration budget too large: gradient_steps x chains x per-step swaps \
-             = {total_swaps} proposals exceeds the limit of {MAX_KRONFIT_TOTAL_SWAPS}"
-        ));
-    }
-    let chain_steps = options.gradient_steps as u128 * options.chains as u128;
-    if chain_steps > MAX_CHAIN_STEP_EVENTS {
-        return Err(format!(
-            "kronfit progress log too large: gradient_steps x chains = {chain_steps} chain-step \
-             events exceeds the limit of {MAX_CHAIN_STEP_EVENTS}"
-        ));
-    }
-    if !(options.min_parameter.is_finite() && options.min_parameter > 0.0) {
-        return Err(format!(
-            "kronfit.min_parameter must be a positive number, got {}",
-            options.min_parameter
-        ));
-    }
-    if !(options.learning_rate.is_finite() && options.learning_rate > 0.0) {
-        return Err(format!(
-            "kronfit.learning_rate must be a positive number, got {}",
-            options.learning_rate
-        ));
-    }
-    for (name, v) in [("a", options.initial.a), ("b", options.initial.b), ("c", options.initial.c)]
-    {
-        if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-            return Err(format!("kronfit.initial.{name}={v} must lie in [0,1]"));
-        }
-    }
-    Ok(())
-}
-
-/// Sanity bounds on wire-supplied KronMom options (reached both via the `"kronmom"` baseline
-/// and as the fitting stage of the private pipeline): the multistart grid is **cubic** in
-/// `grid_points_per_axis`, so an absurd value would pin an estimation worker or exhaust memory
-/// before a single objective evaluation finishes, and it needs at least two points per axis
-/// (its lattice includes both ends of every axis).
-fn validate_kronmom_options(options: &KronMomOptions) -> Result<(), String> {
-    if !(2..=64).contains(&options.grid_points_per_axis) {
-        return Err(format!(
-            "kronmom.grid_points_per_axis must be in 2..=64, got {}",
-            options.grid_points_per_axis
-        ));
-    }
-    if options.refine_top > 64 {
-        return Err(format!("kronmom.refine_top must be at most 64, got {}", options.refine_top));
-    }
-    if options.max_evaluations > 1_000_000 {
-        return Err(format!(
-            "kronmom.max_evaluations must be at most 1000000, got {}",
-            options.max_evaluations
-        ));
-    }
-    Ok(())
-}
-
 /// Largest expected edge count, `expected_edges(theta, k)`, of an SKG the server samples — on
 /// `POST /api/v1/sample` and for inline `graph.skg` specs. 2^24 (about 16.8M) edges is far above
 /// the 2^20-node nightly scale (about 2M edges), yet refuses requests such as θ = (1, 1, 1) at
 /// k = 16 (about 2^31 edges), whose sampling would reserve gigabytes and pin a worker for hours.
 const MAX_SAMPLE_EDGES: f64 = 16_777_216.0;
 
-/// Refuses an SKG whose expected edge count exceeds [`MAX_SAMPLE_EDGES`].
-fn check_sample_size(theta: &Initiator2, k: u32) -> Result<(), String> {
-    let expected = expected_edges(theta, k);
+/// Validates an SKG the server is asked to sample: the order `k` (`name` on the wire) within the
+/// deployment's `max` order, θ, and an expected edge count within [`MAX_SAMPLE_EDGES`].
+fn check_skg(theta: &InitiatorSpec, k: u32, name: &str, max: u32) -> Result<Initiator2, SpecError> {
+    if k == 0 || k > max {
+        return Err(SpecError::Bad(format!("{name} must be in 1..={max}, got {k}")));
+    }
+    let theta = theta.validate().map_err(SpecError::Bad)?;
+    let expected = expected_edges(&theta, k);
     if expected > MAX_SAMPLE_EDGES {
-        return Err(format!(
+        return Err(SpecError::TooLarge(format!(
             "sampling theta=({}, {}, {}) at k={k} would realize about {expected:.0} edges, over \
              the limit of {MAX_SAMPLE_EDGES:.0}",
             theta.a, theta.b, theta.c
-        ));
+        )));
     }
-    Ok(())
+    Ok(theta)
 }
 
 /// Largest input graph, in nodes, the exact smooth sensitivity may run on. That kernel is cubic:
@@ -639,8 +545,10 @@ struct PreparedJob {
 
 /// Validates a normalized [`JobSpec`] into a runnable job, without spending anything: no
 /// budget is debited and no record is persisted here. Shared verbatim by live submissions
-/// (both the inline and the dataset-scoped estimate routes) and boot replay — which is what
-/// guarantees a replayed job re-runs under exactly the rules it was admitted under.
+/// (both the inline and the dataset-scoped estimate routes) and boot replay, so a replayed job
+/// passes the same rules as a live one. Option values are checked by the estimators' own
+/// `validate` methods, which the job's estimator runs again; the router adds only the bounds
+/// that need the input graph or the deployment.
 fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecError> {
     // Validate everything that does not require touching the (possibly large) graph, so bad
     // requests are rejected on the connection thread with a 400 instead of failing as jobs.
@@ -658,14 +566,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         }
         (None, Some(text), None) => (Some(text.clone()), None, None),
         (None, None, Some(skg)) => {
-            if skg.k == 0 || skg.k > state.max_order {
-                return Err(SpecError::Bad(format!(
-                    "graph.skg.k must be in 1..={}, got {}",
-                    state.max_order, skg.k
-                )));
-            }
-            let theta = skg.theta.validate().map_err(SpecError::Bad)?;
-            check_sample_size(&theta, skg.k).map_err(SpecError::TooLarge)?;
+            let theta = check_skg(&skg.theta, skg.k, "graph.skg.k", state.max_order)?;
             (None, Some((theta, skg.k)), Some(1u64 << skg.k))
         }
         (None, _, _) => {
@@ -687,18 +588,12 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
     let exec = Arc::clone(&state.executor);
     match kind {
         EstimatorKind::Private => {
-            let params = match spec.params {
-                Some(budget) => budget.validate().map_err(|e| SpecError::Bad(e.to_string()))?,
-                None => {
-                    return Err(SpecError::Bad(
-                        "params is required for the private estimator".to_string(),
-                    ))
-                }
-            };
+            let budget = spec.params.ok_or_else(|| {
+                SpecError::Bad("params is required for the private estimator".to_string())
+            })?;
+            let params = budget.validate().map_err(|e| SpecError::Bad(e.to_string()))?;
             let options = spec.options.unwrap_or_default();
-            validate_estimator_inputs(params, &options)
-                .map_err(|e| SpecError::Bad(e.to_string()))?;
-            validate_kronmom_options(&options.kronmom).map_err(SpecError::Bad)?;
+            options.validate(params).map_err(|e| SpecError::Bad(e.to_string()))?;
             let cubic = options.exact_smooth_sensitivity;
             if let (true, Some(nodes)) = (cubic, known_nodes) {
                 check_exact_smooth_nodes(nodes).map_err(SpecError::Bad)?;
@@ -724,7 +619,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         }
         EstimatorKind::KronMom => {
             let options = spec.options.unwrap_or_default().kronmom;
-            validate_kronmom_options(&options).map_err(SpecError::Bad)?;
+            options.validate().map_err(|e| SpecError::Bad(e.to_string()))?;
             Ok(PreparedJob {
                 draw: None,
                 work: Box::new(move |sink| {
@@ -738,7 +633,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         }
         EstimatorKind::KronFit => {
             let options = spec.kronfit.unwrap_or_default();
-            validate_kronfit_options(&options).map_err(SpecError::Bad)?;
+            options.validate().map_err(|e| SpecError::Bad(e.to_string()))?;
             Ok(PreparedJob {
                 draw: None,
                 work: Box::new(move |sink| {
@@ -910,20 +805,10 @@ fn sample(state: &AppState, request: &Request) -> Response {
         Ok(req) => req,
         Err(resp) => return resp,
     };
-    let theta = match req.theta.validate() {
+    let theta = match check_skg(&req.theta, req.k, "k", state.max_order) {
         Ok(theta) => theta,
-        Err(e) => return error(400, "bad_request", e),
+        Err(e) => return e.response(),
     };
-    if req.k == 0 || req.k > state.max_order {
-        return error(
-            400,
-            "bad_request",
-            format!("k must be in 1..={}, got {}", state.max_order, req.k),
-        );
-    }
-    if let Err(message) = check_sample_size(&theta, req.k) {
-        return error(400, "too_large", message);
-    }
     let mut rng = StdRng::seed_from_u64(req.seed);
     let graph = sample_fast(&theta, req.k, &mut rng, &state.executor);
     ok_json(
@@ -939,6 +824,7 @@ fn sample(state: &AppState, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kronpriv_estimate::{KronFitOptions, KronMomOptions, PrivateEstimatorOptions};
     use kronpriv_json::Json;
     use std::time::{Duration, Instant};
 
@@ -1121,6 +1007,312 @@ mod tests {
         // Two points per axis, the smallest grid, is admitted (validated without running).
         let spec: JobSpec = from_str(&baseline(2)).map(JobSpec::from_estimate_request).unwrap();
         assert!(prepare_job(&state, &spec).is_ok());
+    }
+
+    /// The 128-node SKG the option-boundary tests run on: θ = (0.95, 0.55, 0.2), k = 7, seed 1.
+    fn skg128() -> String {
+        let theta = Initiator2::new(0.95, 0.55, 0.2);
+        let graph = sample_fast(&theta, 7, &mut StdRng::seed_from_u64(1), &Executor::sequential());
+        to_edge_list_string(&graph)
+    }
+
+    /// Uploads `edges` as dataset `name`, with a budget that any single valid draw fits in.
+    fn upload(state: &AppState, name: &str, edges: &str) {
+        let body = format!(
+            r#"{{"name": "{name}", "edge_list": {},
+                 "budget": {{"epsilon": 1.7976931348623157e308, "delta": 0.9999999999999999}}}}"#,
+            kronpriv_json::to_string(edges)
+        );
+        assert_eq!(route(state, &request("POST", "/api/v1/datasets", &body)).status, 201);
+    }
+
+    /// `doc`, a compact JSON document, with the value of its key `field` replaced by the JSON
+    /// text `value`. Every key the option-boundary tests vary is unique in its document.
+    fn with_field(doc: &str, field: &str, value: &str) -> String {
+        let key = format!("\"{field}\":");
+        let start = doc.find(&key).unwrap_or_else(|| panic!("{doc} lacks {field}")) + key.len();
+        let end = start + doc[start..].find([',', '}']).unwrap();
+        format!("{}{value}{}", &doc[..start], &doc[end..])
+    }
+
+    /// The default private options with `field` set to the JSON text `value`.
+    fn options_with(field: &str, value: &str) -> String {
+        let options = kronpriv_json::to_string(&PrivateEstimatorOptions::default());
+        with_field(&options, field, value)
+    }
+
+    /// Posts the draw `body` against the 128-node SKG dataset and asserts a `400 bad_request`
+    /// that created no job and left the ledger untouched.
+    fn assert_refused_before_any_debit(body: &str) {
+        let state = state();
+        upload(&state, "g", &skg128());
+        let response = route(&state, &request("POST", "/api/v1/datasets/g/estimate", body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("\"bad_request\""), "{}", response.body);
+        let ledger = state.datasets.meta("g").unwrap().ledger;
+        assert_eq!((ledger.epsilon_spent, ledger.delta_spent), (0.0, 0.0));
+        assert_eq!(state.jobs.submitted(), 0, "a refused draw must not enqueue a job");
+    }
+
+    /// A `(0.2, 0.01)` draw with the default options but `fraction` as the degree budget.
+    fn paper_draw_with_fraction(fraction: &str) -> String {
+        let options = options_with("degree_budget_fraction", fraction);
+        format!(
+            r#"{{"params": {{"epsilon": 0.2, "delta": 0.01}}, "seed": 1, "options": {options}}}"#
+        )
+    }
+
+    #[test]
+    fn a_degree_budget_fraction_that_underflows_is_refused_before_any_debit() {
+        // ε·frac rounds to 0: the degree stage used to panic building its budget.
+        assert_refused_before_any_debit(&paper_draw_with_fraction("5e-324"));
+    }
+
+    #[test]
+    fn a_degree_budget_fraction_below_the_stage_floor_is_refused_before_any_debit() {
+        // ε·frac = 2e-301: the noisy statistics used to overflow, leaving no objective value.
+        assert_refused_before_any_debit(&paper_draw_with_fraction("1e-300"));
+    }
+
+    #[test]
+    fn an_epsilon_that_underflows_in_the_split_is_refused_before_any_debit() {
+        assert_refused_before_any_debit(
+            r#"{"params": {"epsilon": 5e-324, "delta": 0.01}, "seed": 1}"#,
+        );
+    }
+
+    #[test]
+    fn an_epsilon_below_the_stage_floor_is_refused_before_any_debit() {
+        assert_refused_before_any_debit(
+            r#"{"params": {"epsilon": 1e-300, "delta": 0.01}, "seed": 1}"#,
+        );
+    }
+
+    #[test]
+    fn a_delta_whose_smoothing_parameter_vanishes_is_refused_before_any_debit() {
+        // 2/δ overflows, so β = ε / (2 ln(2/δ)) is 0 and the triangle release used to panic.
+        assert_refused_before_any_debit(
+            r#"{"params": {"epsilon": 0.2, "delta": 5e-324}, "seed": 1}"#,
+        );
+    }
+
+    /// Submits one request and checks the option-boundary property on it: a `4xx` that created
+    /// no job and spent nothing, or a job that ends `Done` with a finite θ and objective value.
+    /// A document `at_cap` is only validated: running it is the cost its cap bounds.
+    fn check_document(
+        state: &AppState,
+        path: &str,
+        body: &str,
+        dataset: Option<&str>,
+        at_cap: bool,
+    ) -> Result<(), String> {
+        if at_cap {
+            let spec = match dataset {
+                Some(name) => from_str(body).map(|req| JobSpec::from_dataset_request(name, req)),
+                None => from_str(body).map(JobSpec::from_estimate_request),
+            };
+            let spec = spec.map_err(|e| e.to_string())?;
+            return prepare_job(state, &spec).map(|_| ()).map_err(|e| e.message());
+        }
+        let spent = || {
+            dataset.map(|name| {
+                let ledger = state.datasets.meta(name).unwrap().ledger;
+                (ledger.epsilon_spent, ledger.delta_spent)
+            })
+        };
+        let (submitted, ledger) = (state.jobs.submitted(), spent());
+        let response = route(state, &request("POST", path, body));
+        match response.status {
+            202 => {
+                let id = body_json(&response).get("job_id").unwrap().as_f64().unwrap() as u64;
+                let snap = wait_for_job(state, id);
+                let result =
+                    snap.result.ok_or(format!("admitted, then failed: {:?}", snap.error))?;
+                let doc = Json::parse(&result).unwrap();
+                let finite =
+                    |v: Option<&Json>| v.and_then(Json::as_f64).is_some_and(f64::is_finite);
+                let theta = doc.get("theta").unwrap();
+                match ["a", "b", "c"].into_iter().all(|p| finite(theta.get(p)))
+                    && finite(doc.get("objective_value"))
+                {
+                    true => Ok(()),
+                    false => Err(format!("admitted, then released {result}")),
+                }
+            }
+            400..=499 if state.jobs.submitted() != submitted => Err("a refusal made a job".into()),
+            400..=499 if spent() != ledger => Err("a refusal spent budget".into()),
+            400..=499 => Ok(()),
+            status => Err(format!("answered {status}: {}", response.body)),
+        }
+    }
+
+    /// The option-boundary property over generated documents. Each case varies one field of a
+    /// base document through its boundary values (integers 0, 1, 2, the cap and one past it;
+    /// floats from -1e308 to `1e999`, which parses to +∞, plus the values next to each bound)
+    /// on the 128-node SKG, as a dataset and inline; three multi-field cases follow. Every
+    /// document must be refused with nothing spent or release finite values.
+    #[test]
+    fn option_documents_are_refused_unspent_or_release_finite_values() {
+        let state = state();
+        let skg = skg128();
+        let inline = format!(r#""graph": {{"edge_list": {}}},"#, kronpriv_json::to_string(&skg));
+        let options = kronpriv_json::to_string(&PrivateEstimatorOptions::default());
+        // KronFit's default runs 6.24M swaps a job; this base keeps a debug build quick.
+        let kronfit = kronpriv_json::to_string(&KronFitOptions {
+            gradient_steps: 5,
+            warmup_swaps: 200,
+            samples_per_step: 2,
+            swaps_between_samples: 50,
+            chains: 2,
+            ..Default::default()
+        });
+        let params = r#"{"epsilon":0.2,"delta":0.01}"#;
+        // The largest float below `bound`, as JSON text.
+        let below = |bound: f64| format!("{:e}", f64::from_bits(bound.to_bits() - 1));
+        let floats = |extra: &[String]| {
+            let values = ["-1e308", "0", "5e-324", "1e-300", "1", "1e308", "1e999"];
+            values.map(String::from).into_iter().chain(extra.iter().cloned()).collect::<Vec<_>>()
+        };
+        let ints = |cap: usize| [0, 1, 2, cap, cap + 1].map(|v| (v.to_string(), v == cap)).to_vec();
+        let uncapped = |values: Vec<String>| values.into_iter().map(|v| (v, false)).collect();
+
+        // One draw of `params` with `options`: on a fresh dataset, then inline.
+        let mut datasets = 0;
+        let mut private = |params: &str, options: &str| {
+            datasets += 1;
+            let name = format!("d{datasets}");
+            upload(&state, &name, &skg);
+            let tail = format!(r#""params": {params}, "seed": 3, "options": {options}}}"#);
+            vec![
+                (format!("/api/v1/datasets/{name}/estimate"), format!("{{{tail}"), Some(name)),
+                ("/api/v1/estimate".to_string(), format!("{{{inline} {tail}"), None),
+            ]
+        };
+        let baseline = |graph: &str, estimator: &str, field: &str, doc: &str| {
+            let body = format!(
+                r#"{{"graph": {{"edge_list": {graph}}}, "estimator": "{estimator}", "seed": 3,
+                    "{field}": {doc}}}"#
+            );
+            vec![("/api/v1/estimate".to_string(), body, None)]
+        };
+        let graph = kronpriv_json::to_string(&skg);
+
+        let mut cases = Vec::new();
+        let option_fields: Vec<(&str, Vec<(String, bool)>)> = vec![
+            ("degree_budget_fraction", uncapped(floats(&[below(1.0), "1e-8".into()]))),
+            ("triangle_signal_threshold", uncapped(floats(&[]))),
+            ("exact_smooth_sensitivity", uncapped(vec!["true".into()])),
+            ("degrees_only", uncapped(vec!["true".into()])),
+            ("grid_points_per_axis", ints(64)),
+            ("refine_top", ints(64)),
+            ("max_evaluations", ints(1_000_000)),
+        ];
+        for (field, values) in option_fields {
+            let kronmom =
+                ["grid_points_per_axis", "refine_top", "max_evaluations"].contains(&field);
+            for (value, at_cap) in values {
+                let doc = with_field(&options, field, &value);
+                cases.push((format!("options.{field} = {value}"), private(params, &doc), at_cap));
+                if kronmom {
+                    let runs = baseline(&graph, "kronmom", "options", &doc);
+                    cases.push((format!("kronmom baseline {field} = {value}"), runs, at_cap));
+                }
+            }
+        }
+        for (field, extra) in
+            [("epsilon", vec![below(2e-9), "2e-9".into()]), ("delta", vec![below(1.0)])]
+        {
+            for value in floats(&extra) {
+                let runs = private(&with_field(params, field, &value), &options);
+                cases.push((format!("params.{field} = {value}"), runs, false));
+            }
+        }
+        let kronfit_fields: Vec<(&str, Vec<(String, bool)>)> = vec![
+            // Caps for the base document: 4096 chain-step events over 2 chains, and 10⁹
+            // proposals over 5 steps × 2 chains × (warm-up + one spaced sample).
+            ("gradient_steps", ints(2048)),
+            ("warmup_swaps", ints(99_999_950)),
+            ("samples_per_step", ints(64)),
+            ("swaps_between_samples", ints(99_999_800)),
+            ("chains", ints(64)),
+            ("learning_rate", uncapped(floats(&[]))),
+            ("min_parameter", uncapped(floats(&[below(1e-9), "1e-9".into()]))),
+        ];
+        for (field, values) in kronfit_fields {
+            for (value, at_cap) in values {
+                let runs =
+                    baseline(&graph, "kronfit", "kronfit", &with_field(&kronfit, field, &value));
+                cases.push((format!("kronfit.{field} = {value}"), runs, at_cap));
+            }
+        }
+        for corner in 0..8 {
+            let [a, b, c] = [4, 2, 1].map(|bit| if corner & bit == 0 { "0" } else { "1" });
+            let doc = with_field(&with_field(&with_field(&kronfit, "a", a), "b", b), "c", c);
+            let runs = baseline(&graph, "kronfit", "kronfit", &doc);
+            cases.push((format!("kronfit.initial = ({a}, {b}, {c})"), runs, false));
+        }
+
+        // Multi-field cases. The probe's affordable draw with an unevaluated fit:
+        let runs =
+            private(r#"{"epsilon":0.1,"delta":0.01}"#, &options_with("max_evaluations", "0"));
+        cases.push(("the probe's max_evaluations = 0 draw".to_string(), runs, false));
+        // The degrees-only ablation spends all of ε on the degree stage, at δ = 0:
+        let degrees_only = options_with("degrees_only", "true");
+        for epsilon in ["1e-300", "1e-9"] {
+            let runs = private(&format!(r#"{{"epsilon":{epsilon},"delta":0}}"#), &degrees_only);
+            cases.push((format!("degrees-only at epsilon = {epsilon}"), runs, false));
+        }
+        // KronFit driven onto its clamp: c starts at 0 and a long step pushes it down, on a
+        // 64-node ring with chords.
+        let ring: String =
+            (0..64).map(|i| format!("{i} {}\n{i} {}\n", (i + 1) % 64, (i + 7) % 64)).collect();
+        let steep = with_field(
+            &with_field(&with_field(&kronfit, "c", "0"), "learning_rate", "0.5"),
+            "gradient_steps",
+            "20",
+        );
+        for floor in ["5e-324", "1e-9"] {
+            let doc = with_field(&steep, "min_parameter", floor);
+            let runs = baseline(&kronpriv_json::to_string(&ring), "kronfit", "kronfit", &doc);
+            cases.push((format!("kronfit clamped at min_parameter = {floor}"), runs, false));
+        }
+
+        let mut violations = Vec::new();
+        for (label, runs, at_cap) in cases {
+            for (path, body, dataset) in runs {
+                if let Err(why) = check_document(&state, &path, &body, dataset.as_deref(), at_cap) {
+                    violations.push(format!("{label} on {path}: {why}"));
+                }
+            }
+        }
+        assert!(
+            violations.is_empty(),
+            "{} violations:\n{}",
+            violations.len(),
+            violations.join("\n")
+        );
+    }
+
+    #[test]
+    fn a_pending_job_whose_options_are_now_refused_replays_as_failed_and_keeps_its_debit() {
+        // An older binary admitted `max_evaluations: 0`, debited the draw and logged the job.
+        // Replay re-validates the spec under today's rules: the job is restored as failed, and
+        // the debit, already replayed from the log, stays spent.
+        let state = state();
+        upload(&state, "g", &skg128());
+        state.datasets.try_debit("g", 0.2, 0.01).unwrap();
+        let options = options_with("max_evaluations", "0");
+        let body = format!(
+            r#"{{"params": {{"epsilon": 0.2, "delta": 0.01}}, "seed": 1, "options": {options}}}"#
+        );
+        let spec = JobSpec::from_dataset_request("g", from_str(&body).unwrap());
+        replay_pending(&state, vec![PendingJob { id: 7, spec: spec.to_json() }]);
+        let snap = state.jobs.get(7).expect("the pending job is restored");
+        assert_eq!(snap.status, JobStatus::Failed);
+        let error = snap.error.unwrap();
+        assert!(error.starts_with("replay rejected: kronmom.max_evaluations"), "{error}");
+        let ledger = state.datasets.meta("g").unwrap().ledger;
+        assert_eq!((ledger.epsilon_spent, ledger.delta_spent), (0.2, 0.01));
     }
 
     #[test]

@@ -26,19 +26,40 @@ pub struct Initiator2 {
 
 impl_json_struct!(Initiator2 { a, b, c });
 
+/// An initiator entry outside `[0, 1]` (or not finite), returned by [`Initiator2::try_new`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InitiatorError {
+    /// The entry's name: `"a"`, `"b"` or `"c"`.
+    pub parameter: &'static str,
+    /// The rejected value.
+    pub value: f64,
+}
+
+impl std::fmt::Display for InitiatorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "initiator parameter {}={} must lie in [0,1]", self.parameter, self.value)
+    }
+}
+
+impl std::error::Error for InitiatorError {}
+
 impl Initiator2 {
     /// Creates an initiator, validating that every entry lies in `[0, 1]`.
     ///
     /// # Panics
-    /// Panics if any parameter is outside `[0, 1]` or not finite.
+    /// Panics if any parameter is outside `[0, 1]` or not finite; see [`Initiator2::try_new`].
     pub fn new(a: f64, b: f64, c: f64) -> Self {
-        for (name, v) in [("a", a), ("b", b), ("c", c)] {
-            assert!(
-                v.is_finite() && (0.0..=1.0).contains(&v),
-                "initiator parameter {name}={v} must lie in [0,1]"
-            );
+        Self::try_new(a, b, c).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible constructor, for untrusted input: reports the first entry outside `[0, 1]`.
+    pub fn try_new(a: f64, b: f64, c: f64) -> Result<Self, InitiatorError> {
+        for (parameter, value) in [("a", a), ("b", b), ("c", c)] {
+            if !(value.is_finite() && (0.0..=1.0).contains(&value)) {
+                return Err(InitiatorError { parameter, value });
+            }
         }
-        Initiator2 { a, b, c }
+        Ok(Initiator2 { a, b, c })
     }
 
     /// Creates an initiator after clamping each entry into `[0, 1]`. Useful when an optimizer
@@ -137,6 +158,16 @@ mod tests {
     fn new_accepts_valid_parameters() {
         let t = Initiator2::new(0.99, 0.45, 0.25);
         assert_eq!(t.as_array(), [0.99, 0.45, 0.25]);
+    }
+
+    #[test]
+    fn try_new_reports_the_first_entry_outside_the_unit_interval() {
+        assert_eq!(Initiator2::try_new(0.0, 1.0, 0.5), Ok(Initiator2 { a: 0.0, b: 1.0, c: 0.5 }));
+        let err = Initiator2::try_new(0.5, f64::NAN, 2.0).unwrap_err();
+        assert_eq!(err.parameter, "b");
+        assert!(err.value.is_nan());
+        let err = Initiator2::try_new(0.5, 0.5, -0.25).unwrap_err();
+        assert_eq!(err.to_string(), "initiator parameter c=-0.25 must lie in [0,1]");
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub mod initiator;
 pub mod moments;
 pub mod sample;
 
-pub use initiator::Initiator2;
+pub use initiator::{Initiator2, InitiatorError};
 pub use moments::ExpectedMoments;
 pub use sample::{sample_exact, sample_fast};

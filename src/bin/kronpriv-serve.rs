@@ -5,7 +5,7 @@
 //!                [--compute-threads 0] [--max-order 16] [--request-deadline 30] \
 //!                [--data-dir PATH] [--snapshot-every N]
 //! kronpriv-serve --probe 127.0.0.1:8080         # end-to-end smoke: estimates, datasets,
-//!                                               # budget ledger (incl. a deliberate 429)
+//!                                               # budget ledger (a deliberate 429 and 400)
 //! kronpriv-serve --probe-replay 127.0.0.1:8080  # after a restart on the same --data-dir:
 //!                                               # assert datasets/ledgers/jobs survived
 //! kronpriv-serve --metrics 127.0.0.1:8080       # scrape /metrics, validate every line, exit
@@ -410,16 +410,22 @@ fn probe_datasets(addr: SocketAddr) -> Result<(), String> {
         return Err(format!("budget doc after two debits returned {status}: {body}"));
     }
 
-    // The third draw must be refused — and refusal spends nothing.
+    // Refusals spend nothing: a third draw over budget (429), an affordable unfit one (400).
     let third = r#"{"params": {"epsilon": 0.9, "delta": 0.04}, "seed": 9}"#;
-    let (status, body) =
-        client::post_json(addr, &format!("/api/v1/datasets/{PROBE_DATASET}/estimate"), third)
-            .map_err(|e| format!("over-budget estimate failed: {e}"))?;
-    if status != 429
-        || !body.contains("\"budget_exhausted\"")
-        || !body.contains("remaining_epsilon")
+    let unfit = r#"{"params": {"epsilon": 0.1, "delta": 0.01}, "seed": 9, "options":
+        {"degree_budget_fraction": 0.5, "exact_smooth_sensitivity": false, "degrees_only": false,
+         "triangle_signal_threshold": 2.0,
+         "kronmom": {"grid_points_per_axis": 7, "refine_top": 5, "max_evaluations": 0}}}"#;
+    let over_budget = ["\"budget_exhausted\"", "remaining_epsilon"];
+    for (draw, want, needles) in
+        [(third, 429, &over_budget[..]), (unfit, 400, &["\"bad_request\""])]
     {
-        return Err(format!("over-budget estimate returned {status}, want 429: {body}"));
+        let (status, body) =
+            client::post_json(addr, &format!("/api/v1/datasets/{PROBE_DATASET}/estimate"), draw)
+                .map_err(|e| format!("refused estimate failed: {e}"))?;
+        if status != want || !needles.iter().all(|needle| body.contains(needle)) {
+            return Err(format!("estimate returned {status}, want {want}: {body}"));
+        }
     }
     let (status, body) = client::get(addr, &format!("/api/v1/datasets/{PROBE_DATASET}/budget"))
         .map_err(|e| format!("budget doc failed: {e}"))?;
