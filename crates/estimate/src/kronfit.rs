@@ -58,7 +58,7 @@ const CHAIN_WORK: Work = Work::per_item_ns(850_000);
 /// Options for the KronFit estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct KronFitOptions {
-    /// Number of gradient-ascent steps.
+    /// Number of gradient-ascent steps, at least 1.
     pub gradient_steps: usize,
     /// Metropolis swap proposals executed before the first gradient sample of each step.
     pub warmup_swaps: usize,
@@ -123,11 +123,19 @@ const MAX_CHAIN_STEP_EVENTS: u128 = 4096;
 const MIN_PARAMETER_FLOOR: f64 = 1e-9;
 
 impl KronFitOptions {
-    /// Checks every rule on these options, so that a fit neither pins a worker nor ends without
-    /// a finite likelihood: `chains` and `samples_per_step` in `1..=64`; at most 10⁶ gradient
-    /// evaluations (each O(edges)), 10⁹ Metropolis proposals and 4096 chain-step events; a
-    /// `min_parameter` of at least `1e-9`; a positive `learning_rate`; `initial` in `[0, 1]`.
+    /// Checks every rule on these options, so that a fit neither pins a worker nor ends unfitted
+    /// or without a finite likelihood: at least one gradient step; `chains` and
+    /// `samples_per_step` in `1..=64`; at most 10⁶ gradient evaluations (each O(edges)), 10⁹
+    /// Metropolis proposals and 4096 chain-step events; a `min_parameter` of at least `1e-9`; a
+    /// positive `learning_rate`; `initial` in `[0, 1]`.
     pub fn validate(&self) -> Result<(), PipelineError> {
+        if self.gradient_steps == 0 {
+            return refuse(
+                "kronfit.gradient_steps must be at least 1, got 0: a fit of no steps would \
+                 release its initial theta unfitted"
+                    .to_string(),
+            );
+        }
         for (name, got) in [("chains", self.chains), ("samples_per_step", self.samples_per_step)] {
             if !(1..=64).contains(&got) {
                 return refuse(format!("kronfit.{name} must be in 1..=64, got {got}"));
@@ -710,6 +718,29 @@ mod tests {
             assert!(err.to_string().contains(needle), "{err}");
         }
         assert_eq!(rng.next_u64(), before, "a refused fit must not consume randomness");
+    }
+
+    #[test]
+    fn a_fit_of_no_gradient_steps_is_refused_before_any_randomness() {
+        // Regression: zero steps used to pass validation and release `initial` unfitted, with
+        // no likelihood evaluated.
+        use rand::RngCore;
+        let g =
+            sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 6, &mut StdRng::seed_from_u64(1), &seq());
+        let mut rng = StdRng::seed_from_u64(2);
+        let before = rng.clone().next_u64();
+        let options = KronFitOptions { gradient_steps: 0, ..quick_options() };
+        let err = try_kronfit_estimate(&g, &options, &mut rng, &seq(), &NullSink).unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::InvalidOption(
+                "kronfit.gradient_steps must be at least 1, got 0: a fit of no steps would \
+                 release its initial theta unfitted"
+                    .to_string()
+            )
+        );
+        assert_eq!(rng.next_u64(), before, "a refused fit must not consume randomness");
+        assert_eq!(KronFitOptions { gradient_steps: 1, ..options }.validate(), Ok(()));
     }
 
     #[test]

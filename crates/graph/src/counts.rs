@@ -127,22 +127,30 @@ pub fn triangle_count(g: &Graph, exec: &Executor) -> u64 {
 }
 
 /// A graph relabelled so that node ids ascend in `(degree, old id)`, stored as CSR with every
-/// neighbour list sorted.
+/// neighbour list sorted and split at its own node: the neighbours below `v` come first, and
+/// `below[v]` records where the ones above `v` start.
 ///
 /// Labels do not change the triangle count or any common-neighbour count, so the two integers
 /// of the triangle release can be computed here instead of on the input graph. The ordering
 /// makes both cheaper:
 ///
 /// * In the forward count ([`DegreeOrdered::triangle_count`]) each node only meets neighbours
-///   of higher degree, so every list it merges has at most `√(2m)` entries.
+///   of higher degree, so every list it walks has at most `√(2m)` entries.
 /// * The local-sensitivity scan ([`DegreeOrdered::max_common_neighbors`]) visits the highest
 ///   degrees first and stops as soon as no degree can beat the maximum found so far.
 ///
-/// Building it costs `O(n + m)` time and one extra CSR of memory. The old ids are not kept.
+/// Neither kernel searches a list: the forward count reads the split as a slice bound, and the
+/// scan walks each two-hop list from its end while the ids stay above its left endpoint.
+///
+/// Building it costs `O(n + m)` time, one extra CSR and one `u32` per node of memory. The old
+/// ids are not kept.
 #[derive(Debug)]
 pub struct DegreeOrdered {
     /// CSR offsets into `adjacency`, length `node_count() + 1`.
     offsets: Vec<usize>,
+    /// Per node, how many of its neighbours have a smaller id: the length of the list's prefix
+    /// that `above` skips.
+    below: Vec<u32>,
     /// Concatenated neighbour lists in new ids, each sorted ascending.
     adjacency: Vec<u32>,
 }
@@ -153,6 +161,8 @@ impl DegreeOrdered {
     /// lists. The appends arrive in ascending new id, so every list comes out sorted. While
     /// filling, `offsets[x + 1]` holds the next free slot of node `x`'s list; it ends at the
     /// list's end, which is exactly its final CSR value, so no separate cursor array is needed.
+    /// When the scatter reaches `x`, every id already appended to `x`'s list is smaller than
+    /// `x`, so that cursor's distance from the list's start is `below[x]`.
     pub fn new(g: &Graph) -> Self {
         let n = g.node_count();
         // first_id[d] becomes the first new id of degree d, then the next unused one.
@@ -179,14 +189,19 @@ impl DegreeOrdered {
             start += g.degree(v);
         }
         let mut adjacency = vec![0u32; start];
+        let mut below = vec![0u32; n];
+        let mut list_start = 0usize;
         for (x, &v) in old_id.iter().enumerate() {
-            for &u in g.neighbors(v) {
+            below[x] = (offsets[x + 1] - list_start) as u32;
+            let list = g.neighbors(v);
+            list_start += list.len();
+            for &u in list {
                 let cursor = &mut offsets[new_id[u as usize] as usize + 1];
                 adjacency[*cursor] = x as u32;
                 *cursor += 1;
             }
         }
-        DegreeOrdered { offsets, adjacency }
+        DegreeOrdered { offsets, below, adjacency }
     }
 
     fn node_count(&self) -> usize {
@@ -205,35 +220,45 @@ impl DegreeOrdered {
         self.offsets[v + 1] - self.offsets[v]
     }
 
-    /// The neighbours of `v` with a larger id: a suffix of its sorted list.
+    /// The neighbours of `v` with a larger id: the suffix of its sorted list past `below[v]`.
     fn above(&self, v: u32) -> &[u32] {
-        let list = self.neighbors(v);
-        &list[list.partition_point(|&u| u < v)..]
+        &self.neighbors(v)[self.below[v as usize] as usize..]
     }
 
     /// Exact number of triangles, by the forward algorithm (Schank & Wagner 2005). A triangle
-    /// `v < u < w` is counted once, at its lowest edge `(v, u)`, by merging the part of
-    /// `above(v)` past `u` with `above(u)`. Nodes are split into fixed chunks whose integer
-    /// counts are summed, so the result is identical for any thread count.
+    /// `v < u < w` is counted once, at its lowest vertex `v`: `above(v)` is marked with the
+    /// stamp `v + 1`, and every `w ∈ above(u)` of every `u ∈ above(v)` whose mark carries that
+    /// stamp closes one. Each participant keeps one zero-initialised `O(n)` mark array, which
+    /// is never reset: a mark left by an earlier `v` holds another stamp. No stamp is 0, the
+    /// initial mark, except `n` truncated to `u32` at `n = 2³²`, and that stamp belongs to the
+    /// last node, which has no `above`. Nodes are split into fixed chunks whose integer counts
+    /// are summed, so the result is identical for any thread count.
     // lint:source(sensitive)
     pub fn triangle_count(&self, exec: &Executor) -> u64 {
-        exec.map_reduce(
-            self.node_count(),
+        let n = self.node_count();
+        let (count, _) = exec.fold_reduce(
+            n,
             FORWARD_CHUNK,
             self.forward_work(),
-            |nodes| {
-                let mut count = 0u64;
+            // (triangles found, the stamp of the last `v` whose above-list holds each node).
+            || (0u64, vec![0u32; n]),
+            |(count, marks), nodes| {
                 for v in nodes {
+                    let stamp = (v + 1) as u32;
                     let above_v = self.above(v as u32);
-                    for (k, &u) in above_v.iter().enumerate() {
-                        count += intersect_sorted(&above_v[k + 1..], self.above(u)) as u64;
+                    for &u in above_v {
+                        marks[u as usize] = stamp;
+                    }
+                    for &u in above_v {
+                        for &w in self.above(u) {
+                            *count += u64::from(marks[w as usize] == stamp);
+                        }
                     }
                 }
-                count
             },
-            |acc: u64, partial| acc + partial,
-            0,
-        )
+            |a, b| (a.0 + b.0, a.1),
+        );
+        count
     }
 
     /// The largest common-neighbour count `max_ij a_ij` over all node pairs: the local
@@ -241,39 +266,46 @@ impl DegreeOrdered {
     ///
     /// Left endpoints `i` are scanned from the highest degree down. For each one, the
     /// `i — v — j` wedges are counted into `j > i` only, so each pair is counted once, from its
-    /// lower-degree end. Because `a_ij ≤ d_i`, an `i` whose degree is at most the running
-    /// maximum cannot raise it. Every later `i` in the chunk has no larger degree, so the chunk
-    /// stops there. Each participant keeps its own running maximum and one `O(n)` counter
-    /// array. Skipping only ever drops pairs that cannot beat a maximum already found, and the
-    /// merge is an integer `max`, so the result is identical for any thread count.
+    /// lower-degree end; each two-hop list is walked from its end while `j > i`. Because
+    /// `a_ij ≤ d_i`, an `i` whose degree is at most the running maximum cannot raise it. Every
+    /// later `i` in the chunk has no larger degree, so the chunk stops there.
+    ///
+    /// Each participant keeps its own running maximum and one zero-initialised `O(n)` array of
+    /// `u64` cells, holding `((i + 1) << 32) | a_ij` for the last `i` that reached `j`. A cell
+    /// whose stamp is not the current `i + 1` is stale and counts as zero, so the cells are
+    /// never reset. No stamp is 0 except `n << 32` overflowing at `n = 2³²`, and that stamp
+    /// belongs to the last node, which has no `j > i`. Skipping only ever drops pairs that
+    /// cannot beat a maximum already found, and the merge is an integer `max`, so the result
+    /// is identical for any thread count.
     pub fn max_common_neighbors(&self, exec: &Executor) -> usize {
+        const COUNT: u64 = u32::MAX as u64;
         let n = self.node_count();
-        let (best, _, _) = exec.fold_reduce(
+        let (best, _) = exec.fold_reduce(
             n,
             SCAN_CHUNK,
             self.scan_work(),
-            // (running max, common-neighbour counters indexed by j, touched-j list for reset).
-            || (0usize, vec![0u32; n], Vec::<u32>::new()),
-            |(best, counts, touched), positions| {
+            // (running max, stamped common-neighbour counts indexed by j).
+            || (0usize, vec![0u64; n]),
+            |(best, cells), positions| {
                 for t in positions {
                     let i = (n - 1 - t) as u32;
                     if self.degree(i) <= *best {
                         break;
                     }
+                    let stamp = (u64::from(i) + 1) << 32;
+                    let mut top = 0u64;
                     for &v in self.neighbors(i) {
-                        let two_hop = self.neighbors(v);
-                        for &j in &two_hop[two_hop.partition_point(|&j| j <= i)..] {
-                            if counts[j as usize] == 0 {
-                                touched.push(j);
+                        for &j in self.neighbors(v).iter().rev() {
+                            if j <= i {
+                                break;
                             }
-                            counts[j as usize] += 1;
+                            let cell = &mut cells[j as usize];
+                            let current = if *cell & !COUNT == stamp { *cell } else { stamp };
+                            *cell = current + 1;
+                            top = top.max(*cell & COUNT);
                         }
                     }
-                    for &j in touched.iter() {
-                        *best = (*best).max(counts[j as usize] as usize);
-                        counts[j as usize] = 0;
-                    }
-                    touched.clear();
+                    *best = (*best).max(top as usize);
                 }
             },
             |a, b| if a.0 >= b.0 { a } else { b },
@@ -281,22 +313,24 @@ impl DegreeOrdered {
         best
     }
 
-    /// Cost hint per node of [`DegreeOrdered::triangle_count`]: `6·⌈d̄⌉²` ns for average
-    /// degree `d̄`. Measured single-threaded (release build, 2-core x86-64 host) at 73 and
-    /// 124 ns per node on 2^14- and 2^17-node SKGs (`⌈d̄⌉` = 3, 4), and 269 and 3664 ns on
-    /// 20'000-node preferential-attachment graphs (`⌈d̄⌉` = 8, 32); the formula is within 2× of
-    /// all four. A pure function of the graph shape, as the executor's cutoff requires.
+    /// Cost hint per node of [`DegreeOrdered::triangle_count`]: `⌈d̄⌉·(⌈d̄⌉ + 12)` ns for
+    /// average degree `d̄`. Measured single-threaded (release build, 2-core x86-64 host; median
+    /// of 31 runs) at 43 and 78 ns per node on 2^14- and 2^17-node SKGs (`⌈d̄⌉` = 3, 4), and 122
+    /// and 960 ns on 20'000-node preferential-attachment graphs (`⌈d̄⌉` = 8, 32); the formula is
+    /// within 2× of all four. A pure function of the graph shape, as the executor's cutoff
+    /// requires.
     fn forward_work(&self) -> Work {
         let d = self.average_degree_ceil();
-        Work::per_item_ns(6 * d * d)
+        Work::per_item_ns(d * (d + 12))
     }
 
-    /// Cost hint per left endpoint of [`DegreeOrdered::max_common_neighbors`]: `18·⌈d̄⌉` ns.
-    /// Pruning leaves the cost growing roughly linearly in the average degree. Measured on the
-    /// same four graphs and host as [`DegreeOrdered::forward_work`] at 56, 129, 77 and 729 ns
-    /// per left endpoint, pruned ones included; the formula is within 2× of all four.
+    /// Cost hint per left endpoint of [`DegreeOrdered::max_common_neighbors`]:
+    /// `5·max(⌈d̄⌉, 8)` ns. On sparse graphs the cost depends less on the average degree than on
+    /// how soon the running maximum prunes the scan. Measured on the same four graphs and host
+    /// as [`DegreeOrdered::forward_work`] at 27, 71, 23 and 224 ns per left endpoint, pruned
+    /// ones included; the formula is within 2× of all four.
     fn scan_work(&self) -> Work {
-        Work::per_item_ns(18 * self.average_degree_ceil())
+        Work::per_item_ns(5 * self.average_degree_ceil().max(8))
     }
 
     /// `⌈2m / n⌉`, the average degree rounded up (0 for an empty graph).
@@ -442,6 +476,47 @@ mod tests {
         Graph::from_edges(next as usize, edges)
     }
 
+    /// A graph whose largest common-neighbour count lies past the scan's first chunk. Degrees,
+    /// high to low: a hub (2080) and 39 more star centres (2000); `p` and `q` (500), adjacent
+    /// and sharing 60 connectors; a block of 65 nodes of degree 100, whose first and last each
+    /// share 40 connectors with the hub and whose others hold only leaves; then connectors and
+    /// leaves. The maximum, `a_pq = 60`, is found at `p`, the 42nd left endpoint, after star
+    /// centres that take long enough for another participant to claim `p`'s chunk. The block's
+    /// ends are 64 ids apart, so a stamp that repeated with a period dividing 64 would add
+    /// their two counts of 40.
+    fn stars_ahead_of_the_maximum() -> Graph {
+        const STARS: u32 = 40;
+        const BLOCK: u32 = 65;
+        assert!(STARS as usize > SCAN_CHUNK);
+        let mut edges = Vec::new();
+        let mut next = STARS + 2 + BLOCK;
+        // Adds `count` new nodes, each adjacent to every node of `ends`.
+        let mut attach = |edges: &mut Vec<(u32, u32)>, ends: &[u32], count: u32| {
+            for _ in 0..count {
+                edges.extend(ends.iter().map(|&end| (end, next)));
+                next += 1;
+            }
+        };
+        for centre in 0..STARS {
+            attach(&mut edges, &[centre], 2000);
+        }
+        let (hub, p, q) = (0, STARS, STARS + 1);
+        edges.push((p, q));
+        attach(&mut edges, &[p, q], 60);
+        attach(&mut edges, &[p], 439);
+        attach(&mut edges, &[q], 439);
+        let block = STARS + 2..STARS + 2 + BLOCK;
+        for node in block.clone() {
+            if node == block.start || node == block.end - 1 {
+                attach(&mut edges, &[node, hub], 40);
+                attach(&mut edges, &[node], 60);
+            } else {
+                attach(&mut edges, &[node], 100);
+            }
+        }
+        Graph::from_edges(next as usize, edges)
+    }
+
     /// The edge-merge count that the forward count replaced: for every canonical edge
     /// `(u, v)`, the common neighbours above `v`.
     fn edge_merge_triangle_count(g: &Graph) -> u64 {
@@ -450,6 +525,67 @@ mod tests {
             &list[list.partition_point(|&w| w <= floor)..]
         };
         g.edges().iter().map(|&(u, v)| intersect_sorted(above(u, v), above(v, v)) as u64).sum()
+    }
+
+    /// The scan that stamping replaced: each two-hop list is binary-searched for its part past
+    /// `i`, and the counters are reset through a list of the `j` touched.
+    fn searching_max_common_neighbors(ordered: &DegreeOrdered, exec: &Executor) -> usize {
+        let n = ordered.node_count();
+        let (best, _, _) = exec.fold_reduce(
+            n,
+            SCAN_CHUNK,
+            ordered.scan_work(),
+            || (0usize, vec![0u32; n], Vec::<u32>::new()),
+            |(best, counts, touched), positions| {
+                for t in positions {
+                    let i = (n - 1 - t) as u32;
+                    if ordered.degree(i) <= *best {
+                        break;
+                    }
+                    for &v in ordered.neighbors(i) {
+                        let two_hop = ordered.neighbors(v);
+                        for &j in &two_hop[two_hop.partition_point(|&j| j <= i)..] {
+                            if counts[j as usize] == 0 {
+                                touched.push(j);
+                            }
+                            counts[j as usize] += 1;
+                        }
+                    }
+                    for &j in touched.iter() {
+                        *best = (*best).max(counts[j as usize] as usize);
+                        counts[j as usize] = 0;
+                    }
+                    touched.clear();
+                }
+            },
+            |a, b| if a.0 >= b.0 { a } else { b },
+        );
+        best
+    }
+
+    /// A stochastic Kronecker graph on `2^k` nodes by ball dropping: each of `draws` edges
+    /// descends `k` levels, picking the initiator cell `(0,0)`, `(0,1)`, `(1,0)` or `(1,1)` with
+    /// weight `a`, `b`, `b` or `c`. Duplicates and self-loops collapse in `Graph::from_edges`.
+    fn ball_dropping_skg(theta: [f64; 3], k: u32, draws: usize, rng: &mut StdRng) -> Graph {
+        let [a, b, c] = theta;
+        let edges: Vec<(u32, u32)> = (0..draws)
+            .map(|_| {
+                (0..k).fold((0u32, 0u32), |(u, v), _| {
+                    let r = rng.gen::<f64>() * (a + 2.0 * b + c);
+                    let (du, dv) = if r < a {
+                        (0, 0)
+                    } else if r < a + b {
+                        (0, 1)
+                    } else if r < a + 2.0 * b {
+                        (1, 0)
+                    } else {
+                        (1, 1)
+                    };
+                    (2 * u + du, 2 * v + dv)
+                })
+            })
+            .collect();
+        Graph::from_edges(1 << k, edges)
     }
 
     /// The shapes the degree-ordered kernels are checked on: every `n` in `0..=3`, complete
@@ -523,6 +659,57 @@ mod tests {
             assert_eq!(triangle_count(g, &execs[0]), count, "graph {index}");
         }
         assert_eq!(max_common_neighbors(&star_of_stars(12, 8)), 8);
+    }
+
+    #[test]
+    fn above_is_the_suffix_of_each_list_past_its_own_node() {
+        for (index, g) in kernel_zoo().iter().enumerate() {
+            let ordered = DegreeOrdered::new(g);
+            for x in 0..ordered.node_count() as u32 {
+                let list = ordered.neighbors(x);
+                let past: Vec<u32> = list.iter().copied().filter(|&u| u > x).collect();
+                assert_eq!(ordered.above(x), past.as_slice(), "graph {index}: node {x}");
+                assert_eq!(
+                    ordered.below[x as usize] as usize + past.len(),
+                    list.len(),
+                    "graph {index}: node {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degree_ordered_kernels_match_the_references_past_one_chunk() {
+        // Inputs of several forward chunks whose scans outlast several scan chunks, so marks and
+        // stamps are reused across chunks and the per-participant results are merged.
+        let mut rng = StdRng::seed_from_u64(0xC0_7006);
+        let inputs = [
+            ("skg k=12", ball_dropping_skg([0.9, 0.6, 0.2], 12, 12_000, &mut rng)),
+            (
+                "preferential attachment",
+                crate::generators::preferential_attachment(5_000, 4, &mut rng),
+            ),
+            ("stars ahead of the maximum", stars_ahead_of_the_maximum()),
+        ];
+        for (name, g) in &inputs {
+            let ordered = DegreeOrdered::new(g);
+            let n = ordered.node_count();
+            let count = edge_merge_triangle_count(g);
+            let local_sensitivity = searching_max_common_neighbors(&ordered, &seq());
+            assert!(n > 3 * FORWARD_CHUNK, "{name}: {n} nodes");
+            assert!(count > 0, "{name}");
+            let scanned = (0..n as u32).filter(|&i| ordered.degree(i) > local_sensitivity).count();
+            assert!(scanned > 3 * SCAN_CHUNK, "{name}: {scanned} left endpoints scanned");
+            for threads in [1usize, 2, 8] {
+                let exec = Executor::new(threads);
+                // Chunks are claimed dynamically, so repeat to vary which participant scans which.
+                for round in 0..4 {
+                    let context = format!("{name}, threads {threads}, round {round}");
+                    assert_eq!(ordered.triangle_count(&exec), count, "{context}");
+                    assert_eq!(ordered.max_common_neighbors(&exec), local_sensitivity, "{context}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -458,6 +458,10 @@ fn check_skg(theta: &InitiatorSpec, k: u32, name: &str, max: u32) -> Result<Init
     Ok(theta)
 }
 
+/// Why a dataset without edges is refused, at upload and at every draw: every estimator
+/// rejects an edgeless graph, so a draw on one would spend budget and release nothing.
+const NO_EDGES: &str = "it has no edges, so no estimate can run on it";
+
 /// Largest input graph, in nodes, the exact smooth sensitivity may run on. That kernel is cubic:
 /// 1024 nodes take about 20 s single-threaded (see `smooth_sensitivity_triangles_exact`), and
 /// the cost grows with `n³`, so a larger input would pin an estimation worker for hours.
@@ -560,6 +564,10 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                 return Err(SpecError::NonPrivate(kind.as_str().to_string()));
             }
             match (state.datasets.meta(name), state.datasets.edge_text(name)) {
+                // Only a log written before uploads were checked for edges can hold one.
+                (Some(meta), _) if meta.edges == 0 => {
+                    return Err(SpecError::Bad(format!("dataset {name:?} rejected: {NO_EDGES}")));
+                }
                 (Some(meta), Some(text)) => (Some(text), None, Some(meta.nodes)),
                 _ => return Err(SpecError::NoSuchDataset(name.clone())),
             }
@@ -726,6 +734,9 @@ fn create_dataset(state: &AppState, request: &Request) -> Response {
         Ok(graph) => graph,
         Err(e) => return error(400, "bad_request", format!("edge list rejected: {e}")),
     };
+    if graph.edge_count() == 0 {
+        return error(400, "bad_request", format!("edge list rejected: {NO_EDGES}"));
+    }
     let ledger = BudgetLedger::new(budget.epsilon, budget.delta);
     let (nodes, edges) = (graph.node_count() as u64, graph.edge_count() as u64);
     match state.datasets.create(&req.name, req.edge_list.clone(), nodes, edges, ledger) {
@@ -1094,6 +1105,84 @@ mod tests {
         assert_refused_before_any_debit(
             r#"{"params": {"epsilon": 0.2, "delta": 5e-324}, "seed": 1}"#,
         );
+    }
+
+    #[test]
+    fn a_kronfit_of_no_gradient_steps_is_refused_before_any_job() {
+        // Regression: zero steps used to be admitted and to release `initial` unfitted.
+        let state = state();
+        let options =
+            kronpriv_json::to_string(&KronFitOptions { gradient_steps: 0, ..Default::default() });
+        let body = format!(
+            r#"{{"graph": {{"edge_list": {}}}, "estimator": "kronfit", "seed": 3,
+                "kronfit": {options}}}"#,
+            kronpriv_json::to_string(&ring(6))
+        );
+        let response = route(&state, &request("POST", "/api/v1/estimate", &body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("\"bad_request\""), "{}", response.body);
+        assert!(
+            response.body.contains("kronfit.gradient_steps must be at least 1, got 0"),
+            "{}",
+            response.body
+        );
+        assert_eq!(state.jobs.submitted(), 0, "a refused request must not enqueue a job");
+    }
+
+    /// A durable state on a fresh data dir named after `tag`, and that dir.
+    fn durable_state(tag: &str) -> (AppState, std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("kronpriv-router-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (state, pending) = AppState::with_persistence(2, 16, 0, &dir, 1000).unwrap();
+        assert!(pending.is_empty());
+        (state, dir)
+    }
+
+    /// How many records the log in data dir `dir` holds.
+    fn records(dir: &Path) -> usize {
+        let log = std::fs::read_to_string(dir.join("records.log")).unwrap_or_default();
+        log.lines().count()
+    }
+
+    #[test]
+    fn an_edgeless_upload_is_refused_and_persists_nothing() {
+        // Regression: an edge list of self-loops only used to be stored, and every draw on it
+        // was then debited before its job failed on the empty graph.
+        let (state, dir) = durable_state("edgeless-upload");
+        let body = r#"{"name": "g", "edge_list": "0 0\n",
+                       "budget": {"epsilon": 1.0, "delta": 0.1}}"#;
+        let response = route(&state, &request("POST", "/api/v1/datasets", body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("\"bad_request\""), "{}", response.body);
+        assert!(response.body.contains("it has no edges"), "{}", response.body);
+        assert!(state.datasets.meta("g").is_none(), "no dataset, so no ledger, was created");
+        assert_eq!(state.jobs.submitted(), 0);
+        assert_eq!(records(&dir), 0, "a refused upload must not be persisted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_draw_on_an_edgeless_dataset_is_refused_before_any_debit() {
+        // A log written before uploads were checked for edges can still replay one.
+        let (state, dir) = durable_state("edgeless-draw");
+        state.datasets.restore(crate::datasets::DatasetImage {
+            name: "g".to_string(),
+            edge_text: "0 0\n".to_string(),
+            nodes: 1,
+            edges: 0,
+            ledger: BudgetLedger::new(1.0, 0.1),
+        });
+        let body = r#"{"params": {"epsilon": 0.2, "delta": 0.01}, "seed": 1}"#;
+        let response = route(&state, &request("POST", "/api/v1/datasets/g/estimate", body));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(response.body.contains("\"bad_request\""), "{}", response.body);
+        assert!(response.body.contains("it has no edges"), "{}", response.body);
+        let ledger = state.datasets.meta("g").unwrap().ledger;
+        assert_eq!((ledger.epsilon_spent, ledger.delta_spent), (0.0, 0.0));
+        assert_eq!(state.jobs.submitted(), 0, "a refused draw must not enqueue a job");
+        assert_eq!(records(&dir), 0, "a refused draw must not be persisted");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Submits one request and checks the option-boundary property on it: a `4xx` that created
