@@ -3,17 +3,20 @@
 //! Measures the parallelized Algorithm 1 hot paths — triangle counting, the smooth-sensitivity
 //! bound (dominated by the pruned local-sensitivity scan), the exact hop plot, the
 //! multistart moment-matching fit, one multi-chain KronFit ascent step and the isotonic degree
-//! post-processing — at pool sizes {1, 2, 4} on a seeded 2^14-node stochastic Kronecker graph
+//! post-processing — at thread counts {1, 2, 4} on a seeded 2^14-node stochastic Kronecker graph
 //! (2^10 under `--quick`), plus the three counting kernels at ~10^5 nodes (2^17), so the
 //! speedup of the parallel layer is measured rather than assumed. Four rows at 2^17 cover graph
 //! construction: three sequential 1-thread ones, `graph_build` (SNAP edge-list text → `Graph`),
 //! `graph_build_keyed` (the same edges with every id + 10^9, so the parser remaps ids through
 //! its keyed map instead of its dense table) and `degree_order` (the degree relabelling that
 //! both triangle kernels run on, which does not scale with threads), plus `sample_fast` (one
-//! SKG realization, whose bulk placement round runs on the executor) at every pool size.
+//! SKG realization, whose bulk placement round runs on the executor) at every thread count.
 //!
-//! Each matrix cell builds its [`Executor`] **once, outside the timed loop**: the numbers
-//! measure steady-state reuse of the persistent worker pool, not worker spawn cost.
+//! Each matrix cell builds its [`Executor`] once, outside the timed loop, and building one
+//! spawns nothing. Every pooled call spawns and joins its own helper threads, so each
+//! multi-thread row includes that cost: about 40 µs per call with one helper on a 2-vCPU VM,
+//! which shows most in the rows whose calls are short (`exact_hop_plot`, `fit_multistart`,
+//! `isotonic_postprocess` at the quick sizes).
 //!
 //! Run with `cargo bench -p kronpriv-bench --bench kernels` (add `-- --quick` for a smoke run).
 //! With `-- --json PATH` the results are also written as machine-readable JSON — one record
@@ -23,8 +26,8 @@
 //!
 //! With `-- --metrics PATH` the run additionally dumps the process-global `kronpriv-obs`
 //! registry (Prometheus text) after the matrix finishes — the executor's own view of the same
-//! workload (`kronpriv_par_*`: inline-vs-pooled cutoff decisions, queue-wait and per-worker
-//! busy time), alongside the harness's external ns/op timings.
+//! workload (`kronpriv_par_*`: inline-vs-pooled cutoff decisions, helper spawn-to-start wait
+//! and per-helper busy time), alongside the harness's external ns/op timings.
 
 use kronpriv_bench::harness::Harness;
 use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles, LaplaceNoise};

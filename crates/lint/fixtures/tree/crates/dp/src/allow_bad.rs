@@ -6,6 +6,6 @@ pub fn sneaky_unwrap(v: Option<u32>) -> u32 {
     v.unwrap()
 }
 
-// VIOLATION: unsafe_code may not be re-allowed outside the par-queue cell.
+// VIOLATION: unsafe_code may not be re-allowed anywhere in the workspace.
 #[allow(unsafe_code)]
 pub fn sneaky_unsafe() {}

@@ -11,3 +11,10 @@ pub fn spawn_things() {
     let n = std::thread::available_parallelism();
     let _ = n;
 }
+
+pub fn scope_things() {
+    // VIOLATION: scoped threads borrow the caller's stack, but they are threads all the same.
+    std::thread::scope(|s| {
+        let _ = s;
+    });
+}

@@ -34,22 +34,11 @@ pub const SENSITIVE_IDENTS: &[&str] =
 
 /// Crates whose outputs must be deterministic: byte-identical for a fixed seed, independent of
 /// thread count, wall clock and iteration order. `par` is included — its *results* are part of
-/// the determinism contract even though it owns the worker pool (its latency instrumentation
+/// the determinism contract even though it owns thread creation (its latency instrumentation
 /// sites carry explicit waivers).
 pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "graph",
-    "dp",
-    "stats",
-    "estimate",
-    "optim",
-    "skg",
-    "linalg",
-    "core",
-    "json",
-    "rand",
-    "datasets",
-    "par",
-    "par-queue",
+    "graph", "dp", "stats", "estimate", "optim", "skg", "linalg", "core", "json", "rand",
+    "datasets", "par",
 ];
 
 /// The workspace lint table (root `Cargo.toml` `[workspace.lints]`): lints that must never be
@@ -683,9 +672,9 @@ impl Scan<'_> {
         }
     }
 
-    /// Rule `determinism-thread`: all thread creation and hardware-parallelism discovery lives
-    /// in `crates/par` — the one place the byte-identical-for-any-thread-count contract is
-    /// engineered. Everything else (the server's HTTP pool included) must either borrow the
+    /// Rule `determinism-thread`: all thread creation (`thread::spawn`, `thread::scope`,
+    /// `thread::Builder`) and hardware-parallelism discovery lives in `crates/par` — the one
+    /// place the byte-identical-for-any-thread-count contract is engineered. Everything else (the server's HTTP pool included) must either borrow the
     /// executor or carry an explicit waiver.
     fn determinism_thread(&mut self) {
         if self.crate_is("par") || self.class.category != Category::Lib {
@@ -698,6 +687,8 @@ impl Scan<'_> {
             }
             let hit = if self.path_at(i, &["thread", "spawn"]) {
                 Some("thread::spawn")
+            } else if self.path_at(i, &["thread", "scope"]) {
+                Some("thread::scope")
             } else if self.path_at(i, &["thread", "Builder"]) {
                 Some("thread::Builder")
             } else if t.is_ident("available_parallelism") {

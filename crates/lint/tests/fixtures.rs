@@ -66,6 +66,7 @@ const EXPECTED: &[(&str, usize, &str)] = &[
     ("crates/stats/src/thread_bad.rs", 5, "determinism-thread"),
     ("crates/stats/src/thread_bad.rs", 8, "determinism-thread"),
     ("crates/stats/src/thread_bad.rs", 11, "determinism-thread"),
+    ("crates/stats/src/thread_bad.rs", 17, "determinism-thread"),
 ];
 
 #[test]

@@ -1,13 +1,13 @@
-//! `kronpriv-par` — a deterministic parallel compute layer built around a persistent
-//! [`Executor`] worker pool.
+//! `kronpriv-par` — a deterministic parallel compute layer: an [`Executor`] that runs each
+//! call's chunks on the calling thread plus scoped helper threads.
 //!
 //! The hot kernels of Algorithm 1 (triangle counting, the smooth-sensitivity bound, the
 //! structural-agreement statistics) are all "map a pure function over an index range, combine
-//! the pieces" computations. This crate runs them on a pool of long-lived worker threads while
-//! keeping one hard guarantee: **the result is byte-identical for every worker count**,
-//! including one. That guarantee is what lets the rest of the workspace (seeded experiments,
-//! the server's identical-seed ⇒ identical-response contract) treat the thread count as a pure
-//! performance knob.
+//! the pieces" computations. This crate runs them on several threads while keeping one hard
+//! guarantee: **the result is byte-identical for every thread count**, including one. That
+//! guarantee is what lets the rest of the workspace (seeded experiments, the server's
+//! identical-seed ⇒ identical-response contract) treat the thread count as a pure performance
+//! knob.
 //!
 //! Determinism comes from two rules, both enforced here rather than by callers:
 //!
@@ -28,41 +28,44 @@
 //!
 //! # Executor lifecycle
 //!
-//! [`Executor::new`] spawns its helper threads **once**; every subsequent `map_reduce` /
-//! `fold_reduce` call hands the pool a job through a [`Mutex`]/[`Condvar`] queue instead of
-//! paying a `thread::spawn` + `join` round trip (tens of microseconds) per call. The calling
-//! thread always participates in its own job, so an `Executor::new(t)` runs a kernel on up to
-//! `t` threads using `t - 1` pooled helpers. Dropping the executor drains the pool: workers
-//! finish their current task, observe the shutdown flag and exit, and `Drop` joins every one of
-//! them — no threads outlive the executor.
+//! [`Executor::new`] spawns nothing: an `Executor::new(t)` holds the participant count `t` and
+//! `t - 1` idle helper slots. A call that clears the work cutoff runs its chunks on the calling
+//! thread plus helpers spawned for that call in one [`std::thread::scope`], which lends them
+//! the caller's borrows and joins them before the call returns. No thread outlives its call,
+//! so dropping the executor has nothing to join.
 //!
-//! Nested calls are deadlock-free by construction: a worker that itself calls into the shared
-//! executor participates in the nested job inline and, on completion, *retracts* whatever
-//! helper slots nobody claimed — it never blocks waiting for an idle worker.
+//! The slots bound the helpers. A call takes as many idle slots as it planned helpers, or as
+//! many as are idle if that is fewer, without waiting, and gives them back when it ends (on
+//! unwind too). So concurrent calls on one shared executor (the server's jobs) and nested calls
+//! (a chunk that calls into the same executor, as KronFit's chains do) never run more than
+//! `t - 1` helpers at once. A call that finds no slot idle runs every chunk itself, which makes
+//! nesting deadlock-free. If the OS refuses to spawn a helper, its slot goes back and the call
+//! goes on with the participants it has. None of this moves a result: chunk boundaries and the
+//! fold order do not depend on who runs the chunks.
 //!
 //! A panic inside a kernel closure poisons **only its own call**: every participant runs chunks
-//! under `catch_unwind`, the first payload is recorded, remaining chunks are abandoned, and the
-//! payload is re-raised on the calling thread after all helpers have detached. The pool threads
-//! survive and the next call on the same executor proceeds normally, so existing panic
-//! containment — e.g. the server job store's `catch_unwind` — keeps working.
+//! under `catch_unwind`, the first payload is recorded, remaining chunks are abandoned, and that
+//! payload is re-raised on the calling thread after every helper has been joined. The executor
+//! stays usable and the next call proceeds normally, so existing panic containment — e.g. the
+//! server job store's `catch_unwind` — keeps working.
 //!
 //! # Work-aware sequential cutoff
 //!
 //! Every entry point takes a [`Work`] hint: the caller's estimate of the cost of one element.
-//! When the estimated total work is too small to amortize waking even one helper
+//! When the estimated total work is too small to amortize spawning even one helper
 //! (`len · ns_per_item < 2 ×` [`SPAWN_AMORTIZATION_NS`]), the call runs inline on the calling
-//! thread with no queue traffic at all; above that, the helper count is capped so every
-//! participant has at least [`SPAWN_AMORTIZATION_NS`] of estimated work. The decision is a pure
-//! function of the input *shape* `(len, chunk_size, work)` — never of the thread count — and
-//! the inline path is exactly the reference loop the parallel path must reproduce bit for bit,
-//! so the cutoff can never change a result.
+//! thread and spawns nothing; above that, the helper count is capped so every participant has
+//! at least [`SPAWN_AMORTIZATION_NS`] of estimated work. The decision is a pure function of the
+//! input *shape* `(len, chunk_size, work)` — never of the thread count — and the inline path is
+//! exactly the reference loop the parallel path must reproduce bit for bit, so the cutoff can
+//! never change a result.
 //!
 //! # Instrumentation
 //!
 //! Every call records its cutoff decision into the process-global `kronpriv-obs` registry:
-//! calls and planned chunks per mode (`inline` / `pooled`) and per [`Work`] class, engaged
-//! helper counts, whole-call run time, queue wait from job publication to worker attach, and
-//! per-worker busy nanoseconds (`kronpriv_par_*` — see the `metrics` module). The counters are
+//! calls and planned chunks per mode (`inline` / `pooled`) and per [`Work`] class, spawned
+//! helper counts, whole-call run time, the wait from a helper's spawn to its start, and
+//! per-helper busy nanoseconds (`kronpriv_par_*` — see the `metrics` module). The counters are
 //! strictly write-only from this crate's point of view: nothing the executor schedules ever
 //! depends on an instrument value or a clock reading, so the byte-identical guarantee is
 //! untouched (the cutoff remains a pure function of the input shape).
@@ -71,26 +74,23 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 // lint:allow(determinism-time, reason = "write-only latency instrumentation: Instant readings feed kronpriv-obs histograms and never influence scheduling or results")
 use std::time::Instant;
 
-use kronpriv_par_queue::{RawRunnable, Runnable};
-
 mod metrics;
 use metrics::{exec_metrics, INLINE, POOLED};
 
-/// Estimated nanoseconds of kernel work needed to amortize handing a job to one pooled helper
-/// (a `Condvar` wake plus queue bookkeeping, measured in the tens of microseconds with
-/// scheduling jitter). A call runs inline unless every participant — the caller plus each
-/// helper — would get at least this much estimated work.
+/// Estimated nanoseconds of kernel work needed to amortize one helper thread: a scoped spawn
+/// and its join, measured at 33–52 µs for one helper and 88–101 µs for three on a 2-vCPU Xeon
+/// VM, plus scheduling jitter. A call runs inline unless every participant — the caller plus
+/// each helper — would get at least this much estimated work.
 pub const SPAWN_AMORTIZATION_NS: u64 = 100_000;
 
 /// A per-element cost estimate: how many nanoseconds one index of a kernel's range costs.
@@ -157,30 +157,28 @@ fn auto_thread_count() -> NonZeroUsize {
     *AUTO.get_or_init(|| thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
 }
 
-/// A persistent deterministic executor: `threads - 1` pooled helper threads plus the calling
-/// thread, servicing [`Executor::map_reduce`] / [`Executor::fold_reduce`] with byte-identical
-/// results for every thread count.
+/// A deterministic executor: the calling thread plus up to `threads - 1` scoped helper threads,
+/// servicing [`Executor::map_reduce`] / [`Executor::fold_reduce`] with byte-identical results
+/// for every thread count.
 ///
-/// Construction spawns the helpers once; see the crate docs for the lifecycle, panic and
-/// work-cutoff contracts. The executor is `Sync`: one instance is meant to be shared (e.g.
-/// behind an [`Arc`]) by every component that runs kernels — the server builds exactly one at
-/// startup.
+/// See the crate docs for the lifecycle, panic and work-cutoff contracts. The executor is
+/// `Sync`: one instance is meant to be shared (e.g. behind an [`Arc`](std::sync::Arc)) by every
+/// component that runs kernels — the server builds exactly one at startup — so that its helper
+/// slots bound the helpers of every call it serves.
 pub struct Executor {
     threads: NonZeroUsize,
-    /// `None` when `threads == 1`: a sequential executor never spawns or queues anything.
-    pool: Option<Pool>,
+    /// Helper slots that no call holds: `threads - 1` while no call runs helpers. The count
+    /// guards no data, so its updates are `Relaxed`.
+    idle_helpers: AtomicUsize,
 }
 
 impl Executor {
-    /// An executor with exactly `threads` participants (the calling thread plus `threads - 1`
-    /// pooled helpers); `0` means "one per available hardware thread" (see [`Executor::auto`]).
+    /// An executor with exactly `threads` participants (the calling thread plus up to
+    /// `threads - 1` helpers per call); `0` means "one per available hardware thread" (see
+    /// [`Executor::auto`]).
     pub fn new(threads: usize) -> Executor {
         let threads = NonZeroUsize::new(threads).unwrap_or_else(auto_thread_count);
-        let pool = match threads.get() {
-            1 => None,
-            t => Some(Pool::start(t - 1)),
-        };
-        Executor { threads, pool }
+        Executor { threads, idle_helpers: AtomicUsize::new(threads.get() - 1) }
     }
 
     /// One participant per available hardware thread. The OS is asked once per process and the
@@ -196,7 +194,7 @@ impl Executor {
         Executor::new(1)
     }
 
-    /// The configured participant count (≥ 1): the calling thread plus the pooled helpers.
+    /// The configured participant count (≥ 1): the calling thread plus the helpers.
     pub fn threads(&self) -> usize {
         self.threads.get()
     }
@@ -288,15 +286,15 @@ impl Executor {
         parts.fold(first, &mut merge)
     }
 
-    /// The pooled half of both entry points: runs a [`FoldJob`] on the calling thread plus up
-    /// to `helpers` pooled workers and returns every participant's accumulator, tagged with
-    /// its first claimed chunk. A panic in any chunk is re-raised here, after every
-    /// participant has detached.
+    /// The parallel half of both entry points: runs a [`FoldJob`] on the calling thread plus up
+    /// to `planned` helpers, one per idle slot it can take, spawned in one scope. Returns every
+    /// participant's accumulator, tagged with its first claimed chunk. A panic in any chunk is
+    /// re-raised here with the chunk's own payload, after every helper has been joined.
     fn fold_pooled<A: Send>(
         &self,
         len: usize,
         chunk_size: usize,
-        helpers: usize,
+        planned: usize,
         identity: impl Fn() -> A + Sync,
         fold_chunk: impl Fn(&mut A, Range<usize>) + Sync,
     ) -> Vec<(usize, A)> {
@@ -310,8 +308,34 @@ impl Executor {
             accumulators: Mutex::new(Vec::new()),
             panic: Mutex::new(None),
         };
-        let pool = self.pool.as_ref().expect("helpers are only planned for a pooled executor");
-        pool.run_shared(&job, helpers);
+        let mut slots = HelperSlots::take(&self.idle_helpers, planned);
+        // No helper unwinds into the scope: `FoldJob::run` catches every chunk's panic.
+        thread::scope(|scope| {
+            let mut spawned = 0;
+            while spawned < slots.held {
+                let (job, ordinal) = (&job, spawned);
+                // lint:allow(determinism-time, reason = "write-only latency instrumentation: the timestamp feeds the queue-wait histogram and never influences scheduling or results")
+                let spawned_at = Instant::now();
+                let helper = thread::Builder::new()
+                    .name(format!("kronpriv-exec-{ordinal}"))
+                    .spawn_scoped(scope, move || {
+                        // lint:allow(determinism-time, reason = "reporting only: neither latency feeds back into any scheduling decision")
+                        let started = Instant::now();
+                        let waited = started.duration_since(spawned_at);
+                        exec_metrics().queue_wait_ns.record_ns(duration_ns(waited));
+                        job.run();
+                        metrics::worker_busy_counter(ordinal).add(duration_ns(started.elapsed()));
+                    });
+                if helper.is_err() {
+                    break;
+                }
+                spawned += 1;
+            }
+            // A helper the OS refused gives its slot back, and so does every later one.
+            slots.give_back(slots.held - spawned);
+            exec_metrics().helpers_engaged.add(spawned as u64);
+            job.run();
+        });
         let (panicked, parts) = job.finish();
         if let Some(payload) = panicked {
             panic::resume_unwind(payload);
@@ -319,25 +343,54 @@ impl Executor {
         parts
     }
 
-    /// Helper-thread budget for a call, `0` meaning "run inline". A pure function of the input
-    /// shape `(len, chunks, work)` and the pool size — never of scheduling — so together with
-    /// the fixed chunk boundaries it cannot affect results.
+    /// Helper budget for a call, `0` meaning "run inline". A pure function of the input shape
+    /// `(len, chunks, work)` and the thread count — never of scheduling — so together with the
+    /// fixed chunk boundaries it cannot affect results.
     fn plan_helpers(&self, len: usize, chunks: usize, work: Work) -> usize {
-        let Some(pool) = &self.pool else { return 0 };
         if chunks <= 1 {
             return 0;
         }
         // Every participant (the caller included) must have at least the amortization budget of
-        // estimated work, otherwise queue traffic dominates the kernel itself.
+        // estimated work, otherwise spawning dominates the kernel itself.
         let affordable =
             (work.total_ns(len) / SPAWN_AMORTIZATION_NS as u128).min(usize::MAX as u128) as usize;
-        pool.workers.len().min(chunks - 1).min(affordable.saturating_sub(1))
+        (self.threads.get() - 1).min(chunks - 1).min(affordable.saturating_sub(1))
     }
 }
 
 impl fmt::Debug for Executor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Executor").field("threads", &self.threads.get()).finish()
+    }
+}
+
+/// Helper slots taken from an executor's idle count for one call, given back when dropped (on
+/// unwind too).
+struct HelperSlots<'e> {
+    idle: &'e AtomicUsize,
+    held: usize,
+}
+
+impl<'e> HelperSlots<'e> {
+    /// Takes up to `wanted` of the idle slots, and never waits for one.
+    fn take(idle: &'e AtomicUsize, wanted: usize) -> HelperSlots<'e> {
+        let (Ok(free) | Err(free)) =
+            idle.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
+                Some(free.saturating_sub(wanted))
+            });
+        HelperSlots { idle, held: free.min(wanted) }
+    }
+
+    /// Gives `n` of the held slots back before the call ends.
+    fn give_back(&mut self, n: usize) {
+        self.held -= n;
+        self.idle.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+impl Drop for HelperSlots<'_> {
+    fn drop(&mut self) {
+        self.give_back(self.held);
     }
 }
 
@@ -354,15 +407,12 @@ fn record_call(work: Work, chunks: usize, helpers: usize) -> kronpriv_obs::Span 
     let mode = if helpers == 0 { INLINE } else { POOLED };
     m.calls[mode][work.class_index()].inc();
     m.chunks[mode].add(chunks as u64);
-    if helpers > 0 {
-        m.helpers_engaged.add(helpers as u64);
-    }
     m.call_ns[mode].span()
 }
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
-/// The pooled job behind both entry points: each participant lazily builds one private
+/// The job behind both parallel entry points: each participant lazily builds one private
 /// accumulator and folds every chunk it claims into it, then parks the accumulator (tagged with
 /// its first chunk index) for the caller to merge.
 struct FoldJob<A, I, F> {
@@ -399,7 +449,7 @@ impl<A, I, F> FoldJob<A, I, F> {
         self.next.store(self.chunks, Ordering::Relaxed);
     }
 
-    /// Tears the job down after every participant has detached: the recorded panic (if any)
+    /// Tears the job down after every participant has finished: the recorded panic (if any)
     /// and the per-participant accumulators.
     #[allow(clippy::type_complexity)]
     fn finish(mut self) -> (Option<PanicPayload>, Vec<(usize, A)>) {
@@ -415,12 +465,14 @@ impl<A, I, F> FoldJob<A, I, F> {
     }
 }
 
-impl<A, I, F> Runnable for FoldJob<A, I, F>
+impl<A, I, F> FoldJob<A, I, F>
 where
     A: Send,
     I: Fn() -> A + Sync,
     F: Fn(&mut A, Range<usize>) + Sync,
 {
+    /// Participates in the job until no chunk is left. Never unwinds: a chunk's panic is
+    /// caught and recorded for the caller to re-raise.
     fn run(&self) {
         let mut acc: Option<(usize, A)> = None;
         while let Some(c) = self.claim() {
@@ -438,163 +490,6 @@ where
                 .lock()
                 .expect("no code panics while holding the part lock")
                 .push(part);
-        }
-    }
-}
-
-// The erased-pointer corner of the pool lives in `kronpriv-par-queue`: jobs live on the
-// submitting thread's stack, so the queue stores a lifetime-erased pointer to them. That
-// erasure is the workspace's only unsafe code, isolated in the micro-crate so this crate can
-// `#![forbid(unsafe_code)]`. Its safety argument is the drain protocol in [`Pool::run_shared`]:
-// a worker only dereferences the pointer between incrementing and decrementing the job's
-// `attached` counter, both under the pool mutex, and the submitting thread does not return
-// (and therefore does not invalidate the referent) until it has removed the job from the queue
-// and observed `attached == 0` under that same mutex. After the removal no worker can attach
-// anymore, so the wait is a true barrier on every dereference.
-
-/// Per-job pool bookkeeping. `attached` counts the workers currently inside the job's `run`;
-/// it is only ever mutated under the pool mutex (the atomic is for shared mutability, not for
-/// lock-free access), which is what makes the submitting thread's drain wait race-free.
-struct JobState {
-    runnable: RawRunnable,
-    attached: AtomicUsize,
-    /// When the job was published to the queue — read only to report queue-wait latency.
-    // lint:allow(determinism-time, reason = "write-only latency instrumentation: the timestamp feeds the queue-wait histogram and never influences scheduling or results")
-    published: Instant,
-}
-
-/// A queue entry: the job plus how many more helpers may still join it. The entry is removed
-/// when the last helper slot is claimed — or retracted by the submitting thread on completion.
-struct QueuedJob {
-    job: Arc<JobState>,
-    helper_slots: usize,
-}
-
-struct PoolState {
-    jobs: VecDeque<QueuedJob>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Workers park here waiting for jobs (or shutdown).
-    work_cv: Condvar,
-    /// Submitting threads park here waiting for their job's `attached` count to reach zero.
-    done_cv: Condvar,
-}
-
-/// The persistent helper pool: `workers` long-lived threads parked on `work_cv`.
-struct Pool {
-    shared: Arc<PoolShared>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    fn start(workers: usize) -> Pool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState { jobs: VecDeque::new(), shutdown: false }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("kronpriv-exec-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn executor worker thread")
-            })
-            .collect();
-        Pool { shared, workers }
-    }
-
-    /// Publishes `job` with `helper_slots` helper slots, participates in it on the calling
-    /// thread, then retracts the unclaimed slots and waits until every attached helper has
-    /// detached. On return the caller has exclusive access to the job again.
-    fn run_shared(&self, job: &(dyn Runnable + Sync), helper_slots: usize) {
-        let state = Arc::new(JobState {
-            runnable: RawRunnable::erase(job),
-            attached: AtomicUsize::new(0),
-            // lint:allow(determinism-time, reason = "write-only latency instrumentation: the timestamp feeds the queue-wait histogram and never influences scheduling or results")
-            published: Instant::now(),
-        });
-        {
-            let mut guard = self.shared.state.lock().expect("pool mutex never poisoned");
-            guard.jobs.push_back(QueuedJob { job: Arc::clone(&state), helper_slots });
-        }
-        if helper_slots == 1 {
-            self.shared.work_cv.notify_one();
-        } else {
-            self.shared.work_cv.notify_all();
-        }
-        // The guard drains even if `job.run()` somehow unwound: returning with the job still
-        // published would leave workers holding a dangling pointer.
-        let drain = DrainGuard { shared: &self.shared, job: state };
-        job.run();
-        drop(drain);
-    }
-}
-
-impl Drop for Pool {
-    /// Graceful shutdown: flag, wake everyone, join everyone. Outstanding jobs cannot exist
-    /// here — every job borrows the executor for the duration of its call.
-    fn drop(&mut self) {
-        self.shared.state.lock().expect("pool mutex never poisoned").shutdown = true;
-        self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            worker.join().expect("executor workers never panic");
-        }
-    }
-}
-
-/// Retracts a job from the queue and waits for attached helpers to detach (see
-/// [`Pool::run_shared`]).
-struct DrainGuard<'p> {
-    shared: &'p PoolShared,
-    job: Arc<JobState>,
-}
-
-impl Drop for DrainGuard<'_> {
-    fn drop(&mut self) {
-        let mut guard = self.shared.state.lock().expect("pool mutex never poisoned");
-        // Retract the helper slots nobody claimed; after this no worker can attach anymore.
-        guard.jobs.retain(|queued| !Arc::ptr_eq(&queued.job, &self.job));
-        // `attached` only moves under this mutex, so the wait cannot miss a detach.
-        while self.job.attached.load(Ordering::Relaxed) > 0 {
-            guard = self.shared.done_cv.wait(guard).expect("pool mutex never poisoned");
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, index: usize) {
-    let busy_ns = metrics::worker_busy_counter(index);
-    let mut guard = shared.state.lock().expect("pool mutex never poisoned");
-    loop {
-        if let Some(front) = guard.jobs.front_mut() {
-            // Claiming a helper slot and attaching happen under ONE lock acquisition: a
-            // submitting thread that retracts the job afterwards is guaranteed to see this
-            // participant in `attached` and wait for it.
-            front.helper_slots -= 1;
-            let job = Arc::clone(&front.job);
-            if front.helper_slots == 0 {
-                guard.jobs.pop_front();
-            }
-            job.attached.fetch_add(1, Ordering::Relaxed);
-            drop(guard);
-            // lint:allow(determinism-time, reason = "reporting only: neither latency feeds back into any scheduling decision")
-            let attach = Instant::now();
-            exec_metrics()
-                .queue_wait_ns
-                .record_ns(duration_ns(attach.duration_since(job.published)));
-            job.runnable.run();
-            busy_ns.add(duration_ns(attach.elapsed()));
-            guard = shared.state.lock().expect("pool mutex never poisoned");
-            job.attached.fetch_sub(1, Ordering::Relaxed);
-            shared.done_cv.notify_all();
-        } else if guard.shutdown {
-            return;
-        } else {
-            guard = shared.work_cv.wait(guard).expect("pool mutex never poisoned");
         }
     }
 }
@@ -824,6 +719,12 @@ mod tests {
                 )
             }));
             assert!(result.is_err(), "threads {threads}");
+            let payload = result.unwrap_err();
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"kernel exploded"),
+                "threads {threads}: the caller must re-raise the chunk's own payload"
+            );
         }
     }
 
@@ -921,6 +822,83 @@ mod tests {
         );
         let expected: u64 = (0..8).flat_map(|i| (0..64).map(move |j| (i * 1_000 + j) as u64)).sum();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn concurrent_and_nested_calls_never_run_more_helpers_than_the_executor_has() {
+        // Two callers share one 3-thread executor, and every outer chunk nests a call of its
+        // own: the shape of two server jobs running KronFit's chains. However the calls
+        // interleave, at most `threads - 1 = 2` threads other than the two callers may be
+        // running chunks at any moment.
+        use std::collections::HashMap;
+        use std::time::Duration;
+
+        let exec = Executor::new(3);
+        // Chunk depth per thread that is currently inside a chunk, the callers excluded.
+        let helpers: Mutex<(HashMap<thread::ThreadId, usize>, usize)> = Mutex::default();
+        let callers: Mutex<Vec<thread::ThreadId>> = Mutex::default();
+        let in_chunk = |body: &dyn Fn() -> u64| {
+            let me = thread::current().id();
+            let counted = !callers.lock().unwrap().contains(&me);
+            if counted {
+                let mut guard = helpers.lock().unwrap();
+                let (running, peak) = &mut *guard;
+                *running.entry(me).or_insert(0) += 1;
+                *peak = (*peak).max(running.len());
+            }
+            let value = body();
+            if counted {
+                let mut guard = helpers.lock().unwrap();
+                let depth = guard.0.get_mut(&me).unwrap();
+                *depth -= 1;
+                if *depth == 0 {
+                    guard.0.remove(&me);
+                }
+            }
+            value
+        };
+        let run = |exec: &Executor, base: u64| {
+            exec.map_reduce(
+                6,
+                1,
+                FORCE_PARALLEL,
+                |outer| {
+                    in_chunk(&|| {
+                        exec.map_reduce(
+                            8,
+                            1,
+                            FORCE_PARALLEL,
+                            |inner| {
+                                in_chunk(&|| {
+                                    thread::sleep(Duration::from_micros(300));
+                                    base + (outer.start * 100 + inner.start) as u64
+                                })
+                            },
+                            |acc: u64, m| acc + m,
+                            0,
+                        )
+                    })
+                },
+                |acc: u64, m| acc + m,
+                0,
+            )
+        };
+        let reference = [run(&Executor::sequential(), 1), run(&Executor::sequential(), 7)];
+        let start = std::sync::Barrier::new(2);
+        let got = thread::scope(|scope| {
+            let handles = [1, 7].map(|base| {
+                let (exec, callers, start, run) = (&exec, &callers, &start, &run);
+                scope.spawn(move || {
+                    callers.lock().unwrap().push(thread::current().id());
+                    start.wait();
+                    run(exec, base)
+                })
+            });
+            handles.map(|h| h.join().unwrap())
+        });
+        assert_eq!(got, reference);
+        let peak = helpers.lock().unwrap().1;
+        assert!(peak <= 2, "{peak} helper threads ran chunks at once on a 3-thread executor");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Executor instrumentation: pre-resolved handles into the process-global
-//! [`kronpriv_obs::Registry`], so the hot dispatch path pays only relaxed atomic adds and
-//! never a registry lookup.
+//! [`kronpriv_obs::Registry`], so the hot dispatch path pays only relaxed atomic adds. The one
+//! lookup left is each spawned helper's busy counter, made on the helper's own thread.
 //!
 //! Series (all under the `kronpriv_par_` prefix):
 //!
@@ -8,11 +8,12 @@
 //!   (`inline` / `pooled`) and [`crate::Work`] class (`light` / `moderate` / `heavy` /
 //!   `custom`).
 //! * `kronpriv_par_chunks_total{mode}` — planned chunks, by cutoff decision.
-//! * `kronpriv_par_helpers_engaged_total` — helper slots published across pooled calls.
+//! * `kronpriv_par_helpers_engaged_total` — helper threads spawned across pooled calls.
 //! * `kronpriv_par_call_ns{mode}` — whole-call wall time histogram.
-//! * `kronpriv_par_queue_wait_ns` — publication-to-worker-attach latency histogram.
-//! * `kronpriv_par_worker_busy_ns_total{worker}` — nanoseconds each pooled worker spent
-//!   running claimed jobs.
+//! * `kronpriv_par_queue_wait_ns` — latency histogram from a helper's spawn to its start.
+//! * `kronpriv_par_worker_busy_ns_total{worker}` — nanoseconds helpers spent running their
+//!   calls' chunks, labelled by the helper's ordinal within its call (`0` is each call's first
+//!   helper).
 //!
 //! Everything here is reporting-only: the executor never reads these values back.
 
@@ -33,11 +34,11 @@ pub(crate) struct ExecMetrics {
     pub(crate) calls: [[Arc<Counter>; 4]; 2],
     /// `[mode]` planned chunk counts.
     pub(crate) chunks: [Arc<Counter>; 2],
-    /// Helper slots published across all pooled calls.
+    /// Helper threads spawned across all pooled calls.
     pub(crate) helpers_engaged: Arc<Counter>,
     /// `[mode]` whole-call wall time.
     pub(crate) call_ns: [Arc<Histogram>; 2],
-    /// Publication-to-attach latency, recorded once per worker attach.
+    /// Spawn-to-start latency, recorded once per helper.
     pub(crate) queue_wait_ns: Arc<Histogram>,
 }
 
@@ -62,8 +63,9 @@ pub(crate) fn exec_metrics() -> &'static ExecMetrics {
     })
 }
 
-/// The busy-time counter for pooled worker `index`, resolved once at worker spawn.
-pub(crate) fn worker_busy_counter(index: usize) -> Arc<Counter> {
+/// The busy-time counter for the helper with ordinal `ordinal` within its call, resolved once
+/// per helper.
+pub(crate) fn worker_busy_counter(ordinal: usize) -> Arc<Counter> {
     Registry::global()
-        .counter("kronpriv_par_worker_busy_ns_total", &[("worker", &index.to_string())])
+        .counter("kronpriv_par_worker_busy_ns_total", &[("worker", &ordinal.to_string())])
 }

@@ -2,16 +2,17 @@
 //!
 //! Request types deliberately do not reuse the library structs (`PrivacyParams`, `Initiator2`):
 //! deserializing through `impl_json_struct!` skips the library's validating constructors, so an
-//! untrusted budget or initiator arrives in a `*Spec` type here, and estimator options in their
-//! library types; each passes its `validate()` before it touches the pipeline. Response types are
-//! likewise separate from the library structs so that only *released* values cross the wire — in
-//! particular the exact triangle count, which [`kronpriv_dp::PrivateTriangleCount`] retains for
-//! experiment bookkeeping, is never serialized by the server.
+//! untrusted budget or initiator arrives in a `*Spec` type here and passes the library's
+//! `try_new`, and estimator options arrive in their library types and pass their `validate()`,
+//! before either touches the pipeline. Response types are likewise separate from the library
+//! structs so that only *released* values cross the wire — in particular the exact triangle
+//! count, which [`kronpriv_dp::PrivateTriangleCount`] retains for experiment bookkeeping, is
+//! never serialized by the server.
 
 use crate::datasets::DatasetMeta;
 use crate::jobs::JobStatus;
 use crate::ledger::BudgetLedger;
-use kronpriv_dp::{ParamError, PrivacyParams};
+use kronpriv_dp::PrivacyParams;
 use kronpriv_estimate::{
     FittedInitiator, KronFitOptions, PrivateEstimate, PrivateEstimatorOptions,
 };
@@ -30,11 +31,6 @@ pub struct BudgetSpec {
 impl_json_struct!(BudgetSpec { epsilon, delta });
 
 impl BudgetSpec {
-    /// Validates the pair into a [`PrivacyParams`] via [`PrivacyParams::try_new`].
-    pub fn validate(&self) -> Result<PrivacyParams, ParamError> {
-        PrivacyParams::try_new(self.epsilon, self.delta)
-    }
-
     /// The wire form of an already-validated budget.
     pub fn of(params: PrivacyParams) -> Self {
         BudgetSpec { epsilon: params.epsilon, delta: params.delta }
@@ -55,11 +51,6 @@ pub struct InitiatorSpec {
 impl_json_struct!(InitiatorSpec { a, b, c });
 
 impl InitiatorSpec {
-    /// Validates the entries into an [`Initiator2`] via [`Initiator2::try_new`].
-    pub fn validate(&self) -> Result<Initiator2, String> {
-        Initiator2::try_new(self.a, self.b, self.c).map_err(|e| e.to_string())
-    }
-
     /// The wire form of a released initiator.
     pub fn of(theta: &Initiator2) -> Self {
         InitiatorSpec { a: theta.a, b: theta.b, c: theta.c }
@@ -526,7 +517,7 @@ pub struct HealthResponse {
     pub jobs_submitted: u64,
     /// Whole seconds since the server started.
     pub uptime_seconds: u64,
-    /// Participant count of the shared compute executor (calling thread + pooled helpers).
+    /// Participant count of the shared compute executor (calling thread + helper threads).
     pub compute_threads: u64,
     /// Jobs currently waiting for an estimation worker.
     pub jobs_queued: u64,
@@ -579,21 +570,6 @@ impl_json_struct_lenient!(ErrorBody { error, code, detail, remaining_epsilon, re
 mod tests {
     use super::*;
     use kronpriv_json::{from_str, to_string};
-
-    #[test]
-    fn budget_spec_validation_delegates_to_try_new() {
-        assert!(BudgetSpec { epsilon: 0.2, delta: 0.01 }.validate().is_ok());
-        assert!(BudgetSpec { epsilon: -1.0, delta: 0.01 }.validate().is_err());
-        assert!(BudgetSpec { epsilon: 0.2, delta: 1.0 }.validate().is_err());
-    }
-
-    #[test]
-    fn initiator_spec_validation_checks_ranges() {
-        assert!(InitiatorSpec { a: 0.9, b: 0.5, c: 0.1 }.validate().is_ok());
-        assert!(InitiatorSpec { a: 1.1, b: 0.5, c: 0.1 }.validate().is_err());
-        assert!(InitiatorSpec { a: 0.9, b: f64::NAN, c: 0.1 }.validate().is_err());
-        assert!(InitiatorSpec { a: 0.9, b: 0.5, c: -0.01 }.validate().is_err());
-    }
 
     #[test]
     fn estimate_request_parses_with_omitted_optionals() {

@@ -20,6 +20,7 @@ use crate::jobs::{JobEventSink, JobSnapshot, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
 use crate::store::{self, PendingJob, Persistence};
 use kronpriv::{try_kronfit_estimate, try_kronmom_estimate, try_private_estimate};
+use kronpriv_dp::PrivacyParams;
 use kronpriv_graph::io::{parse_edge_list_reader, to_edge_list_string};
 use kronpriv_graph::Graph;
 use kronpriv_json::{
@@ -446,7 +447,8 @@ fn check_skg(theta: &InitiatorSpec, k: u32, name: &str, max: u32) -> Result<Init
     if k == 0 || k > max {
         return Err(SpecError::Bad(format!("{name} must be in 1..={max}, got {k}")));
     }
-    let theta = theta.validate().map_err(SpecError::Bad)?;
+    let theta = Initiator2::try_new(theta.a, theta.b, theta.c)
+        .map_err(|e| SpecError::Bad(e.to_string()))?;
     let expected = expected_edges(&theta, k);
     if expected > MAX_SAMPLE_EDGES {
         return Err(SpecError::TooLarge(format!(
@@ -599,7 +601,8 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
             let budget = spec.params.ok_or_else(|| {
                 SpecError::Bad("params is required for the private estimator".to_string())
             })?;
-            let params = budget.validate().map_err(|e| SpecError::Bad(e.to_string()))?;
+            let params = PrivacyParams::try_new(budget.epsilon, budget.delta)
+                .map_err(|e| SpecError::Bad(e.to_string()))?;
             let options = spec.options.unwrap_or_default();
             options.validate(params).map_err(|e| SpecError::Bad(e.to_string()))?;
             let cubic = options.exact_smooth_sensitivity;
@@ -724,7 +727,7 @@ fn create_dataset(state: &AppState, request: &Request) -> Response {
             ),
         );
     }
-    let budget = match req.budget.validate() {
+    let budget = match PrivacyParams::try_new(req.budget.epsilon, req.budget.delta) {
         Ok(params) => params,
         Err(e) => return error(400, "bad_request", format!("budget rejected: {e}")),
     };

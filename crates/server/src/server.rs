@@ -26,12 +26,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Estimation workers executing `/api/estimate` jobs.
     pub job_workers: usize,
-    /// Size of the shared compute worker pool, built **once** at startup and borrowed by every
-    /// estimation job for its parallel stages — the counting kernels (triangle count, smooth
-    /// sensitivity), the isotonic degree post-processing and the moment-matching fit; `0`
-    /// means one worker per available hardware thread. Every stage is deterministic for any
-    /// pool size, so this knob never changes a job's result — it is server-side resource
-    /// control only. Requests carry no thread count (an old client's `compute_threads` field
+    /// Participant count of the shared compute executor, built **once** at startup and
+    /// borrowed by every estimation job for its parallel stages — the counting kernels (triangle
+    /// count, smooth sensitivity), the isotonic degree post-processing and the moment-matching
+    /// fit. All jobs together never run more than `compute_threads - 1` helper threads at once;
+    /// `0` means one participant per available hardware thread. Every stage is deterministic
+    /// for any thread count, so this knob never changes a job's result — it is server-side
+    /// resource control only. Requests carry no thread count (an old client's `compute_threads` field
     /// is accepted and ignored).
     pub compute_threads: usize,
     /// Largest Kronecker order accepted by `/api/sample` and sampled-SKG inputs.

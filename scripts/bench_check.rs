@@ -1,11 +1,11 @@
 //! CI bench-regression guard: compares a fresh `BENCH_kernels.json` against the committed
 //! `BENCH_baseline.json` and fails (exit 1) when any kernel's ns/op regressed by more than the
 //! allowed ratio, then prints a one-line 1T-vs-4T scaling summary and — on hosts with at least
-//! 4 hardware threads — enforces the scaling contract of the persistent executor: no kernel
+//! 4 hardware threads — enforces the scaling contract of the executor: no kernel
 //! may be slower at 4 threads than at 1 by more than 10%, and the node-partitioned counting
 //! kernels (`smooth_sensitivity`, `per_node_triangles`) at the ~10^5-node scale must reach at
 //! least a 1.5× speedup at 4 threads. On smaller hosts (CI runners with 1–2 cores) the
-//! scaling gates are skipped with a note — a 4-worker pool time-slicing one core measures OS
+//! scaling gates are skipped with a note — 4 threads time-slicing fewer cores measure OS
 //! scheduling, not the executor.
 //!
 //! Invoked as `cargo run -p kronpriv-bench --bin bench_check` (the source lives in `scripts/`,
@@ -262,7 +262,7 @@ fn main() -> ExitCode {
     } else if !speedups.is_empty() {
         println!(
             "note: scaling gates skipped — host has {cores} hardware thread(s), \
-             a 4-worker pool cannot run in parallel here"
+             4 threads cannot run in parallel here"
         );
     }
 

@@ -4,7 +4,7 @@
 #
 #   scripts/verify.sh          # fmt --check + build (release) + tests + clippy -D warnings
 #                              # + rustdoc -D warnings + kronpriv-lint
-#   scripts/verify.sh --quick  # additionally runs the rand/graph/skg/dp tests optimized, the e2e
+#   scripts/verify.sh --quick  # additionally runs the rand/graph/skg/dp/par tests optimized, the e2e
 #                              # bench's own tests, quickstart and the server probe, then
 #                              # smoke-runs the bench harness with the bench_check regression
 #                              # guard
@@ -45,12 +45,15 @@ if (( lint_elapsed > lint_budget_s )); then
 fi
 
 if [[ "${1:-}" == "--quick" ]]; then
-    echo "==> rand, graph, skg and dp tests in a release build"
+    echo "==> rand, graph, skg, dp and par tests in a release build"
     # The xoshiro jump-ahead's bit arithmetic, the sampler's and graph builder's byte-identity
     # pins and the triangle release's thread-count pins run once more optimized, where
     # overflow checks are off and the compiler reorders the most: an optimizer-dependent
-    # divergence must fail here, not in production.
-    cargo test -q --release --offline -p rand -p kronpriv-graph -p kronpriv-skg -p kronpriv-dp
+    # divergence must fail here, not in production. The executor's own tests (panic payloads,
+    # nesting, reuse and the helper bound under concurrent callers) run here too, where thread
+    # timing differs from a debug build.
+    cargo test -q --release --offline -p rand -p kronpriv-graph -p kronpriv-skg -p kronpriv-dp \
+        -p kronpriv-par
 
     echo "==> end-to-end benchmark smoke tests"
     # The e2e bench is a workspace of its own (e2e_bench/Cargo.toml) that builds the program

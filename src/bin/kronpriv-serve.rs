@@ -15,12 +15,13 @@
 //! and jobs are appended to a record log under `PATH` and replayed on the next boot, so a
 //! crash or restart loses nothing. Without the flag all state is in-memory, as before.
 //!
-//! `--compute-threads N` sizes the shared compute worker pool, built once at startup and
+//! `--compute-threads N` sizes the shared compute executor, built once at startup and
 //! borrowed by every estimation job for its parallel stages — the counting kernels (triangle
 //! count, smooth sensitivity), the isotonic degree post-processing and the fitting stage (the
-//! moment-matching fit and the multi-chain KronFit baseline); `0` (the default) means one
-//! worker per available hardware thread. Every stage is deterministic for any pool size, so
-//! the flag never changes results.
+//! moment-matching fit and the multi-chain KronFit baseline). All jobs together never run more
+//! than `N - 1` helper threads at once; `0` (the default) means one participant per available
+//! hardware thread. Every stage is deterministic for any thread count, so the flag never
+//! changes results.
 //!
 //! `--request-deadline SECS` bounds the wall-clock time a client may take to deliver one full
 //! request (the slowloris guard); the per-read socket timeout alone cannot stop a client
