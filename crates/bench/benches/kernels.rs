@@ -74,9 +74,9 @@ fn main() {
                graph_nodes: usize,
                threads: usize,
                routine: &dyn Fn(&Executor)| {
-        // One executor per matrix cell, built before the timed region: the workers are spawned
-        // and parked exactly once, so `b.iter` measures pool reuse (the steady state of the
-        // server and the fitting loops), not thread spawn cost.
+        // One executor per matrix cell, built before the timed region. Building one spawns
+        // nothing; every pooled call inside `b.iter` spawns and joins its own helpers, so the
+        // multi-thread rows include that cost (see the module doc).
         let exec = Executor::new(threads);
         h.bench_function(&format!("{kernel}/t{threads}"), |b| b.iter(|| routine(&exec)));
         let measured = h.results().last().expect("bench_function just pushed a result");

@@ -1,5 +1,5 @@
 //! `kronpriv-bench` — the experiment harness that regenerates every table and figure of the
-//! paper, plus shared plumbing for the Criterion micro-benchmarks.
+//! paper, plus the hand-rolled timing harness ([`harness`]) behind the micro-benchmarks.
 //!
 //! Three binaries are built from this crate:
 //!
@@ -54,7 +54,6 @@ pub fn profile_options(quick: bool) -> ProfileOptions {
     ProfileOptions {
         scree_values: if quick { 20 } else { 100 },
         network_values: if quick { 200 } else { 1000 },
-        skip_hop_plot: false,
     }
 }
 

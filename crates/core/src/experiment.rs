@@ -82,14 +82,6 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Convenience: relative error in percent, formatted for tables.
-pub fn percent_error(measured: f64, reference: f64) -> String {
-    if reference.abs() < 1e-12 {
-        return "n/a".to_string();
-    }
-    format!("{:+.1}%", 100.0 * (measured - reference) / reference)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +142,5 @@ mod tests {
         assert!(lines[2].starts_with("CA-GrQc"));
         // All data lines have the same alignment width for the first column.
         assert_eq!(lines[2].find("1.000"), lines[3].find("1.0"));
-    }
-
-    #[test]
-    fn percent_error_formats_and_guards_zero() {
-        assert_eq!(percent_error(110.0, 100.0), "+10.0%");
-        assert_eq!(percent_error(90.0, 100.0), "-10.0%");
-        assert_eq!(percent_error(5.0, 0.0), "n/a");
     }
 }

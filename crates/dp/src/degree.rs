@@ -14,7 +14,7 @@
 //!    (Fact 4.6: these are functions of the released sequence only).
 
 use crate::budget::PrivacyParams;
-use crate::laplace::LaplaceNoise;
+use crate::laplace::laplace_mechanism;
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_redacted;
 use kronpriv_linalg::IsotonicBlocks;
@@ -95,7 +95,9 @@ pub fn private_degree_sequence<R: Rng + ?Sized>(
 }
 
 /// Same as [`private_degree_sequence`] but starting from an already-sorted degree vector. Useful
-/// for testing the mechanism in isolation and for ablation studies on synthetic sequences.
+/// for testing the mechanism in isolation and for ablation studies on synthetic sequences. The
+/// noise is the Laplace mechanism of Theorem 4.5, [`laplace_mechanism`], with
+/// `GS =` [`DEGREE_SEQUENCE_SENSITIVITY`].
 // lint:sanitizer
 pub fn private_degree_sequence_from_sorted<R: Rng + ?Sized>(
     sorted_degrees: &[f64],
@@ -103,9 +105,8 @@ pub fn private_degree_sequence_from_sorted<R: Rng + ?Sized>(
     rng: &mut R,
     exec: &Executor,
 ) -> PrivateDegreeSequence {
-    let noisy: Vec<f64> = stage("degree_release/laplace", &NullSink, || {
-        let noise = LaplaceNoise::new(DEGREE_SEQUENCE_SENSITIVITY / params.epsilon);
-        sorted_degrees.iter().map(|&d| d + noise.sample(rng)).collect()
+    let noisy = stage("degree_release/laplace", &NullSink, || {
+        laplace_mechanism(sorted_degrees, DEGREE_SEQUENCE_SENSITIVITY, params.epsilon, rng)
     });
     let fitted =
         stage("degree_release/isotonic", &NullSink, || isotonic_increasing_par(&noisy, exec));
@@ -139,6 +140,7 @@ pub fn isotonic_increasing_par(values: &[f64], exec: &Executor) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laplace::LaplaceNoise;
     use kronpriv_graph::counts::{hairpin_count, tripin_count};
     use kronpriv_graph::generators::preferential_attachment;
     use kronpriv_linalg::isotonic_increasing;

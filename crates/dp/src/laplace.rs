@@ -46,14 +46,6 @@ impl LaplaceNoise {
     pub fn sample_vec<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
-
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.scale == 0.0 {
-            return if x == 0.0 { f64::INFINITY } else { 0.0 };
-        }
-        (-(x.abs()) / self.scale).exp() / (2.0 * self.scale)
-    }
 }
 
 /// The Laplace mechanism of Theorem 4.5: perturbs each answer of the query vector `answers`
@@ -138,21 +130,6 @@ mod tests {
         let frac = beyond as f64 / n as f64;
         let expected = (-3.0f64).exp();
         assert!((frac - expected).abs() < 0.01, "tail fraction {frac} expected {expected}");
-    }
-
-    #[test]
-    fn pdf_integrates_to_one_numerically() {
-        let noise = LaplaceNoise::new(0.7);
-        let dx = 0.001;
-        let total: f64 = (-20_000..20_000).map(|i| noise.pdf(i as f64 * dx) * dx).sum();
-        assert!((total - 1.0).abs() < 1e-3, "integral {total}");
-    }
-
-    #[test]
-    fn pdf_is_maximal_at_zero_and_symmetric() {
-        let noise = LaplaceNoise::new(1.3);
-        assert!(noise.pdf(0.0) >= noise.pdf(0.5));
-        assert!((noise.pdf(2.0) - noise.pdf(-2.0)).abs() < 1e-15);
     }
 
     #[test]

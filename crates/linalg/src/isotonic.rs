@@ -100,15 +100,6 @@ pub fn isotonic_increasing(values: &[f64]) -> Vec<f64> {
     IsotonicBlocks::of(values).expand()
 }
 
-/// Isotonic regression under a non-increasing constraint, implemented by reversing, running the
-/// non-decreasing projection, and reversing back.
-pub fn isotonic_decreasing(values: &[f64]) -> Vec<f64> {
-    let reversed: Vec<f64> = values.iter().rev().copied().collect();
-    let mut fitted = isotonic_increasing(&reversed);
-    fitted.reverse();
-    fitted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,15 +148,6 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert!(isotonic_increasing(&[]).is_empty());
         assert_eq!(isotonic_increasing(&[7.0]), vec![7.0]);
-    }
-
-    #[test]
-    fn decreasing_variant_mirrors_increasing() {
-        let v = [1.0, 3.0, 2.0, 0.0];
-        let out = isotonic_decreasing(&v);
-        assert!(out.windows(2).all(|w| w[0] >= w[1] - 1e-12));
-        // Sum is preserved by the projection.
-        assert!((out.iter().sum::<f64>() - v.iter().sum::<f64>()).abs() < 1e-9);
     }
 
     #[test]

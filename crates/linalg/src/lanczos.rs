@@ -8,26 +8,27 @@
 //! are the magnitudes of the eigenvalues, which is how [`crate::power`] / this module get used
 //! by `kronpriv-stats`.
 
-use crate::csr::CsrMatrix;
 use crate::tridiag::symmetric_tridiagonal_eigenvalues;
 use crate::vector::{axpy, dot, normalize, orthogonalize_against};
 use rand::Rng;
 
-/// Runs Lanczos with full re-orthogonalisation on the symmetric matrix `a` and returns the `k`
-/// Ritz values of largest magnitude, sorted by decreasing magnitude.
+/// Runs Lanczos with full re-orthogonalisation on the symmetric `n × n` matrix `A` and returns
+/// the `k` Ritz values of largest magnitude, sorted by decreasing magnitude.
+///
+/// The matrix enters only through its product: `apply(x, y)` overwrites every entry of `y` with
+/// `(A·x)`.
 ///
 /// `steps` is the size of the Krylov subspace to build (raised to `k`, capped at the matrix
 /// dimension): more steps give more converged Ritz values, and `2 * k + 20` is a good choice
 /// when `k` leading eigenvalues are wanted. The result length may be smaller than `k` if the
 /// Krylov space is exhausted early (for example on low-rank matrices).
 pub fn lanczos_eigenvalues<R: Rng + ?Sized>(
-    a: &CsrMatrix,
+    n: usize,
+    apply: impl Fn(&[f64], &mut [f64]),
     k: usize,
     steps: usize,
     rng: &mut R,
 ) -> Vec<f64> {
-    assert_eq!(a.rows(), a.cols(), "lanczos requires a square matrix");
-    let n = a.rows();
     if n == 0 || k == 0 {
         return Vec::new();
     }
@@ -43,7 +44,8 @@ pub fn lanczos_eigenvalues<R: Rng + ?Sized>(
     }
 
     for step in 0..steps {
-        let mut w = a.mul_vec(&q);
+        let mut w = vec![0.0; n];
+        apply(&q, &mut w);
         let alpha = dot(&q, &w);
         alphas.push(alpha);
         axpy(-alpha, &q, &mut w);
@@ -101,20 +103,15 @@ fn sort_by_magnitude_positive_first(values: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{adjacency, diag};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn diag(values: &[f64]) -> CsrMatrix {
-        let triplets: Vec<(usize, usize, f64)> =
-            values.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
-        CsrMatrix::from_triplets(values.len(), values.len(), &triplets)
-    }
 
     #[test]
     fn recovers_leading_diagonal_entries() {
         let a = diag(&[10.0, -8.0, 6.0, 1.0, 0.5, 0.1, 3.0, -2.0]);
         let mut rng = StdRng::seed_from_u64(11);
-        let ev = lanczos_eigenvalues(&a, 3, 8, &mut rng);
+        let ev = lanczos_eigenvalues(8, a, 3, 8, &mut rng);
         assert_eq!(ev.len(), 3);
         assert!((ev[0] - 10.0).abs() < 1e-6, "{ev:?}");
         assert!((ev[1] + 8.0).abs() < 1e-6, "{ev:?}");
@@ -131,9 +128,8 @@ mod tests {
                 edges.push((u, v));
             }
         }
-        let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(12);
-        let ev = lanczos_eigenvalues(&a, 4, 12, &mut rng);
+        let ev = lanczos_eigenvalues(n, adjacency(n, &edges), 4, 12, &mut rng);
         assert!((ev[0] - (n as f64 - 1.0)).abs() < 1e-6);
         for v in &ev[1..] {
             assert!((v + 1.0).abs() < 1e-5, "{ev:?}");
@@ -145,9 +141,9 @@ mod tests {
         // Star with c leaves: eigenvalues ±sqrt(c) plus zeros.
         let leaves = 9u32;
         let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
-        let a = CsrMatrix::symmetric_adjacency(leaves as usize + 1, &edges);
+        let n = leaves as usize + 1;
         let mut rng = StdRng::seed_from_u64(13);
-        let ev = lanczos_eigenvalues(&a, 2, 10, &mut rng);
+        let ev = lanczos_eigenvalues(n, adjacency(n, &edges), 2, 10, &mut rng);
         assert!((ev[0] - 3.0).abs() < 1e-6);
         assert!((ev[1] + 3.0).abs() < 1e-6);
     }
@@ -165,32 +161,32 @@ mod tests {
                 }
             }
         }
-        let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(14);
-        let lz = lanczos_eigenvalues(&a, 1, 60, &mut rng);
+        let lz = lanczos_eigenvalues(n, adjacency(n, &edges), 1, 60, &mut rng);
+        // Every row has at most 6 entries: 3 of its own and at most 3 from other rows.
         let mut rng2 = StdRng::seed_from_u64(15);
-        let pw = crate::power::principal_eigenpair(&a, &mut rng2).unwrap();
+        let pw =
+            crate::power::principal_eigenpair(n, adjacency(n, &edges), 6.0, &mut rng2).unwrap();
         assert!((lz[0].abs() - pw.value.abs()).abs() < 1e-5, "{} vs {}", lz[0], pw.value);
     }
 
     #[test]
     fn empty_matrix_returns_empty() {
-        let a = CsrMatrix::from_triplets(0, 0, &[]);
         let mut rng = StdRng::seed_from_u64(16);
-        assert!(lanczos_eigenvalues(&a, 3, 120, &mut rng).is_empty());
+        assert!(lanczos_eigenvalues(0, adjacency(0, &[]), 3, 120, &mut rng).is_empty());
     }
 
     #[test]
     fn requesting_zero_values_returns_empty() {
-        let a = diag(&[1.0, 2.0]);
         let mut rng = StdRng::seed_from_u64(17);
-        assert!(lanczos_eigenvalues(&a, 0, 120, &mut rng).is_empty());
+        assert!(lanczos_eigenvalues(2, diag(&[1.0, 2.0]), 0, 120, &mut rng).is_empty());
     }
 }
 
 #[cfg(test)]
 mod regression_tests {
     use super::*;
+    use crate::test_support::adjacency;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -201,10 +197,11 @@ mod regression_tests {
     fn symmetric_pair_orders_positive_first_for_any_seed() {
         let leaves = 9u32;
         let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
-        let a = CsrMatrix::symmetric_adjacency(leaves as usize + 1, &edges);
+        let n = leaves as usize + 1;
+        let a = adjacency(n, &edges);
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let ev = lanczos_eigenvalues(&a, 2, 10, &mut rng);
+            let ev = lanczos_eigenvalues(n, &a, 2, 10, &mut rng);
             assert!((ev[0] - 3.0).abs() < 1e-6, "seed {seed}: {ev:?}");
             assert!((ev[1] + 3.0).abs() < 1e-6, "seed {seed}: {ev:?}");
         }

@@ -1,22 +1,23 @@
-//! Shifted power iteration with deflation for the leading eigenpairs of a symmetric matrix.
+//! Shifted power iteration for the principal eigenpair of a symmetric matrix.
 //!
 //! The network-value plot in the paper needs the principal eigenvector of the adjacency matrix
 //! (the eigenvector of the algebraically largest eigenvalue — for a non-negative adjacency
 //! matrix this is the Perron eigenvector). Plain power iteration stalls on bipartite-like graphs
 //! where the extreme eigenvalues come in a `±λ` pair, so the iteration here runs on the shifted
-//! operator `A + σI` with `σ` equal to the infinity norm of `A`. The shift makes every
-//! eigenvalue non-negative and the algebraically largest strictly dominant, without changing the
-//! eigenvectors. Deflation (projecting out converged eigenvectors) then exposes the next
-//! algebraically largest eigenvalue, and so on.
+//! operator `A + σI` with `σ` one more than a bound on the infinity norm of `A`. The shift makes
+//! every eigenvalue positive and the algebraically largest strictly dominant, without changing
+//! the eigenvectors.
+//!
+//! The matrix enters only through its product `y = A·x`, so a caller that already stores `A`
+//! (a graph's neighbour lists) passes that product instead of copying `A` into a matrix type.
 //!
 //! Use [`crate::lanczos`] when eigenvalues of largest *magnitude* (singular values of the
 //! adjacency matrix, i.e. the scree plot) are wanted.
 
-use crate::csr::CsrMatrix;
-use crate::vector::{dot, normalize, orthogonalize_against};
+use crate::vector::{dot, normalize};
 use rand::Rng;
 
-/// Maximum number of power iterations per eigenpair.
+/// Maximum number of power iterations.
 const MAX_ITERATIONS: usize = 2000;
 
 /// Convergence tolerance on the change of the Rayleigh quotient between iterations, relative to
@@ -34,122 +35,78 @@ pub struct EigenPair {
     pub iterations: usize,
 }
 
-/// Infinity norm (maximum absolute row sum) of `a`, used as the spectral shift.
-fn infinity_norm(a: &CsrMatrix) -> f64 {
-    (0..a.rows()).map(|r| a.row(r).map(|(_, v)| v.abs()).sum::<f64>()).fold(0.0_f64, f64::max)
-}
-
-/// Computes the `k` algebraically largest eigenpairs of the symmetric matrix `a`, sorted by
-/// decreasing eigenvalue.
+/// The principal (algebraically largest) eigenpair of the symmetric `n × n` matrix `A`.
 ///
-/// Eigenvectors are mutually orthogonal (they are re-orthogonalised against all previously
-/// converged vectors on every iteration). The returned list may be shorter than `k` if iterates
-/// vanish (e.g. the matrix dimension is smaller than `k`).
-pub fn top_eigenpairs<R: Rng + ?Sized>(a: &CsrMatrix, k: usize, rng: &mut R) -> Vec<EigenPair> {
-    assert_eq!(a.rows(), a.cols(), "top_eigenpairs requires a square matrix");
-    let n = a.rows();
-    let k = k.min(n);
-    let shift = infinity_norm(a) + 1.0;
-    let mut converged: Vec<EigenPair> = Vec::with_capacity(k);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(k);
-
-    for _ in 0..k {
-        let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        orthogonalize_against(&mut x, &basis);
-        if normalize(&mut x) == 0.0 {
-            break;
-        }
-        let mut prev_lambda = f64::INFINITY;
-        let mut lambda = 0.0;
-        let mut iterations = 0;
-        let mut y = vec![0.0; n];
-        for it in 0..MAX_ITERATIONS {
-            iterations = it + 1;
-            // y = (A + shift I) x
-            a.mul_vec_into(&x, &mut y);
-            for (yi, xi) in y.iter_mut().zip(&x) {
-                *yi += shift * xi;
-            }
-            // Deflation: keep the iterate orthogonal to converged eigenvectors. Re-projecting on
-            // every step prevents converged directions re-entering through rounding noise.
-            orthogonalize_against(&mut y, &basis);
-            orthogonalize_against(&mut y, &basis);
-            // Rayleigh quotient of the *unshifted* matrix: xᵀ(A+σI)x − σ = xᵀAx for unit x.
-            lambda = dot(&x, &y) - shift;
-            if normalize(&mut y) == 0.0 {
-                // The remaining invariant subspace is (numerically) null relative to the shift.
-                break;
-            }
-            std::mem::swap(&mut x, &mut y);
-            if (lambda - prev_lambda).abs() <= TOLERANCE * (lambda.abs() + shift) {
-                break;
-            }
-            prev_lambda = lambda;
-        }
-        if !lambda.is_finite() {
-            break;
-        }
-        basis.push(x.clone());
-        converged.push(EigenPair { value: lambda, vector: x, iterations });
+/// `apply(x, y)` overwrites every entry of `y` with `(A·x)`, and `norm` bounds the infinity norm
+/// (maximum absolute row sum) of `A`; the iteration runs on `A + (norm + 1)·I`. For a
+/// non-negative adjacency matrix this is the Perron eigenpair, whose eigenvector components are
+/// the "network values" plotted in the paper's Figures 1–4(d).
+///
+/// Returns `None` for an empty matrix, for a start vector that normalises to zero and for a
+/// non-finite eigenvalue.
+pub fn principal_eigenpair<R: Rng + ?Sized>(
+    n: usize,
+    apply: impl Fn(&[f64], &mut [f64]),
+    norm: f64,
+    rng: &mut R,
+) -> Option<EigenPair> {
+    if n == 0 {
+        return None;
     }
-    converged.sort_by(|p, q| q.value.total_cmp(&p.value));
-    converged
-}
-
-/// Convenience wrapper returning only the principal (algebraically largest) eigenpair.
-///
-/// For a non-negative adjacency matrix this is the Perron eigenpair, whose eigenvector
-/// components are the "network values" plotted in the paper's Figures 1–4(d).
-///
-/// Returns `None` for an empty matrix.
-pub fn principal_eigenpair<R: Rng + ?Sized>(a: &CsrMatrix, rng: &mut R) -> Option<EigenPair> {
-    top_eigenpairs(a, 1, rng).into_iter().next()
+    let shift = norm + 1.0;
+    let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    if normalize(&mut x) == 0.0 {
+        return None;
+    }
+    let mut prev_lambda = f64::INFINITY;
+    let mut lambda = 0.0;
+    let mut iterations = 0;
+    let mut y = vec![0.0; n];
+    for it in 0..MAX_ITERATIONS {
+        iterations = it + 1;
+        // y = (A + shift I) x
+        apply(&x, &mut y);
+        for (yi, xi) in y.iter_mut().zip(&x) {
+            *yi += shift * xi;
+        }
+        // Rayleigh quotient of the *unshifted* matrix: xᵀ(A+σI)x − σ = xᵀAx for unit x.
+        lambda = dot(&x, &y) - shift;
+        if normalize(&mut y) == 0.0 {
+            // The iterate is (numerically) null relative to the shift.
+            break;
+        }
+        std::mem::swap(&mut x, &mut y);
+        if (lambda - prev_lambda).abs() <= TOLERANCE * (lambda.abs() + shift) {
+            break;
+        }
+        prev_lambda = lambda;
+    }
+    lambda.is_finite().then_some(EigenPair { value: lambda, vector: x, iterations })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{adjacency, diag};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn diag(values: &[f64]) -> CsrMatrix {
-        let triplets: Vec<(usize, usize, f64)> =
-            values.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
-        CsrMatrix::from_triplets(values.len(), values.len(), &triplets)
-    }
-
     #[test]
     fn principal_eigenvalue_of_diagonal_matrix() {
-        let a = diag(&[1.0, 5.0, 3.0]);
         let mut rng = StdRng::seed_from_u64(1);
-        let pair = principal_eigenpair(&a, &mut rng).unwrap();
+        let pair = principal_eigenpair(3, diag(&[1.0, 5.0, 3.0]), 5.0, &mut rng).unwrap();
         assert!((pair.value - 5.0).abs() < 1e-8, "got {}", pair.value);
         // Eigenvector should be concentrated on index 1.
         assert!(pair.vector[1].abs() > 0.999);
     }
 
     #[test]
-    fn top_eigenpairs_of_diagonal_matrix_sorted_algebraically() {
-        let a = diag(&[1.0, -7.0, 3.0, 5.0]);
+    fn principal_eigenvalue_is_the_algebraically_largest() {
+        // The largest magnitude is -7; the shift makes the algebraically largest, 5, dominant.
         let mut rng = StdRng::seed_from_u64(2);
-        let pairs = top_eigenpairs(&a, 3, &mut rng);
-        assert_eq!(pairs.len(), 3);
-        let vals: Vec<f64> = pairs.iter().map(|p| p.value).collect();
-        assert!((vals[0] - 5.0).abs() < 1e-7, "{vals:?}");
-        assert!((vals[1] - 3.0).abs() < 1e-7, "{vals:?}");
-        assert!((vals[2] - 1.0).abs() < 1e-7, "{vals:?}");
-    }
-
-    #[test]
-    fn eigenvectors_are_orthogonal() {
-        let a = diag(&[4.0, 2.0, 9.0, 1.0]);
-        let mut rng = StdRng::seed_from_u64(3);
-        let pairs = top_eigenpairs(&a, 3, &mut rng);
-        for i in 0..pairs.len() {
-            for j in (i + 1)..pairs.len() {
-                assert!(dot(&pairs[i].vector, &pairs[j].vector).abs() < 1e-6);
-            }
-        }
+        let pair = principal_eigenpair(4, diag(&[1.0, -7.0, 3.0, 5.0]), 7.0, &mut rng).unwrap();
+        assert!((pair.value - 5.0).abs() < 1e-7, "got {}", pair.value);
+        assert!(pair.vector[3].abs() > 0.999);
     }
 
     #[test]
@@ -159,9 +116,8 @@ mod tests {
         // shift exists for.
         let n = 10;
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(4);
-        let pair = principal_eigenpair(&a, &mut rng).unwrap();
+        let pair = principal_eigenpair(n, adjacency(n, &edges), 2.0, &mut rng).unwrap();
         let expected = 2.0 * (std::f64::consts::PI / (n as f64 + 1.0)).cos();
         assert!((pair.value - expected).abs() < 1e-6, "got {} want {}", pair.value, expected);
     }
@@ -175,12 +131,9 @@ mod tests {
                 edges.push((u, v));
             }
         }
-        let a = CsrMatrix::symmetric_adjacency(n, &edges);
         let mut rng = StdRng::seed_from_u64(5);
-        let pairs = top_eigenpairs(&a, 2, &mut rng);
-        assert!((pairs[0].value - (n as f64 - 1.0)).abs() < 1e-6);
-        // Second eigenvalue of K_n is -1.
-        assert!((pairs[1].value + 1.0).abs() < 1e-5);
+        let pair = principal_eigenpair(n, adjacency(n, &edges), 5.0, &mut rng).unwrap();
+        assert!((pair.value - (n as f64 - 1.0)).abs() < 1e-6);
     }
 
     #[test]
@@ -189,9 +142,9 @@ mod tests {
         // each leaf component is 1/sqrt(2c).
         let leaves = 16u32;
         let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
-        let a = CsrMatrix::symmetric_adjacency(leaves as usize + 1, &edges);
+        let n = leaves as usize + 1;
         let mut rng = StdRng::seed_from_u64(8);
-        let pair = principal_eigenpair(&a, &mut rng).unwrap();
+        let pair = principal_eigenpair(n, adjacency(n, &edges), 16.0, &mut rng).unwrap();
         assert!((pair.value - 4.0).abs() < 1e-7);
         let hub = pair.vector[0].abs();
         let leaf = pair.vector[1].abs();
@@ -202,28 +155,18 @@ mod tests {
     #[test]
     fn perron_vector_of_connected_graph_has_constant_sign() {
         let edges = vec![(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2)];
-        let a = CsrMatrix::symmetric_adjacency(4, &edges);
         let mut rng = StdRng::seed_from_u64(9);
-        let pair = principal_eigenpair(&a, &mut rng).unwrap();
+        let pair = principal_eigenpair(4, adjacency(4, &edges), 3.0, &mut rng).unwrap();
         let signs: Vec<bool> = pair.vector.iter().map(|&x| x > 0.0).collect();
         assert!(signs.iter().all(|&s| s) || signs.iter().all(|&s| !s), "{:?}", pair.vector);
     }
 
     #[test]
-    fn requesting_more_pairs_than_dimension_truncates() {
-        let a = diag(&[2.0, 1.0]);
-        let mut rng = StdRng::seed_from_u64(6);
-        let pairs = top_eigenpairs(&a, 5, &mut rng);
-        assert_eq!(pairs.len(), 2);
-    }
-
-    #[test]
     fn zero_matrix_returns_zero_eigenvalues() {
-        let a = CsrMatrix::from_triplets(3, 3, &[]);
         let mut rng = StdRng::seed_from_u64(7);
-        let pairs = top_eigenpairs(&a, 2, &mut rng);
-        for p in pairs {
-            assert!(p.value.abs() < 1e-9);
-        }
+        let pair = principal_eigenpair(3, adjacency(3, &[]), 0.0, &mut rng).unwrap();
+        assert!(pair.value.abs() < 1e-9);
+        // A 0 × 0 matrix has no eigenpair at all.
+        assert!(principal_eigenpair(0, adjacency(0, &[]), 0.0, &mut rng).is_none());
     }
 }

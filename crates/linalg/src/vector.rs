@@ -51,8 +51,8 @@ pub fn normalize(x: &mut [f64]) -> f64 {
 
 /// Removes from `x` its components along each (assumed orthonormal) vector in `basis`.
 ///
-/// This is one pass of classical Gram–Schmidt; the Lanczos and deflated power iterations call it
-/// twice per step, which is the standard "twice is enough" re-orthogonalisation.
+/// This is one pass of classical Gram–Schmidt; the Lanczos iteration calls it twice per step,
+/// which is the standard "twice is enough" re-orthogonalisation.
 pub fn orthogonalize_against(x: &mut [f64], basis: &[Vec<f64>]) {
     for q in basis {
         let c = dot(x, q);

@@ -79,7 +79,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::thread;
 // lint:allow(determinism-time, reason = "write-only latency instrumentation: Instant readings feed kronpriv-obs histograms and never influence scheduling or results")
 use std::time::Instant;
@@ -150,13 +150,6 @@ impl Work {
     }
 }
 
-/// The auto thread count, resolved from the OS **once per process** and cached: the server
-/// resolves `--compute-threads 0` on every request, and `available_parallelism` is a syscall.
-fn auto_thread_count() -> NonZeroUsize {
-    static AUTO: OnceLock<NonZeroUsize> = OnceLock::new();
-    *AUTO.get_or_init(|| thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
-}
-
 /// A deterministic executor: the calling thread plus up to `threads - 1` scoped helper threads,
 /// servicing [`Executor::map_reduce`] / [`Executor::fold_reduce`] with byte-identical results
 /// for every thread count.
@@ -177,12 +170,13 @@ impl Executor {
     /// `threads - 1` helpers per call); `0` means "one per available hardware thread" (see
     /// [`Executor::auto`]).
     pub fn new(threads: usize) -> Executor {
-        let threads = NonZeroUsize::new(threads).unwrap_or_else(auto_thread_count);
+        let threads = NonZeroUsize::new(threads)
+            .unwrap_or_else(|| thread::available_parallelism().unwrap_or(NonZeroUsize::MIN));
         Executor { threads, idle_helpers: AtomicUsize::new(threads.get() - 1) }
     }
 
-    /// One participant per available hardware thread. The OS is asked once per process and the
-    /// answer is cached (falling back to 1 when it cannot say).
+    /// One participant per available hardware thread, as the OS reports it when the executor is
+    /// built (1 when it cannot say).
     pub fn auto() -> Executor {
         Executor::new(0)
     }

@@ -15,22 +15,20 @@ use kronpriv_json::impl_json_struct;
 use kronpriv_par::Executor;
 use rand::Rng;
 
-/// Options controlling which parts of a profile are computed and at what resolution.
+/// The resolution of a profile's spectral statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileOptions {
     /// Number of singular values for the scree plot.
     pub scree_values: usize,
     /// Number of leading network-value components to keep (0 = all).
     pub network_values: usize,
-    /// Skip the hop plot (the all-sources BFS is the most expensive part for large graphs).
-    pub skip_hop_plot: bool,
 }
 
-impl_json_struct!(ProfileOptions { scree_values, network_values, skip_hop_plot });
+impl_json_struct!(ProfileOptions { scree_values, network_values });
 
 impl Default for ProfileOptions {
     fn default() -> Self {
-        ProfileOptions { scree_values: 50, network_values: 1000, skip_hop_plot: false }
+        ProfileOptions { scree_values: 50, network_values: 1000 }
     }
 }
 
@@ -47,7 +45,7 @@ pub struct GraphProfile {
     pub matching: MatchingStatistics,
     /// Degree distribution (count per positive degree).
     pub degree_distribution: Vec<DegreePoint>,
-    /// Hop plot: reachable ordered pairs within `h` hops (empty if skipped).
+    /// Hop plot: reachable ordered pairs within `h` hops (empty for a graph with no nodes).
     pub hop_plot: Vec<u64>,
     /// Scree plot: leading singular values, decreasing.
     pub scree: Vec<f64>,
@@ -86,11 +84,7 @@ impl GraphProfile {
             edges: g.edge_count(),
             matching: MatchingStatistics::of_graph(g),
             degree_distribution: degree_distribution(g),
-            hop_plot: if options.skip_hop_plot {
-                Vec::new()
-            } else {
-                reachable_pairs_by_hops(g, &Executor::sequential())
-            },
+            hop_plot: reachable_pairs_by_hops(g, &Executor::sequential()),
             scree: scree_plot(g, options.scree_values, rng),
             network_values: network_values(g, options.network_values, rng),
             clustering_by_degree: average_clustering_by_degree(g),
@@ -98,7 +92,7 @@ impl GraphProfile {
         }
     }
 
-    /// The maximum hop count present in the hop plot (0 if skipped/empty).
+    /// The maximum hop count present in the hop plot (0 if it is empty).
     pub fn effective_diameter(&self) -> usize {
         self.hop_plot.len().saturating_sub(1)
     }
@@ -193,16 +187,6 @@ mod tests {
         assert!(!p.network_values.is_empty());
         assert!(p.global_clustering > 0.0);
         assert_eq!(p.effective_diameter(), 3);
-    }
-
-    #[test]
-    fn hop_plot_can_be_skipped() {
-        let g = Graph::from_edges(4, vec![(0, 1), (1, 2)]);
-        let mut rng = StdRng::seed_from_u64(2);
-        let options = ProfileOptions { skip_hop_plot: true, ..Default::default() };
-        let p = GraphProfile::compute("no-hops", &g, &options, &mut rng);
-        assert!(p.hop_plot.is_empty());
-        assert_eq!(p.effective_diameter(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() -> Result<(), PipelineError> {
     println!("  Private  {}   (ε = 0.2, δ = 0.01)", private.fit.theta);
 
     // Sample one synthetic graph per estimator and profile it the way Figures 1-3 do.
-    let options = ProfileOptions { scree_values: 25, network_values: 100, skip_hop_plot: false };
+    let options = ProfileOptions { scree_values: 25, network_values: 100 };
     let original_profile = GraphProfile::compute("Original", &original, &options, &mut rng);
     println!("\nprofile comparison against the original (lower is better):");
     println!("  estimator  edge err  triangle err  degree KS  λ₁ err  clustering diff");

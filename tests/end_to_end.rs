@@ -123,7 +123,7 @@ fn degree_statistics_of_the_synthetic_graph_mimic_the_original() {
     let mut rng = StdRng::seed_from_u64(6);
     let release = release(&graph, PrivacyParams::new(1.0, 0.01), &mut rng);
 
-    let options = ProfileOptions { scree_values: 10, network_values: 50, skip_hop_plot: true };
+    let options = ProfileOptions { scree_values: 10, network_values: 50 };
     let original = GraphProfile::compute("original", &graph, &options, &mut rng);
     let synthetic = GraphProfile::compute("synthetic", &release.synthetic, &options, &mut rng);
     let cmp = ProfileComparison::between(&original, &graph, &synthetic, &release.synthetic);
